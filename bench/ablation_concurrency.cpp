@@ -24,9 +24,11 @@ struct Result
 };
 
 Result
-run(bool with_frame, bool with_kernel, unsigned n)
+run(const SimulationBuilder &sim_builder, bool with_frame,
+    bool with_kernel, unsigned n)
 {
-    soc::StandaloneGpu rig(256, 192);
+    soc::StandaloneGpu rig(256, 192, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), sim_builder);
     core::ShaderBuilder builder;
     mem::FunctionalMemory &fmem = rig.functionalMemory();
 
@@ -91,9 +93,9 @@ runScenario(int argc, char **argv)
     std::printf("=== Ablation: graphics + compute sharing the SIMT "
                 "cores ===\n");
 
-    Result frame_only = run(true, false, n);
-    Result kernel_only = run(false, true, n);
-    Result both = run(true, true, n);
+    Result frame_only = run(harness.builder(), true, false, n);
+    Result kernel_only = run(harness.builder(), false, true, n);
+    Result both = run(harness.builder(), true, true, n);
 
     std::printf("frame alone : %10.0f cycles\n",
                 frame_only.frame_cycles);

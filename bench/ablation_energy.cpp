@@ -25,10 +25,11 @@ struct EnergyRun
 };
 
 EnergyRun
-measure(scenes::WorkloadId id, unsigned wt, unsigned frames,
-        bool use_dfsl = false)
+measure(const SimulationBuilder &builder, scenes::WorkloadId id,
+        unsigned wt, unsigned frames, bool use_dfsl = false)
 {
-    soc::StandaloneGpu rig(256, 192);
+    soc::StandaloneGpu rig(256, 192, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), builder);
     scenes::SceneRenderer scene(rig.pipeline(),
                                 scenes::makeWorkload(id),
                                 rig.functionalMemory());
@@ -87,9 +88,9 @@ runScenario(int argc, char **argv)
                 "WT10 (uJ)", "DFSL (uJ)", "DFSL saves");
 
     for (scenes::WorkloadId id : workloads) {
-        EnergyRun wt1 = measure(id, 1, frames);
-        EnergyRun wt10 = measure(id, 10, frames);
-        EnergyRun dfsl = measure(id, 1, frames, true);
+        EnergyRun wt1 = measure(harness.builder(), id, 1, frames);
+        EnergyRun wt10 = measure(harness.builder(), id, 10, frames);
+        EnergyRun dfsl = measure(harness.builder(), id, 1, frames, true);
         double worst = std::max(wt1.energy_uj, wt10.energy_uj);
         std::string wl = scenes::workloadName(id);
         results.record(wl + ".wt1_uj", wt1.energy_uj);

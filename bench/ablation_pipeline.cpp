@@ -25,12 +25,13 @@ namespace
 
 /** Render frames of a workload under a custom pipeline config. */
 double
-runConfig(scenes::WorkloadId id, const core::GfxParams &gfx,
-          bool allow_early_z, unsigned frames,
-          std::uint64_t *hiz_rejects = nullptr,
+runConfig(const SimulationBuilder &builder, scenes::WorkloadId id,
+          const core::GfxParams &gfx, bool allow_early_z,
+          unsigned frames, std::uint64_t *hiz_rejects = nullptr,
           double *frags_per_warp = nullptr)
 {
-    soc::StandaloneGpu base(256, 192);
+    soc::StandaloneGpu base(256, 192, soc::caseStudy2GpuParams(),
+                            soc::caseStudy2MemParams(), builder);
     core::GraphicsPipeline pipe(base.sim(), "gfx_ablate", base.gpu(),
                                 256, 192, gfx);
 
@@ -118,6 +119,7 @@ runScenario(int argc, char **argv)
     const Config &cfg = harness.cfg;
     unsigned frames = static_cast<unsigned>(cfg.getU64("frames", 2));
     BenchResults &results = *harness.results;
+    const SimulationBuilder builder = harness.builder();
 
     std::printf("=== Ablation: pipeline design choices ===\n\n");
 
@@ -127,10 +129,10 @@ runScenario(int argc, char **argv)
         core::GfxParams off;
         off.hizEnabled = false;
         std::uint64_t rejects = 0;
-        double t_on = runConfig(scenes::WorkloadId::W1_Sibenik, on,
-                                true, frames, &rejects);
-        double t_off = runConfig(scenes::WorkloadId::W1_Sibenik, off,
-                                 true, frames);
+        double t_on = runConfig(builder, scenes::WorkloadId::W1_Sibenik,
+                                on, true, frames, &rejects);
+        double t_off = runConfig(builder, scenes::WorkloadId::W1_Sibenik,
+                                 off, true, frames);
         results.record("hiz.on_cycles", t_on);
         results.record("hiz.off_cycles", t_off);
         results.record("hiz.saved_frac", (t_off - t_on) / t_off);
@@ -149,12 +151,12 @@ runScenario(int argc, char **argv)
         weak.tcEnginesPerCluster = 1;
         weak.tcFlushTimeoutCycles = 1;
         double fpw_full = 0, fpw_weak = 0;
-        double t_full = runConfig(scenes::WorkloadId::W4_Suzanne,
-                                  full, true, frames, nullptr,
-                                  &fpw_full);
-        double t_weak = runConfig(scenes::WorkloadId::W4_Suzanne,
-                                  weak, true, frames, nullptr,
-                                  &fpw_weak);
+        double t_full = runConfig(builder,
+                                  scenes::WorkloadId::W4_Suzanne, full,
+                                  true, frames, nullptr, &fpw_full);
+        double t_weak = runConfig(builder,
+                                  scenes::WorkloadId::W4_Suzanne, weak,
+                                  true, frames, nullptr, &fpw_weak);
         results.record("tc.full_cycles", t_full);
         results.record("tc.weak_cycles", t_weak);
         results.record("tc.full_frag_per_warp", fpw_full / frames);
@@ -168,10 +170,10 @@ runScenario(int argc, char **argv)
     // 3. Early-Z vs forced late-Z.
     {
         core::GfxParams gfx;
-        double t_early = runConfig(scenes::WorkloadId::W6_Teapot, gfx,
-                                   true, frames);
-        double t_late = runConfig(scenes::WorkloadId::W6_Teapot, gfx,
-                                  false, frames);
+        double t_early = runConfig(builder, scenes::WorkloadId::W6_Teapot,
+                                   gfx, true, frames);
+        double t_late = runConfig(builder, scenes::WorkloadId::W6_Teapot,
+                                  gfx, false, frames);
         results.record("rop.early_cycles", t_early);
         results.record("rop.late_cycles", t_late);
         results.record("rop.saved_frac", (t_late - t_early) / t_late);

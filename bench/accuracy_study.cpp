@@ -72,7 +72,9 @@ runScenario(int argc, char **argv)
     double abs_err_sum = 0;
 
     for (const MicroBench &mb : micro) {
-        soc::StandaloneGpu rig(fbw, fbh);
+        soc::StandaloneGpu rig(fbw, fbh, soc::caseStudy2GpuParams(),
+                               soc::caseStudy2MemParams(),
+                               harness.builder());
 
         scenes::Workload w;
         w.name = mb.name;

@@ -25,86 +25,31 @@
 #include <vector>
 
 #include "registry.hh"
+#include "sim/config.hh"
+#include "sim/simulation_builder.hh"
 #include "sim/supervise/supervisor.hh"
 
 namespace
 {
 
-/**
- * Peel "--key=value" or "--key value" off argv; returns true and
- * stores the value when present (last occurrence wins).
- */
-bool
-argValue(int argc, char **argv, const std::string &key,
-         std::string *out)
-{
-    bool found = false;
-    std::string prefix = "--" + key + "=";
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind(prefix, 0) == 0) {
-            *out = arg.substr(prefix.size());
-            found = true;
-        } else if (arg == "--" + key && i + 1 < argc &&
-                   argv[i + 1][0] != '-') {
-            *out = argv[++i];
-            found = true;
-        }
-    }
-    return found;
-}
-
-bool
-argFlag(int argc, char **argv, const std::string &key)
-{
-    std::string value;
-    if (!argValue(argc, argv, key, &value)) {
-        // Bare "--key" (boolean switch form).
-        for (int i = 1; i < argc; ++i)
-            if (std::string(argv[i]) == "--" + key)
-                return true;
-        return false;
-    }
-    return value == "1" || value == "true" || value == "yes" ||
-           value == "on";
-}
-
-unsigned
-argUnsigned(int argc, char **argv, const std::string &key,
-            unsigned dflt)
-{
-    std::string value;
-    if (!argValue(argc, argv, key, &value) || value.empty())
-        return dflt;
-    return static_cast<unsigned>(std::stoul(value));
-}
-
 int
-runSupervised(const emerald::bench::Scenario &scenario, int argc,
-              char **argv)
+runSupervised(const emerald::bench::Scenario &scenario,
+              const emerald::Config &cfg, int argc, char **argv)
 {
     using namespace emerald::supervise;
 
+    auto flag = [&cfg](const char *key, unsigned dflt) {
+        return static_cast<unsigned>(cfg.getU64(key, dflt));
+    };
     SupervisorOptions opts;
-    std::string dir = "supervise";
-    argValue(argc, argv, "supervise-dir", &dir);
-    opts.runDir = dir;
-    opts.maxRetries = argUnsigned(argc, argv, "supervise-retries", 3);
-    opts.backoffBaseMs =
-        argUnsigned(argc, argv, "supervise-backoff-ms", 200);
-    opts.killAfterMs =
-        argUnsigned(argc, argv, "supervise-kill-after-ms", 0);
-
-    // Where the scenario rotates auto-checkpoints: the builder
-    // defaults --checkpoint-dir to "ckpt" whenever --checkpoint-every
-    // is given, so mirror that here.
-    std::string ckptDir;
-    if (!argValue(argc, argv, "checkpoint-dir", &ckptDir)) {
-        std::string every;
-        if (argValue(argc, argv, "checkpoint-every", &every))
-            ckptDir = "ckpt";
-    }
-    opts.ckptDir = ckptDir;
+    opts.runDir = cfg.getString("supervise-dir", "supervise");
+    opts.maxRetries = flag("supervise-retries", 3);
+    opts.backoffBaseMs = flag("supervise-backoff-ms", 200);
+    opts.killAfterMs = flag("supervise-kill-after-ms", 0);
+    // Where the scenario rotates auto-checkpoints: the same builder
+    // keys the scenario itself reads.
+    opts.ckptDir =
+        emerald::SimulationBuilder().observability(cfg).checkpointDir();
 
     SupervisorResult result = superviseRun(
         opts, [&](const ChildSpec &spec) {
@@ -115,7 +60,7 @@ runSupervised(const emerald::bench::Scenario &scenario, int argc,
             args.push_back("--hang-report-path=" +
                            spec.hangReportPath);
             if (spec.attempt > 0 && !spec.restoreDir.empty())
-                args.push_back("--restore=" + ckptDir);
+                args.push_back("--restore=" + opts.ckptDir);
             std::vector<char *> cargv;
             cargv.reserve(args.size());
             for (std::string &arg : args)
@@ -136,24 +81,12 @@ main(int argc, char **argv)
 {
     using namespace emerald::bench;
 
-    // Peel --list/--run here; the scenario re-parses the full argv
-    // (Config knows both keys), so nothing needs to be stripped.
-    bool list = false;
-    std::string run_name;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--list") {
-            list = true;
-        } else if (arg.rfind("--run=", 0) == 0) {
-            run_name = arg.substr(6);
-        } else if (arg == "--run" && i + 1 < argc &&
-                   argv[i + 1][0] != '-') {
-            run_name = argv[++i];
-        }
-    }
+    // The scenario re-parses the full argv, so nothing is stripped.
+    emerald::Config cfg;
+    cfg.parseArgs(argc, argv);
 
     const ScenarioRegistry &registry = ScenarioRegistry::instance();
-    if (list) {
+    if (cfg.getBool("list", false)) {
         for (const Scenario &s : registry.scenarios()) {
             std::printf("%s\t%s\t%s\n", s.name.c_str(),
                         s.kind == ScenarioKind::Figure ? "figure"
@@ -163,6 +96,7 @@ main(int argc, char **argv)
         return 0;
     }
 
+    std::string run_name = cfg.getString("run", "");
     if (run_name.empty()) {
         std::fprintf(stderr,
                      "usage: emerald_bench --run=<name> [--key=value "
@@ -180,7 +114,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (argFlag(argc, argv, "supervise"))
-        return runSupervised(*scenario, argc, argv);
+    if (cfg.getBool("supervise", false))
+        return runSupervised(*scenario, cfg, argc, argv);
     return scenario->run(argc, argv);
 }

@@ -41,7 +41,8 @@ runScenario(int argc, char **argv)
     for (scenes::WorkloadId id : workloads) {
         std::vector<double> cycles;
         for (unsigned wt = 1; wt <= 10; ++wt)
-            cycles.push_back(meanCyclesAtWt(id, wt, fbw, fbh, frames));
+            cycles.push_back(meanCyclesAtWt(harness.builder(), id, wt,
+                                            fbw, fbh, frames));
         std::printf("%-18s", scenes::workloadName(id));
         unsigned best = 1;
         for (unsigned wt = 1; wt <= 10; ++wt) {

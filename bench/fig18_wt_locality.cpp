@@ -34,7 +34,9 @@ runScenario(int argc, char **argv)
 
     std::vector<double> time, color, texture, depth;
     for (unsigned wt = 1; wt <= 10; ++wt) {
-        soc::StandaloneGpu rig(fbw, fbh);
+        soc::StandaloneGpu rig(fbw, fbh, soc::caseStudy2GpuParams(),
+                               soc::caseStudy2MemParams(),
+                               harness.builder());
         scenes::SceneRenderer scene(
             rig.pipeline(),
             scenes::makeWorkload(scenes::WorkloadId::W1_Sibenik),

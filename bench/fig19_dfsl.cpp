@@ -20,10 +20,11 @@ namespace
 
 /** Mean cycles over an animated frame sequence at a fixed WT. */
 double
-staticRun(scenes::WorkloadId id, unsigned wt, unsigned fbw,
-          unsigned fbh, unsigned frames)
+staticRun(const SimulationBuilder &builder, scenes::WorkloadId id,
+          unsigned wt, unsigned fbw, unsigned fbh, unsigned frames)
 {
-    soc::StandaloneGpu rig(fbw, fbh);
+    soc::StandaloneGpu rig(fbw, fbh, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), builder);
     scenes::SceneRenderer scene(rig.pipeline(),
                                 scenes::makeWorkload(id),
                                 rig.functionalMemory());
@@ -43,10 +44,12 @@ struct DfslResult
 };
 
 DfslResult
-dfslRun(scenes::WorkloadId id, unsigned fbw, unsigned fbh,
-        unsigned run_frames, unsigned max_wt)
+dfslRun(const SimulationBuilder &builder, scenes::WorkloadId id,
+        unsigned fbw, unsigned fbh, unsigned run_frames,
+        unsigned max_wt)
 {
-    soc::StandaloneGpu rig(fbw, fbh);
+    soc::StandaloneGpu rig(fbw, fbh, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), builder);
     scenes::SceneRenderer scene(rig.pipeline(),
                                 scenes::makeWorkload(id),
                                 rig.functionalMemory());
@@ -95,6 +98,7 @@ runScenario(int argc, char **argv)
         static_cast<unsigned>(cfg.getU64("maxwt", 6));
     bool quick = harness.quick;
     BenchResults &results = *harness.results;
+    const SimulationBuilder builder = harness.builder();
 
     auto workloads = caseStudy2Workloads();
     if (quick)
@@ -113,8 +117,8 @@ runScenario(int argc, char **argv)
         for (unsigned wt = 1; wt <= 10; ++wt) {
             double total = 0;
             for (scenes::WorkloadId id : workloads)
-                total += meanCyclesAtWt(id, wt, fbw, fbh, 2) /
-                         meanCyclesAtWt(id, 1, fbw, fbh, 2);
+                total += meanCyclesAtWt(builder, id, wt, fbw, fbh, 2) /
+                         meanCyclesAtWt(builder, id, 1, fbw, fbh, 2);
             if (total < best) {
                 best = total;
                 sopt = wt;
@@ -127,10 +131,11 @@ runScenario(int argc, char **argv)
                 "MLC", "SOPT", "DFSL", "DFSLrun");
     double g_mlc = 0, g_sopt = 0, g_dfsl = 0, g_dfslr = 0;
     for (scenes::WorkloadId id : workloads) {
-        double mlb = staticRun(id, 1, fbw, fbh, frames);
-        double mlc = staticRun(id, 10, fbw, fbh, frames);
-        double sopt_c = staticRun(id, sopt, fbw, fbh, frames);
-        DfslResult dfsl_c = dfslRun(id, fbw, fbh, run_frames, max_wt);
+        double mlb = staticRun(builder, id, 1, fbw, fbh, frames);
+        double mlc = staticRun(builder, id, 10, fbw, fbh, frames);
+        double sopt_c = staticRun(builder, id, sopt, fbw, fbh, frames);
+        DfslResult dfsl_c =
+            dfslRun(builder, id, fbw, fbh, run_frames, max_wt);
         double s_mlc = mlb / mlc;
         double s_sopt = mlb / sopt_c;
         double s_dfsl = mlb / dfsl_c.meanAll;

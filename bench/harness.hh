@@ -33,9 +33,8 @@ namespace emerald::bench
  * Machine-readable bench output: collects named scalar results (the
  * numbers the bench prints) plus optional full simulation stat trees
  * and hands them to the StatsSink named by --stats-out=<uri> (a plain
- * path writes the legacy JSON document byte-for-byte, sqlite:<path>
- * the sweep database, nothing/null discards). --stats-json=<path> is
- * a deprecated alias for --stats-out=<path>.
+ * path writes the JSON document, sqlite:<path> the sweep database,
+ * nothing/null discards).
  */
 class BenchResults
 {
@@ -43,14 +42,7 @@ class BenchResults
     BenchResults(const Config &cfg, std::string bench)
         : _bench(std::move(bench))
     {
-        std::string uri = cfg.getString("stats-out", "");
-        if (cfg.has("stats-json")) {
-            warn("--stats-json is deprecated; use "
-                 "--stats-out=<path|sqlite:path|null>");
-            if (uri.empty())
-                uri = cfg.getString("stats-json", "");
-        }
-        _sink = makeStatsSink(uri);
+        _sink = makeStatsSink(cfg.getString("stats-out", ""));
         RunInfo info;
         info.bench = _bench;
         info.gitSha = cfg.getString("git-sha", "");
@@ -156,13 +148,16 @@ renderFrame(soc::StandaloneGpu &rig, scenes::SceneRenderer &scene,
 
 /**
  * Mean frame cycles for @p workload at WT size @p wt: one warm-up
- * frame plus @p frames measured frames on a fresh rig.
+ * frame plus @p frames measured frames on a fresh rig built from
+ * @p builder.
  */
 inline double
-meanCyclesAtWt(scenes::WorkloadId workload, unsigned wt,
-               unsigned fb_w, unsigned fb_h, unsigned frames = 3)
+meanCyclesAtWt(const SimulationBuilder &builder,
+               scenes::WorkloadId workload, unsigned wt, unsigned fb_w,
+               unsigned fb_h, unsigned frames = 3)
 {
-    soc::StandaloneGpu rig(fb_w, fb_h);
+    soc::StandaloneGpu rig(fb_w, fb_h, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), builder);
     scenes::SceneRenderer scene(rig.pipeline(),
                                 scenes::makeWorkload(workload),
                                 rig.functionalMemory());

@@ -39,7 +39,8 @@ watchdogModeFromString(const std::string &text)
 }
 
 ProgressWatchdog::ProgressWatchdog(Simulation &sim, StatGroup &parent,
-                                   Tick budget, WatchdogMode mode)
+                                   Tick budget, WatchdogMode mode,
+                                   std::string hang_report_path)
     : _group(parent, "watchdog"),
       statChecks(_group, "checks", "watchdog heartbeats processed"),
       statHangs(_group, "hangs", "no-progress windows detected"),
@@ -49,6 +50,7 @@ ProgressWatchdog::ProgressWatchdog(Simulation &sim, StatGroup &parent,
                      "stuck list heads force-woken by the stale-front "
                      "sweep"),
       _sim(sim), _budget(budget), _currentBudget(budget), _mode(mode),
+      _hangReportPath(std::move(hang_report_path)),
       _beatEvent([this] { beat(); }, "watchdog-beat",
                  Event::statsPriority)
 {
@@ -203,7 +205,7 @@ ProgressWatchdog::chargeForcedWake(const RetryList *list)
 void
 ProgressWatchdog::abortWithReport(const char *kind)
 {
-    const std::string &path = _sim.hangReportPath();
+    const std::string &path = _hangReportPath;
     if (!path.empty()) {
         EventQueue &eq = _sim.eventQueue();
         PacketPool &pool = _sim.packetPool();

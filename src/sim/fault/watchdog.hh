@@ -75,9 +75,11 @@ class ProgressWatchdog
      * @param budget ticks of zero-completion, waiters-parked time
      *        that count as a hang. Doubles per consecutive degrade
      *        recovery (up to 8x) and resets on real progress.
+     * @param hang_report_path where abortWithReport writes its JSON
+     *        report (--hang-report-path); "" writes none.
      */
     ProgressWatchdog(Simulation &sim, StatGroup &parent, Tick budget,
-                     WatchdogMode mode);
+                     WatchdogMode mode, std::string hang_report_path);
 
     ProgressWatchdog(const ProgressWatchdog &) = delete;
     ProgressWatchdog &operator=(const ProgressWatchdog &) = delete;
@@ -129,6 +131,7 @@ class ProgressWatchdog
     Tick _budget;
     Tick _currentBudget;
     WatchdogMode _mode;
+    std::string _hangReportPath;
     EventFunction _beatEvent;
     /** sim.pool frees observed at the previous heartbeat. */
     double _lastFrees = 0.0;

@@ -8,13 +8,11 @@
 
 #include "sim/check/context.hh"
 #include "sim/check/determinism.hh"
-#include "sim/config.hh"
 #include "sim/fault/fault_injector.hh"
 #include "sim/fault/watchdog.hh"
 #include "sim/logging.hh"
 #include "sim/serialize/serialize.hh"
 #include "sim/sim_object.hh"
-#include "sim/simulation_builder.hh"
 #include "sim/stats_sink.hh"
 
 namespace emerald
@@ -140,6 +138,7 @@ Simulation::flushStatsSink()
     if (_statsOutOnExit.empty())
         return;
     auto sink = makeTreeStatsSink(_statsOutOnExit);
+    _statsOutOnExit.clear();
     sink->beginRun(RunInfo{});
     sink->addStatsTree("sim", _statsRoot);
     sink->finishRun();
@@ -170,12 +169,13 @@ Simulation::configureFaults(const std::string &plan_text,
 }
 
 void
-Simulation::enableWatchdog(Tick budget, fault::WatchdogMode mode)
+Simulation::enableWatchdog(Tick budget, fault::WatchdogMode mode,
+                           const std::string &hang_report_path)
 {
     if (_watchdog)
         return;
     _watchdog = std::make_unique<fault::ProgressWatchdog>(
-        *this, _simGroup, budget, mode);
+        *this, _simGroup, budget, mode, hang_report_path);
     _watchdog->arm();
 }
 
@@ -245,12 +245,6 @@ Simulation::enableTracing(const std::string &path)
         attachInstrument(_tracer.get());
     }
     return *_tracer;
-}
-
-void
-Simulation::configureObservability(const Config &cfg)
-{
-    SimulationBuilder().observability(cfg).applyTo(*this);
 }
 
 void
@@ -479,26 +473,23 @@ resolveRestoreSource(const std::string &base, bool lenient)
 } // namespace
 
 void
-Simulation::restoreCheckpoint()
+Simulation::restoreCheckpoint(const std::string &dir, bool force,
+                              bool lenient)
 {
-    panic_if(_restoreDir.empty(),
-             "restoreCheckpoint without setRestoreSpec");
+    panic_if(dir.empty(), "restoreCheckpoint without a directory");
     panic_if(_restored, "restoreCheckpoint called twice");
     panic_if(_eq.numProcessed() != 0,
              "restoreCheckpoint after events have run");
 
-    std::string source =
-        resolveRestoreSource(_restoreDir, _restoreLenient);
-    if (source.empty()) {
-        // Lenient cold start: clear the spec so restorePending()
-        // turns false and the run proceeds from scratch.
-        _restoreDir.clear();
+    // Empty only for a lenient cold start: the run proceeds from
+    // scratch and restored() stays false.
+    std::string source = resolveRestoreSource(dir, lenient);
+    if (source.empty())
         return;
-    }
 
     CheckpointReader r(source);
     if (r.configFingerprint() != _configFingerprint) {
-        if (_restoreForce) {
+        if (force) {
             warn("checkpoint '%s' was taken under config fingerprint "
                  "%016llx but this run is %016llx; proceeding because "
                  "of --restore-force", source.c_str(),

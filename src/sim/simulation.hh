@@ -25,7 +25,6 @@ namespace emerald
 {
 
 class CheckpointTrigger;
-class Config;
 class Serializable;
 class SimObject;
 
@@ -120,16 +119,11 @@ class Simulation
     EventTracer *tracer() { return _tracer.get(); }
 
     /**
-     * Apply the observability Config keys: "trace-file" (path,
-     * enables the tracer) and "profile" (bool, enables sim.profile.*).
-     */
-    void configureObservability(const Config &cfg);
-
-    /**
      * Exit stats sink: write the final stats tree to the sink named
      * by @p uri (makeTreeStatsSink — a plain path writes the raw JSON
-     * tree, "sqlite:<path>" the sweep database, "" disables) when
-     * this Simulation is destroyed.
+     * tree, "sqlite:<path>" the sweep database, "" disables) at the
+     * first flushStatsSink(): a rig's destructor while its components
+     * still exist, else this Simulation's destructor.
      */
     void writeStatsAtExit(const std::string &uri)
     {
@@ -186,15 +180,21 @@ class Simulation
      * Arm the progress watchdog: declare a hang when @p budget ticks
      * elapse with zero packet completions while requestors sit parked
      * on RetryLists. See sim/fault/watchdog.hh for abort vs degrade.
+     * The abort path writes its structured JSON hang report to
+     * @p hang_report_path (--hang-report-path; "" writes none), which
+     * the run supervisor reads to classify a dead child as a hang.
      */
-    void enableWatchdog(Tick budget, fault::WatchdogMode mode);
+    void enableWatchdog(Tick budget, fault::WatchdogMode mode,
+                        const std::string &hang_report_path = "");
 
     /** The armed watchdog, or nullptr when disabled. */
     fault::ProgressWatchdog *watchdog() { return _watchdog.get(); }
 
     /**
-     * Write the exit stats sink (writeStatsAtExit) immediately. The
-     * watchdog's abort path calls this because abort() skips
+     * Write the exit stats sink (writeStatsAtExit) now, once: later
+     * calls are no-ops, so the Simulation's own destructor cannot
+     * overwrite a dump a rig flushed while its components were alive.
+     * The watchdog's abort path calls this because abort() skips
      * destructors. No-op when no sink is configured.
      */
     void flushStatsSink();
@@ -272,108 +272,24 @@ class Simulation
     void saveRotatedCheckpoint(const std::string &base, unsigned keep);
 
     /**
-     * Declare that this simulation will restore from @p dir
-     * (--restore). The actual restore runs once the topology exists —
-     * rigs call restoreCheckpoint() after construction (SocTop does
-     * this automatically). @p force downgrades the config-fingerprint
-     * mismatch from fatal to a warning (--restore-force).
-     * @p lenient makes a missing/entirely-corrupt checkpoint a
-     * warning-and-cold-start instead of fatal — the recovery path
-     * (supervised reruns under --checkpoint-every) restarts benches
-     * whose configs never reached their first checkpoint.
+     * Restore checkpoint @p dir (--restore) onto the constructed
+     * topology: validates the fingerprint, rewinds the event queue,
+     * unserializes every object (construction order), overwrites the
+     * stats tree and re-schedules the pending events by name. Rigs
+     * call this once construction is complete (SocTop does it for
+     * its builder's --restore). @p force downgrades the
+     * config-fingerprint mismatch from fatal to a warning
+     * (--restore-force). @p lenient makes a missing/entirely-corrupt
+     * checkpoint a warning-and-cold-start instead of fatal — the
+     * recovery path (supervised reruns under --checkpoint-every)
+     * restarts benches whose configs never reached their first
+     * checkpoint.
      */
-    void
-    setRestoreSpec(const std::string &dir, bool force,
-                   bool lenient = false)
-    {
-        _restoreDir = dir;
-        _restoreForce = force;
-        _restoreLenient = lenient;
-    }
-
-    /** True when setRestoreSpec ran and restoreCheckpoint has not. */
-    bool
-    restorePending() const
-    {
-        return !_restoreDir.empty() && !_restored;
-    }
-
-    /**
-     * Restore the checkpoint named by setRestoreSpec onto the
-     * constructed topology: validates the fingerprint, rewinds the
-     * event queue, unserializes every object (construction order),
-     * overwrites the stats tree and re-schedules the pending events
-     * by name.
-     */
-    void restoreCheckpoint();
+    void restoreCheckpoint(const std::string &dir, bool force,
+                           bool lenient = false);
 
     /** True once restoreCheckpoint has run (warm start). */
     bool restored() const { return _restored; }
-
-    /**
-     * @{ Where the watchdog's abort path writes its structured hang
-     * report as JSON (--hang-report-path; "" disables). The run
-     * supervisor reads the file to classify a died child as Hang.
-     */
-    void
-    setHangReportPath(const std::string &path)
-    {
-        _hangReportPath = path;
-    }
-    const std::string &hangReportPath() const { return _hangReportPath; }
-    /** @} */
-
-    /**
-     * @{ Scheduler-policy selection (--warp-sched / --mem-sched).
-     * The kernel only carries the names; rigs resolve them through
-     * the gpu/mem policy registries at construction. "" means "use
-     * the rig's default".
-     */
-    void
-    setWarpSchedPolicy(const std::string &policy)
-    {
-        _warpSchedPolicy = policy;
-    }
-
-    const std::string &warpSchedPolicy() const
-    {
-        return _warpSchedPolicy;
-    }
-
-    void
-    setMemSchedPolicy(const std::string &policy)
-    {
-        _memSchedPolicy = policy;
-    }
-
-    const std::string &memSchedPolicy() const { return _memSchedPolicy; }
-    /** @} */
-
-    /**
-     * @{ Memory-trace capture/replay directories (--capture-trace /
-     * --replay-trace). As with the policies, the kernel only carries
-     * the paths; the SoC rig materializes the writer/replayer. ""
-     * disables the mode.
-     */
-    void
-    setCaptureTraceDir(const std::string &dir)
-    {
-        _captureTraceDir = dir;
-    }
-
-    const std::string &captureTraceDir() const
-    {
-        return _captureTraceDir;
-    }
-
-    void
-    setReplayTraceDir(const std::string &dir)
-    {
-        _replayTraceDir = dir;
-    }
-
-    const std::string &replayTraceDir() const { return _replayTraceDir; }
-    /** @} */
 
     /** True when every object can serialize right now. */
     bool checkpointSafeNow() const;
@@ -420,15 +336,7 @@ class Simulation
     /** Extra (non-SimObject) checkpoint participants, in order. */
     std::vector<std::pair<std::string, Serializable *>> _extras;
     std::unique_ptr<CheckpointTrigger> _ckptTrigger;
-    std::string _restoreDir;
-    bool _restoreForce = false;
-    bool _restoreLenient = false;
     bool _restored = false;
-    std::string _hangReportPath;
-    std::string _warpSchedPolicy;
-    std::string _memSchedPolicy;
-    std::string _captureTraceDir;
-    std::string _replayTraceDir;
 };
 
 } // namespace emerald

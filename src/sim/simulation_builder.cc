@@ -75,6 +75,7 @@ SimulationBuilder::checkpointEvery(Tick every, const std::string &dir,
     _checkpointEvery = every;
     _checkpointDir = dir;
     _checkpointKeep = keep;
+    _rig.restoreLenient = every > 0;
     return *this;
 }
 
@@ -88,8 +89,8 @@ SimulationBuilder::hangReportPath(const std::string &path)
 SimulationBuilder &
 SimulationBuilder::restoreFrom(const std::string &dir, bool force)
 {
-    _restoreDir = dir;
-    _restoreForce = force;
+    _rig.restoreDir = dir;
+    _rig.restoreForce = force;
     return *this;
 }
 
@@ -98,36 +99,36 @@ SimulationBuilder::subdir(const std::string &label)
 {
     if (!_checkpointDir.empty())
         _checkpointDir += "/" + label;
-    if (!_restoreDir.empty())
-        _restoreDir += "/" + label;
+    if (!_rig.restoreDir.empty())
+        _rig.restoreDir += "/" + label;
     return *this;
 }
 
 SimulationBuilder &
 SimulationBuilder::warpScheduler(const std::string &policy)
 {
-    _warpSched = policy;
+    _rig.warpSched = policy;
     return *this;
 }
 
 SimulationBuilder &
 SimulationBuilder::memScheduler(const std::string &policy)
 {
-    _memSched = policy;
+    _rig.memSched = policy;
     return *this;
 }
 
 SimulationBuilder &
 SimulationBuilder::captureTrace(const std::string &dir)
 {
-    _captureTraceDir = dir;
+    _rig.captureTraceDir = dir;
     return *this;
 }
 
 SimulationBuilder &
 SimulationBuilder::replayTrace(const std::string &dir)
 {
-    _replayTraceDir = dir;
+    _rig.replayTraceDir = dir;
     return *this;
 }
 
@@ -137,12 +138,6 @@ SimulationBuilder::observability(const Config &cfg)
     traceFile(cfg.getString("trace-file", _traceFile));
     profiling(cfg.getBool("profile", _profiling));
     statsOutOnExit(cfg.getString("sim-stats-out", _statsOutOnExit));
-    if (cfg.has("sim-stats-json")) {
-        warn("--sim-stats-json is deprecated; use "
-             "--sim-stats-out=<path|sqlite:path|null>");
-        if (!cfg.has("sim-stats-out"))
-            statsOutOnExit(cfg.getString("sim-stats-json", ""));
-    }
     checkDeterminism(cfg.getBool("check-determinism", _checkDeterminism));
     faultPlan(cfg.getString("fault-plan", _faultPlan),
               cfg.getU64("fault-seed", _faultSeed));
@@ -169,10 +164,10 @@ SimulationBuilder::observability(const Config &cfg)
         restoreFrom(cfg.getString("restore", ""),
                     cfg.getBool("restore-force", false));
     }
-    warpScheduler(cfg.getString("warp-sched", _warpSched));
-    memScheduler(cfg.getString("mem-sched", _memSched));
-    captureTrace(cfg.getString("capture-trace", _captureTraceDir));
-    replayTrace(cfg.getString("replay-trace", _replayTraceDir));
+    warpScheduler(cfg.getString("warp-sched", _rig.warpSched));
+    memScheduler(cfg.getString("mem-sched", _rig.memSched));
+    captureTrace(cfg.getString("capture-trace", _rig.captureTraceDir));
+    replayTrace(cfg.getString("replay-trace", _rig.replayTraceDir));
     return *this;
 }
 
@@ -209,31 +204,19 @@ SimulationBuilder::applyTo(Simulation &sim) const
     } else if (!_checkpointDir.empty()) {
         sim.scheduleCheckpoint(_checkpointAt, _checkpointDir);
     }
-    // Under recurring auto-checkpointing the restore is lenient: a
-    // supervised rerun may restart a config that never reached its
-    // first rotation (or whose only rotation is corrupt), and that
-    // must degrade to a cold start, not a fatal.
-    if (!_restoreDir.empty()) {
-        sim.setRestoreSpec(_restoreDir, _restoreForce,
-                           /*lenient=*/_checkpointEvery > 0);
-    }
-    if (!_hangReportPath.empty())
-        sim.setHangReportPath(_hangReportPath);
     if (!_faultPlan.empty())
         sim.configureFaults(_faultPlan, _faultSeed);
     if (_watchdogTicks > 0) {
         sim.enableWatchdog(_watchdogTicks,
-                           fault::watchdogModeFromString(_watchdogMode));
+                           fault::watchdogModeFromString(_watchdogMode),
+                           _hangReportPath);
     }
-    sim.setWarpSchedPolicy(_warpSched);
-    sim.setMemSchedPolicy(_memSched);
-    sim.setCaptureTraceDir(_captureTraceDir);
-    sim.setReplayTraceDir(_replayTraceDir);
     // Capture *during* replay is legal (round-trip verification),
     // but neither mode can mix with checkpoint/restore: the trace
     // writer and replay driver carry no checkpointable state.
-    fatal_if((!_captureTraceDir.empty() || !_replayTraceDir.empty()) &&
-                 (!_restoreDir.empty() || !_checkpointDir.empty()),
+    fatal_if((!_rig.captureTraceDir.empty() ||
+              !_rig.replayTraceDir.empty()) &&
+                 (!_rig.restoreDir.empty() || !_checkpointDir.empty()),
              "--capture-trace/--replay-trace cannot combine with "
              "checkpoint/restore");
 }

@@ -23,6 +23,32 @@ class Config;
 class Simulation;
 
 /**
+ * The run options a rig acts on itself rather than through
+ * SimulationBuilder::applyTo(): which scheduling policies to build,
+ * whether its memory traffic is captured or replayed, and which
+ * checkpoint to restore once its topology exists. Rigs read them
+ * with SimulationBuilder::rigOptions().
+ */
+struct RigOptions
+{
+    /** --warp-sched / --mem-sched registry names; "" = rig default. */
+    std::string warpSched;
+    std::string memSched;
+    /** --capture-trace / --replay-trace directories; "" = off. */
+    std::string captureTraceDir;
+    std::string replayTraceDir;
+    /** --restore directory ("" = cold start) and --restore-force. */
+    std::string restoreDir;
+    bool restoreForce = false;
+    /**
+     * Start cold when restoreDir holds no usable checkpoint instead
+     * of dying. Set under --checkpoint-every: a supervised rerun may
+     * restart a config that never reached its first rotation.
+     */
+    bool restoreLenient = false;
+};
+
+/**
  * Collects a declarative description of a Simulation and materializes
  * it, either into a fresh instance (build()) or onto a Simulation a
  * rig already owns (applyTo()). The recipe is inert data: a builder
@@ -102,8 +128,9 @@ class SimulationBuilder
     /**
      * Warm-start from the checkpoint directory @p dir (--restore).
      * The restore itself runs after topology construction (SocTop
-     * triggers it); @p force turns the config-fingerprint mismatch
-     * from fatal into a warning (--restore-force).
+     * triggers it; StandaloneGpu refuses it); @p force turns the
+     * config-fingerprint mismatch from fatal into a warning
+     * (--restore-force).
      */
     SimulationBuilder &restoreFrom(const std::string &dir,
                                    bool force = false);
@@ -144,8 +171,7 @@ class SimulationBuilder
 
     /**
      * Read the observability keys from @p cfg: "trace-file" (path),
-     * "profile" (bool), "sim-stats-out" (sink URI, dumped at exit;
-     * "sim-stats-json" is a deprecated alias),
+     * "profile" (bool), "sim-stats-out" (sink URI, dumped at exit),
      * "check-determinism" (bool, --check-determinism on the CLI),
      * the robustness keys "fault-plan" (campaign string),
      * "fault-seed" (integer), "watchdog-ticks" (duration: "1ms",
@@ -166,6 +192,16 @@ class SimulationBuilder
 
     /** Apply this recipe to an existing Simulation. */
     void applyTo(Simulation &sim) const;
+
+    /** What the rig itself must act on (see RigOptions). */
+    const RigOptions &rigOptions() const { return _rig; }
+
+    /**
+     * Where this recipe writes checkpoints: --checkpoint-dir once
+     * --checkpoint-at or --checkpoint-every is set, else "". The run
+     * supervisor scans it for rotations to resume from.
+     */
+    const std::string &checkpointDir() const { return _checkpointDir; }
 
   private:
     struct DomainSpec
@@ -188,12 +224,7 @@ class SimulationBuilder
     unsigned _checkpointKeep = 3;
     std::string _checkpointDir;
     std::string _hangReportPath;
-    std::string _restoreDir;
-    bool _restoreForce = false;
-    std::string _warpSched;
-    std::string _memSched;
-    std::string _captureTraceDir;
-    std::string _replayTraceDir;
+    RigOptions _rig;
 };
 
 } // namespace emerald

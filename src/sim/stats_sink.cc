@@ -61,11 +61,10 @@ class NullSink : public StatsSink
 };
 
 /**
- * The legacy --stats-json document, now one sink among several. The
- * output is byte-identical to what BenchResults used to hand-write:
+ * The plain-path --stats-out document:
  * {"bench": ..., "results": {...}, "sim": {...}} with 17-digit
- * numbers — tools/check_restore.py and tools/check_replay.py keep
- * parsing these files unchanged.
+ * numbers — the format tools/check_restore.py and
+ * tools/check_replay.py parse.
  */
 class JsonFileSink : public StatsSink
 {

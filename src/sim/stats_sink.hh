@@ -2,13 +2,11 @@
  * @file
  * Stats sinks: where a run's results go.
  *
- * Historically every figure bench hand-wrote one JSON document per
- * run (--stats-json) and the sweep story was "glob the loose files".
- * StatsSink turns the destination into an interface selected by a
- * --stats-out URI:
+ * StatsSink turns the destination of a run's results into an
+ * interface selected by a --stats-out URI:
  *
- *   --stats-out=results.json    JsonFileSink   (the legacy document,
- *                                               byte-identical)
+ *   --stats-out=results.json    JsonFileSink   (one JSON document
+ *                                               per run)
  *   --stats-out=sqlite:runs.db  SqliteSink     (one queryable DB for
  *                                               a whole sweep)
  *   --stats-out=null            NullSink       (discard)
@@ -80,8 +78,7 @@ class StatsSink
 /**
  * Create the sink a --stats-out URI names, in bench-document mode:
  * "" or "null" discard, "sqlite:<path>" writes the sweep database,
- * anything else writes the legacy BenchResults JSON document to that
- * path (byte-identical to the retired --stats-json output).
+ * anything else writes the BenchResults JSON document to that path.
  */
 std::unique_ptr<StatsSink> makeStatsSink(const std::string &uri);
 

@@ -74,15 +74,19 @@ StandaloneGpu::StandaloneGpu(unsigned fb_width, unsigned fb_height,
                              const SimulationBuilder &builder)
 {
     builder.applyTo(_sim);
-    fatal_if(!_sim.captureTraceDir().empty() ||
-                 !_sim.replayTraceDir().empty(),
+    const RigOptions &opts = builder.rigOptions();
+    fatal_if(!opts.captureTraceDir.empty() ||
+                 !opts.replayTraceDir.empty(),
              "--capture-trace/--replay-trace need the full-SoC frame "
              "loop; the standalone GPU rig does not support them");
+    fatal_if(!opts.restoreDir.empty(),
+             "--restore needs the full-SoC rig; the standalone GPU rig "
+             "cannot restore checkpoint '%s'", opts.restoreDir.c_str());
     _gpuClock = &_sim.createClockDomain(1000.0, "gpu_clk");
 
     mem::MemSchedContext sctx{_sim};
     mem::MemSchedBundle sched =
-        mem::createMemScheduler(_sim.memSchedPolicy(), sctx);
+        mem::createMemScheduler(opts.memSched, sctx);
     _dashCoordinator = std::move(sched.coordinator);
     _scheduler = std::move(sched.scheduler);
 
@@ -90,8 +94,8 @@ StandaloneGpu::StandaloneGpu(unsigned fb_width, unsigned fb_height,
                                                   mem_params,
                                                   *_scheduler);
     gpu::GpuTopParams gp = gpu_params;
-    if (!_sim.warpSchedPolicy().empty())
-        gp.core.warpSched = _sim.warpSchedPolicy();
+    if (!opts.warpSched.empty())
+        gp.core.warpSched = opts.warpSched;
     _gpu = std::make_unique<gpu::GpuTop>(_sim, "gpu", *_gpuClock,
                                          gp, *_memory);
     core::GfxParams gfx;
@@ -99,6 +103,13 @@ StandaloneGpu::StandaloneGpu(unsigned fb_width, unsigned fb_height,
         _sim, "gfx", *_gpu, fb_width, fb_height, gfx);
     _kernels = std::make_unique<gpu::KernelDispatcher>(_sim, "kernels",
                                                        *_gpu);
+}
+
+StandaloneGpu::~StandaloneGpu()
+{
+    // The exit dump must see the components' stats, which die with
+    // the members below.
+    _sim.flushStatsSink();
 }
 
 bool

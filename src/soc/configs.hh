@@ -47,12 +47,18 @@ mem::MemorySystemParams caseStudy2MemParams();
 class StandaloneGpu
 {
   public:
+    /**
+     * @p builder is applied to the rig's Simulation, and its
+     * RigOptions pick the warp and memory scheduler policies. Trace
+     * capture/replay and --restore need SocTop and are fatal here.
+     */
     StandaloneGpu(unsigned fb_width, unsigned fb_height,
                   const gpu::GpuTopParams &gpu_params =
                       caseStudy2GpuParams(),
                   const mem::MemorySystemParams &mem_params =
                       caseStudy2MemParams(),
                   const SimulationBuilder &builder = {});
+    ~StandaloneGpu();
 
     Simulation &sim() { return _sim; }
     gpu::GpuTop &gpu() { return *_gpu; }

@@ -97,15 +97,16 @@ SocTop::SocTop(const SocParams &params,
     : _params(params)
 {
     builder.applyTo(_sim);
+    const RigOptions &opts = builder.rigOptions();
 
     // Resolve the scheduling policies up front: an explicit
     // --warp-sched/--mem-sched wins, else the MemConfig's native pair
     // (Table 6: DCB/DTB run DASH, BAS/HMC run FR-FCFS).
-    const bool replay_mode = !_sim.replayTraceDir().empty();
-    std::string warp_policy = _sim.warpSchedPolicy();
+    const bool replay_mode = !opts.replayTraceDir.empty();
+    std::string warp_policy = opts.warpSched;
     if (warp_policy.empty())
         warp_policy = gpu::defaultWarpSchedPolicy;
-    std::string mem_policy = _sim.memSchedPolicy();
+    std::string mem_policy = opts.memSched;
     if (mem_policy.empty()) {
         mem_policy = (params.memConfig == MemConfig::DCB ||
                       params.memConfig == MemConfig::DTB)
@@ -174,7 +175,7 @@ SocTop::SocTop(const SocParams &params,
         // Trace replay: the GPU's traffic comes from the recorded
         // stream, so no pipeline, scene, or app model is built.
         _replayTrace = std::make_unique<mem::TrafficTraceReader>(
-            _sim.replayTraceDir());
+            opts.replayTraceDir);
     } else {
         core::GfxParams gfx;
         _pipeline = std::make_unique<core::GraphicsPipeline>(
@@ -318,7 +319,7 @@ SocTop::SocTop(const SocParams &params,
         _sim.registerSerializable("gfx.fb", _scene->framebuffer());
     }
 
-    if (!_sim.captureTraceDir().empty()) {
+    if (!opts.captureTraceDir.empty()) {
         std::string label = replay_mode
                                 ? _replayTrace->label()
                                 : scenes::workloadName(params.model);
@@ -326,7 +327,7 @@ SocTop::SocTop(const SocParams &params,
                            ? _replayTrace->fbBase()
                            : _scene->framebuffer().colorBase();
         _traceWriter = std::make_unique<mem::TrafficTraceWriter>(
-            _sim.captureTraceDir(), label, fb_base);
+            opts.captureTraceDir, label, fb_base);
         if (replay_mode) {
             // Round-trip verification: re-capture the replayed
             // stream through the same writer path.
@@ -347,11 +348,18 @@ SocTop::SocTop(const SocParams &params,
 
     // Warm-start: with the whole topology (and its registries) built,
     // pull the checkpoint state in before any event runs.
-    if (_sim.restorePending())
-        _sim.restoreCheckpoint();
+    if (!opts.restoreDir.empty()) {
+        _sim.restoreCheckpoint(opts.restoreDir, opts.restoreForce,
+                               opts.restoreLenient);
+    }
 }
 
-SocTop::~SocTop() = default;
+SocTop::~SocTop()
+{
+    // The exit dump must see the components' stats, which die with
+    // the members below.
+    _sim.flushStatsSink();
+}
 
 void
 SocTop::run(Tick limit)

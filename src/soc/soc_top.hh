@@ -98,7 +98,8 @@ class SocTop
     /**
      * @param builder optional recipe applied to the SoC's Simulation
      *        before construction (observability, extra clock domains,
-     *        stats sinks).
+     *        stats sinks); its RigOptions pick the scheduler policies,
+     *        trace capture/replay and the checkpoint to restore.
      */
     explicit SocTop(const SocParams &params,
                     const SimulationBuilder &builder = {});

@@ -454,8 +454,8 @@ TEST(WatchdogDeathTest, DegradeEscalatesAfterForcedWakeCapAndWritesReport)
     std::string report =
         ::testing::TempDir() + "emerald_degrade_escalation.json";
     std::remove(report.c_str());
-    sim.setHangReportPath(report);
-    sim.enableWatchdog(ticksFromUs(4.0), fault::WatchdogMode::Degrade);
+    sim.enableWatchdog(ticksFromUs(4.0), fault::WatchdogMode::Degrade,
+                       report);
 
     FullSink sink(sim);
     StubbornRequestor req(sink, allocPacket(sim));

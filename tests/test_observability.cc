@@ -17,12 +17,15 @@
 
 #include <gtest/gtest.h>
 
+#include "scenes/workloads.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/event_tracer.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
+#include "sim/simulation_builder.hh"
 #include "sim/stats.hh"
+#include "soc/configs.hh"
 
 using namespace emerald;
 
@@ -365,6 +368,35 @@ TEST(JsonStats, SimulationDumpIncludesProfileGroup)
     EXPECT_TRUE(profile.at("groups").object.count("other"));
 }
 
+TEST(JsonStats, RigExitDumpHoldsComponentGroups)
+{
+    std::string path =
+        ::testing::TempDir() + "emerald_rig_exit_dump.json";
+    std::remove(path.c_str());
+    {
+        soc::StandaloneGpu rig(64, 64, soc::caseStudy2GpuParams(),
+                               soc::caseStudy2MemParams(),
+                               SimulationBuilder().statsOutOnExit(path));
+        scenes::SceneRenderer scene(
+            rig.pipeline(),
+            scenes::makeWorkload(scenes::WorkloadId::W3_Cube),
+            rig.functionalMemory());
+        bool done = false;
+        scene.renderFrame(0, [&](const core::FrameStats &) {
+            done = true;
+        });
+        ASSERT_TRUE(rig.runUntil([&] { return done; }));
+    }
+    // Flushed by the rig while its components were alive, and not
+    // overwritten by the Simulation's own teardown afterwards.
+    JsonValue doc = parseJson(readFile(path));
+    const JsonValue &groups = doc.at("groups");
+    for (const char *group : {"sim", "gpu", "gfx", "dram"})
+        EXPECT_TRUE(groups.has(group)) << group;
+    EXPECT_DOUBLE_EQ(
+        groups.at("gfx").at("stats").at("frames").at("value").number, 1.0);
+}
+
 // ------------------------------------------------------------------
 // Event tracing
 // ------------------------------------------------------------------
@@ -611,15 +643,23 @@ TEST(EventQueueCompaction, RunUntilSurvivesCompactionMidRun)
 
 TEST(ConfigParse, SupportsEqualsSpaceAndBareFlagForms)
 {
-    const char *argv[] = {"prog",       "--width=640", "--stats-json",
+    const char *argv[] = {"prog",       "--width=640", "--stats-out",
                           "out.json",   "--profile",   "--frames",
                           "3"};
     Config cfg;
     cfg.parseArgs(7, const_cast<char **>(argv));
     EXPECT_EQ(cfg.getInt("width", 0), 640);
-    EXPECT_EQ(cfg.getString("stats-json", ""), "out.json");
+    EXPECT_EQ(cfg.getString("stats-out", ""), "out.json");
     EXPECT_TRUE(cfg.getBool("profile", false));
     EXPECT_EQ(cfg.getInt("frames", 0), 3);
+}
+
+TEST(ConfigParse, RetiredStatsJsonAliasIsUnknown)
+{
+    const char *argv[] = {"prog", "--stats-json=out.json"};
+    Config cfg;
+    EXPECT_DEATH(cfg.parseArgs(2, const_cast<char **>(argv)),
+                 "unknown option '--stats-json'");
 }
 
 TEST(ConfigParse, AcceptsFullNumericRange)

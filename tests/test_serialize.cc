@@ -26,6 +26,7 @@
 #include "sim/simulation.hh"
 #include "sim/simulation_builder.hh"
 #include "sim/stats.hh"
+#include "soc/configs.hh"
 #include "soc/soc_top.hh"
 
 namespace emerald
@@ -528,8 +529,7 @@ TEST(CheckpointFingerprint, MismatchRefusesRestore)
     }
     Simulation sim;
     sim.setConfigFingerprint(0x2222);
-    sim.setRestoreSpec(dir, false);
-    EXPECT_DEATH(sim.restoreCheckpoint(), "config fingerprint");
+    EXPECT_DEATH(sim.restoreCheckpoint(dir, false), "config fingerprint");
 }
 
 TEST(CheckpointFingerprint, ForceDowngradesMismatchToWarning)
@@ -542,11 +542,9 @@ TEST(CheckpointFingerprint, ForceDowngradesMismatchToWarning)
     }
     Simulation sim;
     sim.setConfigFingerprint(0x2222);
-    sim.setRestoreSpec(dir, true);
-    EXPECT_TRUE(sim.restorePending());
-    sim.restoreCheckpoint();
+    EXPECT_FALSE(sim.restored());
+    sim.restoreCheckpoint(dir, true);
     EXPECT_TRUE(sim.restored());
-    EXPECT_FALSE(sim.restorePending());
 }
 
 // End-to-end warm start ------------------------------------------------
@@ -619,6 +617,21 @@ TEST(CheckpointSoc, RestoreIntoDifferentConfigIsFatal)
                                        .restoreFrom(dir));
         },
         "config fingerprint");
+}
+
+TEST(CheckpointStandalone, RestoreIsFatal)
+{
+    // The standalone rig has no restore path: accepting --restore
+    // would silently cold-start, even from a directory that does
+    // not exist.
+    EXPECT_DEATH(
+        {
+            soc::StandaloneGpu rig(64, 64, soc::caseStudy2GpuParams(),
+                                   soc::caseStudy2MemParams(),
+                                   SimulationBuilder().restoreFrom(
+                                       tempDir("ckpt_missing")));
+        },
+        "cannot restore checkpoint");
 }
 
 } // namespace

@@ -2,7 +2,7 @@
 """Trace-replay gate: the replayed figure must keep the
 execution-driven shape, measurably faster.
 
-Both inputs are --stats-json files written by a bench (BenchResults
+Both inputs are --stats-out files written by a bench (BenchResults
 format: {"bench": ..., "results": {...}, "sim": {...}}). The exec run
 executed shaders end to end (typically while writing a traffic trace
 with --capture-trace); the replay run re-drove the memory system from
@@ -39,16 +39,16 @@ def load_results(path):
     results = doc.get("results")
     if not isinstance(results, dict):
         sys.exit(f"check_replay: '{path}' has no results object — "
-                 "was the bench run with --stats-json?")
+                 "was the bench run with --stats-out?")
     return results
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("exec_json",
-                        help="stats-json of the execution-driven run")
+                        help="stats-out file of the execution-driven run")
     parser.add_argument("replay_json",
-                        help="stats-json of the replayed run")
+                        help="stats-out file of the replayed run")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="max absolute delta per *_norm result "
                              "(default 0.25; quick-run deltas measure "
@@ -68,7 +68,7 @@ def main(argv=None):
 
     if not exe_norms:
         sys.exit("check_replay: no *_norm results in the exec run — "
-                 "is this a figure bench's --stats-json?")
+                 "is this a figure bench's --stats-out?")
 
     failures = 0
     worst = 0.0
