@@ -37,8 +37,8 @@ runScenario(int argc, char **argv)
     // records each model's GPU traffic once, during its BAS run, into
     // <dir>/<model>; --replay-trace=<dir> re-drives all four memory
     // configs from that recording without executing shaders.
-    // tools/check_replay.py gates the replayed shape against the
-    // execution-driven one.
+    // `tools/check_restore.py --replay` gates the replayed shape
+    // against the execution-driven one.
     std::string capture_root =
         harness.cfg.getString("capture-trace", "");
     std::string replay_root = harness.cfg.getString("replay-trace", "");

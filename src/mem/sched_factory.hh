@@ -3,11 +3,11 @@
  * Factory registry for DRAM scheduling policies (--mem-sched).
  *
  * Rigs never construct a concrete DramScheduler directly (the
- * emerald_lint sched-factory rule enforces this): they describe the
- * environment in a MemSchedContext and ask createMemScheduler() for a
- * bundle. A bundle owns the policy object plus any shared coordinator
- * the policy needs (DASH's cross-channel state); policies without one
- * leave the coordinator null.
+ * sched-factory rule of tools/emerald_analyze.py enforces this): they
+ * describe the environment in a MemSchedContext and ask
+ * createMemScheduler() for a bundle. A bundle owns the policy object
+ * plus any shared coordinator the policy needs (DASH's cross-channel
+ * state); policies without one leave the coordinator null.
  */
 
 #ifndef EMERALD_MEM_SCHED_FACTORY_HH

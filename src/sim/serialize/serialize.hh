@@ -193,9 +193,10 @@ class CheckpointIn
 
 /**
  * Interface of every checkpointable object. SimObject derives from
- * this, so all components inherit no-op defaults; emerald_lint's
- * serializable-coverage rule flags SimObject subclasses that keep the
- * default without being allowlisted as stateless.
+ * this, so all components inherit no-op defaults; the
+ * serializable-coverage rule of tools/emerald_analyze.py flags
+ * SimObject subclasses that keep the default without being
+ * allowlisted as stateless in tools/analyze_allowlist.txt.
  */
 class Serializable
 {

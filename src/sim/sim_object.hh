@@ -32,8 +32,8 @@ class Simulation;
  *
  * Every SimObject is Serializable: its name() is its checkpoint
  * section name. Stateful subclasses override serialize()/
- * unserialize(); emerald_lint flags ones that forget (see the
- * serializable-coverage rule). Cross-object references that must
+ * unserialize(); tools/emerald_analyze.py flags ones that forget
+ * (the serializable-coverage rule). Cross-object references that must
  * survive a checkpoint (pending events, response targets, retry
  * waiters) are registered by name in the constructor via the
  * registerCheckpoint*() helpers.

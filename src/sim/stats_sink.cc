@@ -63,8 +63,8 @@ class NullSink : public StatsSink
 /**
  * The plain-path --stats-out document:
  * {"bench": ..., "results": {...}, "sim": {...}} with 17-digit
- * numbers — the format tools/check_restore.py and
- * tools/check_replay.py parse.
+ * numbers — the format tools/check_restore.py parses in all its
+ * modes.
  */
 class JsonFileSink : public StatsSink
 {

@@ -2,8 +2,8 @@
 //
 // Each `// EXPECT: <rule>` annotation marks a line the analyzer must
 // flag with exactly that rule; every other line must stay clean.
-// tools/check_fixtures.py compares both directions, with the textual
-// engine everywhere and the AST engine wherever clang is installed.
+// Every whole-tree analyzer run compares both directions under its
+// engine before it scans src/.
 
 namespace fix
 {

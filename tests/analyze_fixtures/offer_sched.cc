@@ -1,6 +1,6 @@
-// Fixture for tools/emerald_analyze.py: the two rules migrated from
-// emerald_lint.py — offer-checked (dropped offer() result) and
-// sched-factory (scheduling policy constructed outside its factory).
+// Fixture for tools/emerald_analyze.py: offer-checked (dropped
+// offer() result) and sched-factory (scheduling policy constructed
+// outside its factory).
 
 class MemPacket;
 

@@ -277,9 +277,23 @@ TEST(WatchdogDeathTest, HangReportNamesParkedWaiter)
 class SlowSink : public MemSink
 {
   public:
-    explicit SlowSink(Simulation &sim) : MemSink(sim), _sim(sim)
+    explicit SlowSink(Simulation &sim)
+        : MemSink(sim), _sim(sim),
+          _done(
+              [this] {
+                  completePacket(_held);
+                  _held = nullptr;
+                  wakeOneRetry();
+              },
+              "slow_sink_done")
     {
         setSinkName("slow_sink");
+    }
+
+    ~SlowSink() override
+    {
+        if (_done.scheduled())
+            _sim.eventQueue().deschedule(_done);
     }
 
     bool
@@ -287,21 +301,16 @@ class SlowSink : public MemSink
     {
         if (_held)
             return false;
+        // _held admits one packet at a time, so one done event suffices.
         _held = pkt;
-        EventFunction *done = new EventFunction(
-            [this] {
-                completePacket(_held);
-                _held = nullptr;
-                wakeOneRetry();
-            },
-            "slow_sink_done");
-        _sim.eventQueue().schedule(*done, _sim.curTick() + ticksFromUs(10.0));
+        _sim.eventQueue().schedule(_done, _sim.curTick() + ticksFromUs(10.0));
         return true;
     }
 
   private:
     Simulation &_sim;
     MemPacket *_held = nullptr;
+    EventFunction _done;
 };
 
 /** Offers one packet; re-offers whenever the sink wakes it. */

@@ -322,8 +322,8 @@ TEST(StatsSinkJson, LegacyDocumentShapeIsPreserved)
 {
     // The exact legacy BenchResults layout: two-space indent, one
     // result per line, 17-digit numbers, non-finite -> null, the sim
-    // tree inlined under its label. check_replay.py/check_restore.py
-    // parse these files; the framing below is load-bearing.
+    // tree inlined under its label. check_restore.py parses these
+    // files; the framing below is load-bearing.
     TreeFixture fix;
     std::string path = tempPath("doc.json");
     {

@@ -16,8 +16,8 @@ Inputs are a sweep results DB (written by emerald_sweep's children via
   3. Optionally (--reference): the normalized per-config shape
      computed from SQL (gpu_ms grouped by the config axis, normalized
      to BAS) matches the reference figure's *_norm results within an
-     absolute tolerance — the same contract check_replay.py applies
-     between execution and replay runs.
+     absolute tolerance — the same contract `check_restore.py
+     --replay` applies between execution and replay runs.
 
 Exit status: 0 when every check passes, 1 otherwise.
 
@@ -211,7 +211,7 @@ def main(argv=None):
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="max absolute delta per normalized bar "
                              "(default 0.25, matching "
-                             "check_replay.py)")
+                             "check_restore.py --replay)")
     parser.add_argument("--allow-quarantined", action="store_true",
                         help="accept points whose runs.status is "
                              "'quarantined' (chaos sweeps that "

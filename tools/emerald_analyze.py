@@ -1,53 +1,33 @@
 #!/usr/bin/env python3
-"""AST-grounded shard-readiness analyzer (docs/static_analysis.md).
+"""Emerald's static analyzer (docs/static_analysis.md).
 
-Where tools/emerald_lint.py pattern-matches single lines, this pass
-reasons about scopes, classes and lifetimes, and enforces the property
-the sharded event kernel (ROADMAP item 1) needs: no mutable state
-reachable from outside a component except through its ports.
-
-Rules:
-
-  global-mutable-state
-      Namespace-scope, function-local-static, or class-static non-const
-      variables in src/.  Every shard would share them; each one must
-      either move onto per-Simulation state or carry an allowlist entry
-      with a written justification.
-
-  cross-component-reach-through
-      A SimObject field holding a raw pointer/reference to another
-      SimObject type rather than a MemClient/MemSink/registry
-      interface.  These are exactly the seams the shard partitioner
-      cannot cut.
-
-  event-capture-escape
-      A lambda captured by reference and handed to the EventQueue
-      (schedule/reschedule or an EventFunction) — the frame is gone by
-      fire time.
-
-  tick-state-smuggle
-      `mutable` members, and writes to members from const methods.
-      Logically-const caches become cross-shard write races once two
-      threads tick the model.
-
-  offer-checked, sched-factory
-      Migrated from emerald_lint.py: checked AST-grounded when clang
-      is available, with the original regex implementations as the
-      textual fallback.
+Checks the model invariants no compiler or clang-tidy knows about:
+every packet comes from the pool, all randomness comes from one seed,
+every stateful SimObject lands in a checkpoint, and no mutable state
+is reachable from outside a component except through its ports.
+`--list-rules` prints the rule registry (RULES below).
 
 Engines:
 
   ast      clang `-Xclang -ast-dump=json -fsyntax-only` over
-           compile_commands.json (no libclang).  Authoritative.
-  textual  comment-stripped scope tracking; runs anywhere, carries the
-           local ctest gate on machines without clang.
+           compile_commands.json (no libclang).  Authoritative for the
+           rules it implements; rules without an AST implementation
+           (the line rules) still run textually under it.
+  textual  comment-stripped scope tracking and line patterns; runs
+           anywhere, carries the local ctest gate on machines without
+           clang.
   auto     ast when clang + compile_commands.json are found, else
            textual (with a note saying so).
 
+A whole-tree run (no paths given) first holds its engine to
+tests/analyze_fixtures/: every `// EXPECT: <rule>` annotation must be
+reported and nothing unannotated may be, so a rule that stops matching
+fails instead of printing "clean".
+
 Findings are suppressed only by tools/analyze_allowlist.txt entries of
 the form `rule path symbol -- justification`; the justification is
-mandatory.  Exit status is the number of unallowlisted findings
-(capped at 99).
+mandatory.  Exit status is the number of unallowlisted findings plus
+fixture mismatches (capped at 99).
 """
 
 import argparse
@@ -60,12 +40,14 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
+from collections import namedtuple
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-import emerald_lint  # noqa: E402  (shared strip_comments + rules)
-
 SRC_SUFFIXES = {".cc", ".hh", ".cpp", ".hpp", ".h"}
+
+FIXTURES = Path("tests") / "analyze_fixtures"
+EXPECT_RE = re.compile(r"//\s*EXPECT:\s*([\w-]+)")
 
 # Port/registry/kernel types a component may legitimately point at:
 # the seams the shard partitioner can cut (or per-shard kernel state).
@@ -78,10 +60,6 @@ INTERFACE_TYPES = {
 
 ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
               "<<=", ">>="}
-
-RULES = ("global-mutable-state", "cross-component-reach-through",
-         "event-capture-escape", "tick-state-smuggle",
-         "offer-checked", "sched-factory")
 
 
 class Finding:
@@ -311,20 +289,51 @@ class TextScanner:
             i += 1
 
 
+def strip_comments(lines):
+    """Yield (lineno, text) with // and /* */ comments blanked out.
+
+    String literals are not tracked; rule patterns are specific enough
+    that code-like text inside strings does not occur in this repo.
+    """
+    in_block = False
+    for lineno, line in enumerate(lines, start=1):
+        out = []
+        i = 0
+        while i < len(line):
+            if in_block:
+                end = line.find("*/", i)
+                if end < 0:
+                    i = len(line)
+                else:
+                    i = end + 2
+                    in_block = False
+            else:
+                slash = line.find("//", i)
+                block = line.find("/*", i)
+                if slash >= 0 and (block < 0 or slash < block):
+                    out.append(line[i:slash])
+                    i = len(line)
+                elif block >= 0:
+                    out.append(line[i:block])
+                    i = block + 2
+                    in_block = True
+                else:
+                    out.append(line[i:])
+                    i = len(line)
+        yield lineno, "".join(out)
+
+
 STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 CHAR_RE = re.compile(r"'(?:[^'\\]|\\.)'")
 
 
-def _clean_text(path):
+def _code_text(lines):
     """Comment-stripped text with preprocessor lines blanked and
     string/char literal contents removed, so the brace tracker never
     sees braces or semicolons that are not code."""
-    text = path.read_text(encoding="utf-8", errors="replace")
-    clean = [line for _, line in
-             emerald_lint.strip_comments(text.splitlines())]
     in_directive = False
     out = []
-    for line in clean:
+    for _, line in lines:
         if in_directive or line.lstrip().startswith("#"):
             in_directive = line.rstrip().endswith("\\")
             out.append("")
@@ -335,168 +344,347 @@ def _clean_text(path):
     return "\n".join(out)
 
 
-class TextualEngine:
-    """Regex/scope-tracking fallback; same rules, no compiler."""
+class SourceFile:
+    """One file as the textual checks read it.  `lines` are
+    comment-stripped (lineno, text) pairs with string literals intact,
+    since the line rules match inside them (stat names); `scanner`
+    tracks scopes over code only."""
 
-    name = "textual"
+    def __init__(self, path, rel):
+        self.rel = rel
+        text = path.read_text(encoding="utf-8", errors="replace")
+        self.lines = list(strip_comments(text.splitlines()))
+        self.scanner = TextScanner(_code_text(self.lines))
 
-    def __init__(self, root, rules):
-        self.root = root
-        self.rules = rules
-        self.findings = []
-        self._scanners = {}    # rel -> TextScanner
-        self._classes = {}     # class -> bases (merged over files)
 
-    def run(self, files):
-        for path in files:
-            rel = rel_path(path, self.root)
-            scanner = TextScanner(_clean_text(path))
-            self._scanners[rel] = scanner
-            for cls, bases in scanner.classes.items():
-                self._classes.setdefault(cls, []).extend(bases)
-        derived = simobject_closure(self._classes)
-        for rel, scanner in sorted(self._scanners.items()):
-            self._scan_file(rel, scanner, derived)
-        return self.findings
+# Each textual check takes (SourceFile, SimObject-derived class names)
+# and yields (line, symbol, message) per finding.
 
-    # -- per-file rules ------------------------------------------------
+# scope rules ---------------------------------------------------------
 
-    def _scan_file(self, rel, scanner, derived):
-        if "global-mutable-state" in self.rules:
-            self._global_state(rel, scanner)
-        if "cross-component-reach-through" in self.rules:
-            self._reach_through(rel, scanner, derived)
-        if "tick-state-smuggle" in self.rules:
-            self._tick_smuggle(rel, scanner)
-        if "event-capture-escape" in self.rules:
-            self._capture_escape(rel, scanner)
-        if "offer-checked" in self.rules or \
-                "sched-factory" in self.rules:
-            self._lint_fallback(rel)
+def check_global_state(src, _derived):
+    for stmt, kinds, _cls, line in src.scanner.statements:
+        if DECL_SKIP_RE.match(stmt) or FWD_DECL_RE.match(stmt):
+            continue
+        is_static = bool(STATIC_RE.search(stmt))
+        at_ns = bool(kinds) and all(k == NS for k in kinds)
+        if not is_static and not at_ns:
+            continue
+        if CONSTISH_RE.search(_strip_templates(
+                stmt.split("=", 1)[0])):
+            continue
+        decl = stmt.split("=", 1)[0].rstrip()
+        if decl.endswith("{}"):       # function/struct body
+            continue
+        no_parens = _strip_parens(decl)
+        if "(" in no_parens or decl.endswith(")"):
+            continue                   # function declaration
+        if not at_ns and "(" in _strip_templates(decl):
+            continue                   # ctor-style initializer
+        match = SYMBOL_RE.search(_strip_templates(decl))
+        if not match:
+            continue
+        symbol = match.group(1)
+        if symbol in ("override", "final", "default", "delete",
+                      "noexcept"):
+            continue
+        where = ("namespace scope" if at_ns and not is_static
+                 else "static storage")
+        yield (line, symbol,
+               f"mutable variable with {where} — every shard would "
+               "share it; move it onto per-Simulation state or "
+               "allowlist it with a justification")
 
-    def _emit(self, rule, rel, line, symbol, message):
-        self.findings.append(Finding(rule, rel, line, symbol, message))
 
-    def _global_state(self, rel, scanner):
-        for stmt, kinds, _cls, line in scanner.statements:
-            if DECL_SKIP_RE.match(stmt) or FWD_DECL_RE.match(stmt):
-                continue
-            is_static = bool(STATIC_RE.search(stmt))
-            at_ns = bool(kinds) and all(k == NS for k in kinds)
-            if not is_static and not at_ns:
-                continue
-            if CONSTISH_RE.search(_strip_templates(
-                    stmt.split("=", 1)[0])):
-                continue
-            decl = stmt.split("=", 1)[0].rstrip()
-            if decl.endswith("{}"):       # function/struct body
-                continue
-            no_parens = _strip_parens(decl)
-            if "(" in no_parens or decl.endswith(")"):
-                continue                   # function declaration
-            if not at_ns and "(" in _strip_templates(decl):
-                continue                   # ctor-style initializer
-            match = SYMBOL_RE.search(_strip_templates(decl))
-            if not match:
-                continue
-            symbol = match.group(1)
-            if symbol in ("override", "final", "default", "delete",
-                          "noexcept"):
-                continue
-            where = ("namespace scope" if at_ns and not is_static
-                     else "static storage")
-            self._emit(
-                "global-mutable-state", rel, line, symbol,
-                f"mutable variable with {where} — every shard would "
-                "share it; move it onto per-Simulation state or "
-                "allowlist it with a justification")
+def check_reach_through(src, derived):
+    for stmt, kinds, cls, line in src.scanner.statements:
+        if not kinds or kinds[-1] != CLASS or cls not in derived:
+            continue
+        match = FIELD_PTR_RE.match(stmt + ";")
+        if not match:
+            continue
+        target = _base_type(match.group("type"))
+        if target not in derived or target in INTERFACE_TYPES:
+            continue
+        yield (line, match.group("name"),
+               f"{cls} holds a raw {match.group('ptr')} to component "
+               f"type {target} — reach through a MemClient/port/"
+               "registry interface instead so the shard partitioner "
+               "can cut the seam")
 
-    def _reach_through(self, rel, scanner, derived):
-        for stmt, kinds, cls, line in scanner.statements:
-            if not kinds or kinds[-1] != CLASS or cls not in derived:
-                continue
-            match = FIELD_PTR_RE.match(stmt + ";")
-            if not match:
-                continue
-            target = _base_type(match.group("type"))
-            if target not in derived or target in INTERFACE_TYPES:
-                continue
-            self._emit(
-                "cross-component-reach-through", rel, line,
-                match.group("name"),
-                f"{cls} holds a raw {match.group('ptr')} to component "
-                f"type {target} — reach through a MemClient/port/"
-                "registry interface instead so the shard partitioner "
-                "can cut the seam")
 
-    def _tick_smuggle(self, rel, scanner):
-        for stmt, kinds, _cls, line in scanner.statements:
-            if not kinds or kinds[-1] != CLASS:
+def check_capture_escape(src, _derived):
+    text = src.scanner.text
+    for sink in CAPTURE_SINK_RE.finditer(text):
+        args, _end = _balanced(text, sink.end() - 1, "()" if
+                               text[sink.end() - 1] == "(" else "{}")
+        if args is None:
+            continue
+        for lam in LAMBDA_CAPTURE_RE.finditer(args):
+            captures = [c.strip() for c in
+                        lam.group(1).split(",") if c.strip()]
+            by_ref = [c for c in captures
+                      if c == "&" or (c.startswith("&") and c != "&&")]
+            if not by_ref:
                 continue
-            match = MUTABLE_FIELD_RE.match(stmt + ";")
-            if match:
-                self._emit(
-                    "tick-state-smuggle", rel, line, match.group(1),
-                    "`mutable` member — a logically-const cache "
-                    "becomes a cross-shard write race; make the "
-                    "mutation explicit or allowlist with the "
-                    "synchronization story")
-        text = self._scanners[rel].text
-        for method in CONST_METHOD_RE.finditer(text):
-            body, end = _balanced_braces(text, method.end() - 1)
-            if body is None:
-                continue
-            offset = method.end()
-            for write in MEMBER_WRITE_RE.finditer(body):
-                symbol = write.group(2) or write.group(3)
-                if not symbol:
-                    continue
-                line = text.count("\n", 0, offset + write.start()) + 1
-                self._emit(
-                    "tick-state-smuggle", rel, line, symbol,
-                    "member written from a const method — hidden "
-                    "state change on the tick path; make the method "
-                    "non-const or allowlist with the reason it is "
-                    "safe")
+            line = text.count("\n", 0, sink.end() + lam.start()) + 1
+            yield (line, ",".join(by_ref),
+                   "lambda captures by reference but is handed to "
+                   "the event queue — the frame is gone by fire "
+                   "time; capture by value or bind `this`")
 
-    def _capture_escape(self, rel, scanner):
-        text = scanner.text
-        for sink in CAPTURE_SINK_RE.finditer(text):
-            args, _end = _balanced(text, sink.end() - 1, "()" if
-                                   text[sink.end() - 1] == "(" else
-                                   "{}")
-            if args is None:
-                continue
-            for lam in LAMBDA_CAPTURE_RE.finditer(args):
-                captures = [c.strip() for c in
-                            lam.group(1).split(",") if c.strip()]
-                by_ref = [c for c in captures
-                          if c == "&" or (c.startswith("&") and
-                                          c != "&&")]
-                if not by_ref:
-                    continue
-                line = text.count("\n", 0,
-                                  sink.end() + lam.start()) + 1
-                self._emit(
-                    "event-capture-escape", rel, line,
-                    ",".join(by_ref),
-                    "lambda captures by reference but is handed to "
-                    "the event queue — the frame is gone by fire "
-                    "time; capture by value or bind `this`")
 
-    def _lint_fallback(self, rel):
-        path = self.root / rel
-        clean = list(emerald_lint.strip_comments(
-            path.read_text(encoding="utf-8",
-                           errors="replace").splitlines()))
-        out = []
-        if "offer-checked" in self.rules:
-            emerald_lint.check_offer_checked(rel, clean, out)
-        if "sched-factory" in self.rules:
-            emerald_lint.check_sched_factory(rel, clean, out)
-        for violation in out:
-            self._emit(violation.rule, rel, violation.line, "-",
-                       violation.text)
+def check_tick_smuggle(src, _derived):
+    for stmt, kinds, _cls, line in src.scanner.statements:
+        if not kinds or kinds[-1] != CLASS:
+            continue
+        match = MUTABLE_FIELD_RE.match(stmt + ";")
+        if match:
+            yield (line, match.group(1),
+                   "`mutable` member — a logically-const cache "
+                   "becomes a cross-shard write race; make the "
+                   "mutation explicit or allowlist with the "
+                   "synchronization story")
+    text = src.scanner.text
+    for method in CONST_METHOD_RE.finditer(text):
+        body, _end = _balanced(text, method.end() - 1, "{}")
+        if body is None:
+            continue
+        offset = method.end()
+        for write in MEMBER_WRITE_RE.finditer(body):
+            symbol = write.group(2) or write.group(3)
+            if not symbol:
+                continue
+            line = text.count("\n", 0, offset + write.start()) + 1
+            yield (line, symbol,
+                   "member written from a const method — hidden "
+                   "state change on the tick path; make the method "
+                   "non-const or allowlist with the reason it is safe")
+
+
+# line rules ----------------------------------------------------------
+
+OFFER_CALL_RE = re.compile(r"[.>]\s*offer\s*\(")
+# A used result: condition, assignment, return, negation, boolean op.
+OFFER_USED_RE = re.compile(
+    r"(if\s*\(|while\s*\(|return\b|[=!&|]\s*|\bbool\b[^;]*=\s*)[^;]*"
+    r"[.>]\s*offer\s*\(")
+
+
+def check_offer_checked(src, _derived):
+    lines = dict(src.lines)
+    for lineno, line in lines.items():
+        if not OFFER_CALL_RE.search(line):
+            continue
+        # Join the statement across a couple of lines so wrapped
+        # conditions are seen whole.
+        start = lineno
+        while start - 1 in lines and \
+                re.search(r"(if|while|return|[=!&|(])\s*$",
+                          lines[start - 1].rstrip()):
+            start -= 1
+        stmt = " ".join(lines[n] for n in range(start, lineno + 1))
+        if not OFFER_USED_RE.search(stmt):
+            yield (lineno, "offer",
+                   "offer() result ignored — a rejected offer leaves "
+                   "the packet with the caller "
+                   "(docs/memory_protocol.md)")
+
+
+# Concrete scheduling-policy classes. Holding a pointer/reference to
+# one is fine (rigs own the factory's bundle); *constructing* one —
+# new, make_unique, or a by-value member/local — outside the factory
+# files bypasses the registry that --warp-sched/--mem-sched select
+# from.
+SCHED_CLASSES = (r"(?P<cls>FrfcfsScheduler|DashScheduler|"
+                 r"DashCoordinator|LrrScheduler|GtoScheduler|"
+                 r"WaspScheduler)")
+SCHED_CONSTRUCT_RE = re.compile(
+    r"(?:\bnew\s+|make_unique<\s*)(?:\w+::)*" + SCHED_CLASSES + r"\b")
+SCHED_VALUE_DECL_RE = re.compile(
+    r"\b(?:\w+::)*" + SCHED_CLASSES + r"\s+\w+\s*[;({=]")
+SCHED_MESSAGE = ("direct construction of a scheduling policy — go "
+                 "through createWarpScheduler()/createMemScheduler() "
+                 "so --warp-sched/--mem-sched stay authoritative "
+                 "(docs/scheduling.md)")
+
+
+def check_sched_factory(src, _derived):
+    for lineno, line in src.lines:
+        match = SCHED_CONSTRUCT_RE.search(line) or \
+            SCHED_VALUE_DECL_RE.search(line)
+        if match:
+            yield lineno, match.group("cls"), SCHED_MESSAGE
+
+
+RAW_NEW_RE = re.compile(r"\bnew\s+MemPacket\b")
+RAW_DELETE_RE = re.compile(r"\bdelete\s+(\w*pkt\w*|\w*packet\w*)\b")
+
+
+def check_packet_alloc(src, _derived):
+    for lineno, line in src.lines:
+        if RAW_NEW_RE.search(line):
+            yield (lineno, "MemPacket",
+                   "raw `new MemPacket` — allocate from "
+                   "Simulation::packetPool() so the pool stats and "
+                   "lifecycle checks see it")
+        match = RAW_DELETE_RE.search(line)
+        if match:
+            yield (lineno, match.group(1),
+                   "raw `delete` of a packet — release with "
+                   "freePacket() or completePacket()")
+
+
+RANDOM_RE = re.compile(
+    r"(?<![\w:])(s?rand)\s*\(|std::(mt19937|random_device)")
+
+
+def check_randomness(src, _derived):
+    for lineno, line in src.lines:
+        match = RANDOM_RE.search(line)
+        if match:
+            yield (lineno, match.group(1) or match.group(2),
+                   "raw randomness — draw from sim/random.hh so runs "
+                   "replay from one seed")
+
+
+# Bare printf only: strprintf/fprintf/snprintf have \w before "printf"
+# and fprintf-to-a-FILE* (framebuffer dumps) is legitimate.
+PRINT_RE = re.compile(
+    r"(?<![\w:])(printf)\s*\(|std::(cout|cerr)\b")
+
+
+def check_raw_print(src, _derived):
+    for lineno, line in src.lines:
+        match = PRINT_RE.search(line)
+        if match:
+            yield (lineno, match.group(1) or match.group(2),
+                   "direct console output in src/ — use logging.hh "
+                   "(diagnostics) or stats (results)")
+
+
+# Stat construction: Type name(parent, "stat_name", ... or the member
+# initializer form statX(parent, "stat_name", ...
+STAT_REG_RE = re.compile(
+    r"\b\w+\s*\(\s*([*\w][\w.\->]*)\s*,\s*\"([\w.]+)\"\s*,")
+
+
+def check_stat_dup(src, _derived):
+    seen = {}
+    for lineno, line in src.lines:
+        for match in STAT_REG_RE.finditer(line):
+            parent, name = match.group(1), match.group(2)
+            if (parent, name) in seen:
+                yield (lineno, name,
+                       f'stat "{name}" registered twice on {parent} '
+                       f"(first at line {seen[parent, name]}) — the "
+                       "dumps would carry two entries with one name")
+            else:
+                seen[parent, name] = lineno
+
+
+ABORT_RE = re.compile(
+    r"(?<![\w:.])(?:std::)?(abort|_Exit|quick_exit|exit)\s*\(")
+
+
+def check_fatal_exit(src, _derived):
+    for lineno, line in src.lines:
+        match = ABORT_RE.search(line)
+        if match:
+            yield (lineno, match.group(1),
+                   f"direct {match.group(1)}() — terminate via panic() "
+                   "/ fatal() (logging.hh) so stats flush and the hang "
+                   "report prints")
+
+
+SIMOBJECT_CLASS_RE = re.compile(
+    r"\bclass\s+(\w+)\s*(?:final\s*)?:[^;{]*\bpublic\s+SimObject\b")
+SERIALIZE_DECL_RE = re.compile(r"\bserialize\s*\(\s*CheckpointOut\b")
+CLASS_DECL_RE = re.compile(r"\bclass\s+\w+\s*(?:final\s*)?[:{]")
+
+
+def check_serializable_coverage(src, _derived):
+    if not src.rel.endswith(".hh"):
+        return
+    text = "\n".join(line for _, line in src.lines)
+    for match in SIMOBJECT_CLASS_RE.finditer(text):
+        # Scope the serialize() search to this class: from its
+        # declaration to the next class declaration (or EOF).
+        tail = text[match.end():]
+        nxt = CLASS_DECL_RE.search(tail)
+        body = tail[:nxt.start()] if nxt else tail
+        if SERIALIZE_DECL_RE.search(body):
+            continue
+        cls = match.group(1)
+        yield (text.count("\n", 0, match.start()) + 1, cls,
+               f"SimObject subclass {cls} does not override "
+               "serialize(CheckpointOut&) — its state silently "
+               "vanishes from checkpoints. Implement it "
+               "(docs/checkpointing.md) or allowlist the class as "
+               "stateless in tools/analyze_allowlist.txt")
+
+
+# registry ------------------------------------------------------------
+
+# `textual` runs under the textual engine, and under the ast engine
+# too when `ast` is False (no AST implementation).
+Rule = namedtuple("Rule", "summary textual ast")
+
+RULES = {
+    "global-mutable-state": Rule(
+        "namespace-scope, function-local-static or class-static "
+        "non-const variable", check_global_state, True),
+    "cross-component-reach-through": Rule(
+        "SimObject field holding a raw pointer/reference to another "
+        "SimObject type instead of a port/registry interface",
+        check_reach_through, True),
+    "event-capture-escape": Rule(
+        "by-reference lambda handed to schedule()/reschedule() or an "
+        "EventFunction", check_capture_escape, True),
+    "tick-state-smuggle": Rule(
+        "`mutable` member, or a member written from a const method",
+        check_tick_smuggle, True),
+    "offer-checked": Rule(
+        "offer() called as a bare statement (result dropped)",
+        check_offer_checked, True),
+    "sched-factory": Rule(
+        "scheduling policy constructed outside its factory",
+        check_sched_factory, True),
+    "packet-alloc": Rule(
+        "raw `new MemPacket` / `delete pkt` bypassing PacketPool",
+        check_packet_alloc, False),
+    "randomness": Rule(
+        "rand()/srand()/std::mt19937/std::random_device outside "
+        "sim/random.hh", check_randomness, False),
+    "raw-print": Rule(
+        "printf/std::cout/std::cerr instead of logging.hh or stats",
+        check_raw_print, False),
+    "stat-dup": Rule(
+        "two stats registered with one name on one parent",
+        check_stat_dup, False),
+    "fatal-exit": Rule(
+        "raw abort()/exit()/_Exit()/quick_exit() instead of "
+        "panic()/fatal()", check_fatal_exit, False),
+    "serializable-coverage": Rule(
+        "SimObject subclass (in a header) without "
+        "serialize(CheckpointOut&)", check_serializable_coverage,
+        False),
+}
+
+
+def run_textual(root, rules, files):
+    """Findings of the textual checks of `rules` over `files`."""
+    sources = sorted((SourceFile(path, rel_path(path, root))
+                      for path in files), key=lambda s: s.rel)
+    classes = {}
+    for src in sources:
+        for cls, bases in src.scanner.classes.items():
+            classes.setdefault(cls, []).extend(bases)
+    derived = simobject_closure(classes)
+    return [Finding(name, src.rel, line, symbol, message)
+            for src in sources
+            for name, rule in RULES.items() if name in rules
+            for line, symbol, message in rule.textual(src, derived)]
 
 
 def _balanced(text, start, pair):
@@ -513,10 +701,6 @@ def _balanced(text, start, pair):
             if depth == 0:
                 return text[start + 1:i], i
     return None, start
-
-
-def _balanced_braces(text, start):
-    return _balanced(text, start, "{}")
 
 
 def simobject_closure(classes):
@@ -641,6 +825,8 @@ class AstEngine:
             cwd=entry["directory"], capture_output=True)
         digest = hashlib.sha256()
         digest.update(self._version.encode())
+        # Cached states hold findings, so a rule change must miss.
+        digest.update(Path(__file__).read_bytes())
         digest.update(" ".join(args).encode())
         digest.update(pre.stdout)
         return digest.hexdigest()
@@ -947,18 +1133,10 @@ class AstEngine:
             # make_unique<Policy>(...) — the result type names it.
             if "make_unique" not in self._callee_name(node):
                 return
-        if not re.search(emerald_lint.SCHED_CLASSES, qual):
-            return
-        file, _line = here
-        rel = self._rel_of(file)
-        if rel in emerald_lint.SCHED_FACTORY_ALLOWLIST:
+        if not re.search(SCHED_CLASSES, qual):
             return
         self._emit(state, "sched-factory", here,
-                   _base_type(qual) or "-",
-                   "direct construction of a scheduling policy — go "
-                   "through createWarpScheduler()/createMemScheduler()"
-                   " so --warp-sched/--mem-sched stay authoritative "
-                   "(docs/scheduling.md)")
+                   _base_type(qual) or "-", SCHED_MESSAGE)
 
     # -- post-pass -----------------------------------------------------
 
@@ -992,6 +1170,83 @@ def rel_path(path, root):
         return path.as_posix()
 
 
+def bare_compdb(clang, files):
+    """A compile database for files outside the build (fixtures, or
+    paths given on the command line)."""
+    tmp = Path(tempfile.mkdtemp(prefix="emerald-analyze-"))
+    entries = [{"directory": str(tmp),
+                "file": str(p.resolve()),
+                "arguments": [clang, "-x", "c++", "-std=c++17",
+                              str(p.resolve())]}
+               for p in files]
+    compdb = tmp / "compile_commands.json"
+    compdb.write_text(json.dumps(entries))
+    return compdb
+
+
+def analyze(engine_name, root, rules, files, bare, clang, compdb,
+            cache_dir):
+    """Findings of `rules` over `files` under the named engine."""
+    if engine_name == "textual":
+        return run_textual(root, rules, files)
+    ast_rules = {r for r in rules if RULES[r].ast}
+    findings = run_textual(root, rules - ast_rules, files)
+    if not ast_rules:
+        return findings
+    if bare:
+        compdb = bare_compdb(clang, files)
+    # The AST sees headers through their including TUs, so only
+    # feed .cc files; header findings surface with header paths.
+    tu_files = [f for f in files
+                if f.suffix in (".cc", ".cpp")] or files
+    extra_scope = [rel_path(p, root) for p in files] if bare else ()
+    engine = AstEngine(root, ast_rules, clang, compdb, cache_dir,
+                       extra_scope=extra_scope)
+    findings += engine.run(tu_files)
+    if not bare:
+        # Headers nothing includes — and sources missing from the
+        # compile db — are invisible to the AST pass; sweep whatever
+        # it did not actually consume textually so nothing hides
+        # there.
+        rest = [f for f in files
+                if str(f.resolve()) not in engine.analyzed]
+        known = {f.key() for f in findings}
+        findings += [f for f in run_textual(root, ast_rules, rest)
+                     if f.key() not in known]
+    return findings
+
+
+def fixture_mismatches(root, rules, run):
+    """Hold an engine to tests/analyze_fixtures/: every `// EXPECT:
+    <rule>` annotation (one rule each; repeat the comment for several
+    rules on one line) must be reported, and nothing else may be.
+    Returns the number of mismatches."""
+    files = sorted(p for p in (root / FIXTURES).glob("*")
+                   if p.suffix in SRC_SUFFIXES)
+    if not files:
+        sys.exit(f"emerald_analyze: no fixtures in {root / FIXTURES}")
+    expected = set()
+    for path in files:
+        rel = rel_path(path, root)
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            expected.update((rel, lineno, m.group(1))
+                            for m in EXPECT_RE.finditer(line)
+                            if m.group(1) in rules)
+    actual = {(f.path, f.line, f.rule) for f in run(files)}
+    for rel, line, rule in sorted(expected - actual):
+        print(f"emerald_analyze: fixture MISSED {rel}:{line} "
+              f"expected [{rule}]", file=sys.stderr)
+    for rel, line, rule in sorted(actual - expected):
+        print(f"emerald_analyze: fixture SPURIOUS {rel}:{line} "
+              f"[{rule}] not annotated", file=sys.stderr)
+    mismatches = len(expected ^ actual)
+    if not mismatches:
+        print(f"emerald_analyze: fixtures: {len(expected)} expected "
+              f"finding(s) matched in {len(files)} file(s)",
+              file=sys.stderr)
+    return mismatches
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -1019,12 +1274,15 @@ def main(argv=None):
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("paths", nargs="*",
                         help="files to analyze (default: all of "
-                             "src/; bare files always use the "
-                             "textual engine unless --engine=ast)")
+                             "src/, after the fixture gate; bare "
+                             "files always use the textual engine "
+                             "unless --engine=ast)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        print("\n".join(RULES))
+        for name, rule in RULES.items():
+            engines = "ast+textual" if rule.ast else "textual"
+            print(f"{name:30} {engines:12} {rule.summary}")
         return 0
 
     root = args.root.resolve()
@@ -1065,46 +1323,18 @@ def main(argv=None):
         if not clang:
             sys.exit("emerald_analyze: --engine=ast but no clang "
                      "on PATH (set EMERALD_CLANG)")
-        if args.paths:
-            # Bare files (fixtures): synthesize a compile db.
-            import tempfile
-            tmp = Path(tempfile.mkdtemp(prefix="emerald-analyze-"))
-            entries = [{"directory": str(tmp),
-                        "file": str(Path(p).resolve()),
-                        "arguments": [clang, "-x", "c++",
-                                      "-std=c++17",
-                                      str(Path(p).resolve())]}
-                       for p in args.paths]
-            compdb = tmp / "compile_commands.json"
-            compdb.write_text(json.dumps(entries))
-        elif not compdb:
+        if not args.paths and not compdb:
             sys.exit("emerald_analyze: --engine=ast needs "
                      "compile_commands.json (configure with "
                      "-DCMAKE_EXPORT_COMPILE_COMMANDS=ON)")
-        # The AST sees headers through their including TUs, so only
-        # feed .cc files; header findings surface with header paths.
-        tu_files = [f for f in files
-                    if f.suffix in (".cc", ".cpp")] or files
-        extra_scope = ([rel_path(Path(p), root) for p in args.paths]
-                       if args.paths else ())
-        engine = AstEngine(root, rules, clang, compdb,
-                           args.cache_dir, extra_scope=extra_scope)
-        findings = engine.run(tu_files)
-        # Headers nothing includes — and sources missing from the
-        # compile db — are invisible to the AST pass; sweep whatever
-        # it did not actually consume textually so nothing hides
-        # there.
-        if not args.paths:
-            rest = [f for f in files
-                    if str(f.resolve()) not in engine.analyzed]
-            if rest:
-                textual = TextualEngine(root, rules)
-                known = {f.key() for f in findings}
-                findings += [f for f in textual.run(rest)
-                             if f.key() not in known]
-    else:
-        engine = TextualEngine(root, rules)
-        findings = engine.run(files)
+
+    def run(paths, bare):
+        return analyze(engine_name, root, rules, paths, bare, clang,
+                       compdb, args.cache_dir)
+
+    mismatches = 0 if args.paths else fixture_mismatches(
+        root, rules, lambda paths: run(paths, True))
+    findings = run(files, bool(args.paths))
 
     allow_path = args.allowlist or (root / "tools" /
                                     "analyze_allowlist.txt")
@@ -1118,18 +1348,26 @@ def main(argv=None):
     else:
         for finding in reported:
             print(finding)
+    # An entry can only be unused by a run that checked its rule (and,
+    # given explicit paths, its file).
+    scope = {rel_path(f, root) for f in files} if args.paths else None
     for entry in entries:
-        if not entry["used"]:
-            print(f"emerald_analyze: warning: unused allowlist "
-                  f"entry {entry['rule']} {entry['path']} "
-                  f"{entry['symbol']}", file=sys.stderr)
-    if reported:
+        if entry["used"] or entry["rule"] not in rules or \
+                (scope is not None and entry["path"] not in scope):
+            continue
+        print(f"emerald_analyze: warning: unused allowlist "
+              f"entry {entry['rule']} {entry['path']} "
+              f"{entry['symbol']}", file=sys.stderr)
+    if reported or mismatches:
+        fixtures = (f", {mismatches} fixture mismatch(es)"
+                    if mismatches else "")
         print(f"emerald_analyze: {len(reported)} unallowlisted "
-              f"finding(s) [{engine_name} engine]", file=sys.stderr)
+              f"finding(s){fixtures} [{engine_name} engine]",
+              file=sys.stderr)
     else:
         print(f"emerald_analyze: clean [{engine_name} engine, "
               f"{len(files)} file(s)]", file=sys.stderr)
-    return min(len(reported), 99)
+    return min(len(reported) + mismatches, 99)
 
 
 if __name__ == "__main__":
