@@ -523,13 +523,11 @@ GraphicsPipeline::tickClusterSetup(ClusterState &cluster)
         pushL2Read(base + v * _params.ovbVertexBytes,
                    AccessKind::Vertex);
 
-    RasterJob job;
+    RasterJob &job = cluster.raster.emplace();
     job.holder = std::move(item.holder);
     job.prim = item.prim;
-    job.tri = 0;
     job.tx = item.prim->tris.empty() ? 0 : item.prim->tris[0].tileX0;
     job.ty = item.prim->tris.empty() ? 0 : item.prim->tris[0].tileY0;
-    cluster.raster.emplace(std::move(job));
 }
 
 void
@@ -578,24 +576,31 @@ GraphicsPipeline::tickClusterRaster(unsigned cluster_idx,
             continue;
         }
 
-        FragmentTile tile;
-        if (!rasterizeTile(prim, tx, ty, draw.numVaryings, _fbWidth,
-                           _fbHeight, tile)) {
+        // Fine raster, once per tile: a stall below rewinds the scan
+        // to this tile, and the next visit takes it from the job.
+        FragmentTile &tile = job.tile;
+        if (job.tileTri != job.tri || tile.tileX != tx ||
+            tile.tileY != ty) {
+            job.tileTri = job.tri;
+            rasterizeTile(prim, tx, ty, draw.numVaryings, _fbWidth,
+                          _fbHeight, tile);
+            job.minZ = 1.0f;
+            job.maxZ = 0.0f;
+            for (unsigned p = 0; p < rasterTilePixels; ++p) {
+                if (tile.coverMask & (1u << p)) {
+                    job.minZ = std::min(job.minZ, tile.z[p]);
+                    job.maxZ = std::max(job.maxZ, tile.z[p]);
+                }
+            }
+        }
+        if (tile.coverMask == 0) {
             --skip_budget;
             continue;
         }
 
         // Hi-Z (paper Fig. 3 stage J).
         if (_params.hizEnabled && draw.state.depthTest) {
-            float min_z = 1.0f;
-            float max_z = 0.0f;
-            for (unsigned p = 0; p < rasterTilePixels; ++p) {
-                if (tile.coverMask & (1u << p)) {
-                    min_z = std::min(min_z, tile.z[p]);
-                    max_z = std::max(max_z, tile.z[p]);
-                }
-            }
-            if (!_hiz->test(tx, ty, min_z)) {
+            if (!_hiz->test(tx, ty, job.minZ)) {
                 _hiz->noteRejected();
                 ++statHizRejects;
                 ++_frame.hizRejects;
@@ -604,7 +609,7 @@ GraphicsPipeline::tickClusterRaster(unsigned cluster_idx,
             }
             if (tile.fullyCovered() && draw.state.depthWrite &&
                 !draw.fragmentProgram->usesDiscard) {
-                _hiz->update(tx, ty, max_z);
+                _hiz->update(tx, ty, job.maxZ);
             }
         }
 

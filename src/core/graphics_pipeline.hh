@@ -172,6 +172,17 @@ class GraphicsPipeline : public SimObject,
         std::size_t tri = 0;
         int tx = 0;
         int ty = 0;
+        /**
+         * The last tile rasterized (of triangle tileTri) and the
+         * min/max z over its covered pixels. A tile that fine-queue
+         * backpressure turned away is reused when the scan returns
+         * to it; rasterizeTile() is a pure function of its inputs.
+         * Uncovered slots hold stale values and are never read.
+         */
+        FragmentTile tile;
+        std::size_t tileTri = ~std::size_t(0);
+        float minZ = 1.0f;
+        float maxZ = 0.0f;
     };
 
     struct ClusterState

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
+#include "core/clipper.hh"
+#include "core/rasterizer.hh"
 #include "core/shader_builder.hh"
 #include "scenes/procedural.hh"
 #include "scenes/shaders.hh"
@@ -148,6 +153,93 @@ TEST(PipelineCorrectness, NearTriangleOccludesFar)
     EXPECT_LT(fb.depthAt(10, 10), 0.8f);
 }
 
+TEST(PipelineCorrectness, NearClippedPiecesShareATile)
+{
+    // A triangle crossing the near plane is clipped into two
+    // triangles of one primitive. Here both land in the same raster
+    // tile, so the raster stage must rasterize the second piece rather
+    // than take the first piece's tile for it: the drawn pixels are
+    // exactly the union of the pieces' coverage.
+    const float pos[3][3] = {
+        {0.005f, 0.035f, -2.0f}, // Behind the near plane (z < -w).
+        {0.085f, 0.035f, 0.5f},
+        {0.005f, 0.115f, 0.5f},
+    };
+    core::ClipVertex clip[3];
+    for (int i = 0; i < 3; ++i)
+        clip[i].pos = {pos[i][0], pos[i][1], pos[i][2], 1.0f};
+    core::ClipResult pieces;
+    ASSERT_TRUE(core::clipTriangle(clip, pieces));
+    ASSERT_EQ(pieces.count, 2u);
+    std::set<std::pair<int, int>> expected;
+    for (unsigned t = 0; t < pieces.count; ++t) {
+        core::ScreenVertex sv[3];
+        for (int i = 0; i < 3; ++i) {
+            sv[i] = core::viewportTransform(pieces.tris[t][i].pos,
+                                            nullptr, 0, 64, 64);
+        }
+        core::SetupPrim prim;
+        ASSERT_TRUE(core::setupPrimitive(sv, 64, 64, false, prim));
+        ASSERT_EQ(prim.tileCount(), 1) << "piece " << t;
+        ASSERT_EQ(prim.tileX0, 8) << "piece " << t;
+        ASSERT_EQ(prim.tileY0, 7) << "piece " << t;
+        core::FragmentTile tile;
+        ASSERT_TRUE(core::rasterizeTile(prim, 8, 7, 0, 64, 64, tile))
+            << "piece " << t << " covers no pixel";
+        for (unsigned p = 0; p < core::rasterTilePixels; ++p) {
+            if (tile.coverMask & (1u << p)) {
+                expected.insert({32 + static_cast<int>(p % 4),
+                                 28 + static_cast<int>(p / 4)});
+            }
+        }
+    }
+
+    soc::StandaloneGpu rig(64, 64);
+    mem::FunctionalMemory &fmem = rig.functionalMemory();
+    core::ShaderBuilder builder;
+    core::RenderState state;
+    state.cullBackface = false;
+    float verts[3][8] = {};
+    for (int i = 0; i < 3; ++i) {
+        for (int c = 0; c < 3; ++c)
+            verts[i][c] = pos[i][c];
+    }
+    Addr vb = fmem.allocate(sizeof(verts), 128);
+    fmem.write(vb, verts, sizeof(verts));
+    core::DrawCall draw;
+    draw.vertexProgram =
+        builder.buildVertex("vs", scenes::vertexShaderSource());
+    draw.fragmentProgram = builder.buildFragment(
+        "fs", scenes::fragmentFlatSource(), state);
+    draw.vertexCount = 3;
+    draw.vertexBufferAddr = vb;
+    draw.floatsPerVertex = 8;
+    draw.numVaryings = scenes::standardVaryings;
+    draw.memory = &fmem;
+    draw.state = state;
+    draw.constants.resize(24, 0.0f);
+    for (int i = 0; i < 4; ++i) // Identity view-projection.
+        draw.constants[static_cast<std::size_t>(i) * 5] = 1.0f;
+    draw.constants[19] = 0.9f; // Ambient only.
+
+    core::Framebuffer fb(64, 64);
+    rig.pipeline().beginFrame(&fb);
+    rig.pipeline().submitDraw(std::move(draw));
+    bool done = false;
+    rig.pipeline().endFrame(
+        [&](const core::FrameStats &) { done = true; });
+    ASSERT_TRUE(rig.runUntil([&] { return done; }));
+
+    std::set<std::pair<int, int>> drawn;
+    for (int y = 0; y < 64; ++y) {
+        for (int x = 0; x < 64; ++x) {
+            if (fb.pixel(x, y) != 0xff000000u)
+                drawn.insert({x, y});
+        }
+    }
+    EXPECT_EQ(drawn, expected);
+}
+
 TEST(PipelineCorrectness, TranslucencyBlendsOverOpaque)
 {
     soc::StandaloneGpu rig(128, 96);
@@ -162,34 +254,55 @@ TEST(PipelineCorrectness, TranslucencyBlendsOverOpaque)
 
 TEST(PipelineCorrectness, GoldenHashesStable)
 {
-    // Golden image hashes: any change to shading, rasterization,
-    // clipping or ROP ordering shows up here. Regenerate consciously
-    // when behaviour is *intentionally* changed.
+    // Golden image hashes and frame counters: any change to shading,
+    // rasterization, Hi-Z, clipping or ROP ordering shows up here.
+    // With a fine queue one tile deep, the raster stage stalls on
+    // backpressure and retries the turned-away tile, so that path is
+    // pinned too. Regenerate only when behaviour is *intentionally*
+    // changed, and say why in CHANGES.md.
     struct Golden
     {
-        scenes::WorkloadId id;
         const char *name;
+        scenes::WorkloadId id;
+        unsigned fineQueueDepth;
+        std::uint64_t colorHash;
+        std::uint64_t rasterTiles;
+        std::uint64_t hizRejects;
+        std::uint64_t fragments;
+        std::uint64_t fragWarps;
+        std::uint64_t cycles;
     };
     const Golden goldens[] = {
-        {scenes::WorkloadId::W3_Cube, "cube"},
-        {scenes::WorkloadId::W6_Teapot, "teapot"},
+        {"cube", scenes::WorkloadId::W3_Cube, 8, 0x596537f04f12d169ULL, 290, 46,
+         2958, 153, 22981},
+        {"teapot", scenes::WorkloadId::W6_Teapot, 8, 0x60ccaf6160878280ULL, 1448, 0,
+         1574, 331, 50145},
+        {"teapot, fine queue depth 1", scenes::WorkloadId::W6_Teapot, 1,
+         0x60ccaf6160878280ULL, 1448, 0, 1574, 331, 50145},
     };
     for (const Golden &golden : goldens) {
+        core::GfxParams gfx;
+        gfx.fineQueueDepth = golden.fineQueueDepth;
         soc::StandaloneGpu rig(128, 96);
-        scenes::SceneRenderer scene(rig.pipeline(),
-                                    scenes::makeWorkload(golden.id),
+        core::GraphicsPipeline pipe(rig.sim(), "gfx2", rig.gpu(), 128,
+                                    96, gfx);
+        scenes::SceneRenderer scene(pipe, scenes::makeWorkload(golden.id),
                                     rig.functionalMemory());
-        render(rig, scene, 0);
-        std::uint64_t h1 = scene.framebuffer().colorHash();
-        // Deterministic: a second rig renders the same image.
-        soc::StandaloneGpu rig2(128, 96);
-        scenes::SceneRenderer scene2(rig2.pipeline(),
-                                     scenes::makeWorkload(golden.id),
-                                     rig2.functionalMemory());
-        render(rig2, scene2, 0);
-        EXPECT_EQ(scene2.framebuffer().colorHash(), h1) << golden.name;
-        EXPECT_GT(drawnPixels(scene.framebuffer()), 300u)
+        bool done = false;
+        core::FrameStats stats;
+        scene.renderFrame(0, [&](const core::FrameStats &s) {
+            stats = s;
+            done = true;
+        });
+        ASSERT_TRUE(rig.runUntil([&] { return done; })) << golden.name;
+        EXPECT_EQ(scene.framebuffer().colorHash(), golden.colorHash)
             << golden.name;
+        EXPECT_EQ(stats.rasterTiles, golden.rasterTiles) << golden.name;
+        EXPECT_EQ(stats.hizRejects, golden.hizRejects) << golden.name;
+        EXPECT_EQ(stats.fragments, golden.fragments) << golden.name;
+        EXPECT_EQ(stats.fragWarps, golden.fragWarps) << golden.name;
+        EXPECT_EQ(stats.cycles, golden.cycles) << golden.name;
+        EXPECT_GT(drawnPixels(scene.framebuffer()), 300u) << golden.name;
     }
 }
 

@@ -243,6 +243,67 @@ TEST_P(RasterizerProperty, SharedEdgeNoDoubleCoverNoGap)
     }
 }
 
+TEST_P(RasterizerProperty, DirtyTileMatchesFreshTile)
+{
+    // The raster stage keeps one tile per job and rasterizes into it
+    // again and again without clearing it. Every tile rasterized into
+    // the dirty tile must match a freshly zeroed one on coverage and,
+    // bit for bit, on z and every varying of each covered pixel.
+    // Uncovered slots may differ: nothing downstream reads them. The
+    // 62x58 framebuffer cuts the right and bottom tiles short.
+    constexpr unsigned fb_w = 62, fb_h = 58;
+    Random rng(GetParam() + 200);
+    auto unit = [&] { return static_cast<float>(rng.uniform()); };
+    FragmentTile dirty;
+    int covered_tiles = 0;
+    for (int iter = 0; iter < 200; ++iter) {
+        ScreenVertex verts[3];
+        for (auto &v : verts) {
+            v.x = unit() * 64.0f;
+            v.y = unit() * 64.0f;
+            v.z = unit();
+            v.invW = 0.05f + unit();
+            for (unsigned i = 0; i < maxVaryings; ++i)
+                v.attrsOverW[i] = (unit() * 2.0f - 1.0f) * v.invW;
+        }
+        SetupPrim prim;
+        if (!setupPrimitive(verts, fb_w, fb_h, false, prim))
+            continue;
+
+        for (int ty = prim.tileY0; ty <= prim.tileY1; ++ty) {
+            for (int tx = prim.tileX0; tx <= prim.tileX1; ++tx) {
+                FragmentTile fresh;
+                bool covered = rasterizeTile(prim, tx, ty, maxVaryings,
+                                             fb_w, fb_h, fresh);
+                EXPECT_EQ(rasterizeTile(prim, tx, ty, maxVaryings, fb_w,
+                                        fb_h, dirty),
+                          covered);
+                EXPECT_EQ(dirty.tileX, tx);
+                EXPECT_EQ(dirty.tileY, ty);
+                ASSERT_EQ(dirty.coverMask, fresh.coverMask)
+                    << "tile " << tx << "," << ty;
+                covered_tiles += covered;
+                for (unsigned p = 0; p < rasterTilePixels; ++p) {
+                    if (!(fresh.coverMask & (1u << p)))
+                        continue;
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(dirty.z[p]),
+                              std::bit_cast<std::uint32_t>(fresh.z[p]))
+                        << "tile " << tx << "," << ty << " slot " << p;
+                    for (unsigned i = 0; i < maxVaryings; ++i) {
+                        ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                                      dirty.attrs[p][i]),
+                                  std::bit_cast<std::uint32_t>(
+                                      fresh.attrs[p][i]))
+                            << "tile " << tx << "," << ty << " slot " << p
+                            << " varying " << i;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(covered_tiles, 1000);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RasterizerProperty,
                          ::testing::Values(3u, 17u, 99u));
 

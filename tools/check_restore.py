@@ -232,7 +232,7 @@ def main(argv=None):
                         "measure under 0.08)")
     parser.add_argument("--min-speedup", type=float,
                         help="--replay: required exec/replay wall-time "
-                        "ratio (default 1.2; measured >30x)")
+                        "ratio (default 1.2; measured ~10x)")
     args = parser.parse_args(argv)
     if args.allow_cold_recovery and not args.supervisor:
         parser.error("--allow-cold-recovery needs --supervisor")
