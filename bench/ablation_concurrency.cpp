@@ -21,6 +21,7 @@ struct Result
 {
     double frame_cycles = 0.0;
     double kernel_cycles = 0.0;
+    std::uint64_t event_hash = 0;
 };
 
 Result
@@ -74,6 +75,7 @@ run(const SimulationBuilder &sim_builder, bool with_frame,
     }
     if (!rig.runUntil([&] { return frame_done && kernel_done; }))
         fatal("concurrency run stalled");
+    out.event_hash = rig.sim().determinismHash();
     return out;
 }
 
@@ -115,6 +117,18 @@ runScenario(int argc, char **argv)
     results.record("kernel_shared_cycles", both.kernel_cycles);
     results.record("kernel_slowdown",
                    both.kernel_cycles / kernel_only.kernel_cycles);
+    // 53-bit folds of the event-stream hashes (exact in JSON), pinned
+    // by tests/golden/ablation_concurrency_quick.json.
+    const std::pair<const char *, const Result *> runs[] = {
+        {"frame_alone", &frame_only},
+        {"kernel_alone", &kernel_only},
+        {"shared", &both},
+    };
+    for (const auto &[key, result] : runs) {
+        results.record(std::string(key) + ".event_hash",
+                       static_cast<double>(result->event_hash &
+                                           ((1ULL << 53) - 1)));
+    }
     std::printf("\nshape: both directions slow down (shared cores, "
                 "caches and DRAM) - the contention a unified model "
                 "exposes and split simulators cannot\n");

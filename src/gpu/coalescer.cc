@@ -5,11 +5,11 @@
 namespace emerald::gpu
 {
 
-std::vector<CoalescedAccess>
+void
 coalesce(const std::vector<isa::ThreadMemAccess> &accesses,
-         unsigned line_size)
+         unsigned line_size, std::vector<CoalescedAccess> &out)
 {
-    std::vector<CoalescedAccess> out;
+    out.clear();
     const Addr mask = ~static_cast<Addr>(line_size - 1);
     for (const isa::ThreadMemAccess &access : accesses) {
         CoalescedAccess coalesced{access.addr & mask, access.write};
@@ -18,7 +18,6 @@ coalesce(const std::vector<isa::ThreadMemAccess> &accesses,
         if (std::find(out.begin(), out.end(), coalesced) == out.end())
             out.push_back(coalesced);
     }
-    return out;
 }
 
 } // namespace emerald::gpu

@@ -26,13 +26,13 @@ struct CoalescedAccess
 };
 
 /**
- * Coalesce @p accesses into unique line transactions, preserving
+ * Coalesce @p accesses into unique line transactions in @p out
+ * (cleared first, so a caller can reuse one buffer), preserving
  * first-touch order. Reads and writes to the same line stay separate
  * transactions.
  */
-std::vector<CoalescedAccess>
-coalesce(const std::vector<isa::ThreadMemAccess> &accesses,
-         unsigned line_size);
+void coalesce(const std::vector<isa::ThreadMemAccess> &accesses,
+              unsigned line_size, std::vector<CoalescedAccess> &out);
 
 } // namespace emerald::gpu
 

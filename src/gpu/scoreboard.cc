@@ -9,44 +9,31 @@ using isa::Instruction;
 using isa::Opcode;
 using isa::Operand;
 
-Scoreboard::Scoreboard(unsigned num_warps)
-    : _pendingWrites(static_cast<std::size_t>(num_warps) * numSlots, 0)
+namespace
 {
+
+/** Registers the destination of @p instr spans: a quad for TEX. */
+unsigned
+destWidth(const Instruction &instr)
+{
+    return instr.op == Opcode::TEX ? 4 : 1;
 }
 
-std::vector<unsigned>
+} // namespace
+
+Scoreboard::Scoreboard(unsigned num_warps) : _pending(num_warps) {}
+
+SlotList
 Scoreboard::destSlots(const Instruction &instr)
 {
-    std::vector<unsigned> slots;
+    SlotList slots;
     if (instr.op == Opcode::SETP) {
-        slots.push_back(predSlot(instr.dst.index));
+        slots.push(predSlot(instr.dst.index));
         return slots;
     }
     if (instr.dst.kind == Operand::Kind::Reg) {
-        unsigned count = instr.op == Opcode::TEX ? 4 : 1;
-        for (unsigned i = 0; i < count; ++i)
-            slots.push_back(static_cast<unsigned>(instr.dst.index) + i);
-    }
-    return slots;
-}
-
-std::vector<unsigned>
-Scoreboard::srcSlots(const Instruction &instr)
-{
-    std::vector<unsigned> slots;
-    if (instr.guard >= 0)
-        slots.push_back(predSlot(instr.guard));
-    for (const Operand &src : instr.src) {
-        if (src.kind == Operand::Kind::Reg) {
-            unsigned count = (instr.op == Opcode::BLEND ||
-                              instr.op == Opcode::STFB)
-                                 ? 4
-                                 : 1;
-            for (unsigned i = 0; i < count; ++i)
-                slots.push_back(static_cast<unsigned>(src.index) + i);
-        } else if (src.kind == Operand::Kind::Pred) {
-            slots.push_back(predSlot(src.index));
-        }
+        for (unsigned i = 0; i < destWidth(instr); ++i)
+            slots.push(static_cast<unsigned>(instr.dst.index) + i);
     }
     return slots;
 }
@@ -54,50 +41,48 @@ Scoreboard::srcSlots(const Instruction &instr)
 bool
 Scoreboard::ready(unsigned warp, const Instruction &instr) const
 {
-    for (unsigned slot : srcSlots(instr)) {
-        if (pending(warp, slot))
-            return false;
+    if (instr.guard >= 0 && pending(warp, predSlot(instr.guard)))
+        return false;
+    // BLEND and STFB read a color quad.
+    const unsigned src_width =
+        instr.op == Opcode::BLEND || instr.op == Opcode::STFB ? 4 : 1;
+    for (const Operand &src : instr.src) {
+        if (src.kind == Operand::Kind::Reg) {
+            if (anyPending(warp, src.index, src_width))
+                return false;
+        } else if (src.kind == Operand::Kind::Pred) {
+            if (pending(warp, predSlot(src.index)))
+                return false;
+        }
     }
-    for (unsigned slot : destSlots(instr)) {
-        if (pending(warp, slot))
-            return false;
-    }
+    if (instr.op == Opcode::SETP)
+        return !pending(warp, predSlot(instr.dst.index));
+    if (instr.dst.kind == Operand::Kind::Reg)
+        return !anyPending(warp, instr.dst.index, destWidth(instr));
     return true;
 }
 
 void
-Scoreboard::markPending(unsigned warp,
-                        const std::vector<unsigned> &slots)
-{
-    for (unsigned slot : slots)
-        ++_pendingWrites[warp * numSlots + slot];
-}
-
-void
-Scoreboard::release(unsigned warp, const std::vector<unsigned> &slots)
+Scoreboard::markPending(unsigned warp, const SlotList &slots)
 {
     for (unsigned slot : slots) {
-        auto &count = _pendingWrites[warp * numSlots + slot];
-        panic_if(count == 0, "scoreboard underflow");
-        --count;
+        std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+        std::uint64_t &word = _pending[warp][slot / 64];
+        panic_if(word & bit, "scoreboard: slot %u of warp %u marked twice",
+                 slot, warp);
+        word |= bit;
     }
-}
-
-bool
-Scoreboard::idle(unsigned warp) const
-{
-    for (unsigned slot = 0; slot < numSlots; ++slot) {
-        if (pending(warp, slot))
-            return false;
-    }
-    return true;
 }
 
 void
-Scoreboard::resetWarp(unsigned warp)
+Scoreboard::release(unsigned warp, const SlotList &slots)
 {
-    for (unsigned slot = 0; slot < numSlots; ++slot)
-        _pendingWrites[warp * numSlots + slot] = 0;
+    for (unsigned slot : slots) {
+        std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+        std::uint64_t &word = _pending[warp][slot / 64];
+        panic_if(!(word & bit), "scoreboard underflow");
+        word &= ~bit;
+    }
 }
 
 } // namespace emerald::gpu

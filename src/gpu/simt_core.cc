@@ -30,7 +30,8 @@ SimtCore::SimtCore(Simulation &sim, const std::string &name,
       statLsuStalls(*this, "lsu_stalls",
                     "LSU sends blocked pending an L1 retry"),
       _params(params), _downstream(downstream),
-      _warps(params.maxWarps), _scoreboard(params.maxWarps)
+      _warps(params.maxWarps), _issueBlocked(params.maxWarps, 0),
+      _scoreboard(params.maxWarps)
 {
     // Each scheduler lane owns an interleaved subset of the warp
     // slots; the policy object only ever ranks its own subset.
@@ -144,19 +145,12 @@ SimtCore::tryAddTask(WarpTask &&task)
 bool
 SimtCore::idle() const
 {
-    if (!_taskQueue.empty() || !_lsuQueue.empty() ||
-        !_writebacks.empty()) {
-        return false;
-    }
-    for (const Warp &warp : _warps) {
-        if (warp.valid)
-            return false;
-    }
-    return true;
+    return _taskQueue.empty() && _lsuQueue.empty() &&
+           _writebacks.empty() && _residentWarps == 0;
 }
 
 unsigned
-SimtCore::allocMemInstr(unsigned slot, std::vector<unsigned> regs,
+SimtCore::allocMemInstr(unsigned slot, const SlotList &regs,
                         bool init_fetch)
 {
     unsigned id;
@@ -170,7 +164,7 @@ SimtCore::allocMemInstr(unsigned slot, std::vector<unsigned> regs,
     MemInstrState &state = _memInstrs[id];
     state.inUse = true;
     state.slot = slot;
-    state.regSlots = std::move(regs);
+    state.regSlots = regs;
     state.outstanding = 0;
     state.initFetch = init_fetch;
     return id;
@@ -184,7 +178,8 @@ SimtCore::launchQueuedTasks()
         unsigned regs_needed =
             task.program->numRegs * isa::warpSize;
         if (_regsInUse + regs_needed > _params.numRegisters ||
-            _threadsInUse + isa::warpSize > _params.maxThreads) {
+            _threadsInUse + isa::warpSize > _params.maxThreads ||
+            _residentWarps == _warps.size()) {
             return;
         }
         int free_slot = -1;
@@ -194,11 +189,13 @@ SimtCore::launchQueuedTasks()
                 break;
             }
         }
-        if (free_slot < 0)
-            return;
+        panic_if(free_slot < 0, "%s: %u resident warps but no free slot",
+                 name().c_str(), _residentWarps);
 
         Warp &warp = _warps[static_cast<unsigned>(free_slot)];
         warp.valid = true;
+        ++_residentWarps;
+        _issueBlocked[static_cast<unsigned>(free_slot)] = 0;
         warp.task = std::move(task);
         _taskQueue.pop_front();
         warp.stack.reset(warp.task.activeMask);
@@ -220,12 +217,11 @@ SimtCore::launchQueuedTasks()
         }
 
         if (!warp.task.initFetch.empty()) {
-            auto lines = coalesce(warp.task.initFetch,
-                                  _params.l1c.lineSize);
+            coalesce(warp.task.initFetch, _params.l1c.lineSize, _lines);
             unsigned id = allocMemInstr(
-                static_cast<unsigned>(free_slot), {}, true);
+                static_cast<unsigned>(free_slot), SlotList{}, true);
             MemInstrState &state = _memInstrs[id];
-            for (const CoalescedAccess &line : lines) {
+            for (const CoalescedAccess &line : _lines) {
                 if (line.write)
                     continue;
                 ++state.outstanding;
@@ -296,14 +292,14 @@ SimtCore::executeWarp(unsigned slot)
 
     // Latency / memory handling.
     LatencyClass lat = instr.latencyClass();
-    std::vector<unsigned> dests = Scoreboard::destSlots(instr);
+    SlotList dests = Scoreboard::destSlots(instr);
 
     auto fixed_latency = [&](Cycle cycles) {
         if (dests.empty())
             return;
         _scoreboard.markPending(slot, dests);
         Tick release = curTick() + clockDomain().cyclesToTicks(cycles);
-        _writebacks.emplace(release, std::make_pair(slot, dests));
+        _writebacks.push({release, slot, dests});
     };
 
     switch (lat) {
@@ -320,10 +316,9 @@ SimtCore::executeWarp(unsigned slot)
       case LatencyClass::MemGlobal:
       case LatencyClass::Tex:
       case LatencyClass::Rop: {
-        auto lines = coalesce(_effects.accesses,
-                              _params.l1d.lineSize);
+        coalesce(_effects.accesses, _params.l1d.lineSize, _lines);
         unsigned reads = 0;
-        for (const CoalescedAccess &line : lines) {
+        for (const CoalescedAccess &line : _lines) {
             if (!line.write)
                 ++reads;
         }
@@ -333,7 +328,7 @@ SimtCore::executeWarp(unsigned slot)
             if (!dests.empty())
                 _scoreboard.markPending(slot, dests);
             ++warp.pendingMemInstrs;
-            for (const CoalescedAccess &line : lines) {
+            for (const CoalescedAccess &line : _lines) {
                 _lsuQueue.push_back({line.lineAddr, line.write,
                                      _effects.kind,
                                      line.write
@@ -342,7 +337,7 @@ SimtCore::executeWarp(unsigned slot)
             }
         } else {
             // Stores only (or fully predicated-off): no read deps.
-            for (const CoalescedAccess &line : lines) {
+            for (const CoalescedAccess &line : _lines) {
                 _lsuQueue.push_back(
                     {line.lineAddr, line.write, _effects.kind, -1});
             }
@@ -355,8 +350,10 @@ SimtCore::executeWarp(unsigned slot)
     if (instr.op == Opcode::BAR)
         barrierArrive(slot);
 
-    if (warp.executionDone())
+    if (warp.executionDone()) {
         warp.draining = true;
+        ++_drainingWarps;
+    }
 }
 
 void
@@ -366,13 +363,23 @@ SimtCore::barrierArrive(unsigned slot)
     if (warp.task.ctaKey < 0 || warp.task.ctaWarps <= 1)
         return; // Degenerate barrier: nothing to wait for.
     warp.atBarrier = true;
-    unsigned &arrived = _barrierArrived[warp.task.ctaKey];
-    ++arrived;
-    if (arrived >= warp.task.ctaWarps) {
-        arrived = 0;
-        for (Warp &other : _warps) {
-            if (other.valid && other.task.ctaKey == warp.task.ctaKey)
-                other.atBarrier = false;
+    // A CTA's warps all run on this core and cannot issue while at the
+    // barrier, so the CTA's resident warps at the barrier are exactly
+    // those that arrived since it last released.
+    unsigned arrived = 0;
+    for (const Warp &other : _warps) {
+        if (other.valid && other.atBarrier &&
+            other.task.ctaKey == warp.task.ctaKey) {
+            ++arrived;
+        }
+    }
+    if (arrived < warp.task.ctaWarps)
+        return;
+    for (unsigned other = 0; other < _warps.size(); ++other) {
+        if (_warps[other].valid &&
+            _warps[other].task.ctaKey == warp.task.ctaKey) {
+            _warps[other].atBarrier = false;
+            _issueBlocked[other] = 0;
         }
     }
 }
@@ -386,12 +393,19 @@ SimtCore::issueFrom(unsigned scheduler)
     WarpScheduler &sched = *_warpScheds[scheduler];
     sched.order(_warps, _orderBuf);
     for (unsigned slot : _orderBuf) {
+        // The checks below read only this warp and its scoreboard, so
+        // a slot that failed them fails again until _issueBlocked is
+        // cleared; the first ready slot in the policy's order is the
+        // same either way.
+        if (_issueBlocked[slot])
+            continue;
         Warp &warp = _warps[slot];
         if (!warp.valid || warp.draining || warp.atBarrier ||
             warp.pendingInitFetch > 0 ||
             warp.pendingMemInstrs >=
                 _params.maxPendingMemInstrsPerWarp ||
             warp.stack.empty()) {
+            _issueBlocked[slot] = 1;
             continue;
         }
         int pc = warp.stack.pc();
@@ -402,8 +416,10 @@ SimtCore::issueFrom(unsigned scheduler)
         }
         const Instruction &instr =
             warp.task.program->code[static_cast<std::size_t>(pc)];
-        if (!_scoreboard.ready(slot, instr))
+        if (!_scoreboard.ready(slot, instr)) {
+            _issueBlocked[slot] = 1;
             continue;
+        }
         executeWarp(slot);
         sched.issued(slot);
         return true;
@@ -482,8 +498,9 @@ SimtCore::memResponse(MemPacket *pkt)
             --warp.pendingMemInstrs;
         }
         state.inUse = false;
-        state.regSlots.clear();
+        state.regSlots = {};
         _memInstrFreeList.push_back(id);
+        _issueBlocked[state.slot] = 0;
     }
     freePacket(pkt);
     activate();
@@ -493,10 +510,11 @@ void
 SimtCore::processWritebacks()
 {
     Tick now = curTick();
-    while (!_writebacks.empty() && _writebacks.begin()->first <= now) {
-        auto [slot, regs] = _writebacks.begin()->second;
-        _writebacks.erase(_writebacks.begin());
-        _scoreboard.release(slot, regs);
+    while (!_writebacks.empty() && _writebacks.top().at <= now) {
+        const Writeback &wb = _writebacks.top();
+        _scoreboard.release(wb.slot, wb.regs);
+        _issueBlocked[wb.slot] = 0;
+        _writebacks.pop();
     }
 }
 
@@ -504,8 +522,6 @@ void
 SimtCore::finishWarpIfDrained(unsigned slot)
 {
     Warp &warp = _warps[slot];
-    if (!warp.valid || !warp.draining)
-        return;
     if (warp.pendingInitFetch > 0 || warp.pendingMemInstrs > 0 ||
         !_scoreboard.idle(slot)) {
         return;
@@ -515,6 +531,8 @@ SimtCore::finishWarpIfDrained(unsigned slot)
     WarpTask task = std::move(warp.task);
     warp.valid = false;
     warp.draining = false;
+    --_residentWarps;
+    --_drainingWarps;
     _regsInUse -= task.program->numRegs * isa::warpSize;
     _threadsInUse -= isa::warpSize;
     if (task.onComplete)
@@ -527,13 +545,7 @@ SimtCore::tick()
     processWritebacks();
     launchQueuedTasks();
 
-    bool any_resident = false;
-    for (const Warp &warp : _warps) {
-        if (warp.valid) {
-            any_resident = true;
-            break;
-        }
-    }
+    bool any_resident = _residentWarps > 0;
     if (any_resident)
         ++statCyclesActive;
 
@@ -547,8 +559,13 @@ SimtCore::tick()
 
     drainLsu();
 
-    for (unsigned slot = 0; slot < _warps.size(); ++slot)
-        finishWarpIfDrained(slot);
+    // Slot order, stopping after the last draining warp.
+    for (unsigned slot = 0, left = _drainingWarps; left > 0; ++slot) {
+        if (_warps[slot].draining) {
+            --left;
+            finishWarpIfDrained(slot);
+        }
+    }
 
     if (idle())
         return false;

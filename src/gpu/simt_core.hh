@@ -14,8 +14,8 @@
 #define EMERALD_GPU_SIMT_CORE_HH
 
 #include <deque>
-#include <map>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -149,7 +149,7 @@ class SimtCore : public SimObject,
     {
         bool inUse = false;
         unsigned slot = 0;
-        std::vector<unsigned> regSlots;
+        SlotList regSlots;
         unsigned outstanding = 0;
         bool initFetch = false;
     };
@@ -164,6 +164,20 @@ class SimtCore : public SimObject,
         int memInstrId;
     };
 
+    /** A fixed-latency result: release @p regs of @p slot at @p at. */
+    struct Writeback
+    {
+        Tick at;
+        unsigned slot;
+        SlotList regs;
+
+        /** Heap order: the earliest writeback on top. */
+        bool operator<(const Writeback &other) const
+        {
+            return at > other.at;
+        }
+    };
+
     void launchQueuedTasks();
     bool issueFrom(unsigned scheduler);
     void executeWarp(unsigned slot);
@@ -173,7 +187,7 @@ class SimtCore : public SimObject,
     void processWritebacks();
     void barrierArrive(unsigned slot);
 
-    unsigned allocMemInstr(unsigned slot, std::vector<unsigned> regs,
+    unsigned allocMemInstr(unsigned slot, const SlotList &regs,
                            bool init_fetch);
 
     SimtCoreParams _params;
@@ -186,6 +200,17 @@ class SimtCore : public SimObject,
     std::unique_ptr<cache::Cache> _l1c;
 
     std::vector<Warp> _warps;
+    /** Valid warps, and those among them set draining. */
+    unsigned _residentWarps = 0;
+    unsigned _drainingWarps = 0;
+    /**
+     * Per slot: the warp failed issueFrom's eligibility or scoreboard
+     * check, and nothing those checks read has changed since. Cleared
+     * on a launch into the slot, a writeback release, a completed
+     * memory instruction of the warp, and a barrier release
+     * (docs/scheduling.md, "Warp schedulers").
+     */
+    std::vector<std::uint8_t> _issueBlocked;
     Scoreboard _scoreboard;
     std::deque<WarpTask> _taskQueue;
 
@@ -204,12 +229,8 @@ class SimtCore : public SimObject,
      */
     MemPacket *_lsuRetryPkt = nullptr;
 
-    /** Pending scoreboard releases: cycle -> (slot, reg slots). */
-    std::multimap<Tick, std::pair<unsigned, std::vector<unsigned>>>
-        _writebacks;
-
-    /** Barrier bookkeeping: ctaKey -> arrived count. */
-    std::map<int, unsigned> _barrierArrived;
+    /** Pending scoreboard releases, earliest first. */
+    std::priority_queue<Writeback> _writebacks;
 
     /** One scheduling policy per scheduler lane (warp_sched.hh). */
     std::vector<std::unique_ptr<WarpScheduler>> _warpScheds;
@@ -223,6 +244,7 @@ class SimtCore : public SimObject,
     unsigned _traceClient = 0;
 
     isa::StepEffects _effects; // Reused each issue to avoid churn.
+    std::vector<CoalescedAccess> _lines; // Likewise, coalesce() output.
 };
 
 } // namespace emerald::gpu

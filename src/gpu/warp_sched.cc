@@ -36,10 +36,15 @@ class LrrScheduler final : public WarpScheduler
     void
     order(const std::vector<Warp> &, std::vector<unsigned> &out) override
     {
+        // The slots after the cursor, then the rest up to and
+        // including it.
         out.clear();
-        const std::size_t m = _owned.size();
-        for (std::size_t step = 1; step <= m; ++step)
-            out.push_back(_owned[(_cursor + step) % m]);
+        if (_owned.empty())
+            return;
+        auto split =
+            _owned.begin() + static_cast<std::ptrdiff_t>(_cursor + 1);
+        out.insert(out.end(), split, _owned.end());
+        out.insert(out.end(), _owned.begin(), split);
     }
 
     void

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/shader_builder.hh"
 #include "gpu/coalescer.hh"
 #include "gpu/isa/assembler.hh"
 #include "gpu/scoreboard.hh"
 #include "gpu/simt_stack.hh"
+#include "scenes/shaders.hh"
+#include "sim/random.hh"
 
 using namespace emerald;
 using namespace emerald::gpu;
@@ -21,6 +26,76 @@ braInstr(int target, int rpc, int guard = 0)
     instr.reconvergePc = rpc;
     instr.guard = guard;
     return instr;
+}
+
+/**
+ * Reference model of the scoreboard's dependence rules as explicit
+ * slot lists: the slots @p instr writes (quads for TEX, a predicate
+ * for SETP).
+ */
+std::vector<unsigned>
+refDestSlots(const Instruction &instr)
+{
+    std::vector<unsigned> slots;
+    if (instr.op == Opcode::SETP) {
+        slots.push_back(Scoreboard::predSlot(instr.dst.index));
+        return slots;
+    }
+    if (instr.dst.kind == Operand::Kind::Reg) {
+        unsigned count = instr.op == Opcode::TEX ? 4 : 1;
+        for (unsigned i = 0; i < count; ++i)
+            slots.push_back(static_cast<unsigned>(instr.dst.index) + i);
+    }
+    return slots;
+}
+
+/** The slots @p instr reads: guard, sources, quads for BLEND/STFB. */
+std::vector<unsigned>
+refSrcSlots(const Instruction &instr)
+{
+    std::vector<unsigned> slots;
+    if (instr.guard >= 0)
+        slots.push_back(Scoreboard::predSlot(instr.guard));
+    for (const Operand &src : instr.src) {
+        if (src.kind == Operand::Kind::Reg) {
+            unsigned count = (instr.op == Opcode::BLEND ||
+                              instr.op == Opcode::STFB)
+                                 ? 4
+                                 : 1;
+            for (unsigned i = 0; i < count; ++i)
+                slots.push_back(static_cast<unsigned>(src.index) + i);
+        } else if (src.kind == Operand::Kind::Pred) {
+            slots.push_back(Scoreboard::predSlot(src.index));
+        }
+    }
+    return slots;
+}
+
+/** Every program of scenes/shaders.cc; fragments with both ROP tails. */
+std::vector<const Program *>
+allShaderPrograms(core::ShaderBuilder &builder)
+{
+    std::vector<const Program *> programs = {
+        builder.buildVertex("vs", scenes::vertexShaderSource()),
+        builder.buildKernel("vecadd", scenes::kernelVecAddSource()),
+        builder.buildKernel("reduce", scenes::kernelReduceSource()),
+        builder.buildKernel("saxpy", scenes::kernelSaxpyBranchySource()),
+    };
+    const std::string *fragments[] = {
+        &scenes::fragmentTexturedSource(),
+        &scenes::fragmentTranslucentSource(),
+        &scenes::fragmentFlatSource(),
+        &scenes::fragmentHeavySource(),
+    };
+    for (const std::string *source : fragments) {
+        for (bool blend : {false, true}) {
+            core::RenderState state;
+            state.blend = blend;
+            programs.push_back(builder.buildFragment(
+                blend ? "fs.blend" : "fs.stfb", *source, state));
+        }
+    }
+    return programs;
 }
 
 } // namespace
@@ -132,7 +207,8 @@ TEST(Coalescer, SequentialAccessesShareLine)
     std::vector<ThreadMemAccess> accesses;
     for (unsigned i = 0; i < 32; ++i)
         accesses.push_back({0x1000 + i * 4, 4, false});
-    auto lines = coalesce(accesses, 128);
+    std::vector<CoalescedAccess> lines;
+    coalesce(accesses, 128, lines);
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0].lineAddr, 0x1000u);
 }
@@ -142,7 +218,8 @@ TEST(Coalescer, StridedAccessesSplit)
     std::vector<ThreadMemAccess> accesses;
     for (unsigned i = 0; i < 32; ++i)
         accesses.push_back({Addr(i) * 128, 4, false});
-    auto lines = coalesce(accesses, 128);
+    std::vector<CoalescedAccess> lines;
+    coalesce(accesses, 128, lines);
     EXPECT_EQ(lines.size(), 32u);
 }
 
@@ -152,7 +229,8 @@ TEST(Coalescer, ReadsAndWritesStayDistinct)
         {0x1000, 4, false},
         {0x1004, 4, true},
     };
-    auto lines = coalesce(accesses, 128);
+    std::vector<CoalescedAccess> lines;
+    coalesce(accesses, 128, lines);
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_FALSE(lines[0].write);
     EXPECT_TRUE(lines[1].write);
@@ -165,10 +243,20 @@ TEST(Coalescer, PreservesFirstTouchOrder)
         {0x1000, 4, false},
         {0x2004, 4, false},
     };
-    auto lines = coalesce(accesses, 128);
+    std::vector<CoalescedAccess> lines;
+    coalesce(accesses, 128, lines);
     ASSERT_EQ(lines.size(), 2u);
     EXPECT_EQ(lines[0].lineAddr, 0x2000u);
     EXPECT_EQ(lines[1].lineAddr, 0x1000u);
+}
+
+TEST(Coalescer, ReusedBufferStartsEmpty)
+{
+    std::vector<CoalescedAccess> lines;
+    coalesce({{0x1000, 4, false}, {0x3000, 4, true}}, 128, lines);
+    coalesce({{0x2000, 4, false}}, 128, lines);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(lines[0].lineAddr, 0x2000u);
 }
 
 TEST(Scoreboard, RawAndWawHazards)
@@ -222,4 +310,111 @@ TEST(Scoreboard, TexWritesQuad)
     EXPECT_EQ(dests.size(), 4u);
     sb.markPending(0, dests);
     EXPECT_FALSE(sb.ready(0, p.code[1])); // r6/r7 in the quad.
+}
+
+TEST(Scoreboard, MatchesSlotListReference)
+{
+    // For every instruction of every library shader and kernel, under
+    // random pending sets in several warps, ready() must agree with
+    // the slot-list reference.
+    core::ShaderBuilder builder;
+    const std::vector<const Program *> programs =
+        allShaderPrograms(builder);
+    constexpr unsigned warps = 3;
+    constexpr unsigned trials = 48;
+    Scoreboard sb(warps);
+    Random rng(0x5c0feb0a7dULL);
+    std::vector<std::vector<bool>> pending(
+        warps, std::vector<bool>(Scoreboard::numSlots));
+    std::vector<bool> ever_pending(Scoreboard::numSlots);
+
+    // Hazards the reference found through exactly one pending slot,
+    // by the kind of slot: the new code must see each one on its own.
+    unsigned guard = 0, setp_dest = 0, tex_quad = 0, rop_quad = 0;
+    unsigned ready = 0, blocked = 0;
+    for (const Program *program : programs) {
+        for (std::size_t pc = 0; pc < program->code.size(); ++pc) {
+            const Instruction &instr = program->code[pc];
+            const std::vector<unsigned> srcs = refSrcSlots(instr);
+            const std::vector<unsigned> dests = refDestSlots(instr);
+            for (unsigned trial = 0; trial < trials; ++trial) {
+                for (unsigned w = 0; w < warps; ++w) {
+                    sb.resetWarp(w);
+                    for (unsigned slot = 0; slot < Scoreboard::numSlots;
+                         ++slot) {
+                        pending[w][slot] = rng.below(8) == 0;
+                        if (!pending[w][slot])
+                            continue;
+                        SlotList one;
+                        one.push(slot);
+                        sb.markPending(w, one);
+                        ever_pending[slot] = true;
+                    }
+                }
+                for (unsigned w = 0; w < warps; ++w) {
+                    std::vector<unsigned> hazards;
+                    for (unsigned slot : srcs) {
+                        if (pending[w][slot])
+                            hazards.push_back(slot);
+                    }
+                    for (unsigned slot : dests) {
+                        if (pending[w][slot])
+                            hazards.push_back(slot);
+                    }
+                    ASSERT_EQ(sb.ready(w, instr), hazards.empty())
+                        << program->name << " pc " << pc << " warp " << w;
+                    ++(hazards.empty() ? ready : blocked);
+                    if (hazards.size() != 1)
+                        continue;
+                    unsigned slot = hazards[0];
+                    if (instr.guard >= 0 &&
+                        slot == Scoreboard::predSlot(instr.guard)) {
+                        ++guard;
+                    } else if (instr.op == Opcode::SETP) {
+                        ++setp_dest;
+                    } else if (instr.op == Opcode::TEX &&
+                               slot > dests[0] && slot <= dests[0] + 3) {
+                        ++tex_quad;
+                    } else if ((instr.op == Opcode::BLEND ||
+                                instr.op == Opcode::STFB) &&
+                               slot > srcs.back() - 3 &&
+                               slot <= srcs.back()) {
+                        ++rop_quad;
+                    }
+                }
+            }
+        }
+    }
+    // Every slot, all 8 predicates included, was pending somewhere.
+    for (unsigned slot = 0; slot < Scoreboard::numSlots; ++slot)
+        EXPECT_TRUE(ever_pending[slot]) << "slot " << slot;
+    EXPECT_GT(guard, 0u);
+    EXPECT_GT(setp_dest, 0u);
+    EXPECT_GT(tex_quad, 0u);
+    EXPECT_GT(rop_quad, 0u);
+    EXPECT_GT(ready, 0u);
+    EXPECT_GT(blocked, 0u);
+}
+
+TEST(Scoreboard, DoubleMarkPanics)
+{
+    Scoreboard sb(2);
+    Program p = assemble("t", R"(
+        add.f32 r2, r0, r1
+        exit
+    )");
+    SlotList dests = Scoreboard::destSlots(p.code[0]);
+    sb.markPending(1, dests);
+    EXPECT_DEATH(sb.markPending(1, dests), "slot 2 of warp 1 marked twice");
+}
+
+TEST(Scoreboard, ReleasingClearSlotPanics)
+{
+    Scoreboard sb(1);
+    Program p = assemble("t", R"(
+        setp.lt.f32 p3, r0, r1
+        exit
+    )");
+    EXPECT_DEATH(sb.release(0, Scoreboard::destSlots(p.code[0])),
+                 "scoreboard underflow");
 }
