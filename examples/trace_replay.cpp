@@ -4,12 +4,13 @@
  * APITrace captures played through the simulator; full-system
  * checkpointing records and replays draw calls the same way).
  *
- * Records a few frames of a workload into a .etr file, reloads it,
- * replays through a fresh simulator instance, and verifies the
- * replayed images hash-match a live render.
+ * Records a few frames of a workload into a trace directory (the
+ * checkpoint codec's manifest.json + data.bin), reloads it, replays
+ * through a fresh simulator instance, and verifies the replayed
+ * images hash-match a live render. Exits 1 on any mismatch.
  *
  * Usage: trace_replay [--workload=W3] [--frames=3]
- *                     [--out=cube.etr]
+ *                     [--out=draw_trace]
  */
 
 #include <cstdio>
@@ -49,7 +50,7 @@ main(int argc, char **argv)
     Config cfg;
     cfg.parseArgs(argc, argv);
     unsigned frames = static_cast<unsigned>(cfg.getU64("frames", 3));
-    std::string out = cfg.getString("out", "capture.etr");
+    std::string out = cfg.getString("out", "draw_trace");
     unsigned w = 192, h = 144;
 
     scenes::Workload workload =
@@ -102,10 +103,7 @@ main(int argc, char **argv)
         trace.recordDraw(std::move(draw));
     }
 
-    if (!saveTrace(out, trace)) {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
-        return 1;
-    }
+    core::saveTrace(out, trace);
     std::printf("recorded %u frames (%u draws, %u verts/frame) to "
                 "%s\n",
                 frames, 1u, trace.frames[0][0].vertexCount(),

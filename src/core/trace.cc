@@ -1,8 +1,9 @@
 #include "core/trace.hh"
 
-#include <cstdio>
+#include <cstring>
 
 #include "sim/logging.hh"
+#include "sim/serialize/serialize.hh"
 
 namespace emerald::core
 {
@@ -10,185 +11,145 @@ namespace emerald::core
 namespace
 {
 
-constexpr std::uint32_t traceMagic = 0x454d5452; // "EMTR"
-constexpr std::uint32_t traceVersion = 1;
+/** Bump on any incompatible change to the sections below. */
+constexpr std::uint64_t traceFormatVersion = 2;
 
-struct Writer
+std::string
+drawSectionName(std::size_t idx)
 {
-    std::FILE *f;
+    return strprintf("draw%zu", idx);
+}
 
-    bool
-    u32(std::uint32_t v)
-    {
-        return std::fwrite(&v, sizeof(v), 1, f) == 1;
-    }
-
-    bool
-    bytes(const void *p, std::size_t n)
-    {
-        return n == 0 || std::fwrite(p, 1, n, f) == n;
-    }
-
-    bool
-    str(const std::string &s)
-    {
-        return u32(static_cast<std::uint32_t>(s.size())) &&
-               bytes(s.data(), s.size());
-    }
-
-    template <typename T>
-    bool
-    vec(const std::vector<T> &v)
-    {
-        return u32(static_cast<std::uint32_t>(v.size())) &&
-               bytes(v.data(), v.size() * sizeof(T));
-    }
-};
-
-struct Reader
+template <typename T>
+void
+putArray(CheckpointOut &out, const std::string &key,
+         const std::vector<T> &v)
 {
-    std::FILE *f;
-    bool ok = true;
+    out.putBlob(key, v.data(), v.size() * sizeof(T));
+}
 
-    std::uint32_t
-    u32()
-    {
-        std::uint32_t v = 0;
-        ok = ok && std::fread(&v, sizeof(v), 1, f) == 1;
-        return v;
-    }
-
-    bool
-    bytes(void *p, std::size_t n)
-    {
-        ok = ok && (n == 0 || std::fread(p, 1, n, f) == n);
-        return ok;
-    }
-
-    std::string
-    str()
-    {
-        std::uint32_t n = u32();
-        if (!ok || n > (1u << 24)) {
-            ok = false;
-            return {};
-        }
-        std::string s(n, '\0');
-        bytes(s.data(), n);
-        return s;
-    }
-
-    template <typename T>
-    std::vector<T>
-    vec()
-    {
-        std::uint32_t n = u32();
-        if (!ok || n > (1u << 26)) {
-            ok = false;
-            return {};
-        }
-        std::vector<T> v(n);
-        bytes(v.data(), n * sizeof(T));
-        return v;
-    }
-};
+template <typename T>
+std::vector<T>
+getArray(const CheckpointIn &in, const std::string &key)
+{
+    const std::string &bytes = in.getBlob(key);
+    std::vector<T> v(bytes.size() / sizeof(T));
+    if (!v.empty())
+        std::memcpy(v.data(), bytes.data(), v.size() * sizeof(T));
+    return v;
+}
 
 } // namespace
 
-bool
-saveTrace(const std::string &path, const Trace &trace)
+void
+saveTrace(const std::string &dir, const Trace &trace)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    Writer w{f};
-    bool ok = w.u32(traceMagic) && w.u32(traceVersion) &&
-              w.u32(trace.fbWidth) && w.u32(trace.fbHeight) &&
-              w.u32(static_cast<std::uint32_t>(trace.frames.size()));
+    // Fingerprint 0: a draw-call trace replays under any
+    // configuration whose framebuffer matches.
+    CheckpointWriter writer(dir, 0, 0, 0);
+    CheckpointOut &meta = writer.section("trace");
+    meta.putU64("trace_version", traceFormatVersion);
+    meta.putU64("fb_width", trace.fbWidth);
+    meta.putU64("fb_height", trace.fbHeight);
+    std::vector<std::uint64_t> frame_draws;
+    std::size_t idx = 0;
     for (const auto &frame : trace.frames) {
-        ok = ok && w.u32(static_cast<std::uint32_t>(frame.size()));
+        frame_draws.push_back(frame.size());
         for (const TraceDraw &draw : frame) {
-            ok = ok && w.str(draw.vsSource) && w.str(draw.fsSource);
-            ok = ok &&
-                 w.u32(static_cast<std::uint32_t>(draw.primType));
-            std::uint32_t state_bits =
-                (draw.state.depthTest ? 1u : 0u) |
-                (draw.state.depthWrite ? 2u : 0u) |
-                (draw.state.blend ? 4u : 0u) |
-                (draw.state.cullBackface ? 8u : 0u);
-            ok = ok && w.u32(state_bits);
-            ok = ok && w.u32(draw.floatsPerVertex) &&
-                 w.u32(draw.numVaryings);
-            ok = ok && w.vec(draw.vertexData) &&
-                 w.vec(draw.constants);
-            ok = ok &&
-                 w.u32(static_cast<std::uint32_t>(
-                     draw.textures.size()));
-            for (const TraceTexture &tex : draw.textures) {
-                ok = ok &&
-                     w.u32(static_cast<std::uint32_t>(tex.unit)) &&
-                     w.u32(tex.width) && w.u32(tex.height) &&
-                     w.vec(tex.texels);
+            CheckpointOut &sec = writer.section(drawSectionName(idx++));
+            sec.putStr("vs", draw.vsSource);
+            sec.putStr("fs", draw.fsSource);
+            sec.putU64("prim_type",
+                       static_cast<std::uint64_t>(draw.primType));
+            sec.putBool("depth_test", draw.state.depthTest);
+            sec.putBool("depth_write", draw.state.depthWrite);
+            sec.putBool("blend", draw.state.blend);
+            sec.putBool("cull_backface", draw.state.cullBackface);
+            sec.putU64("floats_per_vertex", draw.floatsPerVertex);
+            sec.putU64("num_varyings", draw.numVaryings);
+            putArray(sec, "vertex_data", draw.vertexData);
+            putArray(sec, "constants", draw.constants);
+            sec.putU64("num_textures", draw.textures.size());
+            for (std::size_t t = 0; t < draw.textures.size(); ++t) {
+                const TraceTexture &tex = draw.textures[t];
+                std::string key = strprintf("tex%zu.", t);
+                sec.putI64(key + "unit", tex.unit);
+                sec.putU64(key + "width", tex.width);
+                sec.putU64(key + "height", tex.height);
+                putArray(sec, key + "texels", tex.texels);
             }
         }
     }
-    std::fclose(f);
-    return ok;
+    // Sections stay put as later ones open, so the header can take
+    // the frame table last.
+    meta.putU64Vec("frame_draws", frame_draws);
+    writer.finalize();
 }
 
 std::optional<Trace>
-loadTrace(const std::string &path)
+loadTrace(const std::string &dir)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    CkptProbe probe = probeCheckpoint(dir);
+    if (!probe.ok()) {
+        warn("draw-call trace '%s' refused: %s (%s)", dir.c_str(),
+             ckptIntegrityName(probe.status), probe.detail.c_str());
         return std::nullopt;
-    Reader r{f};
+    }
+    CheckpointReader reader(dir);
+    if (!reader.hasSection("trace")) {
+        warn("'%s' is not a draw-call trace", dir.c_str());
+        return std::nullopt;
+    }
+    CheckpointIn meta = reader.section("trace");
+    std::uint64_t version = meta.getU64("trace_version");
+    if (version != traceFormatVersion) {
+        warn("draw-call trace '%s' has format version %llu, this build "
+             "reads %llu", dir.c_str(), (unsigned long long)version,
+             (unsigned long long)traceFormatVersion);
+        return std::nullopt;
+    }
     Trace trace;
-    if (r.u32() != traceMagic || r.u32() != traceVersion) {
-        std::fclose(f);
-        return std::nullopt;
-    }
-    trace.fbWidth = r.u32();
-    trace.fbHeight = r.u32();
-    std::uint32_t n_frames = r.u32();
-    if (!r.ok || n_frames > (1u << 20)) {
-        std::fclose(f);
-        return std::nullopt;
-    }
-    trace.frames.resize(n_frames);
-    for (auto &frame : trace.frames) {
-        std::uint32_t n_draws = r.u32();
-        if (!r.ok || n_draws > (1u << 16))
-            break;
-        frame.resize(n_draws);
-        for (TraceDraw &draw : frame) {
-            draw.vsSource = r.str();
-            draw.fsSource = r.str();
-            draw.primType = static_cast<PrimitiveType>(r.u32());
-            std::uint32_t state_bits = r.u32();
-            draw.state.depthTest = state_bits & 1u;
-            draw.state.depthWrite = state_bits & 2u;
-            draw.state.blend = state_bits & 4u;
-            draw.state.cullBackface = state_bits & 8u;
-            draw.floatsPerVertex = r.u32();
-            draw.numVaryings = r.u32();
-            draw.vertexData = r.vec<float>();
-            draw.constants = r.vec<float>();
-            std::uint32_t n_tex = r.u32();
-            if (!r.ok || n_tex > 64)
-                break;
-            draw.textures.resize(n_tex);
-            for (TraceTexture &tex : draw.textures) {
-                tex.unit = static_cast<int>(r.u32());
-                tex.width = r.u32();
-                tex.height = r.u32();
-                tex.texels = r.vec<std::uint32_t>();
+    trace.fbWidth = static_cast<unsigned>(meta.getU64("fb_width"));
+    trace.fbHeight = static_cast<unsigned>(meta.getU64("fb_height"));
+    std::size_t idx = 0;
+    for (std::uint64_t n_draws : meta.getU64Vec("frame_draws")) {
+        trace.beginFrame();
+        for (std::uint64_t d = 0; d < n_draws; ++d) {
+            CheckpointIn sec = reader.section(drawSectionName(idx++));
+            TraceDraw draw;
+            draw.vsSource = sec.getStr("vs");
+            draw.fsSource = sec.getStr("fs");
+            draw.primType =
+                static_cast<PrimitiveType>(sec.getU64("prim_type"));
+            draw.state.depthTest = sec.getBool("depth_test");
+            draw.state.depthWrite = sec.getBool("depth_write");
+            draw.state.blend = sec.getBool("blend");
+            draw.state.cullBackface = sec.getBool("cull_backface");
+            draw.floatsPerVertex =
+                static_cast<unsigned>(sec.getU64("floats_per_vertex"));
+            draw.numVaryings =
+                static_cast<unsigned>(sec.getU64("num_varyings"));
+            draw.vertexData = getArray<float>(sec, "vertex_data");
+            draw.constants = getArray<float>(sec, "constants");
+            // A count past the recorded textures fails on the first
+            // missing key, before anything is allocated for it.
+            std::uint64_t n_tex = sec.getU64("num_textures");
+            for (std::uint64_t t = 0; t < n_tex; ++t) {
+                TraceTexture tex;
+                std::string key =
+                    strprintf("tex%llu.", (unsigned long long)t);
+                tex.unit = static_cast<int>(sec.getI64(key + "unit"));
+                tex.width = static_cast<unsigned>(
+                    sec.getU64(key + "width"));
+                tex.height = static_cast<unsigned>(
+                    sec.getU64(key + "height"));
+                tex.texels =
+                    getArray<std::uint32_t>(sec, key + "texels");
+                draw.textures.push_back(std::move(tex));
             }
+            trace.recordDraw(std::move(draw));
         }
     }
-    std::fclose(f);
-    if (!r.ok)
-        return std::nullopt;
     return trace;
 }
 

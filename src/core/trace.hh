@@ -8,9 +8,10 @@
  * restore graphics state (Section 4). This module provides the
  * equivalent facility natively: a Trace captures complete frames
  * (shader sources, render state, vertex data, constants, textures),
- * serializes to a compact binary file, and a TracePlayer replays
- * frames through any GraphicsPipeline, bit-identically to the
- * original submission.
+ * saves to a directory in the checkpoint codec's container
+ * (sim/serialize/serialize.hh: typed records, per-section CRC-32), and
+ * a TracePlayer replays frames through any GraphicsPipeline,
+ * bit-identically to the original submission.
  */
 
 #ifndef EMERALD_CORE_TRACE_HH
@@ -76,11 +77,15 @@ struct Trace
     }
 };
 
-/** Serialize @p trace to @p path. @return false on I/O failure. */
-bool saveTrace(const std::string &path, const Trace &trace);
+/** Write @p trace to directory @p dir (fatal on I/O failure). */
+void saveTrace(const std::string &dir, const Trace &trace);
 
-/** Load a trace; empty optional on failure or bad format. */
-std::optional<Trace> loadTrace(const std::string &path);
+/**
+ * Load the trace in directory @p dir. A directory that fails the
+ * codec's integrity probe (missing, truncated, CRC mismatch) or holds
+ * no draw-call trace of this format comes back empty, with a warning.
+ */
+std::optional<Trace> loadTrace(const std::string &dir);
 
 /**
  * Replays a loaded trace through a pipeline: uploads vertex data,

@@ -16,6 +16,7 @@
 #define EMERALD_SIM_SERIALIZE_SERIALIZE_HH
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -221,7 +222,8 @@ class Serializable
 /**
  * Accumulates named sections and writes the checkpoint directory
  * (manifest.json + data.bin) in finalize(). Section names must be
- * unique; the writer owns the section buffers.
+ * unique; the writer owns the section buffers, and a section returned
+ * by section() stays valid while later sections open.
  */
 class CheckpointWriter
 {
@@ -246,7 +248,7 @@ class CheckpointWriter
     std::uint64_t _fingerprint;
     Tick _tick;
     std::uint64_t _numProcessed;
-    std::vector<CheckpointOut> _sections;
+    std::deque<CheckpointOut> _sections;
     bool _finalized = false;
 };
 

@@ -11,7 +11,6 @@ namespace emerald::soc
 
 AppModel::AppModel(Simulation &sim, const std::string &name,
                    const AppParams &params,
-                   scenes::SceneRenderer &scene,
                    std::vector<CpuCoreModel *> cores,
                    mem::DashCoordinator *dash,
                    std::function<void()> on_all_frames_done)
@@ -21,8 +20,8 @@ AppModel::AppModel(Simulation &sim, const std::string &name,
                         "GPU render time per frame (ticks)"),
       statTotalFrameTicks(*this, "total_frame_ticks",
                           "prep+render time per frame (ticks)"),
-      _params(params), _scene(scene), _cores(std::move(cores)),
-      _dash(dash), _onDone(std::move(on_all_frames_done)),
+      _params(params), _cores(std::move(cores)), _dash(dash),
+      _onDone(std::move(on_all_frames_done)),
       _startPrepEvent([this] { beginPrep(); }, name + ".prep"),
       _pollEvent([this] { pollProgress(); }, name + ".poll")
 {
@@ -88,8 +87,10 @@ AppModel::serialize(CheckpointOut &out) const
     out.putU64("frames_done", _framesDone);
     out.putU64("cores_pending", _coresPending);
     out.putTick("frame_slot_start", _frameSlotStart);
-    out.putF64("frag_estimate", _fragEstimate);
-    out.putU64("progress_reported", _progressReported);
+    out.putF64("frag_estimate", _workEstimate);
+    // Execution-driven progress counts whole fragments.
+    out.putU64("progress_reported",
+               static_cast<std::uint64_t>(_progressReported));
     putFrameRecord(out, "current", _current);
     out.putU64("num_records", _records.size());
     for (std::size_t i = 0; i < _records.size(); ++i)
@@ -102,8 +103,9 @@ AppModel::unserialize(CheckpointIn &in)
     _framesDone = static_cast<unsigned>(in.getU64("frames_done"));
     _coresPending = static_cast<unsigned>(in.getU64("cores_pending"));
     _frameSlotStart = in.getTick("frame_slot_start");
-    _fragEstimate = in.getF64("frag_estimate");
-    _progressReported = in.getU64("progress_reported");
+    _workEstimate = in.getF64("frag_estimate");
+    _progressReported =
+        static_cast<double>(in.getU64("progress_reported"));
     _current = getFrameRecord(in, "current");
     std::uint64_t num_records = in.getU64("num_records");
     _records.clear();
@@ -155,7 +157,7 @@ AppModel::beginRender()
 {
     _rendering = true;
     _current.renderStart = curTick();
-    _progressReported = 0;
+    _progressReported = 0.0;
 
     if (_traceWriter)
         _traceWriter->beginFrame(curTick());
@@ -165,57 +167,43 @@ AppModel::beginRender()
     for (CpuCoreModel *core : _cores)
         core->setBackground(true);
 
-    if (_dash && _dashIp >= 0) {
-        double estimate = _fragEstimate > 0.0 ? _fragEstimate : 1e9;
+    if (dashTracked()) {
+        double estimate = _workEstimate > 0.0 ? _workEstimate : 1e9;
         _dash->beginIpPeriod(_dashIp, _params.gpuFramePeriod,
                              estimate);
-        // Fine-grained progress from the pipeline plus a periodic
-        // poll as a fallback.
-        _scene.pipeline().setProgressListener(
-            [this](std::uint64_t frags) {
-                if (frags > _progressReported) {
-                    _dash->addIpProgress(
-                        _dashIp, static_cast<double>(
-                                     frags - _progressReported));
-                    _progressReported = frags;
-                }
-            });
         scheduleIn(_pollEvent, _params.progressPollPeriod);
     }
 
-    _scene.renderFrame(_framesDone, [this](const core::FrameStats &s) {
-        renderDone(s);
-    });
+    renderFrame(_framesDone);
+}
+
+void
+AppModel::reportProgress(double work)
+{
+    if (work > _progressReported) {
+        _dash->addIpProgress(_dashIp, work - _progressReported);
+        _progressReported = work;
+    }
 }
 
 void
 AppModel::pollProgress()
 {
-    if (!_dash || _dashIp < 0)
+    if (!dashTracked())
         return;
-    // Report newly shaded fragments since the last poll.
-    std::uint64_t now_frags =
-        _scene.pipeline().currentFrameFragments();
-    if (now_frags > _progressReported) {
-        _dash->addIpProgress(
-            _dashIp,
-            static_cast<double>(now_frags - _progressReported));
-        _progressReported = now_frags;
-    }
+    reportProgress(renderProgress());
     scheduleIn(_pollEvent, _params.progressPollPeriod);
 }
 
 void
-AppModel::renderDone(const core::FrameStats &stats)
+AppModel::renderDone(double work, const core::FrameStats &stats)
 {
     _rendering = false;
     _current.renderEnd = curTick();
     _current.gpu = stats;
 
-    if (_traceWriter) {
-        _traceWriter->endFrame(curTick(),
-                               static_cast<double>(stats.fragments));
-    }
+    if (_traceWriter)
+        _traceWriter->endFrame(curTick(), work);
     _records.push_back(_current);
     ++_framesDone;
     ++statFrames;
@@ -223,13 +211,11 @@ AppModel::renderDone(const core::FrameStats &stats)
         static_cast<double>(_current.gpuTime()));
     statTotalFrameTicks.sample(
         static_cast<double>(_current.totalTime()));
-    _fragEstimate = static_cast<double>(stats.fragments);
+    _workEstimate = work;
 
     descheduleIfPending(_pollEvent);
-    if (_dash && _dashIp >= 0) {
-        _scene.pipeline().setProgressListener(nullptr);
+    if (dashTracked())
         _dash->endIpPeriod(_dashIp);
-    }
 
     for (CpuCoreModel *core : _cores)
         core->setBackground(false);
@@ -245,6 +231,40 @@ AppModel::renderDone(const core::FrameStats &stats)
     Tick next = _frameSlotStart + _params.gpuFramePeriod;
     Tick when = std::max(curTick(), next);
     schedule(_startPrepEvent, when);
+}
+
+SceneApp::SceneApp(Simulation &sim, const std::string &name,
+                   const AppParams &params,
+                   scenes::SceneRenderer &scene,
+                   std::vector<CpuCoreModel *> cores,
+                   mem::DashCoordinator *dash,
+                   std::function<void()> on_all_frames_done)
+    : AppModel(sim, name, params, std::move(cores), dash,
+               std::move(on_all_frames_done)),
+      _scene(scene)
+{}
+
+void
+SceneApp::renderFrame(unsigned idx)
+{
+    // Fine-grained progress from the pipeline, on top of the poll.
+    if (dashTracked()) {
+        _scene.pipeline().setProgressListener(
+            [this](std::uint64_t frags) {
+                reportProgress(static_cast<double>(frags));
+            });
+    }
+    _scene.renderFrame(idx, [this](const core::FrameStats &s) {
+        _scene.pipeline().setProgressListener(nullptr);
+        renderDone(static_cast<double>(s.fragments), s);
+    });
+}
+
+double
+SceneApp::renderProgress() const
+{
+    return static_cast<double>(
+        _scene.pipeline().currentFrameFragments());
 }
 
 } // namespace emerald::soc

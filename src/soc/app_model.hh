@@ -1,6 +1,6 @@
 /**
  * @file
- * The application render loop: the stand-in for the paper's Android
+ * The application frame loop: the stand-in for the paper's Android
  * app that "loads and displays a set of 3D models" (case study I).
  *
  * Each frame runs three phases, reproducing the inter-IP
@@ -12,9 +12,12 @@
  *   3. Vsync pacing: the next frame starts at the 30 FPS boundary
  *      (or immediately when the deadline was missed).
  *
- * While rendering, GPU progress (fragments shaded vs. the previous
- * frame's total) is reported to the DASH coordinator so deadline
- * urgency tracks reality.
+ * AppModel owns that loop; the render phase is a two-method seam.
+ * SceneApp renders the scene through the graphics pipeline
+ * (execution-driven), and TraceReplayDriver (soc/replay.hh) re-injects
+ * a captured memory-traffic trace (--replay-trace). While a frame
+ * renders, its progress (work done vs. the previous frame's total) is
+ * reported to the DASH coordinator so deadline urgency tracks reality.
  */
 
 #ifndef EMERALD_SOC_APP_MODEL_HH
@@ -56,6 +59,7 @@ class AppModel : public SimObject
         Tick prepStart = 0;
         Tick renderStart = 0;
         Tick renderEnd = 0;
+        /** Pipeline stats; empty when the frame was replayed. */
         core::FrameStats gpu;
 
         Tick gpuTime() const { return renderEnd - renderStart; }
@@ -63,23 +67,22 @@ class AppModel : public SimObject
     };
 
     AppModel(Simulation &sim, const std::string &name,
-             const AppParams &params, scenes::SceneRenderer &scene,
-             std::vector<CpuCoreModel *> cores,
+             const AppParams &params, std::vector<CpuCoreModel *> cores,
              mem::DashCoordinator *dash,
              std::function<void()> on_all_frames_done);
 
     void start();
 
-    bool done() const { return _framesDone >= _params.frames; }
     const std::vector<FrameRecord> &frames() const { return _records; }
 
     /**
      * Bracket every frame's render phase in @p writer
-     * (beginFrame/endFrame with the shaded-fragment work total), so
-     * captured traffic carries the frame structure replay needs.
-     * Null detaches.
+     * (beginFrame/endFrame with the frame's work total), so captured
+     * traffic carries the frame structure replay needs. Null
+     * detaches.
      */
-    void setTraceCapture(mem::TrafficTraceWriter *writer)
+    virtual void
+    setTraceCapture(mem::TrafficTraceWriter *writer)
     {
         _traceWriter = writer;
     }
@@ -98,15 +101,35 @@ class AppModel : public SimObject
     Distribution statTotalFrameTicks;
     /** @} */
 
+  protected:
+    /**
+     * Start frame @p idx's GPU work; call renderDone() once it has
+     * drained.
+     */
+    virtual void renderFrame(unsigned idx) = 0;
+
+    /** Work the open frame has done so far, in renderDone()'s units. */
+    virtual double renderProgress() const = 0;
+
+    /**
+     * Close the open frame: @p work is its total (the next frame's
+     * DASH estimate), @p stats the pipeline's record of it.
+     */
+    void renderDone(double work, const core::FrameStats &stats = {});
+
+    /** True when DASH tracks the render phase's progress. */
+    bool dashTracked() const { return _dash && _dashIp >= 0; }
+
+    /** Report @p work done so far to DASH, if it grew. */
+    void reportProgress(double work);
+
   private:
     void beginPrep();
     void corePrepDone();
     void beginRender();
-    void renderDone(const core::FrameStats &stats);
     void pollProgress();
 
     AppParams _params;
-    scenes::SceneRenderer &_scene;
     std::vector<CpuCoreModel *> _cores;
     mem::DashCoordinator *_dash;
     mem::TrafficTraceWriter *_traceWriter = nullptr;
@@ -118,13 +141,35 @@ class AppModel : public SimObject
     /** True from beginRender() until renderDone(). */
     bool _rendering = false;
     Tick _frameSlotStart = 0;
-    double _fragEstimate = 0.0;
-    std::uint64_t _progressReported = 0;
+    /** The previous frame's work, or 0 before the first one. */
+    double _workEstimate = 0.0;
+    /** Work already reported to DASH for the open frame. */
+    double _progressReported = 0.0;
     FrameRecord _current;
     std::vector<FrameRecord> _records;
 
     EventFunction _startPrepEvent;
     EventFunction _pollEvent;
+};
+
+/**
+ * The execution-driven app: renders the scene's frames through the
+ * graphics pipeline, reporting shaded fragments as the frame's work.
+ */
+class SceneApp : public AppModel
+{
+  public:
+    SceneApp(Simulation &sim, const std::string &name,
+             const AppParams &params, scenes::SceneRenderer &scene,
+             std::vector<CpuCoreModel *> cores,
+             mem::DashCoordinator *dash,
+             std::function<void()> on_all_frames_done);
+
+  private:
+    void renderFrame(unsigned idx) override;
+    double renderProgress() const override;
+
+    scenes::SceneRenderer &_scene;
 };
 
 } // namespace emerald::soc

@@ -202,31 +202,19 @@ class ReplayPort : public SimObject,
 };
 
 TraceReplayDriver::TraceReplayDriver(
-    Simulation &sim, const std::string &name,
-    const ReplayParams &params, const mem::TrafficTraceReader &trace,
-    gpu::GpuTop &gpu, std::vector<CpuCoreModel *> cores,
-    mem::DashCoordinator *dash,
+    Simulation &sim, const std::string &name, const AppParams &params,
+    const mem::TrafficTraceReader &trace, gpu::GpuTop &gpu,
+    std::vector<CpuCoreModel *> cores, mem::DashCoordinator *dash,
     std::function<void()> on_all_frames_done)
-    : SimObject(sim, name),
-      statFrames(*this, "frames", "trace frames replayed"),
+    : AppModel(sim, name, params, std::move(cores), dash,
+               std::move(on_all_frames_done)),
       statReplayedTxns(*this, "txns", "trace transactions injected"),
-      statGpuFrameTicks(*this, "gpu_frame_ticks",
-                        "replayed render time per frame (ticks)"),
-      statTotalFrameTicks(*this, "total_frame_ticks",
-                          "prep+render time per frame (ticks)"),
-      _params(params), _trace(trace), _cores(std::move(cores)),
-      _dash(dash), _onDone(std::move(on_all_frames_done)),
-      _startPrepEvent([this] { beginPrep(); }, name + ".prep"),
-      _pollEvent([this] { pollProgress(); }, name + ".poll")
+      _trace(trace)
 {
     registerProfileCounters();
     fatal_if(trace.numFrames() < params.frames,
              "replay trace '%s' holds %u frames but the run wants %u",
              trace.dir().c_str(), trace.numFrames(), params.frames);
-    if (_dash) {
-        _dashIp = _dash->registerIp(name + ".gpu", TrafficClass::Gpu,
-                                    0.9);
-    }
     // Match trace client streams to SIMT cores by name: traces
     // captured with extra clients (e.g. the NPU DMA boundary) stay
     // replayable — replay drives only the GPU streams, everything
@@ -264,15 +252,9 @@ TraceReplayDriver::serialize(CheckpointOut &out) const
 }
 
 void
-TraceReplayDriver::start()
-{
-    scheduleIn(_startPrepEvent, 0);
-}
-
-void
 TraceReplayDriver::setTraceCapture(mem::TrafficTraceWriter *writer)
 {
-    _writer = writer;
+    AppModel::setTraceCapture(writer);
     for (auto &port : _ports) {
         unsigned client = writer ? writer->addClient(port->name()) : 0;
         port->setCapture(writer, client);
@@ -280,78 +262,17 @@ TraceReplayDriver::setTraceCapture(mem::TrafficTraceWriter *writer)
 }
 
 void
-TraceReplayDriver::beginPrep()
+TraceReplayDriver::renderFrame(unsigned idx)
 {
-    _frameSlotStart = curTick();
-    _current = FrameRecord{};
-    _current.prepStart = curTick();
-
-    // Same CPU-side phase as the execution-driven AppModel: every
-    // core burns through its prep quota, latency-bound.
-    _coresPending = static_cast<unsigned>(_cores.size());
-    if (_coresPending == 0) {
-        beginRender();
-        return;
-    }
-    for (CpuCoreModel *core : _cores) {
-        core->setBackground(false);
-        core->runQuota(_params.cpuPrepRequests,
-                       [this] { corePrepDone(); });
-    }
-}
-
-void
-TraceReplayDriver::corePrepDone()
-{
-    panic_if(_coresPending == 0, "prep over-completion");
-    if (--_coresPending == 0)
-        beginRender();
-}
-
-void
-TraceReplayDriver::beginRender()
-{
-    _rendering = true;
-    _current.renderStart = curTick();
-    _progressReported = 0.0;
-    unsigned frame = _framesDone;
-
-    if (_writer)
-        _writer->beginFrame(curTick());
-
-    for (CpuCoreModel *core : _cores)
-        core->setBackground(true);
-
-    if (_dash && _dashIp >= 0) {
-        // DASH sees the same estimate the execution-driven run gave
-        // it: the previous frame's work total (here, from the trace).
-        double estimate = frame > 0 ? _trace.frameWork(frame - 1)
-                                    : 1e9;
-        if (estimate <= 0.0)
-            estimate = 1e9;
-        _dash->beginIpPeriod(_dashIp, _params.gpuFramePeriod,
-                             estimate);
-        scheduleIn(_pollEvent, _params.progressPollPeriod);
-    }
-
+    _frame = idx;
     _portsPending = static_cast<unsigned>(_ports.size());
     for (auto &port : _ports)
-        port->beginFrame(frame, curTick());
+        port->beginFrame(idx, curTick());
 }
 
-void
-TraceReplayDriver::portFrameDone()
+double
+TraceReplayDriver::renderProgress() const
 {
-    panic_if(_portsPending == 0, "frame over-completion");
-    if (--_portsPending == 0)
-        renderDone();
-}
-
-void
-TraceReplayDriver::pollProgress()
-{
-    if (!_dash || _dashIp < 0 || !_rendering)
-        return;
     // Injection progress is the only observable the replay has; scale
     // the frame's recorded work by it.
     std::uint64_t issued = 0, total = 0;
@@ -359,50 +280,18 @@ TraceReplayDriver::pollProgress()
         issued += port->frameIssued();
         total += port->frameTotal();
     }
-    double work = _trace.frameWork(_framesDone);
-    double progress =
-        total > 0 ? work * (static_cast<double>(issued) /
-                            static_cast<double>(total))
-                  : work;
-    if (progress > _progressReported) {
-        _dash->addIpProgress(_dashIp, progress - _progressReported);
-        _progressReported = progress;
-    }
-    scheduleIn(_pollEvent, _params.progressPollPeriod);
+    double work = _trace.frameWork(_frame);
+    return total > 0 ? work * (static_cast<double>(issued) /
+                               static_cast<double>(total))
+                     : work;
 }
 
 void
-TraceReplayDriver::renderDone()
+TraceReplayDriver::portFrameDone()
 {
-    _rendering = false;
-    _current.renderEnd = curTick();
-
-    if (_writer) {
-        _writer->endFrame(curTick(), _trace.frameWork(_framesDone));
-    }
-
-    _records.push_back(_current);
-    ++_framesDone;
-    ++statFrames;
-    statGpuFrameTicks.sample(static_cast<double>(_current.gpuTime()));
-    statTotalFrameTicks.sample(
-        static_cast<double>(_current.totalTime()));
-
-    descheduleIfPending(_pollEvent);
-    if (_dash && _dashIp >= 0)
-        _dash->endIpPeriod(_dashIp);
-
-    for (CpuCoreModel *core : _cores)
-        core->setBackground(false);
-
-    if (_framesDone >= _params.frames) {
-        if (_onDone)
-            _onDone();
-        return;
-    }
-
-    Tick next = _frameSlotStart + _params.gpuFramePeriod;
-    schedule(_startPrepEvent, std::max(curTick(), next));
+    panic_if(_portsPending == 0, "frame over-completion");
+    if (--_portsPending == 0)
+        renderDone(_trace.frameWork(_frame));
 }
 
 } // namespace emerald::soc

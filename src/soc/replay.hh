@@ -1,35 +1,30 @@
 /**
  * @file
- * Trace-replay driver (--replay-trace): the fast path for memory
+ * Trace-replay render phase (--replay-trace): the fast path for memory
  * scheduler policy sweeps.
  *
- * Replaces the AppModel + graphics pipeline pair with a driver that
- * re-injects a captured memory-traffic trace (mem/traffic_trace.hh)
- * into the full memory system. Each frame keeps the execution-driven
- * phase structure — CPU prep quotas, render window with DASH progress
- * reporting, vsync pacing — but the GPU-side traffic comes from one
- * replay port per SIMT core feeding the core's L1s at the recorded
- * per-transaction offsets, in recorded order, instead of from shader
- * execution. Everything below the LSU boundary (L1s, GPU NoC, L2,
- * system NoC, DRAM scheduling, DASH) runs the real timing model, so
- * policy comparisons keep their shape at a fraction of the cost.
+ * TraceReplayDriver is the AppModel frame loop (soc/app_model.hh) with
+ * a different render phase: instead of shader execution, one replay
+ * port per SIMT core re-injects a captured memory-traffic trace
+ * (mem/traffic_trace.hh) into the core's L1s at the recorded
+ * per-transaction offsets, in recorded order. CPU prep, DASH progress
+ * reporting and vsync pacing are the app model's own. Everything below
+ * the LSU boundary (L1s, GPU NoC, L2, system NoC, DRAM scheduling,
+ * DASH) runs the real timing model, so policy comparisons keep their
+ * shape at a fraction of the cost.
  */
 
 #ifndef EMERALD_SOC_REPLAY_HH
 #define EMERALD_SOC_REPLAY_HH
 
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "gpu/gpu_top.hh"
-#include "mem/dash_scheduler.hh"
-#include "soc/cpu_traffic.hh"
+#include "soc/app_model.hh"
 
 namespace emerald::mem
 {
 class TrafficTraceReader;
-class TrafficTraceWriter;
 } // namespace emerald::mem
 
 namespace emerald::soc
@@ -37,46 +32,24 @@ namespace emerald::soc
 
 class ReplayPort;
 
-struct ReplayParams
-{
-    /** GPU frame period (vsync pacing), as in AppParams. */
-    Tick gpuFramePeriod = ticksFromMs(33.0);
-    /** Prep-quota memory requests per CPU core per frame. */
-    std::uint64_t cpuPrepRequests = 2000;
-    /** Frames to replay (must not exceed the trace's frame count). */
-    unsigned frames = 5;
-    /** DASH progress polling interval during the render window. */
-    Tick progressPollPeriod = ticksFromUs(100.0);
-};
-
 /**
- * Drives one replay run: owns one ReplayPort per SIMT core and mirrors
- * the AppModel frame loop (prep -> render -> vsync) with the render
- * phase fed from the trace. A frame's render window closes when every
- * port has injected all of that frame's transactions and every read
- * response has returned.
+ * The replay app: owns one ReplayPort per SIMT core and renders frame
+ * k by having every port inject the trace's frame-k transactions. A
+ * frame's render phase closes when every port has injected all of
+ * them and every read response has returned; its work is the trace's
+ * recorded frame work, and its progress that work scaled by the share
+ * of transactions issued so far.
  */
-class TraceReplayDriver : public SimObject
+class TraceReplayDriver : public AppModel
 {
   public:
-    /** Per-frame timing record, same shape as AppModel::FrameRecord. */
-    struct FrameRecord
-    {
-        Tick prepStart = 0;
-        Tick renderStart = 0;
-        Tick renderEnd = 0;
-
-        Tick gpuTime() const { return renderEnd - renderStart; }
-        Tick totalTime() const { return renderEnd - prepStart; }
-    };
-
     /**
      * @param trace must expose exactly one client per GPU core and at
      *        least @p params.frames frames (fatal otherwise); it must
      *        outlive the driver.
      */
     TraceReplayDriver(Simulation &sim, const std::string &name,
-                      const ReplayParams &params,
+                      const AppParams &params,
                       const mem::TrafficTraceReader &trace,
                       gpu::GpuTop &gpu,
                       std::vector<CpuCoreModel *> cores,
@@ -84,17 +57,12 @@ class TraceReplayDriver : public SimObject
                       std::function<void()> on_all_frames_done);
     ~TraceReplayDriver() override;
 
-    void start();
-
-    bool done() const { return _framesDone >= _params.frames; }
-    const std::vector<FrameRecord> &frames() const { return _records; }
-
     /**
-     * Re-capture the replayed traffic into @p writer (round-trip
+     * Also re-capture the replayed traffic into @p writer (round-trip
      * verification): registers one client per port, in port = core
      * index order. Null detaches.
      */
-    void setTraceCapture(mem::TrafficTraceWriter *writer);
+    void setTraceCapture(mem::TrafficTraceWriter *writer) override;
 
     /**
      * Replay state (port cursors, in-flight reads) deliberately does
@@ -104,46 +72,22 @@ class TraceReplayDriver : public SimObject
     void serialize(CheckpointOut &out) const override;
 
     /** @{ Statistics. */
-    Scalar statFrames;
     Scalar statReplayedTxns;
-    Distribution statGpuFrameTicks;
-    Distribution statTotalFrameTicks;
     /** @} */
 
   private:
     friend class ReplayPort;
 
-    void beginPrep();
-    void corePrepDone();
-    void beginRender();
+    void renderFrame(unsigned idx) override;
+    double renderProgress() const override;
     /** A port finished its share of the current frame. */
     void portFrameDone();
-    void renderDone();
-    void pollProgress();
 
-    ReplayParams _params;
     const mem::TrafficTraceReader &_trace;
-    std::vector<CpuCoreModel *> _cores;
-    mem::DashCoordinator *_dash;
-    int _dashIp = -1;
-    std::function<void()> _onDone;
-    /** Re-capture sink for round-trip verification, or null. */
-    mem::TrafficTraceWriter *_writer = nullptr;
-
     std::vector<std::unique_ptr<ReplayPort>> _ports;
-
-    unsigned _framesDone = 0;
-    unsigned _coresPending = 0;
+    /** The frame being rendered. */
+    unsigned _frame = 0;
     unsigned _portsPending = 0;
-    bool _rendering = false;
-    Tick _frameSlotStart = 0;
-    /** DASH progress already reported for the current frame. */
-    double _progressReported = 0.0;
-    FrameRecord _current;
-    std::vector<FrameRecord> _records;
-
-    EventFunction _startPrepEvent;
-    EventFunction _pollEvent;
 };
 
 } // namespace emerald::soc

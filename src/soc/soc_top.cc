@@ -295,20 +295,18 @@ SocTop::SocTop(const SocParams &params,
         _npu->setInterruptClient(_npuCam.get());
     }
 
+    AppParams ap;
+    ap.gpuFramePeriod = params.gpuFramePeriod;
+    ap.cpuPrepRequests = params.cpuPrepRequests;
+    ap.frames = params.frames;
     if (replay_mode) {
-        ReplayParams rp;
-        rp.gpuFramePeriod = params.gpuFramePeriod;
-        rp.cpuPrepRequests = params.cpuPrepRequests;
-        rp.frames = params.frames;
-        _replay = std::make_unique<TraceReplayDriver>(
-            _sim, "replay", rp, *_replayTrace, *_gpu, core_ptrs,
+        auto replay = std::make_unique<TraceReplayDriver>(
+            _sim, "replay", ap, *_replayTrace, *_gpu, core_ptrs,
             _dashCoordinator.get(), [this] { _done = true; });
+        _replay = replay.get();
+        _app = std::move(replay);
     } else {
-        AppParams ap;
-        ap.gpuFramePeriod = params.gpuFramePeriod;
-        ap.cpuPrepRequests = params.cpuPrepRequests;
-        ap.frames = params.frames;
-        _app = std::make_unique<AppModel>(_sim, "app", ap, *_scene,
+        _app = std::make_unique<SceneApp>(_sim, "app", ap, *_scene,
                                           core_ptrs,
                                           _dashCoordinator.get(),
                                           [this] { _done = true; });
@@ -328,14 +326,11 @@ SocTop::SocTop(const SocParams &params,
                            : _scene->framebuffer().colorBase();
         _traceWriter = std::make_unique<mem::TrafficTraceWriter>(
             opts.captureTraceDir, label, fb_base);
-        if (replay_mode) {
-            // Round-trip verification: re-capture the replayed
-            // stream through the same writer path.
-            _replay->setTraceCapture(_traceWriter.get());
-        } else {
+        // Under replay, the driver re-captures the replayed stream
+        // through the same writer path (round-trip verification).
+        if (!replay_mode)
             _gpu->setTrafficCapture(_traceWriter.get());
-            _app->setTraceCapture(_traceWriter.get());
-        }
+        _app->setTraceCapture(_traceWriter.get());
         // NPU DMA boundary rides along as an extra client stream
         // after the GPU cores; observation only (replay matches
         // clients by name and skips it).
@@ -371,10 +366,7 @@ SocTop::run(Tick limit)
         _display->start();
         if (_npuCam)
             _npuCam->start();
-        if (_replay)
-            _replay->start();
-        else
-            _app->start();
+        _app->start();
     }
     while (!_done && _sim.curTick() < limit) {
         if (!_sim.eventQueue().runOne())
@@ -395,15 +387,15 @@ namespace
 {
 
 /** Mean of @p time over the profiled (non-warm-up) frames. */
-template <typename Records, typename TimeOf>
 double
-meanFrameMs(const Records &frames, TimeOf time)
+meanFrameMs(const std::vector<AppModel::FrameRecord> &frames,
+            Tick (AppModel::FrameRecord::*time)() const)
 {
     if (frames.size() <= 1)
         return 0.0;
     double sum = 0.0;
     for (std::size_t i = 1; i < frames.size(); ++i)
-        sum += msFromTicks(time(frames[i]));
+        sum += msFromTicks((frames[i].*time)());
     return sum / static_cast<double>(frames.size() - 1);
 }
 
@@ -412,25 +404,14 @@ meanFrameMs(const Records &frames, TimeOf time)
 double
 SocTop::meanGpuFrameMs() const
 {
-    if (_replay) {
-        return meanFrameMs(_replay->frames(), [](const auto &f) {
-            return f.gpuTime();
-        });
-    }
-    return meanFrameMs(_app->frames(),
-                       [](const auto &f) { return f.gpuTime(); });
+    return meanFrameMs(_app->frames(), &AppModel::FrameRecord::gpuTime);
 }
 
 double
 SocTop::meanTotalFrameMs() const
 {
-    if (_replay) {
-        return meanFrameMs(_replay->frames(), [](const auto &f) {
-            return f.totalTime();
-        });
-    }
     return meanFrameMs(_app->frames(),
-                       [](const auto &f) { return f.totalTime(); });
+                       &AppModel::FrameRecord::totalTime);
 }
 
 } // namespace emerald::soc

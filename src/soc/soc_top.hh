@@ -110,11 +110,12 @@ class SocTop
 
     Simulation &sim() { return _sim; }
     mem::MemorySystem &memory() { return *_memory; }
-    /** Execution-driven runs only (null under --replay-trace). */
+    /**
+     * The frame loop: a SceneApp, or under --replay-trace the
+     * TraceReplayDriver (also replayDriver()).
+     */
     AppModel &app() { return *_app; }
     DisplayController &display() { return *_display; }
-    /** Execution-driven runs only (null under --replay-trace). */
-    core::GraphicsPipeline &pipeline() { return *_pipeline; }
     gpu::GpuTop &gpu() { return *_gpu; }
     const SocParams &params() const { return _params; }
 
@@ -126,7 +127,7 @@ class SocTop
     /** True when this run replays a trace instead of rendering. */
     bool replayMode() const { return _replay != nullptr; }
     /** The replay driver, or null in execution-driven runs. */
-    TraceReplayDriver *replayDriver() { return _replay.get(); }
+    TraceReplayDriver *replayDriver() { return _replay; }
     /** The capture writer, or null without --capture-trace. */
     mem::TrafficTraceWriter *traceWriter() { return _traceWriter.get(); }
 
@@ -150,6 +151,11 @@ class SocTop
     std::unique_ptr<gpu::GpuTop> _gpu;
     std::unique_ptr<core::GraphicsPipeline> _pipeline;
     std::unique_ptr<scenes::SceneRenderer> _scene;
+    /**
+     * The --replay-trace recording (null when executing shaders).
+     * Declared before _app, whose replay ports reference its records.
+     */
+    std::unique_ptr<mem::TrafficTraceReader> _replayTrace;
 
     struct CpuNode;
     std::vector<std::unique_ptr<CpuNode>> _cpus;
@@ -164,10 +170,10 @@ class SocTop
     std::unique_ptr<npu::NpuTop> _npu;
     std::unique_ptr<npu::CameraInferenceModel> _npuCam;
 
-    /** --capture-trace / --replay-trace state (null when unused). */
+    /** The --capture-trace writer (null when unused). */
     std::unique_ptr<mem::TrafficTraceWriter> _traceWriter;
-    std::unique_ptr<mem::TrafficTraceReader> _replayTrace;
-    std::unique_ptr<TraceReplayDriver> _replay;
+    /** _app under --replay-trace, else null. */
+    TraceReplayDriver *_replay = nullptr;
 
     bool _done = false;
 };

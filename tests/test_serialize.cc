@@ -125,6 +125,27 @@ TEST(CheckpointDir, WriterReaderRoundTrip)
     EXPECT_EQ(r.section("beta").getStr("y"), "z");
 }
 
+TEST(CheckpointDir, HeldSectionSurvivesLaterSections)
+{
+    // A section may be filled after later ones open (a header that
+    // ends with a table of what followed it).
+    std::string dir = tempDir("ckpt_held_section");
+    {
+        CheckpointWriter w(dir, 0, 0, 0);
+        CheckpointOut &head = w.section("head");
+        head.putU64("first", 1);
+        for (int i = 0; i < 64; ++i)
+            w.section("s" + std::to_string(i)).putU64("i", i);
+        head.putU64("last", 2);
+        w.finalize();
+    }
+    CheckpointReader r(dir);
+    CheckpointIn head = r.section("head");
+    EXPECT_EQ(head.getU64("first"), 1u);
+    EXPECT_EQ(head.getU64("last"), 2u);
+    EXPECT_EQ(r.section("s63").getU64("i"), 63u);
+}
+
 TEST(CheckpointDir, MissingSectionIsFatal)
 {
     std::string dir = tempDir("ckpt_missing_section");

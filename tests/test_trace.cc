@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 
 #include "core/trace.hh"
 #include "scenes/shaders.hh"
@@ -12,6 +14,12 @@ using namespace emerald::core;
 
 namespace
 {
+
+std::string
+tempDir(const std::string &leaf)
+{
+    return ::testing::TempDir() + "emerald_" + leaf;
+}
 
 /** Build a small two-frame trace of a spinning cube. */
 Trace
@@ -54,10 +62,10 @@ makeCubeTrace(unsigned w, unsigned h, unsigned frames)
 TEST(Trace, SaveLoadRoundTrip)
 {
     Trace trace = makeCubeTrace(64, 48, 2);
-    std::string path = "/tmp/emerald_trace_test.etr";
-    ASSERT_TRUE(saveTrace(path, trace));
+    std::string dir = tempDir("trace_roundtrip");
+    saveTrace(dir, trace);
 
-    auto loaded = loadTrace(path);
+    auto loaded = loadTrace(dir);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->fbWidth, 64u);
     EXPECT_EQ(loaded->fbHeight, 48u);
@@ -71,7 +79,31 @@ TEST(Trace, SaveLoadRoundTrip)
     ASSERT_EQ(back.textures.size(), 1u);
     EXPECT_EQ(back.textures[0].texels, orig.textures[0].texels);
     EXPECT_EQ(back.state.cullBackface, false);
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Trace, CorruptTraceIsRefused)
+{
+    std::string dir = tempDir("trace_corrupt");
+    saveTrace(dir, makeCubeTrace(64, 48, 1));
+    ASSERT_TRUE(loadTrace(dir).has_value());
+
+    // Flip one byte in the middle of the section data.
+    std::string data = dir + "/data.bin";
+    std::fstream f(data, std::ios::in | std::ios::out |
+                             std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    auto mid = static_cast<std::streamoff>(
+        std::filesystem::file_size(data) / 2);
+    char byte = 0;
+    f.seekg(mid);
+    f.get(byte);
+    f.seekp(mid);
+    f.put(static_cast<char>(byte ^ 0x01));
+    f.close();
+
+    EXPECT_FALSE(loadTrace(dir).has_value());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Trace, LoadRejectsGarbage)
@@ -108,15 +140,15 @@ TEST(Trace, ReplayIsDeterministic)
     auto direct = run(trace);
 
     // Through a save/load round trip the frames must be identical.
-    std::string path = "/tmp/emerald_trace_replay.etr";
-    ASSERT_TRUE(saveTrace(path, trace));
-    auto loaded = loadTrace(path);
+    std::string dir = tempDir("trace_replay");
+    saveTrace(dir, trace);
+    auto loaded = loadTrace(dir);
     ASSERT_TRUE(loaded.has_value());
     auto replayed = run(*loaded);
     EXPECT_EQ(direct, replayed);
     EXPECT_EQ(direct.size(), 2u);
     EXPECT_NE(direct[0], direct[1]); // Camera moved between frames.
-    std::remove(path.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Trace, MultiDrawFramesReplay)

@@ -151,6 +151,10 @@ TEST(TrafficTraceSoc, ReplayReproducesCapturedStreamPerClient)
         ASSERT_TRUE(soc.replayMode());
         soc.run(ticksFromMs(500.0));
         ASSERT_EQ(soc.replayDriver()->frames().size(), 2u);
+        // The replay driver is the run's frame loop.
+        EXPECT_EQ(&soc.app(), soc.replayDriver());
+        for (const auto &frame : soc.app().frames())
+            EXPECT_GT(frame.gpuTime(), 0u);
         replay_gpu_ms = soc.meanGpuFrameMs();
     }
     EXPECT_GT(replay_gpu_ms, 0.0);
