@@ -22,9 +22,9 @@
 #include "sim/config.hh"
 #include "sim/logging.hh"
 #include "sim/simulation_builder.hh"
-#include "sim/stats_sink.hh"
 #include "soc/configs.hh"
 #include "soc/soc_top.hh"
+#include "sweep/stats_sink.hh"
 
 namespace emerald::bench
 {

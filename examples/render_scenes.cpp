@@ -6,6 +6,8 @@
  * statistics.
  *
  * Usage: render_scenes [--width=256] [--height=192] [--outdir=.]
+ *                      [--sim-stats-out=stats.json]
+ *                      [--check-determinism] [--profile]
  */
 
 #include <cstdio>
@@ -42,9 +44,11 @@ main(int argc, char **argv)
     std::printf("%-18s %9s %9s %10s %12s\n", "workload", "tris",
                 "prims", "fragments", "GPU cycles");
 
+    SimulationBuilder builder = SimulationBuilder().observability(cfg);
     for (scenes::WorkloadId id : all) {
         // A fresh rig per workload keeps runs independent.
-        soc::StandaloneGpu rig(width, height);
+        soc::StandaloneGpu rig(width, height, soc::caseStudy2GpuParams(),
+                               soc::caseStudy2MemParams(), builder);
         scenes::SceneRenderer scene(rig.pipeline(),
                                     scenes::makeWorkload(id),
                                     rig.functionalMemory());

@@ -10,7 +10,10 @@
  * images hash-match a live render. Exits 1 on any mismatch.
  *
  * Usage: trace_replay [--workload=W3] [--frames=3]
- *                     [--out=draw_trace]
+ *                     [--out=draw_trace] [--sim-stats-out=stats.json]
+ *                     [--check-determinism] [--profile]
+ *
+ * The simulation flags apply to both rigs.
  */
 
 #include <cstdio>
@@ -117,10 +120,13 @@ main(int argc, char **argv)
         return 1;
     }
 
-    soc::StandaloneGpu live_rig(w, h);
+    SimulationBuilder builder = SimulationBuilder().observability(cfg);
+    soc::StandaloneGpu live_rig(w, h, soc::caseStudy2GpuParams(),
+                                soc::caseStudy2MemParams(), builder);
     core::TracePlayer live(live_rig.pipeline(), trace,
                            live_rig.functionalMemory());
-    soc::StandaloneGpu replay_rig(w, h);
+    soc::StandaloneGpu replay_rig(w, h, soc::caseStudy2GpuParams(),
+                                  soc::caseStudy2MemParams(), builder);
     core::TracePlayer replay(replay_rig.pipeline(), *loaded,
                              replay_rig.functionalMemory());
 

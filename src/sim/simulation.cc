@@ -13,7 +13,6 @@
 #include "sim/logging.hh"
 #include "sim/serialize/serialize.hh"
 #include "sim/sim_object.hh"
-#include "sim/stats_sink.hh"
 
 namespace emerald
 {
@@ -133,15 +132,32 @@ Simulation::~Simulation()
 }
 
 void
+Simulation::writeStatsAtExit(const std::string &path)
+{
+    fatal_if(path.rfind("sqlite:", 0) == 0,
+             "--sim-stats-out=%s: the exit dump takes a JSON path; use "
+             "--stats-out=%s to store the run in the sweep database",
+             path.c_str(), path.c_str());
+    _statsOutOnExit = path == "null" ? "" : path;
+    // Append mode probes without truncating: the dump is written at
+    // flushStatsSink.
+    fatal_if(!_statsOutOnExit.empty() &&
+                 !std::ofstream(_statsOutOnExit, std::ios::app),
+             "cannot open --sim-stats-out file '%s' for writing",
+             _statsOutOnExit.c_str());
+}
+
+void
 Simulation::flushStatsSink()
 {
     if (_statsOutOnExit.empty())
         return;
-    auto sink = makeTreeStatsSink(_statsOutOnExit);
+    std::ofstream os(_statsOutOnExit);
+    if (os.is_open())
+        dumpStatsJson(os);
+    else
+        warn("cannot open stats file '%s'", _statsOutOnExit.c_str());
     _statsOutOnExit.clear();
-    sink->beginRun(RunInfo{});
-    sink->addStatsTree("sim", _statsRoot);
-    sink->finishRun();
 }
 
 void

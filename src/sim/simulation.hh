@@ -119,16 +119,14 @@ class Simulation
     EventTracer *tracer() { return _tracer.get(); }
 
     /**
-     * Exit stats sink: write the final stats tree to the sink named
-     * by @p uri (makeTreeStatsSink — a plain path writes the raw JSON
-     * tree, "sqlite:<path>" the sweep database, "" disables) at the
-     * first flushStatsSink(): a rig's destructor while its components
-     * still exist, else this Simulation's destructor.
+     * Exit stats dump: write the final dumpStatsJson tree to @p path
+     * ("" or "null" disables) at the first flushStatsSink(): a rig's
+     * destructor while its components still exist, else this
+     * Simulation's destructor. Fatal now when @p path cannot be
+     * opened for writing or is a "sqlite:" URI (results for the sweep
+     * database go through --stats-out).
      */
-    void writeStatsAtExit(const std::string &uri)
-    {
-        _statsOutOnExit = uri;
-    }
+    void writeStatsAtExit(const std::string &path);
 
     /**
      * Start hashing every processed event into sim.check.event_hash
@@ -191,11 +189,11 @@ class Simulation
     fault::ProgressWatchdog *watchdog() { return _watchdog.get(); }
 
     /**
-     * Write the exit stats sink (writeStatsAtExit) now, once: later
+     * Write the exit stats dump (writeStatsAtExit) now, once: later
      * calls are no-ops, so the Simulation's own destructor cannot
      * overwrite a dump a rig flushed while its components were alive.
      * The watchdog's abort path calls this because abort() skips
-     * destructors. No-op when no sink is configured.
+     * destructors. No-op when no dump is configured.
      */
     void flushStatsSink();
 

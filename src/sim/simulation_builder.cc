@@ -31,9 +31,9 @@ SimulationBuilder::profiling(bool on)
 }
 
 SimulationBuilder &
-SimulationBuilder::statsOutOnExit(const std::string &uri)
+SimulationBuilder::statsOutOnExit(const std::string &path)
 {
-    _statsOutOnExit = uri;
+    _statsOutOnExit = path;
     return *this;
 }
 

@@ -73,11 +73,10 @@ class SimulationBuilder
     SimulationBuilder &profiling(bool on = true);
 
     /**
-     * Write the final stats tree to the sink named by @p uri at
-     * destruction (--sim-stats-out: plain path = raw JSON tree,
-     * sqlite:<path> = sweep database, "" disables).
+     * Write the final dumpStatsJson tree to @p path at destruction
+     * (--sim-stats-out; "" or "null" disables).
      */
-    SimulationBuilder &statsOutOnExit(const std::string &uri);
+    SimulationBuilder &statsOutOnExit(const std::string &path);
 
     /**
      * Hash the processed event stream into sim.check.event_hash for
@@ -171,7 +170,7 @@ class SimulationBuilder
 
     /**
      * Read the observability keys from @p cfg: "trace-file" (path),
-     * "profile" (bool), "sim-stats-out" (sink URI, dumped at exit),
+     * "profile" (bool), "sim-stats-out" (JSON path, dumped at exit),
      * "check-determinism" (bool, --check-determinism on the CLI),
      * the robustness keys "fault-plan" (campaign string),
      * "fault-seed" (integer), "watchdog-ticks" (duration: "1ms",

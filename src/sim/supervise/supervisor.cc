@@ -281,6 +281,16 @@ failureClassName(FailureClass cls)
     return "unknown";
 }
 
+unsigned
+backoffMs(unsigned baseMs, unsigned n)
+{
+    std::uint64_t ms = baseMs;
+    for (unsigned i = 0; i < n && ms < backoffCapMs; ++i)
+        ms <<= 1;
+    return static_cast<unsigned>(
+        std::min<std::uint64_t>(ms, backoffCapMs));
+}
+
 std::string
 newestUsableCheckpoint(const std::string &ckptDir,
                        std::vector<std::string> *corrupt, Tick *tick)
@@ -413,12 +423,11 @@ superviseRun(const SupervisorOptions &opts,
 
         if (attempt == opts.maxRetries)
             break;
-        unsigned backoffMs = std::min<unsigned>(
-            backoffCapMs, opts.backoffBaseMs << attempt);
-        if (backoffMs > 0) {
+        unsigned delayMs = backoffMs(opts.backoffBaseMs, attempt);
+        if (delayMs > 0) {
             inform("supervisor: retrying in %u ms (attempt %u/%u)",
-                   backoffMs, attempt + 1, opts.maxRetries);
-            ::usleep(backoffMs * 1000u);
+                   delayMs, attempt + 1, opts.maxRetries);
+            ::usleep(delayMs * 1000u);
         }
     }
 

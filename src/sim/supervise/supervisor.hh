@@ -59,6 +59,12 @@ enum class FailureClass : std::uint8_t
 
 const char *failureClassName(FailureClass cls);
 
+/**
+ * The retry backoff the supervisor and the sweep orchestrator share:
+ * @p baseMs doubled @p n times, saturating at 30 s for any @p n.
+ */
+unsigned backoffMs(unsigned baseMs, unsigned n);
+
 /** One classified failure, as recorded in supervisor.json. */
 struct FailureRecord
 {
@@ -88,7 +94,8 @@ struct SupervisorOptions
     std::string ckptDir;
     /** Retries after the first attempt (so maxRetries+1 attempts). */
     unsigned maxRetries = 3;
-    /** First retry waits this long; doubles per retry. */
+    /** First retry waits this long; doubles per retry, up to 30 s
+     *  (backoffMs). */
     unsigned backoffBaseMs = 200;
     /** SIGKILL the child after this much wall time, 0 = never.
      *  (Primarily a test hook for injecting mid-run kills.) */

@@ -1,24 +1,37 @@
 /**
  * @file
- * Orchestrator-side view of the sweep results store. The children
- * (emerald_bench --stats-out=sqlite:...) write runs; the orchestrator
- * only reads completion state and records sweep-level metadata. Both
- * sides create the schema from the shared sweepSchemaStatements(), so
- * whichever process touches the DB first wins and the other finds the
- * tables already in place.
+ * The sweep results store (docs/sweeps.md), and the only code that
+ * talks to SQLite. The children (emerald_bench
+ * --stats-out=sqlite:...) commit runs through SqliteSink, which
+ * hands each run to commitRun(); the orchestrator reads completion
+ * state, journals failures and records sweep-level metadata. Every
+ * connection creates the schema if absent, so whichever process
+ * touches the DB first wins and the others find the tables already
+ * in place.
+ *
+ * Every statement (bar the two best-effort connection PRAGMAs) retries
+ * SQLITE_BUSY/SQLITE_LOCKED with jittered exponential backoff and is
+ * fatal on any other error: a read never reports "no rows" for a
+ * database it could not read.
  */
 
 #ifndef EMERALD_SWEEP_DB_HH
 #define EMERALD_SWEEP_DB_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 struct sqlite3;
 
 namespace emerald
 {
+
+struct RunInfo;
+
 namespace sweep
 {
 
@@ -34,6 +47,16 @@ class SweepDb
 
     SweepDb(const SweepDb &) = delete;
     SweepDb &operator=(const SweepDb &) = delete;
+
+    /**
+     * Commit one finished run in a single transaction: upsert its
+     * runs row as 'done' (keyed by bench, fingerprint and git sha)
+     * and replace its run_params and stats rows. A killed run leaves
+     * no partial rows. Non-finite stat values are stored as NULL.
+     */
+    void commitRun(const RunInfo &info, double wallMs,
+                   const std::vector<std::pair<std::string, double>>
+                       &rows);
 
     /**
      * Fingerprints of runs already committed for @p bench at
@@ -88,6 +111,19 @@ class SweepDb
                           const std::string &gitSha) const;
 
   private:
+    /** One bound parameter; a non-finite double binds NULL. */
+    using Arg = std::variant<std::string, std::int64_t, double>;
+
+    /**
+     * Run one statement with @p args bound to ?1..?n, retrying
+     * BUSY/LOCKED; fatal on any other error. Returns the first
+     * column of each result row as text (NULL as "").
+     */
+    std::vector<std::string> run(const char *sql,
+                                 std::initializer_list<Arg> args = {})
+        const;
+
+    std::string _path;
     sqlite3 *_db = nullptr;
 };
 

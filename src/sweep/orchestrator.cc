@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "sim/logging.hh"
+#include "sim/supervise/supervisor.hh"
 #include "sweep/db.hh"
 
 namespace emerald
@@ -298,14 +299,13 @@ runSweep(const SweepSpec &spec,
             opts.db->setRunStatus(spec.scenario, point.fingerprintHex,
                                   opts.gitSha, "retrying");
         }
-        unsigned backoffMs =
-            opts.backoffBaseMs << (st.failures > 1 ? st.failures - 1
-                                                   : 0);
+        unsigned delayMs = supervise::backoffMs(
+            opts.backoffBaseMs, st.failures > 1 ? st.failures - 1 : 0);
         st.eligibleAt =
-            Clock::now() + std::chrono::milliseconds(backoffMs);
+            Clock::now() + std::chrono::milliseconds(delayMs);
         ++report.retried;
         inform("sweep: %s retrying in %u ms (failure %u/%u)",
-               point.fingerprintHex.c_str(), backoffMs, st.failures,
+               point.fingerprintHex.c_str(), delayMs, st.failures,
                opts.maxRetries + 1);
     }
     return report;

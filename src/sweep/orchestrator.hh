@@ -48,7 +48,8 @@ struct OrchestratorOptions
      * instead of blocking the sweep (docs/resilience.md).
      */
     unsigned maxRetries = 2;
-    /** First per-point retry backoff; doubles per retry. */
+    /** First per-point retry backoff; doubles per retry, up to 30 s
+     *  (supervise::backoffMs). */
     unsigned backoffBaseMs = 200;
     /**
      * Failure journal (borrowed, may be null): classified failures

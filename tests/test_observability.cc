@@ -397,6 +397,24 @@ TEST(JsonStats, RigExitDumpHoldsComponentGroups)
         groups.at("gfx").at("stats").at("frames").at("value").number, 1.0);
 }
 
+TEST(JsonStatsDeathTest, UnwritableExitDumpPathIsFatal)
+{
+    // Fails when the simulation is built, before it runs, not with a
+    // warning at teardown.
+    EXPECT_EXIT(SimulationBuilder()
+                    .statsOutOnExit("/nonexistent/emerald/y.json")
+                    .build(),
+                ::testing::ExitedWithCode(1),
+                "cannot open --sim-stats-out file "
+                "'/nonexistent/emerald/y.json'");
+}
+
+TEST(JsonStatsDeathTest, SqliteExitDumpPointsAtStatsOut)
+{
+    EXPECT_EXIT(SimulationBuilder().statsOutOnExit("sqlite:x.db").build(),
+                ::testing::ExitedWithCode(1), "use --stats-out=sqlite:x.db");
+}
+
 // ------------------------------------------------------------------
 // Event tracing
 // ------------------------------------------------------------------

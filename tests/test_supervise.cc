@@ -85,6 +85,26 @@ TEST(SuperviseClassify, StableFailureClassNames)
                  "spurious-exit");
 }
 
+TEST(SuperviseBackoff, DoublesThenSaturatesAtThirtySeconds)
+{
+    // The supervisor's test and default bases, the chaos sweep's
+    // first-launch base, and one already past the cap. Shift counts
+    // run past 31, where an unchecked 32-bit shift breaks.
+    for (unsigned base : {1u, 200u, 5000u, 45000u}) {
+        unsigned prev = 0;
+        for (unsigned n = 0; n <= 40; ++n) {
+            unsigned ms = supervise::backoffMs(base, n);
+            std::uint64_t doubled = std::uint64_t{base} << n;
+            EXPECT_EQ(ms, doubled < 30000 ? doubled : 30000u)
+                << "base " << base << ", n " << n;
+            EXPECT_GE(ms, prev) << "base " << base << ", n " << n;
+            EXPECT_GT(ms, 0u) << "base " << base << ", n " << n;
+            prev = ms;
+        }
+    }
+    EXPECT_EQ(supervise::backoffMs(0, 40), 0u);
+}
+
 TEST(Supervise, CleanFirstAttemptIsOneAttemptNoFailures)
 {
     SupervisorOptions opts = quickOpts("clean");

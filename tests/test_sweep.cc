@@ -17,12 +17,13 @@
 #include <sstream>
 
 #include "sim/config.hh"
+#include "sim/simulation.hh"
 #include "sim/stats.hh"
-#include "sim/stats_sink.hh"
 #include "sweep/db.hh"
 #include "sweep/grid.hh"
 #include "sweep/manifest.hh"
 #include "sweep/orchestrator.hh"
+#include "sweep/stats_sink.hh"
 
 #ifdef EMERALD_HAS_SQLITE
 #include <sqlite3.h>
@@ -359,18 +360,30 @@ TEST(StatsSinkJson, LegacyDocumentShapeIsPreserved)
 
 TEST(StatsSinkJson, TreeModeMatchesDumpJsonByteForByte)
 {
-    TreeFixture fix;
+    // The --sim-stats-out exit dump is dumpStatsJson, byte for byte.
     std::string path = tempPath("tree.json");
-    {
-        auto sink = makeTreeStatsSink(path);
-        sink->beginRun(RunInfo{});
-        sink->addStatsTree("sim", fix.root);
-        sink->finishRun();
-    }
+    Simulation sim;
+    StatGroup gpu{sim.statsRoot(), "gpu"};
+    Scalar cycles{gpu, "cycles", "cycle count"};
+    Distribution lat{gpu, "lat", "request latency"};
+    cycles += 1234;
+    lat.sample(4);
+    lat.sample(8);
+    sim.writeStatsAtExit(path);
+    sim.flushStatsSink();
+
     std::ostringstream expected;
-    fix.root.dumpJson(expected);
-    expected << "\n";
+    sim.dumpStatsJson(expected);
     EXPECT_EQ(readFile(path), expected.str());
+}
+
+TEST(StatsSinkDeathTest, UnwritableJsonPathIsFatal)
+{
+    // Fails when the sink opens, before a bench builds any simulation,
+    // not with a warning after the run.
+    EXPECT_EXIT(makeStatsSink("/nonexistent/emerald/x.json"),
+                ::testing::ExitedWithCode(1),
+                "cannot open stats-out file '/nonexistent/emerald/x.json'");
 }
 
 // ------------------------------------------------------------------
@@ -402,7 +415,6 @@ queryStat(const std::string &path, const std::string &name)
 
 TEST(StatsSinkSqlite, RoundTripsRunParamsAndStats)
 {
-    ASSERT_TRUE(sqliteSinkAvailable());
     ASSERT_TRUE(sweepDbAvailable());
     std::string path = tempPath("roundtrip.db");
     std::remove(path.c_str());
@@ -545,6 +557,101 @@ TEST(SweepDbFailures, ConcurrentWritersRetryThroughContention)
                   static_cast<unsigned>(kEach));
         EXPECT_EQ(db.runStatus("bench", fp, "sha"), "retrying");
     }
+}
+
+TEST(SweepDbFailures, SinkCommitsAndJournalShareContention)
+{
+    // Run commits (what every sweep child does) and failure journal
+    // writes (what the orchestrator does) from several processes at
+    // once, all through the same retry path.
+    ASSERT_TRUE(sweepDbAvailable());
+    std::string path = tempPath("sink_contention.db");
+    std::remove(path.c_str());
+    {
+        SweepDb schema(path); // create the schema before forking
+    }
+
+    ::setenv("EMERALD_SQLITE_BUSY_MS", "1", 1);
+    constexpr int kWriters = 4;
+    constexpr int kEach = 10;
+    std::vector<pid_t> kids;
+    for (int w = 0; w < kWriters; ++w) {
+        pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            SweepDb journal(path);
+            std::string fp = "fp" + std::to_string(w);
+            for (int i = 0; i < kEach; ++i) {
+                RunInfo info;
+                info.bench = "bench";
+                info.gitSha = "sha";
+                info.fingerprint =
+                    static_cast<std::uint64_t>(w * kEach + i);
+                info.params = {{"writer", std::to_string(w)}};
+                auto sink = makeStatsSink("sqlite:" + path);
+                sink->beginRun(info);
+                sink->recordScalar("gpu_ms", i);
+                sink->finishRun();
+                journal.recordFailure("bench", fp, "sha",
+                                      static_cast<unsigned>(i), "crash",
+                                      0, 1, 0, "contention probe");
+            }
+            ::_exit(0);
+        }
+        kids.push_back(pid);
+    }
+    for (pid_t pid : kids) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "writer died under contention (status " << status
+            << ")";
+    }
+    ::unsetenv("EMERALD_SQLITE_BUSY_MS");
+
+    SweepDb db(path);
+    EXPECT_EQ(db.doneFingerprints("bench", "sha").size(),
+              static_cast<std::size_t>(kWriters * kEach));
+    for (int w = 0; w < kWriters; ++w) {
+        EXPECT_EQ(db.failureCount("bench", "fp" + std::to_string(w),
+                                  "sha"),
+                  static_cast<unsigned>(kEach));
+    }
+}
+
+TEST(SweepDbDeathTest, CorruptRunsTableIsFatalNotEmpty)
+{
+    // A resume journal read that hits a corrupt page must stop the
+    // sweep, not report "nothing done yet" and re-run every point.
+    ASSERT_TRUE(sweepDbAvailable());
+    std::string path = tempPath("corrupt.db");
+    std::remove(path.c_str());
+    {
+        auto sink = makeStatsSink("sqlite:" + path);
+        RunInfo info;
+        info.bench = "soc_point";
+        info.gitSha = "abc";
+        sink->beginRun(info);
+        sink->recordScalar("gpu_ms", 1.0);
+        sink->finishRun();
+    }
+    {
+        // Page 4 (4 KiB pages) is the runs table: it follows
+        // sqlite_master, sweep_meta and sweep_meta's key index.
+        std::fstream db(path,
+                        std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(db.is_open());
+        std::string junk(4096, '\xa5');
+        db.seekp(3 * 4096);
+        db.write(junk.data(), static_cast<std::streamsize>(junk.size()));
+        ASSERT_TRUE(db.good());
+    }
+    EXPECT_DEATH(
+        {
+            SweepDb db(path);
+            db.doneFingerprints("soc_point", "abc");
+        },
+        "SELECT fingerprint.*malformed");
 }
 
 #endif // EMERALD_HAS_SQLITE
