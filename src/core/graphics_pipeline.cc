@@ -33,6 +33,9 @@ GraphicsPipeline::GraphicsPipeline(Simulation &sim,
       statFragments(*this, "fragments", "fragments shaded"),
       statFragWarps(*this, "frag_warps", "fragment warps issued"),
       statTcFlushes(*this, "tc_flushes", "TC tile flushes"),
+      statQuietTicks(*this, "quiet_ticks",
+                     "ticks that returned at once because nothing "
+                     "they read had changed"),
       _gpu(gpu), _params(params), _fbWidth(fb_width),
       _fbHeight(fb_height)
 {
@@ -146,7 +149,7 @@ GraphicsPipeline::beginFrame(Framebuffer *fb)
     _frame = FrameStats{};
     _frame.startTick = curTick();
     _frame.wtSize = _mapping->wtSize();
-    activate();
+    wake();
 }
 
 void
@@ -157,7 +160,7 @@ GraphicsPipeline::submitDraw(DrawCall draw)
              "draw call missing shader programs");
     panic_if(draw.numVaryings > maxVaryings, "too many varyings");
     _drawQueue.push_back(std::move(draw));
-    activate();
+    wake();
 }
 
 void
@@ -166,7 +169,7 @@ GraphicsPipeline::endFrame(std::function<void(const FrameStats &)> cb)
     panic_if(!_frameOpen, "endFrame without beginFrame");
     _endRequested = true;
     _frameCallback = std::move(cb);
-    activate();
+    wake();
 }
 
 void
@@ -218,18 +221,19 @@ GraphicsPipeline::pushL2Write(Addr addr, AccessKind kind)
         gpu::gpuRequestorId, nullptr));
 }
 
-void
+bool
 GraphicsPipeline::drainL2Traffic()
 {
-    if (_l2Blocked)
-        return;
+    if (_l2Blocked || _l2Traffic.empty())
+        return false;
     while (!_l2Traffic.empty()) {
         if (!_l2Link->offer(_l2Traffic.front(), *this)) {
             _l2Blocked = true;
-            return;
+            return true;
         }
         _l2Traffic.pop_front();
     }
+    return true;
 }
 
 void
@@ -237,10 +241,10 @@ GraphicsPipeline::retryRequest()
 {
     _l2Blocked = false;
     drainL2Traffic();
-    activate();
+    wake();
 }
 
-void
+bool
 GraphicsPipeline::launchVertexWarp()
 {
     DrawCall &draw = *_activeDraw;
@@ -314,7 +318,7 @@ GraphicsPipeline::launchVertexWarp()
         }
     }
     if (!placed)
-        return; // All cores busy; retry next cycle.
+        return false; // All cores busy; retry next cycle.
 
     _nextPrim += prim_count;
     _seqCounter += prim_count;
@@ -322,6 +326,7 @@ GraphicsPipeline::launchVertexWarp()
     ++_vertexWarpsOutstanding;
     ++statVertexWarps;
     _frame.vertices += vert_count;
+    return true;
 }
 
 void
@@ -456,22 +461,22 @@ GraphicsPipeline::assembleVertexWarp(std::uint64_t first_seq,
     panic_if(_vertexWarpsOutstanding == 0,
              "vertex warp over-completion");
     --_vertexWarpsOutstanding;
-    activate();
+    wake();
 }
 
-void
+bool
 GraphicsPipeline::tickVertexDistribution()
 {
     if (!_activeDraw)
-        return;
+        return false;
     if (_nextPrim >= _activeDraw->primitiveCount())
-        return;
+        return false;
     if (_vertexWarpsInFlight >= _params.maxVertexWarpsInFlight)
-        return;
-    launchVertexWarp();
+        return false;
+    return launchVertexWarp();
 }
 
-void
+bool
 GraphicsPipeline::tickClusterPmrb(ClusterState &cluster)
 {
     // Out-of-order release is safe only for depth-tested,
@@ -479,9 +484,11 @@ GraphicsPipeline::tickClusterPmrb(ClusterState &cluster)
     bool ooo = _params.oooPrimitives && _activeDraw &&
                _activeDraw->state.depthTest &&
                !_activeDraw->state.blend;
+    bool moved = false;
     while (ooo ? cluster.pmrb.anyReady() : cluster.pmrb.headReady()) {
         if (cluster.setupQueue.size() >= _params.setupQueueDepth)
-            return;
+            return moved;
+        moved = true;
 
         PrimitiveMask mask =
             ooo ? cluster.pmrb.popAnyReady() : cluster.pmrb.popHead();
@@ -505,13 +512,14 @@ GraphicsPipeline::tickClusterPmrb(ClusterState &cluster)
             --_vertexWarpsInFlight;
         }
     }
+    return moved;
 }
 
-void
+bool
 GraphicsPipeline::tickClusterSetup(ClusterState &cluster)
 {
     if (cluster.raster || cluster.setupQueue.empty())
-        return;
+        return false;
     SetupItem item = std::move(cluster.setupQueue.front());
     cluster.setupQueue.pop_front();
 
@@ -528,16 +536,20 @@ GraphicsPipeline::tickClusterSetup(ClusterState &cluster)
     job.prim = item.prim;
     job.tx = item.prim->tris.empty() ? 0 : item.prim->tris[0].tileX0;
     job.ty = item.prim->tris.empty() ? 0 : item.prim->tris[0].tileY0;
+    return true;
 }
 
-void
+bool
 GraphicsPipeline::tickClusterRaster(unsigned cluster_idx,
                                     ClusterState &cluster)
 {
     if (!cluster.raster)
-        return;
+        return false;
     RasterJob &job = *cluster.raster;
     const DrawCall &draw = *_activeDraw;
+    const std::size_t entry_tri = job.tri;
+    const int entry_tx = job.tx;
+    const int entry_ty = job.ty;
 
     unsigned covered_budget = _params.coveredTilesPerCycle;
     unsigned skip_budget = _params.coarseSkipPerCycle;
@@ -545,7 +557,7 @@ GraphicsPipeline::tickClusterRaster(unsigned cluster_idx,
     while (covered_budget > 0 && skip_budget > 0) {
         if (job.tri >= job.prim->tris.size()) {
             cluster.raster.reset();
-            return;
+            return true;
         }
         const SetupPrim &prim = job.prim->tris[job.tri];
 
@@ -614,16 +626,22 @@ GraphicsPipeline::tickClusterRaster(unsigned cluster_idx,
         }
 
         if (cluster.fineQueue.size() >= _params.fineQueueDepth) {
-            // Back-pressure: rewind the scan position and stall.
+            // Back-pressure: rewind the scan position and stall. A
+            // stall on the tile the tick began at is a fixed point,
+            // not movement: the next visit takes the tile from the
+            // job, passes Hi-Z again (its own update left the bound
+            // >= minZ) and stalls the same way (docs/scheduling.md).
             job.tx = tx;
             job.ty = ty;
-            return;
+            return job.tri != entry_tri || tx != entry_tx ||
+                   ty != entry_ty;
         }
         cluster.fineQueue.push_back(tile);
         ++statRasterTiles;
         ++_frame.rasterTiles;
         --covered_budget;
     }
+    return true;
 }
 
 void
@@ -696,7 +714,7 @@ GraphicsPipeline::issueInstance(TcInstance &&instance)
             --_fragWarpsOutstanding;
             if (--*remaining == 0)
                 _tcBusy[tc_idx] = 0;
-            activate();
+            wake();
         };
 
         bool ok = _gpu.core(core_idx).tryAddTask(std::move(task));
@@ -713,44 +731,48 @@ GraphicsPipeline::issueInstance(TcInstance &&instance)
         _progressListener(_frame.fragments);
 }
 
-void
+bool
 GraphicsPipeline::tickClusterTc(unsigned, ClusterState &cluster)
 {
-    // Stage raster tiles into TC engines (up to 2 per cycle).
+    // Stage raster tiles into TC engines (up to 2 per cycle). A
+    // refused tile leaves the unit as it was.
+    bool moved = false;
     for (int n = 0; n < 2 && !cluster.fineQueue.empty(); ++n) {
         if (!cluster.tc->tryAdd(cluster.fineQueue.front(), curCycle()))
             break;
         cluster.fineQueue.pop_front();
+        moved = true;
     }
-    cluster.tc->tickTimeouts(curCycle());
+    moved |= cluster.tc->tickTimeouts(curCycle());
 
     // Issue at most one coalesced instance per cycle, gated by the
     // per-position interlock and the target core's queue space.
     if (!cluster.tc->hasReady())
-        return;
+        return moved;
     const TcInstance &head = cluster.tc->peekReady();
     unsigned tc_idx = _mapping->tcIndex(head.tcX, head.tcY);
     if (_tcBusy[tc_idx])
-        return;
+        return moved;
     unsigned core_idx = _mapping->coreOf(head.tcX, head.tcY);
     unsigned warps = static_cast<unsigned>(
         divCeil(head.fragmentCount(), warpSize));
     gpu::SimtCore &core = _gpu.core(core_idx);
     if (core.queuedTasks() + warps > core.params().taskQueueDepth)
-        return;
+        return moved;
     TcInstance instance = cluster.tc->popReady();
     ++statTcFlushes;
     issueInstance(std::move(instance));
+    return true;
 }
 
-void
+bool
 GraphicsPipeline::tickCluster(unsigned cluster_idx)
 {
     ClusterState &cluster = _clusters[cluster_idx];
-    tickClusterTc(cluster_idx, cluster);
-    tickClusterRaster(cluster_idx, cluster);
-    tickClusterSetup(cluster);
-    tickClusterPmrb(cluster);
+    bool moved = tickClusterTc(cluster_idx, cluster);
+    moved |= tickClusterRaster(cluster_idx, cluster);
+    moved |= tickClusterSetup(cluster);
+    moved |= tickClusterPmrb(cluster);
 
     // Draw drain: flush partially staged TC tiles once upstream is
     // dry for this cluster.
@@ -758,17 +780,23 @@ GraphicsPipeline::tickCluster(unsigned cluster_idx)
         _vertexWarpsOutstanding == 0 && cluster.pmrb.empty() &&
         cluster.setupQueue.empty() && !cluster.raster &&
         cluster.fineQueue.empty()) {
-        cluster.tc->drain();
+        moved |= cluster.tc->drain();
     }
+    return moved;
 }
 
-void
+bool
 GraphicsPipeline::maybeFinishFrame()
 {
-    if (_activeDraw && drawFullyDrained())
+    bool moved = false;
+    if (_activeDraw && drawFullyDrained()) {
         _activeDraw.reset();
-    if (!_activeDraw && !_drawQueue.empty())
+        moved = true;
+    }
+    if (!_activeDraw && !_drawQueue.empty()) {
         startNextDraw();
+        moved = true;
+    }
 
     if (_endRequested && !_activeDraw && _drawQueue.empty() &&
         _fragWarpsOutstanding == 0) {
@@ -784,7 +812,25 @@ GraphicsPipeline::maybeFinishFrame()
             _frameCallback = nullptr;
             cb(_lastFrame);
         }
+        return true;
     }
+    return moved;
+}
+
+void
+GraphicsPipeline::wake()
+{
+    _quiet = false;
+    activate();
+}
+
+std::uint64_t
+GraphicsPipeline::tasksLaunched()
+{
+    std::uint64_t launched = 0;
+    for (unsigned i = 0; i < _gpu.numCores(); ++i)
+        launched += _gpu.core(i).tasksLaunched();
+    return launched;
 }
 
 bool
@@ -793,18 +839,48 @@ GraphicsPipeline::tick()
     if (!_frameOpen)
         return false;
 
+    // A quiet tick: the last full tick moved nothing and no input has
+    // changed since, so this one would move nothing either. Checked
+    // builds run it in full and panic if it moves.
+    const bool quiet = _quiet && curCycle() < _quietUntil &&
+                       tasksLaunched() == _quietLaunches;
+    if (quiet) {
+        ++statQuietTicks;
+#ifndef EMERALD_CHECKS
+        return true;
+#endif
+    }
+
+    // Set before the stages run, so a wake() from inside them wins.
+    _quiet = true;
+    bool moved = false;
     for (unsigned c = 0; c < _clusters.size(); ++c)
-        tickCluster(c);
-    tickVertexDistribution();
-    drainL2Traffic();
-    maybeFinishFrame();
+        moved |= tickCluster(c);
+    moved |= tickVertexDistribution();
+    moved |= drainL2Traffic();
+    moved |= maybeFinishFrame();
 
-    if (!_frameOpen)
-        return false;
+    const bool more = _frameOpen && stayAwake();
+    panic_if(quiet && (moved || !more), "%s: quiet tick moved",
+             name().c_str());
+    _quiet = _quiet && !moved && more;
+    if (_quiet) {
+        _quietUntil = TcUnit::neverCycle;
+        for (const ClusterState &cluster : _clusters) {
+            _quietUntil =
+                std::min(_quietUntil, cluster.tc->nextTimeoutCycle());
+        }
+        _quietLaunches = tasksLaunched();
+    }
+    return more;
+}
 
+bool
+GraphicsPipeline::stayAwake() const
+{
     // Sleep while the only possible progress is a warp completion
     // (vertex assembly or fragment retirement), both of which call
-    // activate(). Any live fixed-function work keeps us ticking.
+    // wake(). Any live fixed-function work keeps us ticking.
     bool ooo = _params.oooPrimitives && _activeDraw &&
                _activeDraw->state.depthTest &&
                !_activeDraw->state.blend;

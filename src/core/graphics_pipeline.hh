@@ -150,6 +150,7 @@ class GraphicsPipeline : public SimObject,
     Scalar statFragments;
     Scalar statFragWarps;
     Scalar statTcFlushes;
+    Scalar statQuietTicks;
     /** @} */
 
   protected:
@@ -194,24 +195,40 @@ class GraphicsPipeline : public SimObject,
         std::unique_ptr<TcUnit> tc;
     };
 
+    /**
+     * activate() for an input the blocked stages read: it also ends a
+     * quiet period (docs/scheduling.md, "The graphics tick contract").
+     */
+    void wake();
+    /** Queued tasks the SIMT cores have launched so far. */
+    std::uint64_t tasksLaunched();
+    /** True while fixed-function work is live: keep ticking. */
+    bool stayAwake() const;
+
     void startNextDraw();
     bool drawFullyDrained() const;
-    void tickVertexDistribution();
-    void launchVertexWarp();
     void assembleVertexWarp(std::uint64_t first_seq, unsigned base_prim,
                             unsigned prim_count, unsigned first_vert,
                             unsigned vert_count,
                             isa_threads_t threads);
-    void tickCluster(unsigned cluster_idx);
-    void tickClusterPmrb(ClusterState &cluster);
-    void tickClusterSetup(ClusterState &cluster);
-    void tickClusterRaster(unsigned cluster_idx, ClusterState &cluster);
-    void tickClusterTc(unsigned cluster_idx, ClusterState &cluster);
     void issueInstance(TcInstance &&instance);
     void pushL2Read(Addr addr, AccessKind kind);
     void pushL2Write(Addr addr, AccessKind kind);
-    void drainL2Traffic();
-    void maybeFinishFrame();
+
+    /**
+     * @{ The stages of tick(). Each returns whether it moved any
+     * state (docs/scheduling.md lists what counts).
+     */
+    bool tickVertexDistribution();
+    bool launchVertexWarp();
+    bool tickCluster(unsigned cluster_idx);
+    bool tickClusterPmrb(ClusterState &cluster);
+    bool tickClusterSetup(ClusterState &cluster);
+    bool tickClusterRaster(unsigned cluster_idx, ClusterState &cluster);
+    bool tickClusterTc(unsigned cluster_idx, ClusterState &cluster);
+    bool drainL2Traffic();
+    bool maybeFinishFrame();
+    /** @} */
 
     gpu::GpuTop &_gpu;
     GfxParams _params;
@@ -253,6 +270,17 @@ class GraphicsPipeline : public SimObject,
     bool _l2Blocked = false;
 
     std::function<void(std::uint64_t)> _progressListener;
+
+    /**
+     * The last full tick moved nothing, so later ticks return at once
+     * until wake(), a core launching a queued task (tasksLaunched()
+     * leaves _quietLaunches) or cycle _quietUntil, the earliest TC
+     * flush timeout. A full tick sets it first; a wake() during the
+     * tick clears it, and the tick's verdict cannot set it back.
+     */
+    bool _quiet = false;
+    std::uint64_t _quietUntil = 0;
+    std::uint64_t _quietLaunches = 0;
 };
 
 } // namespace emerald::core

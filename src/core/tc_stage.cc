@@ -1,5 +1,6 @@
 #include "core/tc_stage.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
@@ -119,24 +120,44 @@ TcUnit::tryAdd(const FragmentTile &tile, std::uint64_t now_cycle)
     return true;
 }
 
-void
+bool
 TcUnit::tickTimeouts(std::uint64_t now_cycle)
 {
+    bool flushed = false;
     for (Engine &engine : _engines) {
         if (engine.active && !readyQueueFull() &&
             now_cycle - engine.lastAddCycle >= _flushTimeout) {
             flushEngine(engine, TcFlushReason::Timeout);
+            flushed = true;
         }
     }
+    return flushed;
 }
 
-void
+bool
 TcUnit::drain()
 {
+    bool flushed = false;
     for (Engine &engine : _engines) {
-        if (engine.active && !readyQueueFull())
+        if (engine.active && !readyQueueFull()) {
             flushEngine(engine, TcFlushReason::Drain);
+            flushed = true;
+        }
     }
+    return flushed;
+}
+
+std::uint64_t
+TcUnit::nextTimeoutCycle() const
+{
+    if (readyQueueFull())
+        return neverCycle;
+    std::uint64_t next = neverCycle;
+    for (const Engine &engine : _engines) {
+        if (engine.active)
+            next = std::min(next, engine.lastAddCycle + _flushTimeout);
+    }
+    return next;
 }
 
 TcInstance

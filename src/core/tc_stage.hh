@@ -67,11 +67,27 @@ class TcUnit
      */
     bool tryAdd(const FragmentTile &tile, std::uint64_t now_cycle);
 
-    /** Flush engines idle for longer than the timeout. */
-    void tickTimeouts(std::uint64_t now_cycle);
+    /**
+     * Flush engines idle for longer than the timeout.
+     * @return true when an engine flushed.
+     */
+    bool tickTimeouts(std::uint64_t now_cycle);
 
-    /** Flush everything (draw drain). */
-    void drain();
+    /**
+     * Flush everything (draw drain).
+     * @return true when an engine flushed.
+     */
+    bool drain();
+
+    /**
+     * The first cycle at which tickTimeouts() can flush: the earliest
+     * lastAddCycle + timeout over the active engines. neverCycle when
+     * no engine is active, or while the ready queue is full: no
+     * timeout can flush then, and only an issue empties the queue.
+     */
+    std::uint64_t nextTimeoutCycle() const;
+
+    static constexpr std::uint64_t neverCycle = ~std::uint64_t(0);
 
     /** True when a coalesced instance is waiting to issue. */
     bool hasReady() const { return !_ready.empty(); }

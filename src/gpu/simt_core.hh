@@ -97,6 +97,13 @@ class SimtCore : public SimObject,
         return static_cast<unsigned>(_taskQueue.size());
     }
 
+    /**
+     * Tasks launched from the queue so far. Only a launch shrinks the
+     * queue, so a producer waiting for queue space can watch this
+     * count instead of polling queuedTasks().
+     */
+    std::uint64_t tasksLaunched() const { return _launchSeq; }
+
     const SimtCoreParams &params() const { return _params; }
 
     /** The L1 cache that services @p kind. */
@@ -236,7 +243,10 @@ class SimtCore : public SimObject,
     std::vector<std::unique_ptr<WarpScheduler>> _warpScheds;
     /** Ranking scratch buffer, reused each cycle to avoid churn. */
     std::vector<unsigned> _orderBuf;
-    /** Monotonic warp-launch counter feeding Warp::launchSeq. */
+    /**
+     * Monotonic warp-launch counter feeding Warp::launchSeq and
+     * tasksLaunched().
+     */
     std::uint64_t _launchSeq = 0;
 
     /** Traffic-trace capture sink, or null (setTrafficCapture). */

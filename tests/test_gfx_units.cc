@@ -136,12 +136,43 @@ TEST(TcUnit, OverlapForcesFlush)
 TEST(TcUnit, TimeoutFlushesStaleStaging)
 {
     TcUnit tc(1, 8, 4);
+    EXPECT_EQ(tc.nextTimeoutCycle(), TcUnit::neverCycle); // No engine.
     ASSERT_TRUE(tc.tryAdd(tileAt(2, 2, 0x000fu), 100));
-    tc.tickTimeouts(104);
+    EXPECT_EQ(tc.nextTimeoutCycle(), 108u);
+    EXPECT_FALSE(tc.tickTimeouts(104));
+    EXPECT_FALSE(tc.tickTimeouts(107));
     EXPECT_FALSE(tc.hasReady());
-    tc.tickTimeouts(109);
+    EXPECT_TRUE(tc.tickTimeouts(109));
     EXPECT_TRUE(tc.hasReady());
     EXPECT_EQ(tc.flushesTimeout, 1u);
+    EXPECT_EQ(tc.nextTimeoutCycle(), TcUnit::neverCycle);
+    EXPECT_FALSE(tc.drain()); // Nothing staged.
+
+    // Fill the 4-deep ready queue, then stage one more position: no
+    // timeout can flush while the queue is full, so none is due.
+    for (int i = 1; i < 4; ++i) {
+        ASSERT_TRUE(tc.tryAdd(tileAt(4 * i, 0, 0x0001u), 200));
+        EXPECT_TRUE(tc.drain());
+    }
+    ASSERT_TRUE(tc.readyQueueFull());
+    ASSERT_TRUE(tc.tryAdd(tileAt(2, 2, 0x000fu), 300));
+    EXPECT_EQ(tc.nextTimeoutCycle(), TcUnit::neverCycle);
+    EXPECT_FALSE(tc.tickTimeouts(1000));
+    EXPECT_FALSE(tc.drain());
+    // An overlapping tile needs a conflict flush, which the full queue
+    // refuses; the refusal leaves the staged tile as it was.
+    EXPECT_FALSE(tc.tryAdd(tileAt(2, 2, 0x0001u), 400));
+
+    tc.popReady(); // Only an issue makes room.
+    EXPECT_EQ(tc.nextTimeoutCycle(), 308u);
+    EXPECT_FALSE(tc.tickTimeouts(307));
+    EXPECT_TRUE(tc.tickTimeouts(308));
+    EXPECT_EQ(tc.flushesTimeout, 2u);
+    TcInstance last;
+    while (tc.hasReady())
+        last = tc.popReady();
+    EXPECT_EQ(last.tcX, 1u);
+    EXPECT_EQ(last.fragmentCount(), 4u); // The first tile alone.
 }
 
 TEST(TcUnit, DistinctPositionsUseDistinctEngines)

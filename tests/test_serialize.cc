@@ -414,6 +414,55 @@ patchFile(const std::string &path, long offset, char byte)
     f.put(byte);
 }
 
+/** The bit-at-a-time reflected CRC-32 that crc32() must equal. */
+std::uint32_t
+bitwiseCrc32(const unsigned char *p, std::size_t n)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        crc ^= p[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+    }
+    return crc ^ 0xffffffffu;
+}
+
+/** @p n bytes from a fixed linear congruential sequence. */
+std::vector<unsigned char>
+crcInput(std::size_t n)
+{
+    std::vector<unsigned char> bytes(n);
+    std::uint32_t x = 12345;
+    for (unsigned char &b : bytes) {
+        x = x * 1664525u + 1013904223u;
+        b = static_cast<unsigned char>(x >> 24);
+    }
+    return bytes;
+}
+
+TEST(Crc32, StandardCheckValue)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReference)
+{
+    // Every length up to eight slices at every alignment, so the
+    // 8-byte loop and the byte tail both run from each offset.
+    std::vector<unsigned char> bytes = crcInput(64 + 8);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            EXPECT_EQ(crc32(bytes.data() + offset, len),
+                      bitwiseCrc32(bytes.data() + offset, len))
+                << "offset " << offset << " length " << len;
+        }
+    }
+    std::vector<unsigned char> big = crcInput(3u << 20);
+    EXPECT_EQ(crc32(big.data(), big.size()),
+              bitwiseCrc32(big.data(), big.size()));
+}
+
 TEST(CheckpointProbe, IntactCheckpointReportsHeader)
 {
     CkptProbe probe = probeCheckpoint(probeFixture("probe_ok"));
