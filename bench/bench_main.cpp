@@ -27,7 +27,7 @@
 #include "registry.hh"
 #include "sim/config.hh"
 #include "sim/simulation_builder.hh"
-#include "sim/supervise/supervisor.hh"
+#include "sweep/supervisor.hh"
 
 namespace
 {

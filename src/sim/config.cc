@@ -212,7 +212,12 @@ Config::getBool(const std::string &key, bool dflt) const
     if (it == _values.end())
         return dflt;
     const std::string &v = it->second;
-    return v == "1" || v == "true" || v == "yes" || v == "on";
+    if (v == "1" || v == "true" || v == "yes" || v == "on")
+        return true;
+    fatal_if(v != "0" && v != "false" && v != "no" && v != "off",
+             "config key '%s': '%s' is not a boolean (1/true/yes/on "
+             "or 0/false/no/off)", key.c_str(), v.c_str());
+    return false;
 }
 
 namespace

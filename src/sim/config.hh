@@ -80,6 +80,7 @@ class Config
     std::uint64_t getU64(const std::string &key,
                          std::uint64_t dflt) const;
     double getDouble(const std::string &key, double dflt) const;
+    /** 1/true/yes/on or 0/false/no/off; fatal on anything else. */
     bool getBool(const std::string &key, bool dflt) const;
 
     /** All key=value pairs, sorted by key (std::map order). */

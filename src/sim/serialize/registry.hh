@@ -26,6 +26,56 @@ class Event;
 class MemClient;
 class MemRequestor;
 
+/** One name <-> pointer table; a name registers at most once. */
+template <class T>
+class NameTable
+{
+  public:
+    /** @p kind names the table in the duplicate-name panic. */
+    explicit NameTable(const char *kind) : _kind(kind) {}
+
+    void
+    add(const std::string &name, T &obj)
+    {
+        auto [it, inserted] = _byName.emplace(name, &obj);
+        panic_if(!inserted,
+                 "checkpoint registry: duplicate %s name '%s'", _kind,
+                 name.c_str());
+        _byObj.emplace(&obj, name);
+    }
+
+    void
+    remove(const T &obj)
+    {
+        auto it = _byObj.find(&obj);
+        if (it == _byObj.end())
+            return;
+        _byName.erase(it->second);
+        _byObj.erase(it);
+    }
+
+    /** The object registered as @p name, or nullptr. */
+    T *
+    find(const std::string &name) const
+    {
+        auto it = _byName.find(name);
+        return it == _byName.end() ? nullptr : it->second;
+    }
+
+    /** The registered name of @p obj, or nullptr. */
+    const std::string *
+    nameOf(const T &obj) const
+    {
+        auto it = _byObj.find(&obj);
+        return it == _byObj.end() ? nullptr : &it->second;
+    }
+
+  private:
+    const char *_kind;
+    std::map<std::string, T *> _byName;
+    std::map<const T *, std::string> _byObj;
+};
+
 /** Checkpoint name tables owned by the Simulation. */
 class CheckpointRegistry
 {
@@ -34,36 +84,23 @@ class CheckpointRegistry
     void
     registerEvent(const std::string &name, Event &ev)
     {
-        auto [it, inserted] = _events.emplace(name, &ev);
-        panic_if(!inserted,
-                 "checkpoint registry: duplicate event name '%s'",
-                 name.c_str());
-        _eventNames.emplace(&ev, name);
+        _events.add(name, ev);
     }
 
-    void
-    unregisterEvent(Event &ev)
-    {
-        auto it = _eventNames.find(&ev);
-        if (it == _eventNames.end())
-            return;
-        _events.erase(it->second);
-        _eventNames.erase(it);
-    }
+    void unregisterEvent(Event &ev) { _events.remove(ev); }
 
     Event *
     findEvent(const std::string &name) const
     {
-        auto it = _events.find(name);
-        return it == _events.end() ? nullptr : it->second;
+        return _events.find(name);
     }
 
     /** Registered name of @p ev, or "" when unregistered. */
     std::string
     eventName(const Event &ev) const
     {
-        auto it = _eventNames.find(&ev);
-        return it == _eventNames.end() ? std::string() : it->second;
+        const std::string *name = _events.nameOf(ev);
+        return name ? *name : std::string();
     }
     /** @} */
 
@@ -71,43 +108,31 @@ class CheckpointRegistry
     void
     registerClient(const std::string &name, MemClient &client)
     {
-        auto [it, inserted] = _clients.emplace(name, &client);
-        panic_if(!inserted,
-                 "checkpoint registry: duplicate client name '%s'",
-                 name.c_str());
-        _clientNames.emplace(&client, name);
+        _clients.add(name, client);
     }
 
-    void
-    unregisterClient(MemClient &client)
-    {
-        auto it = _clientNames.find(&client);
-        if (it == _clientNames.end())
-            return;
-        _clients.erase(it->second);
-        _clientNames.erase(it);
-    }
+    void unregisterClient(MemClient &client) { _clients.remove(client); }
 
     MemClient &
     client(const std::string &name) const
     {
-        auto it = _clients.find(name);
-        fatal_if(it == _clients.end(),
+        MemClient *found = _clients.find(name);
+        fatal_if(!found,
                  "checkpoint restore: no MemClient named '%s' in this "
                  "topology", name.c_str());
-        return *it->second;
+        return *found;
     }
 
     /** Registered name of @p client (fatal when unregistered). */
     const std::string &
     clientName(const MemClient &client) const
     {
-        auto it = _clientNames.find(&client);
-        fatal_if(it == _clientNames.end(),
+        const std::string *name = _clients.nameOf(client);
+        fatal_if(!name,
                  "checkpoint: in-flight packet references an "
                  "unregistered MemClient — every response target must "
                  "call registerCheckpointClient()");
-        return it->second;
+        return *name;
     }
     /** @} */
 
@@ -115,53 +140,42 @@ class CheckpointRegistry
     void
     registerRequestor(const std::string &name, MemRequestor &req)
     {
-        auto [it, inserted] = _requestors.emplace(name, &req);
-        panic_if(!inserted,
-                 "checkpoint registry: duplicate requestor name '%s'",
-                 name.c_str());
-        _requestorNames.emplace(&req, name);
+        _requestors.add(name, req);
     }
 
     void
     unregisterRequestor(MemRequestor &req)
     {
-        auto it = _requestorNames.find(&req);
-        if (it == _requestorNames.end())
-            return;
-        _requestors.erase(it->second);
-        _requestorNames.erase(it);
+        _requestors.remove(req);
     }
 
     MemRequestor &
     requestor(const std::string &name) const
     {
-        auto it = _requestors.find(name);
-        fatal_if(it == _requestors.end(),
+        MemRequestor *found = _requestors.find(name);
+        fatal_if(!found,
                  "checkpoint restore: no MemRequestor named '%s' in "
                  "this topology", name.c_str());
-        return *it->second;
+        return *found;
     }
 
     /** Registered name of @p req (fatal when unregistered). */
     const std::string &
     requestorName(const MemRequestor &req) const
     {
-        auto it = _requestorNames.find(&req);
-        fatal_if(it == _requestorNames.end(),
+        const std::string *name = _requestors.nameOf(req);
+        fatal_if(!name,
                  "checkpoint: parked retry waiter is an unregistered "
                  "MemRequestor — every requestor that can block must "
                  "call registerCheckpointRequestor()");
-        return it->second;
+        return *name;
     }
     /** @} */
 
   private:
-    std::map<std::string, Event *> _events;
-    std::map<const Event *, std::string> _eventNames;
-    std::map<std::string, MemClient *> _clients;
-    std::map<const MemClient *, std::string> _clientNames;
-    std::map<std::string, MemRequestor *> _requestors;
-    std::map<const MemRequestor *, std::string> _requestorNames;
+    NameTable<Event> _events{"event"};
+    NameTable<MemClient> _clients{"client"};
+    NameTable<MemRequestor> _requestors{"requestor"};
 };
 
 } // namespace emerald

@@ -1,5 +1,6 @@
 #include "sim/serialize/serialize.hh"
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstdlib>
@@ -470,6 +471,29 @@ probeCheckpoint(const std::string &dir)
     probe.status = CkptIntegrity::Ok;
     probe.detail.clear();
     return probe;
+}
+
+std::vector<std::string>
+listRotations(const std::string &base, bool recursive)
+{
+    namespace fs = std::filesystem;
+    std::vector<std::string> found;
+    std::error_code ec;
+    for (fs::recursive_directory_iterator it(
+             base, fs::directory_options::skip_permission_denied, ec),
+         end;
+         !ec && it != end; it.increment(ec)) {
+        std::error_code type_ec;
+        bool rotation =
+            it->is_directory(type_ec) &&
+            it->path().filename().string().starts_with("auto-");
+        if (rotation)
+            found.push_back(it->path().string());
+        if (rotation || !recursive)
+            it.disable_recursion_pending();
+    }
+    std::sort(found.begin(), found.end());
+    return found;
 }
 
 //

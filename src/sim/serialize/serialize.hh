@@ -102,6 +102,17 @@ struct CkptProbe
 CkptProbe probeCheckpoint(const std::string &dir);
 
 /**
+ * The auto-<tick> rotation directories under @p base, sorted by path:
+ * oldest first within one directory, since the zero-padded tick in
+ * the name makes name order tick order. With @p recursive, rotations
+ * nested in subdirectories of @p base count too (benches that build
+ * one simulation per config rotate under <base>/<label>/). A missing
+ * @p base lists nothing.
+ */
+std::vector<std::string> listRotations(const std::string &base,
+                                       bool recursive = false);
+
+/**
  * One section being written: an append-only stream of typed key/value
  * records. Keys must be unique within a section (fatal otherwise) so a
  * checkpoint can never carry two conflicting values for one field.

@@ -344,19 +344,10 @@ Simulation::saveRotatedCheckpoint(const std::string &base,
              "cannot publish checkpoint rotation '%s': %s",
              final_dir.c_str(), ec.message().c_str());
 
-    // Prune to the newest `keep` rotations. The zero-padded tick in
-    // the name makes lexical order tick order.
-    std::vector<std::string> autos;
-    for (const auto &entry : fs::directory_iterator(base, ec)) {
-        std::string name = entry.path().filename().string();
-        if (name.rfind("auto-", 0) == 0)
-            autos.push_back(name);
-    }
-    std::sort(autos.begin(), autos.end());
-    while (autos.size() > keep) {
-        fs::remove_all(base + "/" + autos.front(), ec);
-        autos.erase(autos.begin());
-    }
+    // Prune to the newest `keep` rotations.
+    std::vector<std::string> autos = listRotations(base);
+    for (std::size_t i = 0; i + keep < autos.size(); ++i)
+        fs::remove_all(autos[i], ec);
 }
 
 void
@@ -459,15 +450,9 @@ resolveRestoreSource(const std::string &base, bool lenient)
         return "";
     }
 
-    std::vector<std::string> autos;
-    for (const auto &entry : fs::directory_iterator(base, ec)) {
-        std::string name = entry.path().filename().string();
-        if (name.rfind("auto-", 0) == 0)
-            autos.push_back(name);
-    }
-    std::sort(autos.rbegin(), autos.rend());
-    for (const std::string &name : autos) {
-        std::string dir = base + "/" + name;
+    std::vector<std::string> autos = listRotations(base);
+    for (auto it = autos.rbegin(); it != autos.rend(); ++it) {
+        const std::string &dir = *it;
         CkptProbe probe = probeCheckpoint(dir);
         if (probe.ok())
             return dir;

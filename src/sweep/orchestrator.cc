@@ -1,76 +1,22 @@
 #include "sweep/orchestrator.hh"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
+#include <filesystem>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "sim/logging.hh"
-#include "sim/supervise/supervisor.hh"
 #include "sweep/db.hh"
+#include "sweep/supervisor.hh"
 
 namespace emerald
 {
 namespace sweep
 {
-
-void
-makeDirs(const std::string &path)
-{
-    std::string::size_type pos = 0;
-    while (pos != std::string::npos) {
-        pos = path.find('/', pos + 1);
-        std::string prefix = path.substr(0, pos);
-        if (prefix.empty())
-            continue;
-        if (::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST)
-            fatal("cannot create directory '%s': %s", prefix.c_str(),
-                  std::strerror(errno));
-    }
-}
-
-namespace
-{
-
-/** Fork one child for @p point; returns its pid. */
-pid_t
-launchPoint(const std::vector<std::string> &command,
-            const std::string &logPath)
-{
-    pid_t pid = ::fork();
-    fatal_if(pid < 0, "fork failed: %s", std::strerror(errno));
-    if (pid > 0)
-        return pid;
-
-    // Child: stdout+stderr to the per-point log, then exec. Only
-    // async-signal-safe calls from here on.
-    int fd = ::open(logPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
-                    0644);
-    if (fd >= 0) {
-        ::dup2(fd, STDOUT_FILENO);
-        ::dup2(fd, STDERR_FILENO);
-        if (fd > STDERR_FILENO)
-            ::close(fd);
-    }
-    std::vector<char *> argv;
-    argv.reserve(command.size() + 1);
-    for (const std::string &arg : command)
-        argv.push_back(const_cast<char *>(arg.c_str()));
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    // exec failed; the parent sees exit 127 like a shell would.
-    _exit(127);
-}
-
-} // namespace
 
 std::vector<std::string>
 pointCommand(const SweepSpec &spec, const SweepPoint &point,
@@ -109,17 +55,6 @@ struct PointState
     bool finished = false;
 };
 
-/** Classify one dead sweep child (docs/resilience.md taxonomy). */
-std::string
-classifyPointFailure(int status, bool hangReport)
-{
-    if (hangReport)
-        return "hang";
-    if (WIFSIGNALED(status))
-        return WTERMSIG(status) == SIGKILL ? "oom-killed" : "crash";
-    return "crash";
-}
-
 } // namespace
 
 SweepReport
@@ -149,7 +84,10 @@ runSweep(const SweepSpec &spec,
     }
 
     std::string logDir = opts.outDir + "/logs";
-    makeDirs(logDir);
+    std::error_code ec;
+    std::filesystem::create_directories(logDir, ec);
+    fatal_if(static_cast<bool>(ec), "cannot create directory '%s': %s",
+             logDir.c_str(), ec.message().c_str());
 
     auto hangReportPath = [&](const SweepPoint &point) {
         return logDir + "/" + point.fingerprintHex + ".hang.json";
@@ -157,6 +95,17 @@ runSweep(const SweepSpec &spec,
 
     std::vector<PointState> states(pending.size());
     std::size_t finished = 0;
+    auto quarantine = [&](PointState &st) {
+        if (opts.db) {
+            opts.db->setRunStatus(spec.scenario,
+                                  st.point->fingerprintHex,
+                                  opts.gitSha, "quarantined");
+        }
+        st.finished = true;
+        ++finished;
+        ++report.failed;
+        ++report.quarantined;
+    };
     for (std::size_t i = 0; i < pending.size(); ++i) {
         states[i].point = &pending[i];
         if (opts.db) {
@@ -169,19 +118,11 @@ runSweep(const SweepSpec &spec,
             // orchestrator died before, or while, quarantining):
             // finish the quarantine instead of retrying forever
             // across relaunches.
-            if (opts.db) {
-                opts.db->setRunStatus(spec.scenario,
-                                      pending[i].fingerprintHex,
-                                      opts.gitSha, "quarantined");
-            }
             warn("sweep point %s: retry budget already exhausted "
                  "(%u failures on record) — quarantined",
                  pending[i].fingerprintHex.c_str(),
                  states[i].failures);
-            states[i].finished = true;
-            ++finished;
-            ++report.failed;
-            ++report.quarantined;
+            quarantine(states[i]);
         }
     }
 
@@ -214,27 +155,31 @@ runSweep(const SweepSpec &spec,
                 pointCommand(spec, point, opts);
             command.push_back("--hang-report-path=" +
                               hangReportPath(point));
-            running[launchPoint(command, logPath)] = i;
+            std::vector<char *> argv;
+            for (std::string &arg : command)
+                argv.push_back(arg.data());
+            argv.push_back(nullptr);
+            running[supervise::launchChild(logPath, [&argv] {
+                ::execv(argv[0], argv.data());
+                // exec failed; the parent sees exit 127 like a shell
+                // would.
+                return 127;
+            })] = i;
         }
 
         if (running.empty()) {
             // Everything unfinished is backing off; nap briefly
             // rather than tracking the exact next deadline.
-            ::usleep(10000);
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
             continue;
         }
 
         // With deferred points waiting on a backoff deadline, poll so
         // an expiring deadline is not stuck behind a slow sibling.
         int status = 0;
-        pid_t pid = ::waitpid(-1, &status, deferred ? WNOHANG : 0);
+        pid_t pid = supervise::reapChild(-1, !deferred, status);
         if (pid == 0) {
-            ::usleep(10000);
-            continue;
-        }
-        if (pid < 0) {
-            fatal_if(errno != EINTR, "waitpid failed: %s",
-                     std::strerror(errno));
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
             continue;
         }
         auto it = running.find(pid);
@@ -244,8 +189,16 @@ runSweep(const SweepSpec &spec,
         const SweepPoint &point = *st.point;
         running.erase(it);
 
-        bool ok = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        if (ok) {
+        // A child's completion marker is its committed run: exit 0
+        // without one is a spurious exit.
+        bool committed =
+            !opts.db || opts.db->runStatus(spec.scenario,
+                                           point.fingerprintHex,
+                                           opts.gitSha) == "done";
+        std::optional<supervise::FailureRecord> failure =
+            supervise::classifyExit(status, committed,
+                                    hangReportPath(point));
+        if (!failure) {
             st.finished = true;
             ++finished;
             ++report.succeeded;
@@ -254,42 +207,26 @@ runSweep(const SweepSpec &spec,
             continue;
         }
 
-        bool hangReport =
-            ::access(hangReportPath(point).c_str(), F_OK) == 0;
-        std::string cls = classifyPointFailure(status, hangReport);
-        int sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
-        int exitCode = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-        std::string detail =
-            sig ? strprintf("terminated by signal %d", sig)
-                : strprintf("exit code %d", exitCode);
-        if (hangReport)
-            detail += "; hang report " + hangReportPath(point);
+        const char *cls = supervise::failureClassName(failure->cls);
         warn("sweep point %s failed (%s: %s; log: %s/%s.log)",
-             point.fingerprintHex.c_str(), cls.c_str(),
-             detail.c_str(), logDir.c_str(),
+             point.fingerprintHex.c_str(), cls,
+             failure->detail.c_str(), logDir.c_str(),
              point.fingerprintHex.c_str());
 
-        unsigned attempt = st.failures++;
+        failure->attempt = st.failures++;
         if (opts.db) {
-            opts.db->recordFailure(spec.scenario,
-                                   point.fingerprintHex, opts.gitSha,
-                                   attempt, cls, sig, exitCode,
-                                   /*recoveredTick=*/0, detail);
+            opts.db->recordFailure(
+                spec.scenario, point.fingerprintHex, opts.gitSha,
+                failure->attempt, cls, failure->signal,
+                failure->exitCode, failure->recoveredFromTick,
+                failure->detail);
         }
 
         if (st.failures > opts.maxRetries) {
-            if (opts.db) {
-                opts.db->setRunStatus(spec.scenario,
-                                      point.fingerprintHex,
-                                      opts.gitSha, "quarantined");
-            }
             warn("sweep point %s: %u failure(s), budget exhausted — "
                  "quarantined",
                  point.fingerprintHex.c_str(), st.failures);
-            st.finished = true;
-            ++finished;
-            ++report.failed;
-            ++report.quarantined;
+            quarantine(st);
             inform("sweep: [%zu/%zu] %s QUARANTINED", finished,
                    states.size(), point.fingerprintHex.c_str());
             continue;

@@ -25,9 +25,6 @@ namespace sweep
 
 class SweepDb;
 
-/** mkdir -p: create @p path and any missing parents; fatal on error. */
-void makeDirs(const std::string &path);
-
 struct OrchestratorOptions
 {
     /** Path of the emerald_bench binary to fork. */

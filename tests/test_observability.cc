@@ -727,6 +727,24 @@ TEST(ConfigParse, NegativeOrMalformedU64IsFatal)
     EXPECT_DEATH(cfg.getU64("n", 0), "not a non-negative integer");
 }
 
+TEST(ConfigParse, MalformedBoolIsFatal)
+{
+    Config cfg;
+    for (const char *yes : {"1", "true", "yes", "on"}) {
+        cfg.set("quick", yes);
+        EXPECT_TRUE(cfg.getBool("quick", false)) << yes;
+    }
+    for (const char *no : {"0", "false", "no", "off"}) {
+        cfg.set("quick", no);
+        EXPECT_FALSE(cfg.getBool("quick", true)) << no;
+    }
+    cfg.set("quick", "ture");
+    EXPECT_DEATH(cfg.getBool("quick", false),
+                 "config key 'quick': 'ture' is not a boolean");
+    cfg.set("quick", "");
+    EXPECT_DEATH(cfg.getBool("quick", false), "is not a boolean");
+}
+
 TEST(ConfigParse, MalformedOrOverflowingDoubleIsFatal)
 {
     Config cfg;

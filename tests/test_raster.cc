@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cmath>
+#include <set>
+#include <vector>
 
 #include "core/clipper.hh"
 #include "core/framebuffer.hh"
@@ -509,6 +511,42 @@ TEST(WtMapping, AllCoresUsedAndBalanced)
         }
         EXPECT_EQ(total, map.tcCols() * map.tcRows());
     }
+}
+
+TEST(WtMapping, WtColumnCountMultipleOfCoresDegeneratesToStripes)
+{
+    // The WT columns each core owns tiles in.
+    auto wtColumnsPerCore = [](const WtMapping &map) {
+        std::vector<std::set<unsigned>> cols(map.numCores());
+        for (unsigned y = 0; y < map.tcRows(); ++y)
+            for (unsigned x = 0; x < map.tcCols(); ++x)
+                cols[map.coreOf(x, y)].insert(x / map.wtSize());
+        return cols;
+    };
+    auto wtCols = [](const WtMapping &map) {
+        return (map.tcCols() + map.wtSize() - 1) / map.wtSize();
+    };
+
+    // 256x192 at WT 6: 32 TC columns make 6 WT columns, one per core,
+    // so round-robin reduces to the WT column and each core owns one
+    // full-height stripe (EXPERIMENTS.md, the WT-6 spike of Fig 17/18).
+    WtMapping stripes(256, 192, 6, 6);
+    EXPECT_EQ(wtCols(stripes), 6u);
+    for (unsigned y = 0; y < stripes.tcRows(); ++y)
+        for (unsigned x = 0; x < stripes.tcCols(); ++x)
+            EXPECT_EQ(stripes.coreOf(x, y), x / 6) << x << "," << y;
+    for (const std::set<unsigned> &cols : wtColumnsPerCore(stripes))
+        EXPECT_EQ(cols.size(), 1u);
+
+    // 7 WT columns (WT 5) or 22 (1024x768 at WT 6) are not a multiple
+    // of the core count: every core owns tiles in several WT columns.
+    WtMapping wt5(256, 192, 6, 5);
+    WtMapping paperScale(1024, 768, 6, 6);
+    EXPECT_EQ(wtCols(wt5), 7u);
+    EXPECT_EQ(wtCols(paperScale), 22u);
+    for (const WtMapping *map : {&wt5, &paperScale})
+        for (const std::set<unsigned> &cols : wtColumnsPerCore(*map))
+            EXPECT_GT(cols.size(), 1u) << map->tcCols();
 }
 
 TEST(WtMapping, PixelMappingConsistent)

@@ -349,6 +349,47 @@ TEST(CheckpointRetryList, ParkedWaitersRestoreInFifoOrder)
     EXPECT_EQ(other.waiters()[2], &c);
 }
 
+TEST(CheckpointRegistryDeathTest, DuplicatesPanicAndUnknownsAreFatal)
+{
+    CheckpointRegistry reg;
+    EventFunction ev([] {}, "ev");
+    RecordingClient client;
+    NamedRequestor req("req");
+    reg.registerEvent("ev", ev);
+    reg.registerClient("cl", client);
+    reg.registerRequestor("req", req);
+    EXPECT_EQ(reg.findEvent("ev"), &ev);
+    EXPECT_EQ(reg.eventName(ev), "ev");
+    EXPECT_EQ(&reg.client("cl"), &client);
+    EXPECT_EQ(reg.clientName(client), "cl");
+    EXPECT_EQ(&reg.requestor("req"), &req);
+    EXPECT_EQ(reg.requestorName(req), "req");
+
+    EXPECT_DEATH(reg.registerEvent("ev", ev),
+                 "checkpoint registry: duplicate event name 'ev'");
+    EXPECT_DEATH(reg.registerClient("cl", client),
+                 "checkpoint registry: duplicate client name 'cl'");
+    EXPECT_DEATH(reg.registerRequestor("req", req),
+                 "checkpoint registry: duplicate requestor name 'req'");
+    EXPECT_DEATH(reg.client("x"), "checkpoint restore: no MemClient "
+                                  "named 'x' in this topology");
+    EXPECT_DEATH(reg.requestor("x"), "checkpoint restore: no "
+                                     "MemRequestor named 'x' in this "
+                                     "topology");
+
+    reg.unregisterEvent(ev);
+    reg.unregisterClient(client);
+    reg.unregisterRequestor(req);
+    EXPECT_EQ(reg.findEvent("ev"), nullptr);
+    EXPECT_EQ(reg.eventName(ev), "");
+    EXPECT_DEATH(reg.clientName(client),
+                 "checkpoint: in-flight packet references an "
+                 "unregistered MemClient");
+    EXPECT_DEATH(reg.requestorName(req),
+                 "checkpoint: parked retry waiter is an unregistered "
+                 "MemRequestor");
+}
+
 // Event queue ----------------------------------------------------------
 
 TEST(CheckpointEventQueue, RestoredScheduleReproducesFireOrder)

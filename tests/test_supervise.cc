@@ -1,6 +1,6 @@
 /**
  * @file
- * Run-supervisor tests (src/sim/supervise/): failure classification
+ * Run-supervisor tests (sweep/supervisor.cc): failure classification
  * from real forked children (SIGKILL, spurious exit, hang report),
  * checkpoint-directory scanning with corrupt rotations skipped, the
  * retry/backoff loop, the deterministic-failure give-up with its
@@ -19,7 +19,7 @@
 #include <string>
 
 #include "sim/serialize/serialize.hh"
-#include "sim/supervise/supervisor.hh"
+#include "sweep/supervisor.hh"
 
 namespace emerald
 {

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -616,6 +617,109 @@ TEST(SweepDbFailures, SinkCommitsAndJournalShareContention)
         EXPECT_EQ(db.failureCount("bench", "fp" + std::to_string(w),
                                   "sha"),
                   static_cast<unsigned>(kEach));
+    }
+}
+
+/** "class: detail" of each run_failures row of @p fp, by attempt. */
+std::vector<std::string>
+failureRows(const std::string &path, const std::string &fp)
+{
+    sqlite3 *db = nullptr;
+    EXPECT_EQ(sqlite3_open(path.c_str(), &db), SQLITE_OK);
+    sqlite3_stmt *stmt = nullptr;
+    EXPECT_EQ(sqlite3_prepare_v2(
+                  db,
+                  "SELECT class || ': ' || detail FROM run_failures "
+                  "WHERE fingerprint = ? ORDER BY attempt",
+                  -1, &stmt, nullptr),
+              SQLITE_OK);
+    sqlite3_bind_text(stmt, 1, fp.c_str(), -1, SQLITE_TRANSIENT);
+    std::vector<std::string> rows;
+    while (sqlite3_step(stmt) == SQLITE_ROW) {
+        rows.emplace_back(reinterpret_cast<const char *>(
+            sqlite3_column_text(stmt, 0)));
+    }
+    sqlite3_finalize(stmt);
+    sqlite3_close(db);
+    return rows;
+}
+
+TEST(SweepOrchestrator, ClassifiesFailuresAndQuarantines)
+{
+    ASSERT_TRUE(sweepDbAvailable());
+    namespace fs = std::filesystem;
+    // One stand-in bench per failure kind, failing the same way on
+    // every attempt. The spurious one exits 0 without committing.
+    struct Kind
+    {
+        const char *cls;
+        const char *script;
+        const char *detail;
+    };
+    const Kind kinds[] = {
+        {"oom-killed", "kill -9 $$",
+         "SIGKILL (oom killer or external kill)"},
+        {"crash", "exit 3", "exit code 3"},
+        {"hang",
+         "for arg; do\n"
+         "  case $arg in --hang-report-path=*) touch \"${arg#*=}\";;"
+         " esac\n"
+         "done\n"
+         "exit 1",
+         nullptr},
+        {"spurious-exit", "exit 0", "exit 0 without completion marker"},
+    };
+    SweepSpec spec =
+        parseSweepSpec("scenario = soc_point\naxis.fps = 30,60\n");
+    std::vector<SweepPoint> points = expandGrid(spec);
+
+    for (const Kind &kind : kinds) {
+        SCOPED_TRACE(kind.cls);
+        std::string dir = tempPath(std::string("orch_") + kind.cls);
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        std::string bench = dir + "/bench.sh";
+        std::ofstream(bench) << "#!/bin/sh\n" << kind.script << "\n";
+        fs::permissions(bench, fs::perms::owner_all);
+
+        OrchestratorOptions opts;
+        opts.benchBin = bench;
+        opts.dbPath = dir + "/sweep.db";
+        opts.outDir = dir;
+        opts.gitSha = "sha";
+        opts.jobs = 2;
+        opts.maxRetries = 1;
+        opts.backoffBaseMs = 1;
+        SweepDb db(opts.dbPath);
+        opts.db = &db;
+
+        SweepReport report = runSweep(spec, points, opts);
+        EXPECT_EQ(report.succeeded, 0u);
+        EXPECT_EQ(report.retried, points.size());
+        EXPECT_EQ(report.failed, points.size());
+        EXPECT_EQ(report.quarantined, points.size());
+        for (const SweepPoint &point : points) {
+            const std::string &fp = point.fingerprintHex;
+            std::string row =
+                std::string(kind.cls) + ": " +
+                (kind.detail ? kind.detail
+                             : "watchdog hang report at " + dir +
+                                   "/logs/" + fp + ".hang.json");
+            EXPECT_EQ(failureRows(opts.dbPath, fp),
+                      (std::vector<std::string>{row, row}));
+            EXPECT_EQ(db.runStatus("soc_point", fp, "sha"),
+                      "quarantined");
+        }
+
+        // A relaunch finds every budget spent in run_failures.
+        report = runSweep(spec, points, opts);
+        EXPECT_EQ(report.succeeded, 0u);
+        EXPECT_EQ(report.retried, 0u);
+        EXPECT_EQ(report.quarantined, points.size());
+        for (const SweepPoint &point : points)
+            EXPECT_EQ(failureRows(opts.dbPath, point.fingerprintHex)
+                          .size(),
+                      2u);
     }
 }
 

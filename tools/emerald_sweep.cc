@@ -18,6 +18,7 @@
 
 #include <unistd.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -98,7 +99,10 @@ main(int argc, char **argv)
              "this build has no SQLite support; emerald_sweep needs "
              "the sqlite3 library at configure time");
 
-    makeDirs(opts.outDir);
+    std::error_code ec;
+    std::filesystem::create_directories(opts.outDir, ec);
+    fatal_if(static_cast<bool>(ec), "cannot create directory '%s': %s",
+             opts.outDir.c_str(), ec.message().c_str());
     SweepDb db(opts.dbPath);
     opts.db = &db;
 
