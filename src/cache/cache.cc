@@ -1,7 +1,5 @@
 #include "cache/cache.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 #include "sim/serialize/packet_serialize.hh"
 #include "sim/serialize/registry.hh"
@@ -229,24 +227,34 @@ void
 Cache::respondLater(MemPacket *pkt)
 {
     Tick when = curTick() + _domain.cyclesToTicks(_params.hitLatency);
-    _respQueue.emplace(when, pkt);
+    queueResponse(pkt, when);
+    // Queued responses are due no later than this one, so a pending
+    // delivery event already fires first.
     if (!_respEvent.scheduled())
         schedule(_respEvent, when);
-    else if (_respEvent.when() > when)
-        reschedule(_respEvent, when);
+}
+
+void
+Cache::queueResponse(MemPacket *pkt, Tick when)
+{
+    panic_if(!_respQueue.empty() && when < _respQueue.back().when,
+             "%s: response due at %llu precedes the queued one at %llu",
+             name().c_str(), (unsigned long long)when,
+             (unsigned long long)_respQueue.back().when);
+    _respQueue.push_back({pkt, when});
 }
 
 void
 Cache::deliverResponses()
 {
     Tick now = curTick();
-    while (!_respQueue.empty() && _respQueue.begin()->first <= now) {
-        MemPacket *pkt = _respQueue.begin()->second;
-        _respQueue.erase(_respQueue.begin());
+    while (!_respQueue.empty() && _respQueue.front().when <= now) {
+        MemPacket *pkt = _respQueue.front().pkt;
+        _respQueue.pop_front();
         completePacket(pkt);
     }
     if (!_respQueue.empty())
-        schedule(_respEvent, _respQueue.begin()->first);
+        schedule(_respEvent, _respQueue.front().when);
 }
 
 void
@@ -268,16 +276,9 @@ Cache::serialize(CheckpointOut &out) const
     out.putU64Vec("line.last_use", last_use);
     out.putU64("use_counter", _useCounter);
 
-    // The MSHR file is a hash map; sort by line address so the same
-    // cache state always produces byte-identical sections.
-    std::vector<const Mshr *> mshrs;
-    mshrs.reserve(_mshrs.inUse());
-    for (const auto &kv : _mshrs.entries())
-        mshrs.push_back(&kv.second);
-    std::sort(mshrs.begin(), mshrs.end(),
-              [](const Mshr *a, const Mshr *b) {
-                  return a->lineAddr < b->lineAddr;
-              });
+    // Sorted by line address, so the same cache state always produces
+    // byte-identical sections whichever slots the entries occupy.
+    std::vector<const Mshr *> mshrs = _mshrs.entries();
     out.putU64("num_mshrs", mshrs.size());
     for (std::size_t i = 0; i < mshrs.size(); ++i) {
         const Mshr &mshr = *mshrs[i];
@@ -297,10 +298,10 @@ Cache::serialize(CheckpointOut &out) const
 
     out.putU64("num_resps", _respQueue.size());
     std::size_t i = 0;
-    for (const auto &entry : _respQueue) {
+    for (const Response &entry : _respQueue) {
         std::string prefix = strprintf("resp%zu", i++);
-        out.putTick(prefix + ".when", entry.first);
-        putPacket(out, prefix, *entry.second, reg);
+        out.putTick(prefix + ".when", entry.when);
+        putPacket(out, prefix, *entry.pkt, reg);
     }
 
     out.putBool("downstream_blocked", _downstreamBlocked);
@@ -359,7 +360,7 @@ Cache::unserialize(CheckpointIn &in)
         std::string prefix = strprintf("resp%llu",
                                        (unsigned long long)i);
         Tick when = in.getTick(prefix + ".when");
-        _respQueue.emplace(when, getPacket(in, prefix, pool, reg));
+        queueResponse(getPacket(in, prefix, pool, reg), when);
     }
 
     _downstreamBlocked = in.getBool("downstream_blocked");

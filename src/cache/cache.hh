@@ -15,7 +15,6 @@
 #define EMERALD_CACHE_CACHE_HH
 
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "cache/mshr.hh"
@@ -134,6 +133,10 @@ class Cache : public SimObject,
     void respondLater(MemPacket *pkt);
     void deliverResponses();
 
+    /** Append a response; panics if @p when precedes the newest
+     *  queued response. */
+    void queueResponse(MemPacket *pkt, Tick when);
+
     CacheParams _params;
     ClockDomain &_domain;
     MemSink *_downstream = nullptr;
@@ -146,7 +149,18 @@ class Cache : public SimObject,
     std::deque<MemPacket *> _sendQueue;
     /** Downstream rejected our head; waiting for retryRequest(). */
     bool _downstreamBlocked = false;
-    std::multimap<Tick, MemPacket *> _respQueue;
+
+    struct Response
+    {
+        MemPacket *pkt;
+        Tick when;
+    };
+
+    /**
+     * Upstream responses in delivery order. Every response is due at
+     * now plus the fixed hit latency, so due ticks never decrease.
+     */
+    std::deque<Response> _respQueue;
 
     EventFunction _sendEvent;
     EventFunction _respEvent;

@@ -6,7 +6,6 @@
 #ifndef EMERALD_CACHE_MSHR_HH
 #define EMERALD_CACHE_MSHR_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "sim/packet.hh"
@@ -24,22 +23,33 @@ struct Mshr
     std::vector<MemPacket *> targets;
 };
 
-/** A fixed-capacity MSHR file indexed by line address. */
+/**
+ * A fixed-capacity MSHR file indexed by line address: one slot per
+ * entry, allocated at construction and reused, so a miss allocates
+ * nothing.
+ */
 class MshrFile
 {
   public:
-    MshrFile(unsigned num_entries, unsigned targets_per_entry)
-        : _numEntries(num_entries), _targetsPerEntry(targets_per_entry)
-    {}
+    MshrFile(unsigned num_entries, unsigned targets_per_entry);
 
     /** Look up the MSHR covering @p line_addr, or nullptr. */
-    Mshr *find(Addr line_addr);
+    Mshr *
+    find(Addr line_addr)
+    {
+        for (std::size_t i = 0; i < _lineOf.size(); ++i) {
+            if (_lineOf[i] == line_addr)
+                return &_slots[i];
+        }
+        return nullptr;
+    }
 
     /** True when a new MSHR can be allocated. */
-    bool available() const { return _entries.size() < _numEntries; }
+    bool available() const { return _inUse < _slots.size(); }
 
     /**
-     * Allocate an MSHR for @p line_addr.
+     * Allocate an MSHR for @p line_addr, with no targets and
+     * fillSent false.
      * @pre available() and no entry for the line exists.
      */
     Mshr &allocate(Addr line_addr);
@@ -54,19 +64,20 @@ class MshrFile
     /** Release the MSHR for @p line_addr. */
     void release(Addr line_addr);
 
-    std::size_t inUse() const { return _entries.size(); }
+    std::size_t inUse() const { return _inUse; }
 
-    /** All live entries, for checkpointing (unordered). */
-    const std::unordered_map<Addr, Mshr> &
-    entries() const
-    {
-        return _entries;
-    }
+    /** All live entries sorted by line address, for checkpointing. */
+    std::vector<const Mshr *> entries() const;
 
   private:
-    unsigned _numEntries;
+    /** _lineOf value of a free slot; no line address is all ones. */
+    static constexpr Addr freeSlot = ~Addr(0);
+
     unsigned _targetsPerEntry;
-    std::unordered_map<Addr, Mshr> _entries;
+    /** Line address held by each slot, or freeSlot. */
+    std::vector<Addr> _lineOf;
+    std::vector<Mshr> _slots;
+    std::size_t _inUse = 0;
 };
 
 } // namespace emerald::cache

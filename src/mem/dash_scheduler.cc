@@ -81,28 +81,21 @@ DashCoordinator::ipUrgent(int ip, Tick now) const
     return actual < state.emergentThreshold * expected;
 }
 
-bool
-DashCoordinator::cpuIntensive(unsigned core) const
+DashCoordinator::Levels
+DashCoordinator::levelsAt(Tick now) const
 {
-    if (core >= _cpuIsIntensive.size())
-        return false;
-    return _cpuIsIntensive[core];
-}
-
-int
-DashCoordinator::priorityOf(const MemPacket &pkt, Tick now) const
-{
-    if (pkt.tclass == TrafficClass::Cpu) {
-        bool intensive =
-            cpuIntensive(static_cast<unsigned>(pkt.requestorId));
-        if (!intensive)
-            return 1;
-        return _favourIntensiveCpu ? 2 : 3;
+    // Urgent IPs 0, non-intensive CPU cores 1; the switch decides
+    // whether intensive CPU cores or non-urgent IPs take level 2.
+    Levels levels;
+    levels.dash = this;
+    levels.intensiveCpu = _favourIntensiveCpu ? 2 : 3;
+    for (int c = 0; c < 4; ++c) {
+        int ip = _ipOfClass[c];
+        levels.ofClass[c] = ip >= 0 && ipUrgent(ip, now)
+                                ? 0
+                                : (_favourIntensiveCpu ? 3 : 2);
     }
-    int ip = _ipOfClass[static_cast<int>(pkt.tclass)];
-    if (ip >= 0 && ipUrgent(ip, now))
-        return 0;
-    return _favourIntensiveCpu ? 3 : 2;
+    return levels;
 }
 
 void
@@ -269,14 +262,16 @@ std::size_t
 DashScheduler::pick(const DramChannel &channel,
                     const std::vector<QueueEntry> &queue, Tick now)
 {
+    const DashCoordinator::Levels levels = _coordinator.levelsAt(now);
+    _levels.clear();
     int best = 4;
-    for (const QueueEntry &entry : queue)
-        best = std::min(best, _coordinator.priorityOf(*entry.pkt, now));
+    for (const QueueEntry &entry : queue) {
+        _levels.push_back(levels.of(*entry.pkt));
+        best = std::min(best, _levels.back());
+    }
 
     std::size_t choice = FrfcfsScheduler::pickAmong(
-        channel, queue, [&](std::size_t i) {
-            return _coordinator.priorityOf(*queue[i].pkt, now) == best;
-        });
+        channel, queue, [&](std::size_t i) { return _levels[i] == best; });
     panic_if(choice >= queue.size(), "DASH found no eligible request");
     return choice;
 }

@@ -100,13 +100,48 @@ class DashCoordinator : public SimObject, public QosProgressPort
 
     void endIpPeriod(int ip) override;
 
+    /**
+     * Every packet's priority level at one tick, with each IP's
+     * urgency evaluated once. Lower is better.
+     */
+    struct Levels
+    {
+        const DashCoordinator *dash;
+        /** Level of each non-CPU traffic class. */
+        int ofClass[4];
+        /** Level of a memory-intensive CPU core. */
+        int intensiveCpu;
+
+        int
+        of(const MemPacket &pkt) const
+        {
+            if (pkt.tclass != TrafficClass::Cpu)
+                return ofClass[static_cast<int>(pkt.tclass)];
+            return dash->cpuIntensive(
+                       static_cast<unsigned>(pkt.requestorId))
+                       ? intensiveCpu
+                       : 1;
+        }
+    };
+
+    /** The level table at @p now; valid until DASH state changes. */
+    Levels levelsAt(Tick now) const;
+
     /** Priority level of @p pkt right now; lower is better. */
-    int priorityOf(const MemPacket &pkt, Tick now) const;
+    int priorityOf(const MemPacket &pkt, Tick now) const
+    {
+        return levelsAt(now).of(pkt);
+    }
 
     /** Service accounting callback from the channels. */
     void serviced(const MemPacket &pkt, Tick now);
 
-    bool cpuIntensive(unsigned core) const;
+    bool
+    cpuIntensive(unsigned core) const
+    {
+        return core < _cpuIsIntensive.size() && _cpuIsIntensive[core];
+    }
+
     bool ipUrgent(int ip, Tick now) const;
     double currentP() const { return _p; }
 
@@ -171,6 +206,8 @@ class DashScheduler : public DramScheduler
 
   private:
     DashCoordinator &_coordinator;
+    /** Scratch: the level of each queue entry during pick(). */
+    std::vector<int> _levels;
 };
 
 } // namespace emerald::mem

@@ -80,18 +80,6 @@ DramChannel::enqueue(MemPacket *pkt, const DecodedAddr &coord,
     return true;
 }
 
-bool
-DramChannel::bankOpen(unsigned flat_bank) const
-{
-    return _banks[flat_bank].open;
-}
-
-std::uint64_t
-DramChannel::bankOpenRow(unsigned flat_bank) const
-{
-    return _banks[flat_bank].openRow;
-}
-
 double
 DramChannel::rowHitRate() const
 {
@@ -114,15 +102,10 @@ DramChannel::scheduleIssue(Tick when)
 void
 DramChannel::scheduleCompletion()
 {
-    if (_inflight.empty())
-        return;
-    Tick first = _inflight.begin()->first;
-    if (_completeEvent.scheduled()) {
-        if (_completeEvent.when() > first)
-            reschedule(_completeEvent, first);
-        return;
-    }
-    schedule(_completeEvent, first);
+    // A pending completion event serves the oldest in-flight request,
+    // which completes no later than any other.
+    if (!_inflight.empty() && !_completeEvent.scheduled())
+        schedule(_completeEvent, _inflight.front().done);
 }
 
 Tick
@@ -237,7 +220,7 @@ DramChannel::tryIssue()
     }
 
     _scheduler.serviced(*pkt, now);
-    _inflight.emplace(done, pkt);
+    addInflight(pkt, done);
     scheduleCompletion();
 
     // The dequeued slot is capacity a rejected requestor was waiting
@@ -303,10 +286,10 @@ DramChannel::serialize(CheckpointOut &out) const
 
     out.putU64("num_inflight", _inflight.size());
     std::size_t i = 0;
-    for (const auto &entry : _inflight) {
+    for (const InFlight &entry : _inflight) {
         std::string prefix = strprintf("in%zu", i++);
-        out.putTick(prefix + ".when", entry.first);
-        putPacket(out, prefix, *entry.second, reg);
+        out.putTick(prefix + ".when", entry.done);
+        putPacket(out, prefix, *entry.pkt, reg);
     }
 
     _retries.serialize(out, "retry", reg);
@@ -358,19 +341,29 @@ DramChannel::unserialize(CheckpointIn &in)
     for (std::uint64_t i = 0; i < num_inflight; ++i) {
         std::string prefix = strprintf("in%llu", (unsigned long long)i);
         Tick when = in.getTick(prefix + ".when");
-        _inflight.emplace(when, getPacket(in, prefix, pool, reg));
+        addInflight(getPacket(in, prefix, pool, reg), when);
     }
 
     _retries.unserialize(in, "retry", reg);
 }
 
 void
+DramChannel::addInflight(MemPacket *pkt, Tick done)
+{
+    panic_if(!_inflight.empty() && done < _inflight.back().done,
+             "%s: completion at %llu precedes the in-flight one at %llu",
+             name().c_str(), (unsigned long long)done,
+             (unsigned long long)_inflight.back().done);
+    _inflight.push_back({pkt, done});
+}
+
+void
 DramChannel::completeHead()
 {
     Tick now = curTick();
-    while (!_inflight.empty() && _inflight.begin()->first <= now) {
-        MemPacket *pkt = _inflight.begin()->second;
-        _inflight.erase(_inflight.begin());
+    while (!_inflight.empty() && _inflight.front().done <= now) {
+        MemPacket *pkt = _inflight.front().pkt;
+        _inflight.pop_front();
         completePacket(pkt);
     }
     scheduleCompletion();

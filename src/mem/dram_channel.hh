@@ -8,7 +8,7 @@
 #define EMERALD_MEM_DRAM_CHANNEL_HH
 
 #include <cstddef>
-#include <map>
+#include <deque>
 #include <vector>
 
 #include "mem/dram.hh"
@@ -85,8 +85,13 @@ class DramChannel : public SimObject
     std::size_t queueDepth() const { return _queue.size(); }
 
     /** Open row of a flat bank, for scheduler row-hit tests. */
-    bool bankOpen(unsigned flat_bank) const;
-    std::uint64_t bankOpenRow(unsigned flat_bank) const;
+    bool bankOpen(unsigned flat_bank) const { return _banks[flat_bank].open; }
+
+    std::uint64_t
+    bankOpenRow(unsigned flat_bank) const
+    {
+        return _banks[flat_bank].openRow;
+    }
 
     const DramGeometry &geometry() const { return _geom; }
     const DramTiming &timing() const { return _timing; }
@@ -123,6 +128,10 @@ class DramChannel : public SimObject
     void scheduleIssue(Tick when);
     void scheduleCompletion();
 
+    /** Append an issued request; panics if @p done precedes the
+     *  newest in-flight completion. */
+    void addInflight(MemPacket *pkt, Tick done);
+
     /** Compute service timing and update bank/bus state. */
     Tick service(const DramScheduler::QueueEntry &entry, Tick now,
                  RowBufferOutcome &outcome);
@@ -138,8 +147,18 @@ class DramChannel : public SimObject
     RetryList _retries;
     Tick _busFreeTick = 0;
 
-    /** Issued requests waiting for their completion tick. */
-    std::multimap<Tick, MemPacket *> _inflight;
+    struct InFlight
+    {
+        MemPacket *pkt;
+        Tick done;
+    };
+
+    /**
+     * Issued requests waiting for their completion tick, in issue
+     * order. Completion ticks never decrease: each service starts at
+     * or after the previous one's bus-free tick.
+     */
+    std::deque<InFlight> _inflight;
 
     EventFunction _issueEvent;
     EventFunction _completeEvent;

@@ -5,7 +5,7 @@
  * Components own Event objects (usually EventFunction members bound to
  * a callback) and schedule them on the queue. Events at the same tick
  * fire in (priority, scheduling-order) order, which keeps simulations
- * deterministic.
+ * deterministic (docs/scheduling.md, "Event queue").
  */
 
 #ifndef EMERALD_SIM_EVENT_QUEUE_HH
@@ -78,16 +78,21 @@ class Event
     /** Name used in error messages. */
     virtual std::string name() const { return "anon-event"; }
 
-    bool scheduled() const { return _scheduled; }
+    bool scheduled() const { return _slot != idleSlot; }
     Tick when() const { return _when; }
     int priority() const { return _priority; }
 
   private:
     friend class EventQueue;
 
-    bool _scheduled = false;
+    /** _slot values that are not heap indices. */
+    static constexpr std::uint32_t idleSlot = ~std::uint32_t(0);
+    static constexpr std::uint32_t frontSlot = idleSlot - 1;
+
     Tick _when = 0;
-    std::uint64_t _generation = 0;
+    /** Where the queue holds the event: a heap index, or one of the
+     *  two sentinels above. */
+    std::uint32_t _slot = idleSlot;
     int _priority;
 };
 
@@ -110,7 +115,17 @@ class EventFunction : public Event
 };
 
 /**
- * A min-heap event queue with a monotonically advancing current tick.
+ * The event queue: a 4-ary min-heap plus a front slot, with a
+ * monotonically advancing current tick.
+ *
+ * Service order is (when, priority, schedule order): every schedule()
+ * or reschedule() takes the next sequence number, and one 128-bit key
+ * packs all three, with when above a rank of the biased priority over
+ * a 56-bit sequence number. Each scheduled Event records where the
+ * queue holds it, so deschedule() and reschedule() remove it in place.
+ * The front slot holds a scheduling that is earlier than every heap
+ * node, so an event that re-arms itself as the next to fire is stored
+ * and popped without a sift.
  */
 class EventQueue
 {
@@ -129,7 +144,7 @@ class EventQueue
     /** Move an event: deschedule if needed, then schedule at @p when. */
     void reschedule(Event &ev, Tick when);
 
-    /** Remove a scheduled event from the queue (lazily). */
+    /** Remove a scheduled event from the queue. */
     void deschedule(Event &ev);
 
     /** True when no live events remain. */
@@ -139,7 +154,7 @@ class EventQueue
     std::size_t size() const { return _liveEvents; }
 
     /** Tick of the next live event. @pre !empty(). */
-    Tick nextTick();
+    Tick nextTick() const;
 
     /**
      * Pop and process the next event.
@@ -159,16 +174,21 @@ class EventQueue
     std::uint64_t numProcessed() const { return _numProcessed; }
 
     /**
-     * Heap entries including stale (lazily descheduled) ones. Bounded
-     * at O(liveEvents) by compaction; exposed for tests.
+     * Nodes the queue holds: the heap plus an occupied front slot.
+     * Descheduling removes a node in place, so this equals size();
+     * exposed so tests can check that no stale node is left behind.
      */
-    std::size_t heapSize() const { return _heap.size(); }
+    std::size_t
+    heapSize() const
+    {
+        return _heap.size() + (_front.event != nullptr);
+    }
 
     /**
-     * "name @ tick" of the next live event, or "(empty)". Skims stale
-     * entries first; used by the watchdog's hang report.
+     * "name @ tick" of the next live event, or "(empty)"; used by the
+     * watchdog's hang report.
      */
-    std::string headSummary();
+    std::string headSummary() const;
 
     /**
      * Install (or with nullptr remove) the observer notified after
@@ -214,46 +234,63 @@ class EventQueue
     void restoreTime(Tick tick, std::uint64_t num_processed);
 
   private:
-    struct Entry
-    {
-        Tick when;
-        int priority;
-        std::uint64_t seq;
-        std::uint64_t generation;
-        Event *event;
+    /** (when, biased priority, sequence number), most significant
+     *  first: one unsigned compare orders two schedulings. */
+    __extension__ using Key = unsigned __int128;
 
-        bool
-        operator>(const Entry &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            if (priority != other.priority)
-                return priority > other.priority;
-            return seq > other.seq;
-        }
+    struct Node
+    {
+        Key key;
+        Event *event;
     };
 
-    /** True when the entry still refers to a live scheduling. */
-    static bool
-    live(const Entry &e)
+    static constexpr int priorityBias = 128;
+    static constexpr unsigned seqBits = 56;
+    static constexpr std::size_t arity = 4;
+
+    static Tick whenOf(Key key) { return static_cast<Tick>(key >> 64); }
+
+    /** The key of a new scheduling of @p ev at @p when. Takes the
+     *  next sequence number. */
+    Key nextKey(const Event &ev, Tick when);
+
+    /** Hold @p node in the front slot or the heap. @pre the node's
+     *  event is not held anywhere. */
+    void insert(Node node);
+
+    /** Remove a scheduled event's node from wherever it is held. */
+    void unlink(Event &ev);
+
+    /** Pop and process the earliest node. @pre !empty(). */
+    void serviceNext();
+
+    void heapPush(Node node);
+    void heapErase(std::size_t i);
+    void siftUp(std::size_t i, Node node);
+    void siftDown(std::size_t i, Node node);
+
+    void
+    place(std::size_t i, Node node)
     {
-        return e.event->_scheduled && e.event->_generation == e.generation;
+        _heap[i] = node;
+        node.event->_slot = static_cast<std::uint32_t>(i);
     }
 
-    /** Drop stale heap entries from the top of the heap. */
-    void skim();
+    /** Calls @p fn on every node the queue holds, in no order. */
+    template <typename Fn>
+    void
+    forEachNode(Fn fn) const
+    {
+        if (_front.event)
+            fn(_front);
+        for (const Node &node : _heap)
+            fn(node);
+    }
 
-    /** Rebuild the heap without its stale entries. */
-    void compact();
-
-    /** Compact when stale entries dominate the heap. */
-    void maybeCompact();
-
-    /** Pop and process the top entry. @pre skimmed and non-empty. */
-    void serviceTop();
-
-    /** Min-heap (std::push_heap/pop_heap with std::greater). */
-    std::vector<Entry> _heap;
+    /** Earlier than every heap node when occupied (event != nullptr). */
+    Node _front{0, nullptr};
+    /** 4-ary min-heap on Node::key; each event records its index. */
+    std::vector<Node> _heap;
     Tick _curTick = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _numProcessed = 0;

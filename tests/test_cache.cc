@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <unordered_map>
 
 #include "cache/cache.hh"
 #include "sim/random.hh"
@@ -259,3 +261,83 @@ TEST_P(CacheVsReference, HitMissSequenceMatches)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheVsReference,
                          ::testing::Values(11u, 22u, 33u));
+
+// MshrFile against a hash-map reference, over random allocate, merge,
+// fill and release sequences that keep the file at or near capacity.
+TEST(MshrFile, MatchesUnorderedMapReference)
+{
+    struct RefEntry
+    {
+        bool fillSent = false;
+        std::vector<MemPacket *> targets;
+    };
+    const unsigned entries = 6;
+    const unsigned targets = 3;
+    std::vector<MemPacket> pkts(
+        8, MemPacket(0, 128, false, TrafficClass::Gpu,
+                     AccessKind::GlobalData, 0));
+
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        MshrFile file(entries, targets);
+        std::unordered_map<Addr, RefEntry> ref;
+        Random rng(seed);
+        unsigned reused = 0;
+        for (int step = 0; step < 20000; ++step) {
+            const Addr line = rng.below(16) * 128;
+            MemPacket *target = &pkts[rng.below(pkts.size())];
+            Mshr *mshr = file.find(line);
+            auto it = ref.find(line);
+            ASSERT_EQ(mshr != nullptr, it != ref.end()) << "step " << step;
+            if (!mshr) {
+                ASSERT_EQ(file.available(), ref.size() < entries);
+                if (file.available()) {
+                    // A reused slot starts empty, whatever it held.
+                    Mshr &fresh = file.allocate(line);
+                    ASSERT_EQ(fresh.lineAddr, line);
+                    ASSERT_TRUE(fresh.targets.empty());
+                    ASSERT_FALSE(fresh.fillSent);
+                    reused += fresh.targets.capacity() > 0;
+                    fresh.targets.push_back(target);
+                    ref[line].targets.push_back(target);
+                }
+            } else {
+                switch (rng.below(3)) {
+                  case 0:
+                    ASSERT_EQ(file.canAddTarget(*mshr),
+                              it->second.targets.size() < targets);
+                    if (file.canAddTarget(*mshr)) {
+                        mshr->targets.push_back(target);
+                        it->second.targets.push_back(target);
+                    }
+                    break;
+                  case 1:
+                    mshr->fillSent = true;
+                    it->second.fillSent = true;
+                    break;
+                  default:
+                    file.release(line);
+                    ref.erase(it);
+                    break;
+                }
+            }
+
+            ASSERT_EQ(file.inUse(), ref.size());
+            ASSERT_EQ(file.available(), ref.size() < entries);
+            std::vector<Addr> lines;
+            for (const auto &kv : ref)
+                lines.push_back(kv.first);
+            std::sort(lines.begin(), lines.end());
+            std::vector<const Mshr *> live = file.entries();
+            ASSERT_EQ(live.size(), lines.size());
+            for (std::size_t i = 0; i < live.size(); ++i) {
+                const RefEntry &want = ref.at(lines[i]);
+                ASSERT_EQ(live[i]->lineAddr, lines[i]);
+                ASSERT_EQ(live[i]->fillSent, want.fillSent);
+                ASSERT_EQ(live[i]->targets, want.targets);
+                ASSERT_EQ(file.find(lines[i]), live[i]);
+            }
+        }
+        // Slots really were reused after holding targets.
+        EXPECT_GT(reused, 0u) << "seed " << seed;
+    }
+}

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "mem/dash_scheduler.hh"
 #include "mem/frfcfs_scheduler.hh"
 #include "mem/memory_system.hh"
+#include "sim/random.hh"
 #include "sim/simulation.hh"
 
 using namespace emerald;
@@ -189,5 +193,122 @@ TEST(DashCoordinator, ProbabilityAdapts)
     EXPECT_GE(dash.currentP(), 0.05);
     EXPECT_LE(dash.currentP(), 0.95);
     (void)p0;
+    dash.shutdown();
+}
+
+namespace
+{
+
+/** DASH's pick as a two-pass formula: the best priorityOf() over the
+ *  queue, then the FR-FCFS choice among the entries at that level. */
+std::size_t
+twoPassPick(const DashCoordinator &dash, const DramChannel &channel,
+            const std::vector<DramScheduler::QueueEntry> &queue, Tick now)
+{
+    int best = 4;
+    for (const DramScheduler::QueueEntry &entry : queue)
+        best = std::min(best, dash.priorityOf(*entry.pkt, now));
+    return FrfcfsScheduler::pickAmong(
+        channel, queue, [&](std::size_t i) {
+            return dash.priorityOf(*queue[i].pkt, now) == best;
+        });
+}
+
+} // namespace
+
+TEST(DashScheduler, PickMatchesTwoPassReference)
+{
+    Simulation sim;
+    DashCoordinator dash(sim, "dash", testParams());
+    const int ips[] = {
+        dash.registerIp("gpu", TrafficClass::Gpu, 0.9),
+        dash.registerIp("display", TrafficClass::Display, 0.8),
+        dash.registerIp("npu", TrafficClass::Npu, 0.8),
+    };
+    DashScheduler sched(dash);
+
+    MemorySystemParams mp;
+    mp.geom.channels = 1;
+    mp.timing = lpddr3Timing(1333, 32, 128);
+    FrfcfsScheduler basis;
+    MemorySystem mem(sim, "mem", mp, basis);
+    DramChannel &channel = mem.channel(0);
+
+    Random rng(2024);
+    // Few banks and rows, so queues hold row hits and same-level ties.
+    auto randomCoord = [&] {
+        DecodedAddr coord;
+        coord.bank = static_cast<unsigned>(rng.below(mp.geom.banks));
+        coord.row = rng.below(3);
+        coord.column = rng.below(32);
+        return coord;
+    };
+    const TrafficClass classes[] = {TrafficClass::Cpu, TrafficClass::Gpu,
+                                    TrafficClass::Display,
+                                    TrafficClass::Npu};
+    std::deque<MemPacket> pkts;
+    auto randomPkt = [&]() -> MemPacket * {
+        TrafficClass tc = classes[rng.below(4)];
+        // Core 5 is outside the clustering table: never intensive.
+        int requestor = tc == TrafficClass::Cpu
+                            ? static_cast<int>(rng.below(6))
+                            : 100;
+        pkts.emplace_back(0, 128, false, tc, AccessKind::GlobalData,
+                          requestor);
+        return &pkts.back();
+    };
+
+    int best_seen[4] = {0, 0, 0, 0};
+    int row_hit_picks = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        // Re-draw the IPs' periods and progress now and then.
+        for (int ip : ips) {
+            if (rng.chance(0.1)) {
+                Tick period = ticksFromUs(20.0) * (1 + rng.below(20));
+                dash.beginIpPeriod(
+                    ip, period, static_cast<double>(rng.between(50, 1000)));
+            }
+            if (rng.chance(0.3))
+                dash.addIpProgress(ip, static_cast<double>(rng.below(60)));
+            if (rng.chance(0.02))
+                dash.endIpPeriod(ip);
+        }
+        // Re-cluster the CPU cores on random bandwidth.
+        if (rng.chance(0.1)) {
+            for (int n = static_cast<int>(rng.below(40)); n > 0; --n) {
+                MemPacket cpu = cpuPkt(static_cast<int>(rng.below(4)));
+                dash.serviced(cpu, sim.curTick());
+            }
+            dash.recluster();
+        }
+        // Open new rows, and let the switch re-draw its favourite.
+        for (int n = static_cast<int>(rng.below(3)); n > 0; --n) {
+            auto *opener = new MemPacket(0, 128, false, TrafficClass::Gpu,
+                                         AccessKind::GlobalData, 100);
+            ASSERT_TRUE(channel.enqueue(opener, randomCoord()));
+        }
+        sim.run(sim.curTick() + ticksFromUs(1.0) * (1 + rng.below(4)));
+
+        std::vector<DramScheduler::QueueEntry> queue;
+        for (int n = static_cast<int>(rng.between(1, 24)); n > 0; --n)
+            queue.push_back({randomPkt(), randomCoord(), sim.curTick()});
+        const Tick now = sim.curTick() + ticksFromUs(1.0) * rng.below(200);
+
+        const std::size_t expect = twoPassPick(dash, channel, queue, now);
+        ASSERT_EQ(sched.pick(channel, queue, now), expect)
+            << "trial " << trial;
+
+        const DecodedAddr &c = queue[expect].coord;
+        const unsigned bank = c.flatBank(mp.geom);
+        row_hit_picks += channel.bankOpen(bank) &&
+                         channel.bankOpenRow(bank) == c.row;
+        ++best_seen[dash.priorityOf(*queue[expect].pkt, now)];
+        pkts.clear();
+    }
+    // The random walk reached every level and both FR-FCFS outcomes.
+    for (int level = 0; level < 4; ++level)
+        EXPECT_GT(best_seen[level], 0) << "level " << level;
+    EXPECT_GT(row_hit_picks, 0);
+    EXPECT_LT(row_hit_picks, 3000);
     dash.shutdown();
 }

@@ -3,8 +3,8 @@
  * Tests for the machine-readable observability layer (JSON stat
  * dumps, the Chrome-trace EventTracer, the sim.profile.* profiler)
  * and regression tests for the kernel bugfixes that shipped with it
- * (Random modulo bias, TimeSeries hazards, EventQueue stale-entry
- * compaction, Config space-form parsing).
+ * (Random modulo bias, TimeSeries hazards, EventQueue memory under
+ * deschedule churn, Config space-form parsing).
  */
 
 #include <cstdio>
@@ -609,7 +609,8 @@ TEST(TimeSeriesHazards, FarFutureSampleIsClampedNotAllocated)
 }
 
 // ------------------------------------------------------------------
-// EventQueue stale-entry compaction
+// EventQueue memory under deschedule churn: descheduling removes the
+// node in place, so no stale node may survive in the heap
 // ------------------------------------------------------------------
 
 TEST(EventQueueCompaction, HeapStaysBoundedUnderRescheduleChurn)
@@ -623,9 +624,10 @@ TEST(EventQueueCompaction, HeapStaysBoundedUnderRescheduleChurn)
         eq.schedule(churn, 500 + i);
         eq.deschedule(churn);
     }
-    // Lazy descheduling leaves stale entries, but compaction keeps
-    // the heap O(live): two live-ish events must not hold 100k slots.
+    // Descheduling removes the node in place: 100k schedulings of
+    // one event leave nothing behind but the anchor.
     EXPECT_EQ(eq.size(), 1u);
+    EXPECT_EQ(eq.heapSize(), eq.size());
     EXPECT_LT(eq.heapSize(), 1000u);
     EXPECT_EQ(eq.nextTick(), 1000000u);
 
@@ -646,9 +648,10 @@ TEST(EventQueueCompaction, RunUntilSurvivesCompactionMidRun)
         events.push_back(std::make_unique<NamedEvent>(name));
         eq.schedule(*events.back(), 10 + i);
     }
-    // Deschedule every other event to force staleness, then run.
+    // Deschedule every other event from inside the heap, then run.
     for (int i = 0; i < 200; i += 2)
         eq.deschedule(*events[i]);
+    EXPECT_EQ(eq.heapSize(), eq.size());
     std::uint64_t processed = eq.runUntil();
     EXPECT_EQ(processed, 100u);
     for (int i = 0; i < 200; ++i)

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
+#include <tuple>
 
 #include "mem/functional_memory.hh"
 #include "noc/crossbar.hh"
@@ -80,6 +84,269 @@ TEST(EventQueue, RunUntilStopsAtLimit)
     EXPECT_EQ(eq.runUntil(50), 1u);
     EXPECT_EQ(fired, 1);
     EXPECT_FALSE(eq.empty());
+}
+
+// ------------------------------------------------------------------
+// EventQueue against a reference model
+// ------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Drives one EventQueue and a reference model through the same
+ * operations. The model is a sorted set of (when, priority, seq), and
+ * every schedule or reschedule takes the next seq. Events fire through
+ * the real queue; each one checks that the model agrees on which event
+ * is next, then may re-arm itself or touch another event from inside
+ * process().
+ */
+class QueueDiff
+{
+  public:
+    QueueDiff(std::uint64_t seed, int num_events) : _rng(seed)
+    {
+        const int priorities[] = {Event::clockPriority,
+                                  Event::defaultPriority,
+                                  Event::statsPriority};
+        for (int id = 0; id < num_events; ++id) {
+            std::string name = "e";
+            name += std::to_string(id);
+            _events.push_back(std::make_unique<EventFunction>(
+                [this, id] { fired(id); }, name, priorities[id % 3]));
+        }
+        _keys.resize(static_cast<std::size_t>(num_events));
+    }
+
+    EventQueue eq;
+
+    void
+    schedule(int id, Tick when)
+    {
+        eq.schedule(ev(id), when);
+        insert(id, when);
+    }
+
+    void
+    reschedule(int id, Tick when)
+    {
+        eq.reschedule(ev(id), when);
+        erase(id);
+        insert(id, when);
+    }
+
+    void
+    deschedule(int id)
+    {
+        eq.deschedule(ev(id));
+        erase(id);
+    }
+
+    /** The checkpoint-restore prologue, then the pending set again in
+     *  service order at a later tick. */
+    void
+    clearAndRestore(Tick jump)
+    {
+        std::vector<std::pair<int, Tick>> pending;
+        for (const auto &[key, id] : _model)
+            pending.emplace_back(id, std::get<0>(key) + jump);
+        eq.clearForRestore();
+        _model.clear();
+        for (auto &key : _keys)
+            key.reset();
+        eq.restoreTime(eq.curTick() + jump, eq.numProcessed());
+        for (const auto &[id, when] : pending)
+            schedule(id, when);
+    }
+
+    /** Run one event, or schedule, reschedule or deschedule one. */
+    void
+    randomStep()
+    {
+        if (_rng.chance(0.4))
+            eq.runOne();
+        else
+            randomOp();
+    }
+
+    void
+    runAll()
+    {
+        while (eq.runOne())
+            ASSERT_NO_FATAL_FAILURE(check());
+    }
+
+    /** Everything observable must match the model. */
+    void
+    check() const
+    {
+        ASSERT_EQ(_fired, _expected);
+        ASSERT_EQ(eq.size(), _model.size());
+        ASSERT_EQ(eq.heapSize(), eq.size());
+        ASSERT_EQ(eq.empty(), _model.empty());
+        if (!_model.empty()) {
+            ASSERT_EQ(eq.nextTick(), std::get<0>(_model.begin()->first));
+        }
+
+        auto live = eq.liveEventsSorted();
+        ASSERT_EQ(live.size(), _model.size());
+        std::size_t i = 0;
+        for (const auto &[key, id] : _model) {
+            const auto &ref = live[i++];
+            ASSERT_EQ(ref.when, std::get<0>(key));
+            ASSERT_EQ(ref.priority, std::get<1>(key));
+            ASSERT_EQ(ref.seq, std::get<2>(key));
+            ASSERT_EQ(ref.event, &ev(id));
+        }
+        for (std::size_t e = 0; e < _events.size(); ++e) {
+            ASSERT_EQ(_events[e]->scheduled(), _keys[e].has_value());
+            if (_keys[e]) {
+                ASSERT_EQ(_events[e]->when(), std::get<0>(*_keys[e]));
+            }
+        }
+    }
+
+  private:
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+
+    Event &ev(int id) const { return *_events[static_cast<std::size_t>(id)]; }
+
+    void
+    insert(int id, Tick when)
+    {
+        Key key{when, ev(id).priority(), _seq++};
+        _model.emplace(key, id);
+        _keys[static_cast<std::size_t>(id)] = key;
+    }
+
+    void
+    erase(int id)
+    {
+        auto &key = _keys[static_cast<std::size_t>(id)];
+        if (key) {
+            _model.erase(*key);
+            key.reset();
+        }
+    }
+
+    /** Mostly zero-delay or near ties, sometimes further out. */
+    Tick
+    delay()
+    {
+        return _rng.chance(0.3) ? 0 : _rng.below(_rng.chance(0.8) ? 4 : 40);
+    }
+
+    void
+    randomOp()
+    {
+        const int id = static_cast<int>(_rng.below(_events.size()));
+        const Tick when = eq.curTick() + delay();
+        if (ev(id).scheduled()) {
+            if (_rng.chance(0.5))
+                reschedule(id, when);
+            else
+                deschedule(id);
+        } else if (_rng.chance(0.7)) {
+            schedule(id, when);
+        } else {
+            reschedule(id, when);
+        }
+    }
+
+    void
+    fired(int id)
+    {
+        _fired.emplace_back(id, eq.curTick());
+        if (_model.empty()) {
+            _expected.emplace_back(-1, 0);
+            return;
+        }
+        auto head = _model.begin();
+        _expected.emplace_back(head->second, std::get<0>(head->first));
+        _keys[static_cast<std::size_t>(head->second)].reset();
+        _model.erase(head);
+        if (_rng.chance(0.5))
+            schedule(id, eq.curTick() + delay());
+        if (_rng.chance(0.2))
+            randomOp();
+    }
+
+    Random _rng;
+    std::vector<std::unique_ptr<EventFunction>> _events;
+    std::map<Key, int> _model;
+    std::vector<std::optional<Key>> _keys;
+    std::uint64_t _seq = 0;
+    std::vector<std::pair<int, Tick>> _fired;
+    std::vector<std::pair<int, Tick>> _expected;
+};
+
+void
+runRandomDiff(std::uint64_t seed)
+{
+    QueueDiff diff(seed, 12);
+    for (int step = 0; step < 20000; ++step) {
+        diff.randomStep();
+        ASSERT_NO_FATAL_FAILURE(diff.check()) << "step " << step;
+        if (step % 5000 == 4999) {
+            diff.clearAndRestore(100);
+            ASSERT_NO_FATAL_FAILURE(diff.check()) << "restore " << step;
+        }
+    }
+    ASSERT_NO_FATAL_FAILURE(diff.runAll());
+    EXPECT_TRUE(diff.eq.empty());
+}
+
+} // namespace
+
+TEST(EventQueueDifferential, RandomOpsSeed1) { runRandomDiff(1); }
+TEST(EventQueueDifferential, RandomOpsSeed2) { runRandomDiff(2); }
+TEST(EventQueueDifferential, RandomOpsSeed3) { runRandomDiff(3); }
+
+TEST(EventQueueDifferential, FrontSlotDescheduledRescheduledDisplaced)
+{
+    // Priorities by id: e0/e3 clock, e1/e4 default, e2/e5 stats.
+    QueueDiff diff(7, 6);
+    // e0 into an empty queue takes the front slot; e1 goes behind it.
+    diff.schedule(0, 10);
+    diff.schedule(1, 20);
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    // An earlier tick displaces the front node into the heap.
+    diff.schedule(2, 5);
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    // Descheduling the front node leaves the heap's root next.
+    diff.deschedule(2);
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    // A heap node rescheduled earliest takes the front slot,
+    diff.reschedule(0, 3);
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    // keeps it when moved within its lead,
+    diff.reschedule(0, 4);
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    // and goes back into the heap when moved behind the root.
+    diff.reschedule(0, 30);
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    // e4 takes the empty front slot; e3, same tick but clock priority,
+    // displaces it; e5, same tick but stats priority, goes behind.
+    diff.schedule(4, 10);
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    diff.schedule(3, 10);
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    diff.schedule(5, 10);
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    ASSERT_NO_FATAL_FAILURE(diff.runAll());
+}
+
+TEST(EventQueueDifferential, ClearForRestoreThenReschedule)
+{
+    QueueDiff diff(11, 9);
+    for (int id = 0; id < 9; ++id)
+        diff.schedule(id, 50 - 5 * (id % 4));
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    diff.eq.runUntil(40);
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    diff.clearAndRestore(1000);
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    ASSERT_NO_FATAL_FAILURE(diff.runAll());
 }
 
 TEST(ClockDomain, EdgeMath)
