@@ -21,7 +21,6 @@ struct Result
 {
     double frame_cycles = 0.0;
     double kernel_cycles = 0.0;
-    std::uint64_t event_hash = 0;
 };
 
 Result
@@ -75,7 +74,6 @@ run(const SimulationBuilder &sim_builder, bool with_frame,
     }
     if (!rig.runUntil([&] { return frame_done && kernel_done; }))
         fatal("concurrency run stalled");
-    out.event_hash = rig.sim().determinismHash();
     return out;
 }
 
@@ -90,14 +88,17 @@ runScenario(int argc, char **argv)
     BenchHarness harness(argc, argv, "ablation_concurrency");
     const Config &cfg = harness.cfg;
     unsigned n = static_cast<unsigned>(cfg.getU64("n", 65536));
-    BenchResults &results = *harness.results;
 
     std::printf("=== Ablation: graphics + compute sharing the SIMT "
                 "cores ===\n");
 
-    Result frame_only = run(harness.builder(), true, false, n);
-    Result kernel_only = run(harness.builder(), false, true, n);
-    Result both = run(harness.builder(), true, true, n);
+    // The labels name the pinned hashes
+    // (tests/golden/ablation_concurrency_quick.json).
+    Result frame_only =
+        run(harness.builderFor("frame_alone"), true, false, n);
+    Result kernel_only =
+        run(harness.builderFor("kernel_alone"), false, true, n);
+    Result both = run(harness.builderFor("shared"), true, true, n);
 
     std::printf("frame alone : %10.0f cycles\n",
                 frame_only.frame_cycles);
@@ -109,26 +110,14 @@ runScenario(int argc, char **argv)
     std::printf("kernel+frame: %10.0f cycles (%.2fx)\n",
                 both.kernel_cycles,
                 both.kernel_cycles / kernel_only.kernel_cycles);
-    results.record("frame_alone_cycles", frame_only.frame_cycles);
-    results.record("frame_shared_cycles", both.frame_cycles);
-    results.record("frame_slowdown",
+    harness.record("frame_alone_cycles", frame_only.frame_cycles);
+    harness.record("frame_shared_cycles", both.frame_cycles);
+    harness.record("frame_slowdown",
                    both.frame_cycles / frame_only.frame_cycles);
-    results.record("kernel_alone_cycles", kernel_only.kernel_cycles);
-    results.record("kernel_shared_cycles", both.kernel_cycles);
-    results.record("kernel_slowdown",
+    harness.record("kernel_alone_cycles", kernel_only.kernel_cycles);
+    harness.record("kernel_shared_cycles", both.kernel_cycles);
+    harness.record("kernel_slowdown",
                    both.kernel_cycles / kernel_only.kernel_cycles);
-    // 53-bit folds of the event-stream hashes (exact in JSON), pinned
-    // by tests/golden/ablation_concurrency_quick.json.
-    const std::pair<const char *, const Result *> runs[] = {
-        {"frame_alone", &frame_only},
-        {"kernel_alone", &kernel_only},
-        {"shared", &both},
-    };
-    for (const auto &[key, result] : runs) {
-        results.record(std::string(key) + ".event_hash",
-                       static_cast<double>(result->event_hash &
-                                           ((1ULL << 53) - 1)));
-    }
     std::printf("\nshape: both directions slow down (shared cores, "
                 "caches and DRAM) - the contention a unified model "
                 "exposes and split simulators cannot\n");

@@ -74,7 +74,6 @@ runScenario(int argc, char **argv)
     const Config &cfg = harness.cfg;
     unsigned frames = static_cast<unsigned>(cfg.getU64("frames", 4));
     bool quick = harness.quick;
-    BenchResults &results = *harness.results;
 
     auto workloads = caseStudy2Workloads();
     if (quick)
@@ -88,15 +87,18 @@ runScenario(int argc, char **argv)
                 "WT10 (uJ)", "DFSL (uJ)", "DFSL saves");
 
     for (scenes::WorkloadId id : workloads) {
-        EnergyRun wt1 = measure(harness.builder(), id, 1, frames);
-        EnergyRun wt10 = measure(harness.builder(), id, 10, frames);
-        EnergyRun dfsl = measure(harness.builder(), id, 1, frames, true);
-        double worst = std::max(wt1.energy_uj, wt10.energy_uj);
         std::string wl = scenes::workloadName(id);
-        results.record(wl + ".wt1_uj", wt1.energy_uj);
-        results.record(wl + ".wt10_uj", wt10.energy_uj);
-        results.record(wl + ".dfsl_uj", dfsl.energy_uj);
-        results.record(wl + ".dfsl_saves_frac",
+        EnergyRun wt1 =
+            measure(harness.builderFor(wl + ".wt1"), id, 1, frames);
+        EnergyRun wt10 =
+            measure(harness.builderFor(wl + ".wt10"), id, 10, frames);
+        EnergyRun dfsl = measure(harness.builderFor(wl + ".dfsl"), id,
+                                 1, frames, true);
+        double worst = std::max(wt1.energy_uj, wt10.energy_uj);
+        harness.record(wl + ".wt1_uj", wt1.energy_uj);
+        harness.record(wl + ".wt10_uj", wt10.energy_uj);
+        harness.record(wl + ".dfsl_uj", dfsl.energy_uj);
+        harness.record(wl + ".dfsl_saves_frac",
                        (worst - dfsl.energy_uj) / worst);
         std::printf("%-18s %12.1f %12.1f %12.1f %11.1f%%\n",
                     scenes::workloadName(id), wt1.energy_uj,

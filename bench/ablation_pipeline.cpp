@@ -118,8 +118,6 @@ runScenario(int argc, char **argv)
     BenchHarness harness(argc, argv, "ablation_pipeline");
     const Config &cfg = harness.cfg;
     unsigned frames = static_cast<unsigned>(cfg.getU64("frames", 2));
-    BenchResults &results = *harness.results;
-    const SimulationBuilder builder = harness.builder();
 
     std::printf("=== Ablation: pipeline design choices ===\n\n");
 
@@ -129,14 +127,16 @@ runScenario(int argc, char **argv)
         core::GfxParams off;
         off.hizEnabled = false;
         std::uint64_t rejects = 0;
-        double t_on = runConfig(builder, scenes::WorkloadId::W1_Sibenik,
-                                on, true, frames, &rejects);
-        double t_off = runConfig(builder, scenes::WorkloadId::W1_Sibenik,
-                                 off, true, frames);
-        results.record("hiz.on_cycles", t_on);
-        results.record("hiz.off_cycles", t_off);
-        results.record("hiz.saved_frac", (t_off - t_on) / t_off);
-        results.record("hiz.tiles_rejected",
+        double t_on = runConfig(harness.builderFor("hiz.on"),
+                                scenes::WorkloadId::W1_Sibenik, on,
+                                true, frames, &rejects);
+        double t_off = runConfig(harness.builderFor("hiz.off"),
+                                 scenes::WorkloadId::W1_Sibenik, off,
+                                 true, frames);
+        harness.record("hiz.on_cycles", t_on);
+        harness.record("hiz.off_cycles", t_off);
+        harness.record("hiz.saved_frac", (t_off - t_on) / t_off);
+        harness.record("hiz.tiles_rejected",
                        static_cast<double>(rejects));
         std::printf("Hi-Z (W1-sibenik):  on %.0f cy, off %.0f cy -> "
                     "%.1f%% saved; %llu tiles rejected\n",
@@ -151,16 +151,16 @@ runScenario(int argc, char **argv)
         weak.tcEnginesPerCluster = 1;
         weak.tcFlushTimeoutCycles = 1;
         double fpw_full = 0, fpw_weak = 0;
-        double t_full = runConfig(builder,
+        double t_full = runConfig(harness.builderFor("tc.full"),
                                   scenes::WorkloadId::W4_Suzanne, full,
                                   true, frames, nullptr, &fpw_full);
-        double t_weak = runConfig(builder,
+        double t_weak = runConfig(harness.builderFor("tc.weak"),
                                   scenes::WorkloadId::W4_Suzanne, weak,
                                   true, frames, nullptr, &fpw_weak);
-        results.record("tc.full_cycles", t_full);
-        results.record("tc.weak_cycles", t_weak);
-        results.record("tc.full_frag_per_warp", fpw_full / frames);
-        results.record("tc.weak_frag_per_warp", fpw_weak / frames);
+        harness.record("tc.full_cycles", t_full);
+        harness.record("tc.weak_cycles", t_weak);
+        harness.record("tc.full_frag_per_warp", fpw_full / frames);
+        harness.record("tc.weak_frag_per_warp", fpw_weak / frames);
         std::printf("TC coalescing (W4): full %.0f cy (%.1f frag/"
                     "warp), weak %.0f cy (%.1f frag/warp)\n",
                     t_full, fpw_full / frames, t_weak,
@@ -170,13 +170,15 @@ runScenario(int argc, char **argv)
     // 3. Early-Z vs forced late-Z.
     {
         core::GfxParams gfx;
-        double t_early = runConfig(builder, scenes::WorkloadId::W6_Teapot,
-                                   gfx, true, frames);
-        double t_late = runConfig(builder, scenes::WorkloadId::W6_Teapot,
-                                  gfx, false, frames);
-        results.record("rop.early_cycles", t_early);
-        results.record("rop.late_cycles", t_late);
-        results.record("rop.saved_frac", (t_late - t_early) / t_late);
+        double t_early = runConfig(harness.builderFor("rop.early"),
+                                   scenes::WorkloadId::W6_Teapot, gfx,
+                                   true, frames);
+        double t_late = runConfig(harness.builderFor("rop.late"),
+                                  scenes::WorkloadId::W6_Teapot, gfx,
+                                  false, frames);
+        harness.record("rop.early_cycles", t_early);
+        harness.record("rop.late_cycles", t_late);
+        harness.record("rop.saved_frac", (t_late - t_early) / t_late);
         std::printf("ROP placement (W6): early-Z %.0f cy, late-Z "
                     "%.0f cy -> %.1f%% saved by early-Z\n",
                     t_early, t_late,

@@ -41,7 +41,6 @@ int
 runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "accuracy_study");
-    BenchResults &results = *harness.results;
     unsigned fbw = 256, fbh = 192;
 
     // 14 microbenchmarks spanning geometry load, screen coverage and
@@ -74,7 +73,7 @@ runScenario(int argc, char **argv)
     for (const MicroBench &mb : micro) {
         soc::StandaloneGpu rig(fbw, fbh, soc::caseStudy2GpuParams(),
                                soc::caseStudy2MemParams(),
-                               harness.builder());
+                               harness.builderFor(mb.name));
 
         scenes::Workload w;
         w.name = mb.name;
@@ -117,10 +116,10 @@ runScenario(int argc, char **argv)
         std::fflush(stdout);
     }
 
-    results.record("drawtime_correlation",
+    harness.record("drawtime_correlation",
                    correlation(sim_time, ref_time));
-    results.record("drawtime_mean_abs_rel_err", abs_err_sum / 14.0);
-    results.record("fillrate_correlation",
+    harness.record("drawtime_mean_abs_rel_err", abs_err_sum / 14.0);
+    harness.record("fillrate_correlation",
                    correlation(sim_fill, ref_fill));
     std::printf("\ndraw time:  correlation %.1f%%, mean abs rel err "
                 "%.1f%%\n",

@@ -21,7 +21,6 @@ runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "fig09_memsched_regular");
     bool quick = harness.quick;
-    BenchResults &results = *harness.results;
 
     std::printf("=== Fig. 9: GPU frame time under regular load "
                 "(normalized to BAS; lower is better) ===\n");
@@ -44,9 +43,8 @@ runScenario(int argc, char **argv)
     for (scenes::WorkloadId model : models) {
         std::vector<double> gpu_ms;
         for (soc::MemConfig config : configs) {
-            soc::SocTop soc(
-                caseStudy1Params(model, config, false),
-                harness.builder());
+            soc::SocTop soc(caseStudy1Params(model, config, false),
+                            harness.builderFor(caseLabel(model, config)));
             soc.run();
             gpu_ms.push_back(soc.meanGpuFrameMs());
         }
@@ -54,9 +52,7 @@ runScenario(int argc, char **argv)
         for (std::size_t i = 0; i < configs.size(); ++i) {
             double norm = gpu_ms[i] / gpu_ms[0];
             averages[i] += norm;
-            results.record(std::string(scenes::workloadName(model)) +
-                               "." + soc::memConfigName(configs[i]) +
-                               ".gpu_ms_norm",
+            harness.record(caseLabel(model, configs[i]) + ".gpu_ms_norm",
                            norm);
             std::printf(" %8.3f", norm);
         }

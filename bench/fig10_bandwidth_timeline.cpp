@@ -21,13 +21,12 @@ runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "fig10_bandwidth_timeline");
     const Config &cfg = harness.cfg;
-    BenchResults &results = *harness.results;
 
     std::printf("=== Fig. 10: M3-HMC DRAM bandwidth over time ===\n");
     soc::SocParams p = caseStudy1Params(
         scenes::WorkloadId::M3_Mask, soc::MemConfig::HMC, false);
     p.frames = static_cast<unsigned>(cfg.getU64("frames", 4));
-    soc::SocTop soc(p, harness.builder());
+    soc::SocTop soc(p, harness.builderFor(""));
     soc.run();
 
     Tick bucket = p.statsBucket;
@@ -65,12 +64,12 @@ runScenario(int argc, char **argv)
                     msFromTicks(Tick(i) * bucket), cpu / scale,
                     gpu / scale, disp / scale);
     }
-    results.record("buckets", static_cast<double>(buckets));
-    results.record("bucket_us", static_cast<double>(bucket) / 1e6);
-    results.record("total_bytes",
+    harness.record("buckets", static_cast<double>(buckets));
+    harness.record("bucket_us", static_cast<double>(bucket) / 1e6);
+    harness.record("total_bytes",
                    static_cast<double>(soc.memory().totalBytes()));
-    results.record("mean_gpu_frame_ms", soc.meanGpuFrameMs());
-    results.addSimStats(soc.sim());
+    harness.record("mean_gpu_frame_ms", soc.meanGpuFrameMs());
+    harness.addSimStats(soc.sim(), "");
 
     std::printf("\npaper shape: CPU bursts between GPU frames; GPU "
                 "dominates during rendering\n");

@@ -21,7 +21,6 @@ runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "fig11_rowbuffer");
     bool quick = harness.quick;
-    BenchResults &results = *harness.results;
 
     std::printf("=== Fig. 11: HMC row-buffer behaviour normalized to "
                 "BAS ===\n");
@@ -34,12 +33,14 @@ runScenario(int argc, char **argv)
 
     double sum_hits = 0.0, sum_bytes = 0.0;
     for (scenes::WorkloadId model : models) {
+        std::string wl = scenes::workloadName(model);
         double base_hit, base_bpa, hmc_hit, hmc_bpa;
         {
             soc::SocTop soc(caseStudy1Params(model,
                                              soc::MemConfig::BAS,
                                              false),
-                            harness.builder());
+                            harness.builderFor(
+                                caseLabel(model, soc::MemConfig::BAS)));
             soc.run();
             base_hit = soc.memory().rowHitRate();
             base_bpa = soc.memory().meanBytesPerActivation();
@@ -48,7 +49,8 @@ runScenario(int argc, char **argv)
             soc::SocTop soc(caseStudy1Params(model,
                                              soc::MemConfig::HMC,
                                              false),
-                            harness.builder());
+                            harness.builderFor(
+                                caseLabel(model, soc::MemConfig::HMC)));
             soc.run();
             hmc_hit = soc.memory().rowHitRate();
             hmc_bpa = soc.memory().meanBytesPerActivation();
@@ -57,12 +59,8 @@ runScenario(int argc, char **argv)
         double nb = base_bpa > 0 ? hmc_bpa / base_bpa : 0;
         sum_hits += nh;
         sum_bytes += nb;
-        results.record(std::string(scenes::workloadName(model)) +
-                           ".rowhit_norm",
-                       nh);
-        results.record(std::string(scenes::workloadName(model)) +
-                           ".bytes_per_act_norm",
-                       nb);
+        harness.record(wl + ".rowhit_norm", nh);
+        harness.record(wl + ".bytes_per_act_norm", nb);
         std::printf("%-14s %16.3f %16.3f\n",
                     scenes::workloadName(model), nh, nb);
         std::fflush(stdout);

@@ -7,8 +7,6 @@
  * (M1/M3) hurt most.
  */
 
-#include <chrono>
-
 #include "harness.hh"
 #include "registry.hh"
 
@@ -23,7 +21,6 @@ runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "fig12_memsched_highload");
     bool quick = harness.quick;
-    BenchResults &results = *harness.results;
 
     std::printf("=== Fig. 12: high-load scenario, normalized to BAS "
                 "===\n");
@@ -53,10 +50,11 @@ runScenario(int argc, char **argv)
     for (scenes::WorkloadId model : models) {
         std::vector<double> total_ms, gpu_ms;
         for (soc::MemConfig config : configs) {
-            // Per-config checkpoint scope: a --checkpoint-at run
-            // produces <dir>/<config> and --restore reads it back.
+            // One label per simulation: a --checkpoint-at run
+            // produces <dir>/<model>.<config>-<scope> and --restore
+            // reads it back.
             SimulationBuilder builder =
-                harness.builderFor(soc::memConfigName(config));
+                harness.builderFor(caseLabel(model, config));
             std::string model_dir = "/";
             model_dir += scenes::workloadName(model);
             if (!capture_root.empty()) {
@@ -68,35 +66,15 @@ runScenario(int argc, char **argv)
                 builder.replayTrace(replay_root + model_dir);
             soc::SocTop soc(caseStudy1Params(model, config, true),
                             builder);
-            auto wall_start = std::chrono::steady_clock::now();
             soc.run();
-            double wall_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count();
             total_ms.push_back(soc.meanTotalFrameMs());
             gpu_ms.push_back(soc.meanGpuFrameMs());
-            std::string key =
-                std::string(scenes::workloadName(model)) + "." +
-                soc::memConfigName(config);
-            results.record(key + ".events",
-                           static_cast<double>(
-                               soc.sim().eventQueue().numProcessed()));
-            results.record(key + ".wall_ms", wall_ms);
-            // 53-bit fold of the event-stream hash (exact in JSON):
-            // the restore-determinism gate compares cold vs warm.
-            results.record(
-                key + ".event_hash",
-                static_cast<double>(soc.sim().determinismHash() &
-                                    ((1ULL << 53) - 1)));
         }
         std::printf("%-14s |", scenes::workloadName(model));
         for (std::size_t i = 0; i < 4; ++i) {
             double n = total_ms[i] / total_ms[0];
             avg_total[i] += n;
-            results.record(std::string(scenes::workloadName(model)) +
-                               "." + soc::memConfigName(configs[i]) +
-                               ".total_ms_norm",
+            harness.record(caseLabel(model, configs[i]) + ".total_ms_norm",
                            n);
             std::printf(" %8.3f", n);
         }
@@ -104,9 +82,7 @@ runScenario(int argc, char **argv)
         for (std::size_t i = 0; i < 4; ++i) {
             double n = gpu_ms[i] / gpu_ms[0];
             avg_gpu[i] += n;
-            results.record(std::string(scenes::workloadName(model)) +
-                               "." + soc::memConfigName(configs[i]) +
-                               ".gpu_ms_norm",
+            harness.record(caseLabel(model, configs[i]) + ".gpu_ms_norm",
                            n);
             std::printf(" %8.3f", n);
         }

@@ -22,7 +22,6 @@ runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "fig13_display_service");
     bool quick = harness.quick;
-    BenchResults &results = *harness.results;
 
     std::printf("=== Fig. 13: display requests serviced relative to "
                 "BAS (high load) ===\n");
@@ -38,7 +37,7 @@ runScenario(int argc, char **argv)
         std::vector<double> serviced, aborted;
         for (soc::MemConfig config : configs) {
             soc::SocTop soc(caseStudy1Params(model, config, true),
-                            harness.builder());
+                            harness.builderFor(caseLabel(model, config)));
             soc.run();
             serviced.push_back(
                 soc.display().statRequests.value());
@@ -47,8 +46,7 @@ runScenario(int argc, char **argv)
         }
         std::printf("%-14s", scenes::workloadName(model));
         for (std::size_t i = 0; i < serviced.size(); ++i)
-            results.record(std::string(scenes::workloadName(model)) +
-                               "." + soc::memConfigName(configs[i]) +
+            harness.record(caseLabel(model, configs[i]) +
                                ".display_serviced_norm",
                            serviced[0] > 0 ? serviced[i] / serviced[0]
                                            : 0.0);

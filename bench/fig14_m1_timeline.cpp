@@ -17,20 +17,19 @@ namespace
 {
 
 void
-runAndPrint(soc::MemConfig config, BenchResults &results,
-            const SimulationBuilder &builder)
+runAndPrint(soc::MemConfig config, BenchHarness &harness)
 {
     soc::SocParams p = caseStudy1Params(scenes::WorkloadId::M1_Chair,
                                         config, true);
-    soc::SocTop soc(p, builder);
+    std::string prefix = soc::memConfigName(config);
+    soc::SocTop soc(p, harness.builderFor(prefix));
     soc.run();
 
-    std::string prefix = soc::memConfigName(config);
-    results.record(prefix + ".display_serviced",
+    harness.record(prefix + ".display_serviced",
                    soc.display().statRequests.value());
-    results.record(prefix + ".display_aborted",
+    harness.record(prefix + ".display_aborted",
                    soc.display().statFramesAborted.value());
-    results.addSimStats(soc.sim(), prefix);
+    harness.addSimStats(soc.sim(), prefix);
 
     std::printf("--- %s ---\n", soc::memConfigName(config));
     std::printf("GPU mean read latency: %.0f ns; display serviced "
@@ -78,11 +77,10 @@ int
 runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "fig14_m1_timeline");
-    BenchResults &results = *harness.results;
     std::printf("=== Fig. 14: M1 bandwidth timeline, BAS vs DTB "
                 "(high load, GB/s) ===\n");
-    runAndPrint(soc::MemConfig::BAS, results, harness.builder());
-    runAndPrint(soc::MemConfig::DTB, results, harness.builder());
+    runAndPrint(soc::MemConfig::BAS, harness);
+    runAndPrint(soc::MemConfig::DTB, harness);
     std::printf("\npaper shape: DTB boosts CPU share and squeezes "
                 "GPU bandwidth during frames; display starved\n");
     return 0;

@@ -25,7 +25,6 @@ runScenario(int argc, char **argv)
     unsigned fbw = static_cast<unsigned>(cfg.getU64("width", 256));
     unsigned fbh = static_cast<unsigned>(cfg.getU64("height", 192));
     bool quick = harness.quick;
-    BenchResults &results = *harness.results;
 
     auto workloads = caseStudy2Workloads();
     if (quick)
@@ -39,24 +38,24 @@ runScenario(int argc, char **argv)
     std::printf("  best\n");
 
     for (scenes::WorkloadId id : workloads) {
+        std::string wl = scenes::workloadName(id);
         std::vector<double> cycles;
-        for (unsigned wt = 1; wt <= 10; ++wt)
-            cycles.push_back(meanCyclesAtWt(harness.builder(), id, wt,
-                                            fbw, fbh, frames));
+        for (unsigned wt = 1; wt <= 10; ++wt) {
+            cycles.push_back(meanCyclesAtWt(
+                harness.builderFor(wl + ".wt" + std::to_string(wt)),
+                id, wt, fbw, fbh, frames));
+        }
         std::printf("%-18s", scenes::workloadName(id));
         unsigned best = 1;
         for (unsigned wt = 1; wt <= 10; ++wt) {
-            results.record(std::string(scenes::workloadName(id)) +
-                               ".wt" + std::to_string(wt) +
+            harness.record(wl + ".wt" + std::to_string(wt) +
                                ".cycles_norm",
                            cycles[wt - 1] / cycles[0]);
             std::printf(" %7.3f", cycles[wt - 1] / cycles[0]);
             if (cycles[wt - 1] < cycles[best - 1])
                 best = wt;
         }
-        results.record(std::string(scenes::workloadName(id)) +
-                           ".best_wt",
-                       best);
+        harness.record(wl + ".best_wt", best);
         std::printf("  WT%u\n", best);
         std::fflush(stdout);
     }

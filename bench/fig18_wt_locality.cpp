@@ -25,7 +25,6 @@ runScenario(int argc, char **argv)
     unsigned fbw = static_cast<unsigned>(cfg.getU64("width", 256));
     unsigned fbh = static_cast<unsigned>(cfg.getU64("height", 192));
     unsigned frames = static_cast<unsigned>(cfg.getU64("frames", 3));
-    BenchResults &results = *harness.results;
 
     std::printf("=== Fig. 18: W1 execution time and L1 misses vs WT "
                 "(normalized to WT=1) ===\n");
@@ -34,9 +33,10 @@ runScenario(int argc, char **argv)
 
     std::vector<double> time, color, texture, depth;
     for (unsigned wt = 1; wt <= 10; ++wt) {
-        soc::StandaloneGpu rig(fbw, fbh, soc::caseStudy2GpuParams(),
-                               soc::caseStudy2MemParams(),
-                               harness.builder());
+        soc::StandaloneGpu rig(
+            fbw, fbh, soc::caseStudy2GpuParams(),
+            soc::caseStudy2MemParams(),
+            harness.builderFor("wt" + std::to_string(wt)));
         scenes::SceneRenderer scene(
             rig.pipeline(),
             scenes::makeWorkload(scenes::WorkloadId::W1_Sibenik),
@@ -78,11 +78,11 @@ runScenario(int argc, char **argv)
         std::fflush(stdout);
     }
 
-    results.record("corr_time_color", correlation(time, color));
-    results.record("corr_time_texture", correlation(time, texture));
-    results.record("corr_time_depth", correlation(time, depth));
+    harness.record("corr_time_color", correlation(time, color));
+    harness.record("corr_time_texture", correlation(time, texture));
+    harness.record("corr_time_depth", correlation(time, depth));
     for (std::size_t i = 0; i < time.size(); ++i)
-        results.record("wt" + std::to_string(i + 1) + ".time_norm",
+        harness.record("wt" + std::to_string(i + 1) + ".time_norm",
                        time[i] / time[0]);
 
     std::printf("\ncorrelation(time, color misses)   = %.2f\n",

@@ -18,24 +18,6 @@ using namespace emerald::bench;
 namespace
 {
 
-/** Mean cycles over an animated frame sequence at a fixed WT. */
-double
-staticRun(const SimulationBuilder &builder, scenes::WorkloadId id,
-          unsigned wt, unsigned fbw, unsigned fbh, unsigned frames)
-{
-    soc::StandaloneGpu rig(fbw, fbh, soc::caseStudy2GpuParams(),
-                           soc::caseStudy2MemParams(), builder);
-    scenes::SceneRenderer scene(rig.pipeline(),
-                                scenes::makeWorkload(id),
-                                rig.functionalMemory());
-    rig.pipeline().setWtSize(wt);
-    renderFrame(rig, scene, 0); // Warm-up.
-    double sum = 0;
-    for (unsigned f = 1; f <= frames; ++f)
-        sum += static_cast<double>(renderFrame(rig, scene, f).cycles);
-    return sum / frames;
-}
-
 /** Mean cycles with the DFSL controller driving the WT choice. */
 struct DfslResult
 {
@@ -97,8 +79,6 @@ runScenario(int argc, char **argv)
     unsigned max_wt =
         static_cast<unsigned>(cfg.getU64("maxwt", 6));
     bool quick = harness.quick;
-    BenchResults &results = *harness.results;
-    const SimulationBuilder builder = harness.builder();
 
     auto workloads = caseStudy2Workloads();
     if (quick)
@@ -111,14 +91,27 @@ runScenario(int argc, char **argv)
     std::printf("=== Fig. 19: DFSL vs static work distribution "
                 "(speedup over MLB; higher is better) ===\n");
     std::printf("finding SOPT...\n");
+    // Each workload's WT1 baseline is simulated once; at WT1 itself
+    // the ratio is 1.
+    auto searchCycles = [&](scenes::WorkloadId id, unsigned wt) {
+        return meanCyclesAtWt(
+            harness.builderFor(std::string(scenes::workloadName(id)) +
+                               ".search.wt" + std::to_string(wt)),
+            id, wt, fbw, fbh, 2);
+    };
+    std::vector<double> wt1_cycles;
+    for (scenes::WorkloadId id : workloads)
+        wt1_cycles.push_back(searchCycles(id, 1));
     unsigned sopt = 1;
     {
         double best = 1e300;
         for (unsigned wt = 1; wt <= 10; ++wt) {
             double total = 0;
-            for (scenes::WorkloadId id : workloads)
-                total += meanCyclesAtWt(builder, id, wt, fbw, fbh, 2) /
-                         meanCyclesAtWt(builder, id, 1, fbw, fbh, 2);
+            for (std::size_t i = 0; i < workloads.size(); ++i) {
+                total += wt == 1 ? 1.0
+                                 : searchCycles(workloads[i], wt) /
+                                       wt1_cycles[i];
+            }
             if (total < best) {
                 best = total;
                 sopt = wt;
@@ -131,11 +124,15 @@ runScenario(int argc, char **argv)
                 "MLC", "SOPT", "DFSL", "DFSLrun");
     double g_mlc = 0, g_sopt = 0, g_dfsl = 0, g_dfslr = 0;
     for (scenes::WorkloadId id : workloads) {
-        double mlb = staticRun(builder, id, 1, fbw, fbh, frames);
-        double mlc = staticRun(builder, id, 10, fbw, fbh, frames);
-        double sopt_c = staticRun(builder, id, sopt, fbw, fbh, frames);
-        DfslResult dfsl_c =
-            dfslRun(builder, id, fbw, fbh, run_frames, max_wt);
+        std::string wl = scenes::workloadName(id);
+        double mlb = meanCyclesAtWt(harness.builderFor(wl + ".mlb"), id,
+                                    1, fbw, fbh, frames);
+        double mlc = meanCyclesAtWt(harness.builderFor(wl + ".mlc"), id,
+                                    10, fbw, fbh, frames);
+        double sopt_c = meanCyclesAtWt(harness.builderFor(wl + ".sopt"),
+                                       id, sopt, fbw, fbh, frames);
+        DfslResult dfsl_c = dfslRun(harness.builderFor(wl + ".dfsl"), id,
+                                    fbw, fbh, run_frames, max_wt);
         double s_mlc = mlb / mlc;
         double s_sopt = mlb / sopt_c;
         double s_dfsl = mlb / dfsl_c.meanAll;
@@ -144,22 +141,21 @@ runScenario(int argc, char **argv)
         g_sopt += s_sopt;
         g_dfsl += s_dfsl;
         g_dfslr += s_dfslr;
-        std::string wl = scenes::workloadName(id);
-        results.record(wl + ".speedup_mlc", s_mlc);
-        results.record(wl + ".speedup_sopt", s_sopt);
-        results.record(wl + ".speedup_dfsl", s_dfsl);
-        results.record(wl + ".speedup_dfsl_run", s_dfslr);
+        harness.record(wl + ".speedup_mlc", s_mlc);
+        harness.record(wl + ".speedup_sopt", s_sopt);
+        harness.record(wl + ".speedup_dfsl", s_dfsl);
+        harness.record(wl + ".speedup_dfsl_run", s_dfslr);
         std::printf("%-18s %8.3f %8.3f %8.3f %8.3f %9.3f\n",
                     scenes::workloadName(id), 1.0, s_mlc, s_sopt,
                     s_dfsl, s_dfslr);
         std::fflush(stdout);
     }
     double n = static_cast<double>(workloads.size());
-    results.record("sopt_wt", sopt);
-    results.record("mean.speedup_mlc", g_mlc / n);
-    results.record("mean.speedup_sopt", g_sopt / n);
-    results.record("mean.speedup_dfsl", g_dfsl / n);
-    results.record("mean.speedup_dfsl_run", g_dfslr / n);
+    harness.record("sopt_wt", sopt);
+    harness.record("mean.speedup_mlc", g_mlc / n);
+    harness.record("mean.speedup_sopt", g_sopt / n);
+    harness.record("mean.speedup_dfsl", g_dfsl / n);
+    harness.record("mean.speedup_dfsl_run", g_dfslr / n);
     std::printf("%-18s %8.3f %8.3f %8.3f %8.3f %9.3f\n", "MEAN",
                 1.0, g_mlc / n, g_sopt / n, g_dfsl / n, g_dfslr / n);
     std::printf("\npaper shape: DFSL ~1.19x over MLB, ~1.073x over "

@@ -9,11 +9,14 @@
 #ifndef EMERALD_BENCH_HARNESS_HH
 #define EMERALD_BENCH_HARNESS_HH
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,61 +33,30 @@ namespace emerald::bench
 {
 
 /**
- * Machine-readable bench output: collects named scalar results (the
- * numbers the bench prints) plus optional full simulation stat trees
- * and hands them to the StatsSink named by --stats-out=<uri> (a plain
- * path writes the JSON document, sqlite:<path> the sweep database,
- * nothing/null discards).
+ * @p path with @p label spliced in before its extension
+ * ("out/s.json" -> "out/s.<label>.json"); "" and "null" (output off)
+ * pass through.
  */
-class BenchResults
+inline std::string
+labelledPath(const std::string &path, const std::string &label)
 {
-  public:
-    BenchResults(const Config &cfg, std::string bench)
-        : _bench(std::move(bench))
-    {
-        _sink = makeStatsSink(cfg.getString("stats-out", ""));
-        RunInfo info;
-        info.bench = _bench;
-        info.gitSha = cfg.getString("git-sha", "");
-        info.fingerprint = sweepPointFingerprint(cfg);
-        info.params = sweepPointParams(cfg);
-        _sink->beginRun(info);
-    }
-
-    BenchResults(const BenchResults &) = delete;
-    BenchResults &operator=(const BenchResults &) = delete;
-
-    ~BenchResults() { _sink->finishRun(); }
-
-    /** True when results are being kept (not the null sink). */
-    bool enabled() const { return _sink->live(); }
-
-    /** Record one named scalar result. */
-    void
-    record(const std::string &key, double value)
-    {
-        _sink->recordScalar(key, value);
-    }
-
-    /** Embed @p sim's full stats tree (captured now) under @p label. */
-    void
-    addSimStats(Simulation &sim, const std::string &label = "sim")
-    {
-        if (enabled())
-            _sink->addStatsTree(label, sim.statsRoot());
-    }
-
-  private:
-    std::string _bench;
-    std::unique_ptr<StatsSink> _sink;
-};
+    if (path.empty() || path == "null")
+        return path;
+    std::filesystem::path p(path);
+    p.replace_filename(p.stem().string() + "." + label +
+                       p.extension().string());
+    return p.string();
+}
 
 /**
  * The common bench prologue, deduplicated: parses --key=value
- * arguments, interprets --quick, opens the --stats-out results sink
- * and exposes a SimulationBuilder carrying the observability keys
- * (--trace-file / --profile / --sim-stats-out) so every simulation a
- * bench constructs gets them wired in.
+ * arguments, interprets --quick, hands out the recipe of every
+ * simulation the bench builds (builderFor) and collects the bench's
+ * machine-readable output: named scalar results (the numbers the
+ * bench prints) plus optional full simulation stat trees, handed to
+ * the StatsSink named by --stats-out=<uri> (a plain path writes the
+ * JSON document, sqlite:<path> the sweep database, nothing/null
+ * discards) when the harness goes out of scope.
  */
 class BenchHarness
 {
@@ -93,41 +65,105 @@ class BenchHarness
     {
         cfg.parseArgs(argc, argv);
         quick = cfg.getBool("quick", false);
-        results = std::make_unique<BenchResults>(cfg, bench);
+        _sink = makeStatsSink(cfg.getString("stats-out", ""));
+        RunInfo info;
+        info.bench = bench;
+        info.gitSha = cfg.getString("git-sha", "");
+        info.fingerprint = sweepPointFingerprint(cfg);
+        info.params = sweepPointParams(cfg);
+        _sink->beginRun(info);
     }
 
-    /** Recipe to pass into SocTop / StandaloneGpu / build(). */
-    SimulationBuilder
-    builder() const
+    BenchHarness(const BenchHarness &) = delete;
+    BenchHarness &operator=(const BenchHarness &) = delete;
+
+    ~BenchHarness() { _sink->finishRun(); }
+
+    /** Record one named scalar result. */
+    void
+    record(const std::string &key, double value)
     {
-        return SimulationBuilder().observability(cfg);
+        _sink->recordScalar(key, value);
     }
 
     /**
-     * Like builder(), but scoped for one of several simulations the
-     * bench runs in a single process: checkpoint/restore directories
-     * get a per-run subdirectory, so --checkpoint-at with a
-     * multi-config bench produces one checkpoint per configuration.
-     *
-     * The subdirectory is @p label plus the checkpoint-scope
-     * fingerprint (ckptScopeFingerprintHex) when one exists: two
-     * sweep points that share a label but differ in grid params
-     * (say, the same MemConfig at two FPS values) must not collide
-     * on one checkpoint directory — unless the sweep declared the
-     * differing axes in --ckpt-share-keys, in which case the shared
-     * subdirectory is exactly the point (docs/sweeps.md).
+     * Embed @p sim's full stats tree (captured now) under the label
+     * of its builderFor() call ("" files it as "sim").
+     */
+    void
+    addSimStats(Simulation &sim, const std::string &label)
+    {
+        if (_sink->live())
+            _sink->addStatsTree(label.empty() ? "sim" : label,
+                                sim.statsRoot());
+    }
+
+    /**
+     * Recipe for the one SocTop / StandaloneGpu simulation named
+     * @p label, carrying every simulation key of the command line.
+     * The label scopes each per-simulation output:
+     *  - checkpoint/restore directories: <dir>/<label>-<scope>, where
+     *    the checkpoint-scope fingerprint (ckptScopeFingerprintHex)
+     *    keeps sweep points that share a label apart unless
+     *    --ckpt-share-keys names their differing axes (docs/sweeps.md);
+     *  - --sim-stats-out and --trace-file: <stem>.<label><ext>;
+     *  - results, recorded when the rig exits: <label>.events,
+     *    <label>.wall_ms (host time from rig construction to exit)
+     *    and <label>.event_hash (53-bit fold, exact in JSON; 0
+     *    without --check-determinism).
+     * A second rig built from one label (a repeated call, or a reused
+     * builder) is fatal. A bench with one simulation passes "": bare
+     * result keys, unscoped files, and <dir>/<scope>. The hang report
+     * is not scoped: the first hang ends the process, and the run
+     * supervisor reads that file by name. The rig's exit records
+     * into this harness, so the harness must outlive the rig.
      */
     SimulationBuilder
-    builderFor(const std::string &label) const
+    builderFor(const std::string &label)
     {
-        std::string fp = ckptScopeFingerprintHex(cfg);
-        return builder().subdir(fp.empty() ? label
-                                           : label + "-" + fp);
+        SimulationBuilder builder = SimulationBuilder().observability(cfg);
+        std::string scope = ckptScopeFingerprintHex(cfg);
+        std::string dir = label.empty() || scope.empty()
+                              ? label + scope
+                              : label + "-" + scope;
+        if (!dir.empty())
+            builder.subdir(dir);
+        if (!label.empty()) {
+            builder.traceFile(
+                labelledPath(cfg.getString("trace-file", ""), label));
+            builder.statsOutOnExit(labelledPath(
+                cfg.getString("sim-stats-out", ""), label));
+        }
+        std::string prefix = label.empty() ? "" : label + ".";
+        builder.onBuild([this, label, prefix](Simulation &sim) {
+            fatal_if(!_labels.insert(label).second,
+                     "bench label '%s' reaches a second simulation; "
+                     "give each simulation its own builderFor() label",
+                     label.c_str());
+            auto start = std::chrono::steady_clock::now();
+            sim.atExit([this, prefix, start, &sim] {
+                record(prefix + "events",
+                       static_cast<double>(
+                           sim.eventQueue().numProcessed()));
+                record(prefix + "wall_ms",
+                       std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+                record(prefix + "event_hash",
+                       static_cast<double>(sim.determinismHash() &
+                                           ((1ULL << 53) - 1)));
+            });
+        });
+        return builder;
     }
 
     Config cfg;
     bool quick = false;
-    std::unique_ptr<BenchResults> results;
+
+  private:
+    std::unique_ptr<StatsSink> _sink;
+    /** Labels that reached a simulation. */
+    std::set<std::string> _labels;
 };
 
 /** Render one frame on a standalone rig; returns its cycle count. */
@@ -149,7 +185,7 @@ renderFrame(soc::StandaloneGpu &rig, scenes::SceneRenderer &scene,
 /**
  * Mean frame cycles for @p workload at WT size @p wt: one warm-up
  * frame plus @p frames measured frames on a fresh rig built from
- * @p builder.
+ * @p builder (a builderFor() recipe, so one call per label).
  */
 inline double
 meanCyclesAtWt(const SimulationBuilder &builder,
@@ -208,6 +244,14 @@ caseStudy1Models()
     return {scenes::WorkloadId::M1_Chair, scenes::WorkloadId::M2_Cube,
             scenes::WorkloadId::M3_Mask,
             scenes::WorkloadId::M4_Triangles};
+}
+
+/** "<model>.<config>": the label of one case-study-I simulation. */
+inline std::string
+caseLabel(scenes::WorkloadId model, soc::MemConfig config)
+{
+    return std::string(scenes::workloadName(model)) + "." +
+           soc::memConfigName(config);
 }
 
 inline std::vector<soc::MemConfig>

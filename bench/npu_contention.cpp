@@ -17,8 +17,6 @@
  * size, model, camera rate and queue depth for sweeps.
  */
 
-#include <chrono>
-
 #include "harness.hh"
 #include "registry.hh"
 
@@ -33,7 +31,6 @@ runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "npu_contention");
     bool quick = harness.quick;
-    BenchResults &results = *harness.results;
 
     std::printf("=== NPU contention: high-load scenario, NPU "
                 "off/on per memory config ===\n");
@@ -69,22 +66,17 @@ runScenario(int argc, char **argv)
             std::string label =
                 std::string(soc::memConfigName(config)) +
                 (npu_on ? ".on" : ".off");
-            SimulationBuilder builder = harness.builderFor(label);
-            soc::SocTop soc(p, builder);
+            soc::SocTop soc(p, harness.builderFor(label));
             soc.run();
 
             gpu_ms[npu_on] = soc.meanGpuFrameMs();
             total_ms[npu_on] = soc.meanTotalFrameMs();
             underruns[npu_on] =
                 soc.display().statUnderruns.value();
-            results.record(label + ".gpu_ms", gpu_ms[npu_on]);
-            results.record(label + ".total_ms", total_ms[npu_on]);
-            results.record(label + ".display_underruns",
+            harness.record(label + ".gpu_ms", gpu_ms[npu_on]);
+            harness.record(label + ".total_ms", total_ms[npu_on]);
+            harness.record(label + ".display_underruns",
                            underruns[npu_on]);
-            results.record(
-                label + ".event_hash",
-                static_cast<double>(soc.sim().determinismHash() &
-                                    ((1ULL << 53) - 1)));
             if (soc.npuCamera()) {
                 npu_done = soc.npuCamera()->statCompleted.value();
                 npu_miss =
@@ -92,14 +84,14 @@ runScenario(int argc, char **argv)
                 npu_drop = soc.npuCamera()->statDropped.value();
                 npu_inf_ms = msFromTicks(static_cast<Tick>(
                     soc.npuCamera()->statInfTicks.mean()));
-                results.record(label + ".npu_completed", npu_done);
-                results.record(label + ".npu_deadline_misses",
+                harness.record(label + ".npu_completed", npu_done);
+                harness.record(label + ".npu_deadline_misses",
                                npu_miss);
-                results.record(label + ".npu_dropped", npu_drop);
-                results.record(label + ".npu_inf_ms", npu_inf_ms);
+                harness.record(label + ".npu_dropped", npu_drop);
+                harness.record(label + ".npu_inf_ms", npu_inf_ms);
                 // The NPU-on runs carry the full stats tree
                 // (soc.npu.* lands in --stats-out) for sweep queries.
-                results.addSimStats(soc.sim());
+                harness.addSimStats(soc.sim(), label);
             }
         }
         std::printf("%-6s | %8.3f %8.3f | %8.3f %8.3f | "
@@ -107,7 +99,7 @@ runScenario(int argc, char **argv)
                     soc::memConfigName(config), gpu_ms[0], gpu_ms[1],
                     total_ms[0], total_ms[1], npu_done, npu_miss,
                     npu_drop, underruns[0], underruns[1]);
-        results.record(std::string(soc::memConfigName(config)) +
+        harness.record(std::string(soc::memConfigName(config)) +
                            ".gpu_ms_ratio",
                        gpu_ms[0] > 0.0 ? gpu_ms[1] / gpu_ms[0] : 0.0);
         std::fflush(stdout);

@@ -51,7 +51,6 @@ runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "soc_point");
     const Config &cfg = harness.cfg;
-    BenchResults &results = *harness.results;
 
     soc::SocParams p = caseStudy1Params(
         workloadFromName(cfg.getString("model", "M2-cube")),
@@ -76,11 +75,11 @@ runScenario(int argc, char **argv)
         p.gpuFramePeriod = ticksFromMs(1000.0 / fps);
     soc::applyNpuConfig(p, cfg);
 
-    // One checkpoint/replay scope per point. The fingerprint-keyed
-    // subdir (builderFor) keeps same-label points apart; the replay
-    // root gets the per-model subdir fig12 capture runs produce.
-    SimulationBuilder builder =
-        harness.builderFor(soc::memConfigName(p.memConfig));
+    // The one simulation of the point: bare result keys, and a
+    // checkpoint subdirectory keyed by the point's fingerprint
+    // (builderFor). The replay root gets the per-model subdir fig12
+    // capture runs produce.
+    SimulationBuilder builder = harness.builderFor("");
     std::string model_dir = "/";
     model_dir += scenes::workloadName(p.model);
     std::string capture_root = cfg.getString("capture-trace", "");
@@ -97,24 +96,17 @@ runScenario(int argc, char **argv)
                          std::chrono::steady_clock::now() - wall_start)
                          .count();
 
-    results.record("gpu_ms", soc.meanGpuFrameMs());
-    results.record("total_ms", soc.meanTotalFrameMs());
-    results.record("wall_ms", wall_ms);
-    results.record("events",
-                   static_cast<double>(
-                       soc.sim().eventQueue().numProcessed()));
-    results.record("event_hash",
-                   static_cast<double>(soc.sim().determinismHash() &
-                                       ((1ULL << 53) - 1)));
+    harness.record("gpu_ms", soc.meanGpuFrameMs());
+    harness.record("total_ms", soc.meanTotalFrameMs());
     if (soc.npuCamera()) {
-        results.record("npu_deadline_misses",
+        harness.record("npu_deadline_misses",
                        soc.npuCamera()->statDeadlineMisses.value());
-        results.record("npu_dropped",
+        harness.record("npu_dropped",
                        soc.npuCamera()->statDropped.value());
-        results.record("npu_completed",
+        harness.record("npu_completed",
                        soc.npuCamera()->statCompleted.value());
     }
-    results.addSimStats(soc.sim());
+    harness.addSimStats(soc.sim(), "");
 
     std::printf("soc_point %s/%s: gpu %.3f ms, total %.3f ms "
                 "(%.0f ms wall)\n",

@@ -19,7 +19,6 @@ int
 runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "table_configs");
-    BenchResults &results = *harness.results;
 
     std::printf("=== Table 1: simulation platforms ===\n");
     std::printf("%-12s %-18s %-8s %-10s %-6s\n", "simulator", "model",
@@ -44,11 +43,11 @@ runScenario(int argc, char **argv)
     std::printf("display frame period: 16 ms (60 FPS)\n");
     std::printf("GPU frame period    : 33 ms (30 FPS)\n");
 
-    results.record("dash.switching_unit_ns",
+    harness.record("dash.switching_unit_ns",
                    static_cast<double>(dash.switchingUnit) / 1e3);
-    results.record("dash.quantum_us",
+    harness.record("dash.quantum_us",
                    static_cast<double>(dash.quantum) / 1e6);
-    results.record("dash.cluster_thresh", dash.clusterThresh);
+    harness.record("dash.cluster_thresh", dash.clusterThresh);
 
     std::printf("\n=== Table 4: DRAM configurations ===\n");
     std::printf("baseline: 2 channels, map %s, FR-FCFS\n",

@@ -89,18 +89,19 @@ saveTrace(const std::string &dir, const Trace &trace)
 std::optional<Trace>
 loadTrace(const std::string &dir)
 {
-    CkptProbe probe = probeCheckpoint(dir);
-    if (!probe.ok()) {
+    CkptProbe probe;
+    std::optional<CheckpointReader> reader =
+        CheckpointReader::open(dir, probe);
+    if (!reader) {
         warn("draw-call trace '%s' refused: %s (%s)", dir.c_str(),
              ckptIntegrityName(probe.status), probe.detail.c_str());
         return std::nullopt;
     }
-    CheckpointReader reader(dir);
-    if (!reader.hasSection("trace")) {
+    if (!reader->hasSection("trace")) {
         warn("'%s' is not a draw-call trace", dir.c_str());
         return std::nullopt;
     }
-    CheckpointIn meta = reader.section("trace");
+    CheckpointIn meta = reader->section("trace");
     std::uint64_t version = meta.getU64("trace_version");
     if (version != traceFormatVersion) {
         warn("draw-call trace '%s' has format version %llu, this build "
@@ -115,7 +116,7 @@ loadTrace(const std::string &dir)
     for (std::uint64_t n_draws : meta.getU64Vec("frame_draws")) {
         trace.beginFrame();
         for (std::uint64_t d = 0; d < n_draws; ++d) {
-            CheckpointIn sec = reader.section(drawSectionName(idx++));
+            CheckpointIn sec = reader->section(drawSectionName(idx++));
             TraceDraw draw;
             draw.vsSource = sec.getStr("vs");
             draw.fsSource = sec.getStr("fs");

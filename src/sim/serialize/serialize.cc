@@ -52,9 +52,8 @@ readLE(const char *p, unsigned bytes)
 }
 
 /**
- * Internal parse failure: thrown by the manifest scanner so the two
- * consumers can diverge — CheckpointReader turns it into the usual
- * fatal(), probeCheckpoint() into a recoverable MalformedManifest.
+ * Internal parse failure: thrown by the manifest scanner, reported by
+ * CheckpointReader::load() as a MalformedManifest.
  */
 struct ManifestError
 {
@@ -408,68 +407,7 @@ CkptProbe
 probeCheckpoint(const std::string &dir)
 {
     CkptProbe probe;
-    std::string manifest_path = dir + "/manifest.json";
-    std::string text;
-    if (!slurpFile(manifest_path, text, /*binary=*/false)) {
-        probe.status = CkptIntegrity::MissingManifest;
-        probe.detail = "cannot open " + manifest_path;
-        return probe;
-    }
-
-    ManifestData md;
-    try {
-        md = parseManifestText(text, manifest_path);
-    } catch (const ManifestError &err) {
-        probe.status = CkptIntegrity::MalformedManifest;
-        probe.detail = err.msg;
-        return probe;
-    }
-    probe.fingerprint = md.fingerprint;
-    probe.tick = md.tick;
-    probe.numProcessed = md.numProcessed;
-
-    if (md.version < checkpointMinReadVersion ||
-        md.version > checkpointFormatVersion) {
-        probe.status = CkptIntegrity::UnsupportedVersion;
-        probe.detail = strprintf(
-            "format version %llu (this binary reads %llu..%llu)",
-            (unsigned long long)md.version,
-            (unsigned long long)checkpointMinReadVersion,
-            (unsigned long long)checkpointFormatVersion);
-        return probe;
-    }
-
-    std::string data;
-    if (!slurpFile(dir + "/data.bin", data, /*binary=*/true)) {
-        probe.status = CkptIntegrity::MissingData;
-        probe.detail = "cannot open " + dir + "/data.bin";
-        return probe;
-    }
-
-    for (const auto &[name, entry] : md.sections) {
-        if (entry.offset + entry.size > data.size()) {
-            probe.status = CkptIntegrity::TruncatedSection;
-            probe.detail = strprintf(
-                "section '%s' (offset %zu, size %zu) extends past "
-                "the end of data.bin (%zu bytes)", name.c_str(),
-                entry.offset, entry.size, data.size());
-            return probe;
-        }
-        if (entry.hasCrc) {
-            std::uint32_t actual =
-                crc32(data.data() + entry.offset, entry.size);
-            if (actual != entry.crc) {
-                probe.status = CkptIntegrity::CrcMismatch;
-                probe.detail = strprintf(
-                    "section '%s': crc %08x, manifest says %08x",
-                    name.c_str(), actual, entry.crc);
-                return probe;
-            }
-        }
-    }
-
-    probe.status = CkptIntegrity::Ok;
-    probe.detail.clear();
+    CheckpointReader::open(dir, probe);
     return probe;
 }
 
@@ -822,54 +760,92 @@ CheckpointWriter::finalize()
 
 CheckpointReader::CheckpointReader(const std::string &dir) : _dir(dir)
 {
+    CkptProbe probe = load();
+    fatal_if(!probe.ok(), "checkpoint '%s': %s", _dir.c_str(),
+             probe.detail.c_str());
+}
+
+std::optional<CheckpointReader>
+CheckpointReader::open(const std::string &dir, CkptProbe &probe)
+{
+    CheckpointReader reader;
+    reader._dir = dir;
+    probe = reader.load();
+    if (!probe.ok())
+        return std::nullopt;
+    return reader;
+}
+
+CkptProbe
+CheckpointReader::load()
+{
+    CkptProbe probe;
+    auto damaged = [&probe](CkptIntegrity status, std::string detail) {
+        probe.status = status;
+        probe.detail = std::move(detail);
+        return probe;
+    };
+
     std::string manifest_path = _dir + "/manifest.json";
     std::string text;
-    fatal_if(!slurpFile(manifest_path, text, /*binary=*/false),
-             "cannot open checkpoint manifest '%s' — is '%s' a "
-             "checkpoint directory?", manifest_path.c_str(),
-             _dir.c_str());
+    if (!slurpFile(manifest_path, text, /*binary=*/false)) {
+        return damaged(CkptIntegrity::MissingManifest,
+                       "cannot open " + manifest_path + " — is '" +
+                           _dir + "' a checkpoint directory?");
+    }
 
     ManifestData md;
     try {
         md = parseManifestText(text, manifest_path);
     } catch (const ManifestError &err) {
-        fatal("%s", err.msg.c_str());
+        return damaged(CkptIntegrity::MalformedManifest, err.msg);
     }
-    _fingerprint = md.fingerprint;
-    _tick = md.tick;
-    _numProcessed = md.numProcessed;
+    _fingerprint = probe.fingerprint = md.fingerprint;
+    _tick = probe.tick = md.tick;
+    _numProcessed = probe.numProcessed = md.numProcessed;
 
-    fatal_if(md.version < checkpointMinReadVersion ||
-                 md.version > checkpointFormatVersion,
-             "checkpoint '%s' has format version %llu; this binary "
-             "reads versions %llu..%llu", _dir.c_str(),
-             (unsigned long long)md.version,
-             (unsigned long long)checkpointMinReadVersion,
-             (unsigned long long)checkpointFormatVersion);
+    if (md.version < checkpointMinReadVersion ||
+        md.version > checkpointFormatVersion) {
+        return damaged(
+            CkptIntegrity::UnsupportedVersion,
+            strprintf("format version %llu (this binary reads "
+                      "%llu..%llu)",
+                      (unsigned long long)md.version,
+                      (unsigned long long)checkpointMinReadVersion,
+                      (unsigned long long)checkpointFormatVersion));
+    }
 
     std::string data_path = _dir + "/data.bin";
-    fatal_if(!slurpFile(data_path, _data, /*binary=*/true),
-             "cannot open checkpoint data '%s'", data_path.c_str());
+    if (!slurpFile(data_path, _data, /*binary=*/true))
+        return damaged(CkptIntegrity::MissingData,
+                       "cannot open " + data_path);
 
     for (const auto &[name, entry] : md.sections) {
-        fatal_if(entry.offset + entry.size > _data.size(),
-                 "checkpoint '%s': section '%s' extends past the end "
-                 "of data.bin", _dir.c_str(), name.c_str());
-        // Strict readers verify too: the probe-then-restore window is
-        // short but a checkpoint can rot (or be truncated) between
-        // the supervisor's probe and the child's restore.
+        if (entry.offset + entry.size > _data.size()) {
+            return damaged(
+                CkptIntegrity::TruncatedSection,
+                strprintf("section '%s' (offset %zu, size %zu) extends "
+                          "past the end of data.bin (%zu bytes)",
+                          name.c_str(), entry.offset, entry.size,
+                          _data.size()));
+        }
         if (entry.hasCrc) {
             std::uint32_t actual =
                 crc32(_data.data() + entry.offset, entry.size);
-            fatal_if(actual != entry.crc,
-                     "checkpoint '%s': section '%s' fails CRC "
-                     "verification (%08x, manifest says %08x) — the "
-                     "checkpoint is corrupt", _dir.c_str(),
-                     name.c_str(), actual, entry.crc);
+            if (actual != entry.crc) {
+                return damaged(
+                    CkptIntegrity::CrcMismatch,
+                    strprintf("section '%s' fails CRC verification "
+                              "(%08x, manifest says %08x) — the "
+                              "checkpoint is corrupt",
+                              name.c_str(), actual, entry.crc));
+            }
         }
         _sections.emplace(name,
                           SectionRef{entry.offset, entry.size});
     }
+    probe.status = CkptIntegrity::Ok;
+    return probe;
 }
 
 bool

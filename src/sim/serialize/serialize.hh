@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,10 +55,10 @@ constexpr std::uint64_t checkpointMinReadVersion = 1;
 std::uint32_t crc32(const void *bytes, std::size_t n);
 
 /**
- * What probeCheckpoint() found. Everything except Ok is a recoverable
- * condition: the caller (rotation-aware restore, the run supervisor)
- * skips the damaged checkpoint and falls back to an older one or a
- * cold start instead of aborting.
+ * What CheckpointReader::open() found. Everything except Ok is a
+ * recoverable condition: the caller (rotation-aware restore, the run
+ * supervisor) skips the damaged checkpoint and falls back to an older
+ * one or a cold start instead of aborting.
  */
 enum class CkptIntegrity : std::uint8_t
 {
@@ -79,7 +80,7 @@ enum class CkptIntegrity : std::uint8_t
 /** Stable lower-case name ("ok", "crc-mismatch", ...) for logs/DBs. */
 const char *ckptIntegrityName(CkptIntegrity status);
 
-/** Result of a non-fatal checkpoint integrity probe. */
+/** Result of a non-fatal checkpoint integrity check. */
 struct CkptProbe
 {
     CkptIntegrity status = CkptIntegrity::MissingManifest;
@@ -92,13 +93,7 @@ struct CkptProbe
     bool ok() const { return status == CkptIntegrity::Ok; }
 };
 
-/**
- * Inspect the checkpoint directory @p dir without restoring from it:
- * parse the manifest, bounds-check every section against data.bin and
- * verify each section's CRC (format >= 2). Never fatal — a truncated
- * or corrupt checkpoint comes back as a typed, diagnosable status so
- * recovery code can skip it.
- */
+/** CheckpointReader::open()'s status for @p dir; never fatal. */
 CkptProbe probeCheckpoint(const std::string &dir);
 
 /**
@@ -264,15 +259,21 @@ class CheckpointWriter
 };
 
 /**
- * Opens a checkpoint directory, validates the manifest (format
- * version must match checkpointFormatVersion) and serves sections.
- * The config-fingerprint policy belongs to the caller (Simulation
- * refuses a mismatch unless --restore-force).
+ * Opens a checkpoint directory and serves sections. Opening validates
+ * it: the manifest parses, its format version is readable, and every
+ * section lies inside data.bin (read once) and matches its CRC
+ * (format >= 2; checked once). The config-fingerprint policy belongs
+ * to the caller (Simulation refuses a mismatch unless --restore-force).
  */
 class CheckpointReader
 {
   public:
+    /** Open @p dir; any damage is fatal and names it. */
     explicit CheckpointReader(const std::string &dir);
+
+    /** The non-fatal form: nullopt unless @p probe comes back ok. */
+    static std::optional<CheckpointReader>
+    open(const std::string &dir, CkptProbe &probe);
 
     std::uint64_t configFingerprint() const { return _fingerprint; }
     Tick tick() const { return _tick; }
@@ -286,6 +287,11 @@ class CheckpointReader
     const std::string &dir() const { return _dir; }
 
   private:
+    CheckpointReader() = default;
+
+    /** Read and validate _dir into this reader; what it found. */
+    CkptProbe load();
+
     struct SectionRef
     {
         std::size_t offset;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <vector>
 
 #include "sim/check/context.hh"
@@ -138,26 +139,35 @@ Simulation::writeStatsAtExit(const std::string &path)
              "--sim-stats-out=%s: the exit dump takes a JSON path; use "
              "--stats-out=%s to store the run in the sweep database",
              path.c_str(), path.c_str());
-    _statsOutOnExit = path == "null" ? "" : path;
+    if (path.empty() || path == "null")
+        return;
     // Append mode probes without truncating: the dump is written at
     // flushStatsSink.
-    fatal_if(!_statsOutOnExit.empty() &&
-                 !std::ofstream(_statsOutOnExit, std::ios::app),
+    fatal_if(!std::ofstream(path, std::ios::app),
              "cannot open --sim-stats-out file '%s' for writing",
-             _statsOutOnExit.c_str());
+             path.c_str());
+    atExit([this, path] {
+        std::ofstream os(path);
+        if (os.is_open())
+            dumpStatsJson(os);
+        else
+            warn("cannot open stats file '%s'", path.c_str());
+    });
+}
+
+void
+Simulation::atExit(std::function<void()> action)
+{
+    _exitActions.push_back(std::move(action));
 }
 
 void
 Simulation::flushStatsSink()
 {
-    if (_statsOutOnExit.empty())
-        return;
-    std::ofstream os(_statsOutOnExit);
-    if (os.is_open())
-        dumpStatsJson(os);
-    else
-        warn("cannot open stats file '%s'", _statsOutOnExit.c_str());
-    _statsOutOnExit.clear();
+    std::vector<std::function<void()>> actions;
+    actions.swap(_exitActions);
+    for (const auto &action : actions)
+        action();
 }
 
 void
@@ -422,53 +432,38 @@ namespace
 {
 
 /**
- * Pick the directory restoreCheckpoint() actually reads. @p base is
+ * Open the checkpoint restoreCheckpoint() actually reads. @p base is
  * either a checkpoint directory itself (manifest.json present) or a
  * rotation base holding auto-<tick> subdirectories, in which case the
- * newest rotation that passes the integrity probe wins and corrupt
- * ones are skipped with a warning — a torn or bit-rotted rotation is
- * recoverable, not fatal. Returns "" for a lenient cold start.
+ * newest rotation that opens intact wins and corrupt ones are skipped
+ * with a warning — a torn or bit-rotted rotation is recoverable, not
+ * fatal. Returns nullopt for a lenient cold start.
  */
-std::string
-resolveRestoreSource(const std::string &base, bool lenient)
+std::optional<CheckpointReader>
+openRestoreSource(const std::string &base, bool lenient)
 {
-    namespace fs = std::filesystem;
     std::error_code ec;
-
-    if (fs::exists(base + "/manifest.json", ec)) {
-        CkptProbe probe = probeCheckpoint(base);
-        if (probe.ok())
-            return base;
-        if (!lenient) {
-            fatal("checkpoint '%s' is damaged (%s): %s",
-                  base.c_str(), ckptIntegrityName(probe.status),
-                  probe.detail.c_str());
-        }
-        warn("checkpoint '%s' is damaged (%s): %s — starting cold",
-             base.c_str(), ckptIntegrityName(probe.status),
-             probe.detail.c_str());
-        return "";
-    }
-
-    std::vector<std::string> autos = listRotations(base);
-    for (auto it = autos.rbegin(); it != autos.rend(); ++it) {
-        const std::string &dir = *it;
-        CkptProbe probe = probeCheckpoint(dir);
-        if (probe.ok())
-            return dir;
-        warn("ckpt-corrupt: skipping rotation '%s' (%s): %s",
-             dir.c_str(), ckptIntegrityName(probe.status),
+    bool single = std::filesystem::exists(base + "/manifest.json", ec);
+    std::vector<std::string> candidates =
+        single ? std::vector<std::string>{base} : listRotations(base);
+    CkptProbe probe;
+    for (auto it = candidates.rbegin(); it != candidates.rend(); ++it) {
+        if (auto reader = CheckpointReader::open(*it, probe))
+            return reader;
+        fatal_if(single && !lenient, "checkpoint '%s' is damaged (%s): %s",
+                 it->c_str(), ckptIntegrityName(probe.status),
+                 probe.detail.c_str());
+        warn("ckpt-corrupt: skipping checkpoint '%s' (%s): %s",
+             it->c_str(), ckptIntegrityName(probe.status),
              probe.detail.c_str());
     }
-
-    if (lenient) {
-        warn("restore directory '%s' holds no usable checkpoint — "
-             "starting cold", base.c_str());
-        return "";
-    }
-    fatal("restore directory '%s' holds no usable checkpoint (no "
-          "manifest.json and no intact auto-* rotation)",
-          base.c_str());
+    fatal_if(!lenient,
+             "restore directory '%s' holds no usable checkpoint (no "
+             "manifest.json and no intact auto-* rotation)",
+             base.c_str());
+    warn("restore directory '%s' holds no usable checkpoint — "
+         "starting cold", base.c_str());
+    return std::nullopt;
 }
 
 } // namespace
@@ -484,11 +479,12 @@ Simulation::restoreCheckpoint(const std::string &dir, bool force,
 
     // Empty only for a lenient cold start: the run proceeds from
     // scratch and restored() stays false.
-    std::string source = resolveRestoreSource(dir, lenient);
-    if (source.empty())
+    std::optional<CheckpointReader> reader =
+        openRestoreSource(dir, lenient);
+    if (!reader)
         return;
-
-    CheckpointReader r(source);
+    const CheckpointReader &r = *reader;
+    const std::string &source = r.dir();
     if (r.configFingerprint() != _configFingerprint) {
         if (force) {
             warn("checkpoint '%s' was taken under config fingerprint "

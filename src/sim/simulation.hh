@@ -7,6 +7,7 @@
 #ifndef EMERALD_SIM_SIMULATION_HH
 #define EMERALD_SIM_SIMULATION_HH
 
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -120,13 +121,18 @@ class Simulation
 
     /**
      * Exit stats dump: write the final dumpStatsJson tree to @p path
-     * ("" or "null" disables) at the first flushStatsSink(): a rig's
-     * destructor while its components still exist, else this
-     * Simulation's destructor. Fatal now when @p path cannot be
-     * opened for writing or is a "sqlite:" URI (results for the sweep
-     * database go through --stats-out).
+     * ("" or "null" disables) as an exit action (atExit). Fatal now
+     * when @p path cannot be opened for writing or is a "sqlite:" URI
+     * (results for the sweep database go through --stats-out).
      */
     void writeStatsAtExit(const std::string &path);
+
+    /**
+     * Run @p action, after those added before it, at the first
+     * flushStatsSink(): a rig's destructor while its components still
+     * exist, else this Simulation's destructor.
+     */
+    void atExit(std::function<void()> action);
 
     /**
      * Start hashing every processed event into sim.check.event_hash
@@ -189,11 +195,10 @@ class Simulation
     fault::ProgressWatchdog *watchdog() { return _watchdog.get(); }
 
     /**
-     * Write the exit stats dump (writeStatsAtExit) now, once: later
-     * calls are no-ops, so the Simulation's own destructor cannot
-     * overwrite a dump a rig flushed while its components were alive.
-     * The watchdog's abort path calls this because abort() skips
-     * destructors. No-op when no dump is configured.
+     * Run the exit actions (atExit) now, once: later calls are no-ops,
+     * so the Simulation's own destructor cannot overwrite a dump a rig
+     * flushed while its components were alive. The watchdog's abort
+     * path calls this because abort() skips destructors.
      */
     void flushStatsSink();
 
@@ -326,7 +331,7 @@ class Simulation
     InstrumentChain _instruments;
     bool _profiling = false;
     std::vector<std::unique_ptr<ClockDomain>> _domains;
-    std::string _statsOutOnExit;
+    std::vector<std::function<void()>> _exitActions;
     std::unique_ptr<fault::FaultInjector> _faultInjector;
     std::unique_ptr<fault::ProgressWatchdog> _watchdog;
     CheckpointRegistry _ckptRegistry;

@@ -105,6 +105,13 @@ SimulationBuilder::subdir(const std::string &label)
 }
 
 SimulationBuilder &
+SimulationBuilder::onBuild(std::function<void(Simulation &)> hook)
+{
+    _onBuild.push_back(std::move(hook));
+    return *this;
+}
+
+SimulationBuilder &
 SimulationBuilder::warpScheduler(const std::string &policy)
 {
     _rig.warpSched = policy;
@@ -219,6 +226,8 @@ SimulationBuilder::applyTo(Simulation &sim) const
                  (!_rig.restoreDir.empty() || !_checkpointDir.empty()),
              "--capture-trace/--replay-trace cannot combine with "
              "checkpoint/restore");
+    for (const auto &hook : _onBuild)
+        hook(sim);
 }
 
 } // namespace emerald

@@ -10,6 +10,7 @@
 #define EMERALD_SIM_SIMULATION_BUILDER_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -143,6 +144,9 @@ class SimulationBuilder
      */
     SimulationBuilder &subdir(const std::string &label);
 
+    /** Call @p hook on each Simulation, after the rest of applyTo(). */
+    SimulationBuilder &onBuild(std::function<void(Simulation &)> hook);
+
     /**
      * Select the SIMT warp-scheduling policy by registry name
      * (--warp-sched: lrr, gto, wasp). "" keeps the default.
@@ -223,6 +227,7 @@ class SimulationBuilder
     unsigned _checkpointKeep = 3;
     std::string _checkpointDir;
     std::string _hangReportPath;
+    std::vector<std::function<void(Simulation &)>> _onBuild;
     RigOptions _rig;
 };
 

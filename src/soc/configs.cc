@@ -79,9 +79,15 @@ StandaloneGpu::StandaloneGpu(unsigned fb_width, unsigned fb_height,
                  !opts.replayTraceDir.empty(),
              "--capture-trace/--replay-trace need the full-SoC frame "
              "loop; the standalone GPU rig does not support them");
-    fatal_if(!opts.restoreDir.empty(),
-             "--restore needs the full-SoC rig; the standalone GPU rig "
-             "cannot restore checkpoint '%s'", opts.restoreDir.c_str());
+    // Nothing could restore a checkpoint of this rig, so it writes
+    // none either.
+    const std::string &ckpt = opts.restoreDir.empty()
+                                  ? builder.checkpointDir()
+                                  : opts.restoreDir;
+    fatal_if(!ckpt.empty(),
+             "checkpoint/restore needs the full-SoC rig; the standalone "
+             "GPU rig cannot restore checkpoint '%s' (--restore, "
+             "--checkpoint-at, --checkpoint-every)", ckpt.c_str());
     _gpuClock = &_sim.createClockDomain(1000.0, "gpu_clk");
 
     mem::MemSchedContext sctx{_sim};

@@ -50,7 +50,8 @@ class StandaloneGpu
     /**
      * @p builder is applied to the rig's Simulation, and its
      * RigOptions pick the warp and memory scheduler policies. Trace
-     * capture/replay and --restore need SocTop and are fatal here.
+     * capture/replay, --restore, --checkpoint-at and
+     * --checkpoint-every need SocTop and are fatal here.
      */
     StandaloneGpu(unsigned fb_width, unsigned fb_height,
                   const gpu::GpuTopParams &gpu_params =

@@ -17,7 +17,7 @@ namespace
 
 constexpr const char *sqlitePrefix = "sqlite:";
 
-/** Render a double exactly as the legacy BenchResults doc did. */
+/** Render a double exactly as the legacy bench results doc did. */
 std::string
 jsonResultNumber(double v)
 {

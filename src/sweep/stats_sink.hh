@@ -77,7 +77,7 @@ class StatsSink
 /**
  * Create the sink a --stats-out URI names: "" or "null" discard,
  * "sqlite:<path>" writes the sweep database, anything else writes
- * the BenchResults JSON document to that path. Fatal when the
+ * the bench results JSON document to that path. Fatal when the
  * destination cannot be opened for writing, so a bad path fails
  * before any simulation runs.
  */

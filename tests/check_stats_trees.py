@@ -1,0 +1,38 @@
+#!/usr/bin/env python3
+"""Check the stats trees of a bench --stats-out file.
+
+Every JSON object in the file must hold each key once, and its `sim`
+object must hold exactly one stats tree per given label.
+
+Usage: check_stats_trees.py out.json LABEL...
+Exit status: 0 when both hold, 1 otherwise.
+"""
+
+import collections
+import json
+import sys
+
+
+def unique_keys(pairs):
+    counts = collections.Counter(key for key, _ in pairs)
+    dups = sorted(key for key, n in counts.items() if n > 1)
+    if dups:
+        sys.exit(f"check_stats_trees: duplicate JSON keys {dups}")
+    return dict(pairs)
+
+
+def main():
+    if len(sys.argv) < 2:
+        sys.exit(__doc__)
+    path, labels = sys.argv[1], sorted(sys.argv[2:])
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f, object_pairs_hook=unique_keys)
+    trees = sorted(doc.get("sim", {}))
+    if trees != labels:
+        sys.exit(f"check_stats_trees: '{path}' holds stats trees "
+                 f"{trees}, expected {labels}")
+    print(f"OK   {path}: one stats tree per label {trees}")
+
+
+if __name__ == "__main__":
+    main()

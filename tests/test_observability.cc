@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness.hh"
 #include "scenes/workloads.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
@@ -413,6 +415,141 @@ TEST(JsonStatsDeathTest, SqliteExitDumpPointsAtStatsOut)
 {
     EXPECT_EXIT(SimulationBuilder().statsOutOnExit("sqlite:x.db").build(),
                 ::testing::ExitedWithCode(1), "use --stats-out=sqlite:x.db");
+}
+
+// ------------------------------------------------------------------
+// Bench harness: one label per simulation
+// ------------------------------------------------------------------
+
+/** A BenchHarness over @p args, as if passed to emerald_bench. */
+std::unique_ptr<bench::BenchHarness>
+makeHarness(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "emerald_bench");
+    std::vector<char *> argv;
+    for (std::string &arg : args)
+        argv.push_back(arg.data());
+    return std::make_unique<bench::BenchHarness>(
+        static_cast<int>(argv.size()), argv.data(), "harness_test");
+}
+
+/** Render @p frames frames of W3 on a 64x64 rig built from @p builder. */
+void
+renderOn(const SimulationBuilder &builder, unsigned frames)
+{
+    soc::StandaloneGpu rig(64, 64, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), builder);
+    scenes::SceneRenderer scene(
+        rig.pipeline(), scenes::makeWorkload(scenes::WorkloadId::W3_Cube),
+        rig.functionalMemory());
+    for (unsigned f = 0; f < frames; ++f)
+        bench::renderFrame(rig, scene, f);
+}
+
+/** A fresh, empty temporary directory. */
+std::string
+freshDir(const std::string &leaf)
+{
+    std::string dir = ::testing::TempDir() + "emerald_" + leaf;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+double
+dumpedFrames(const std::string &path)
+{
+    return parseJson(readFile(path))
+        .at("groups")
+        .at("gfx")
+        .at("stats")
+        .at("frames")
+        .at("value")
+        .number;
+}
+
+TEST(BenchHarness, RecordsEventsWallTimeAndHashPerLabel)
+{
+    std::string out = freshDir("harness_results") + "/r.json";
+    {
+        auto harness =
+            makeHarness({"--check-determinism", "--stats-out=" + out});
+        renderOn(harness->builderFor("one"), 1);
+        renderOn(harness->builderFor(""), 1);
+    }
+    JsonValue doc = parseJson(readFile(out));
+    const JsonValue &results = doc.at("results");
+    for (const char *prefix : {"one.", ""}) {
+        std::string p = prefix;
+        EXPECT_GT(results.at(p + "events").number, 0.0) << p;
+        EXPECT_GT(results.at(p + "wall_ms").number, 0.0) << p;
+        EXPECT_NE(results.at(p + "event_hash").number, 0.0) << p;
+    }
+    // Same rig, same frame: the two labels hashed one event stream.
+    EXPECT_EQ(results.at("one.event_hash").number,
+              results.at("event_hash").number);
+}
+
+TEST(BenchHarness, SimStatsOutAndTraceFileWriteOneFilePerLabel)
+{
+    std::string dir = freshDir("harness_dumps");
+    {
+        auto harness = makeHarness({"--sim-stats-out=" + dir + "/s.json",
+                                    "--trace-file=" + dir + "/t.json"});
+        renderOn(harness->builderFor("one"), 1);
+        renderOn(harness->builderFor("two"), 2);
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir + "/s.json"));
+    EXPECT_FALSE(std::filesystem::exists(dir + "/t.json"));
+    EXPECT_DOUBLE_EQ(dumpedFrames(dir + "/s.one.json"), 1.0);
+    EXPECT_DOUBLE_EQ(dumpedFrames(dir + "/s.two.json"), 2.0);
+    for (const char *trace : {"/t.one.json", "/t.two.json"}) {
+        JsonValue doc = parseJson(readFile(dir + trace));
+        EXPECT_FALSE(doc.array.empty()) << trace;
+    }
+
+    EXPECT_EQ(bench::labelledPath("out/s.json", "M2-cube.BAS"),
+              "out/s.M2-cube.BAS.json");
+    EXPECT_EQ(bench::labelledPath("dump", "a"), "dump.a");
+    EXPECT_EQ(bench::labelledPath("null", "a"), "null");
+    EXPECT_EQ(bench::labelledPath("", "a"), "");
+}
+
+TEST(BenchHarness, CheckpointDirIsLabelThenScope)
+{
+    auto quick = makeHarness(
+        {"--quick", "--checkpoint-at=1ms", "--checkpoint-dir=ck"});
+    std::string scope = ckptScopeFingerprintHex(quick->cfg);
+    ASSERT_FALSE(scope.empty());
+    EXPECT_EQ(quick->builderFor("M2-cube.BAS").checkpointDir(),
+              "ck/M2-cube.BAS-" + scope);
+    EXPECT_EQ(quick->builderFor("").checkpointDir(), "ck/" + scope);
+
+    // No sweep-relevant key: no scope to add.
+    auto plain =
+        makeHarness({"--checkpoint-at=1ms", "--checkpoint-dir=ck"});
+    EXPECT_EQ(plain->builderFor("BAS").checkpointDir(), "ck/BAS");
+    EXPECT_EQ(plain->builderFor("").checkpointDir(), "ck");
+}
+
+TEST(BenchHarnessDeathTest, LabelReachingSecondSimulationIsFatal)
+{
+    auto harness = makeHarness({});
+    EXPECT_EXIT(
+        {
+            renderOn(harness->builderFor("twice"), 0);
+            renderOn(harness->builderFor("twice"), 0);
+        },
+        ::testing::ExitedWithCode(1),
+        "bench label 'twice' reaches a second simulation");
+    EXPECT_EXIT(
+        {
+            SimulationBuilder reused = harness->builderFor("reused");
+            renderOn(reused, 0);
+            renderOn(reused, 0);
+        },
+        ::testing::ExitedWithCode(1),
+        "bench label 'reused' reaches a second simulation");
 }
 
 // ------------------------------------------------------------------

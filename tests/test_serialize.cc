@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -531,6 +532,25 @@ TEST(CheckpointProbe, BitFlipIsCrcMismatchNotFatal)
     EXPECT_DEATH(CheckpointReader r(dir), "fails CRC");
 }
 
+TEST(CheckpointProbe, OpenServesWhatItValidated)
+{
+    // The non-fatal open and the probe are one validator: an intact
+    // checkpoint comes back open, a damaged one as its status.
+    CkptProbe probe;
+    std::optional<CheckpointReader> reader =
+        CheckpointReader::open(probeFixture("probe_open"), probe);
+    ASSERT_TRUE(reader.has_value());
+    EXPECT_TRUE(probe.ok());
+    EXPECT_EQ(reader->tick(), 777u);
+    EXPECT_EQ(reader->section("alpha").getU64("x"), 11u);
+
+    std::string dir = probeFixture("probe_open_flip");
+    auto size = std::filesystem::file_size(dir + "/data.bin");
+    patchFile(dir + "/data.bin", static_cast<long>(size) - 3, 'X');
+    EXPECT_FALSE(CheckpointReader::open(dir, probe).has_value());
+    EXPECT_EQ(probe.status, CkptIntegrity::CrcMismatch);
+}
+
 TEST(CheckpointProbe, TruncationIsTruncatedSection)
 {
     std::string dir = probeFixture("probe_trunc");
@@ -743,6 +763,24 @@ TEST(CheckpointStandalone, RestoreIsFatal)
                                        tempDir("ckpt_missing")));
         },
         "cannot restore checkpoint");
+}
+
+TEST(CheckpointStandalone, CheckpointFlagsAreFatal)
+{
+    // Nothing could restore the checkpoint, so none is written.
+    const std::string dir = tempDir("ckpt_standalone");
+    for (const SimulationBuilder &builder :
+         {SimulationBuilder().checkpointAt(ticksFromUs(100.0), dir),
+          SimulationBuilder().checkpointEvery(ticksFromUs(100.0), dir)}) {
+        EXPECT_DEATH(
+            {
+                soc::StandaloneGpu rig(64, 64,
+                                       soc::caseStudy2GpuParams(),
+                                       soc::caseStudy2MemParams(),
+                                       builder);
+            },
+            "cannot restore checkpoint");
+    }
 }
 
 } // namespace

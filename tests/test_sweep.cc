@@ -322,7 +322,7 @@ struct TreeFixture
 
 TEST(StatsSinkJson, LegacyDocumentShapeIsPreserved)
 {
-    // The exact legacy BenchResults layout: two-space indent, one
+    // The exact legacy bench results layout: two-space indent, one
     // result per line, 17-digit numbers, non-finite -> null, the sim
     // tree inlined under its label. check_restore.py parses these
     // files; the framing below is load-bearing.

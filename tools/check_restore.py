@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run comparator: a second bench run must reproduce a reference run.
 
-Both inputs are --stats-out files written by a bench (BenchResults
+Both inputs are --stats-out files written by a bench (BenchHarness
 format: {"bench": ..., "results": {...}, "sim": {...}}).
 
 Modes:
