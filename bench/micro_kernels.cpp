@@ -119,12 +119,11 @@ BM_WarpExecuteAlu(benchmark::State &state)
     gpu::isa::Program p =
         gpu::isa::assemble("k", "mad.f32 r1, r0, r2, r1\n"
                                 "exit\n");
-    gpu::isa::ThreadContext threads[32];
+    gpu::isa::WarpState warp;
     gpu::isa::ExecEnv env;
     gpu::isa::StepEffects fx;
     for (auto _ : state) {
-        executeWarpInstruction(p.code[0], 0xffffffffu, threads, env,
-                               fx);
+        executeWarpInstruction(p.code[0], 0xffffffffu, warp, env, fx);
     }
 }
 BENCHMARK(BM_WarpExecuteAlu);

@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 #include "sim/serialize/packet_serialize.hh"
 #include "sim/serialize/registry.hh"
@@ -24,13 +26,17 @@ Cache::Cache(Simulation &sim, const std::string &name,
       _respEvent([this] { deliverResponses(); }, name + ".resp")
 {
     setSinkName(name);
-    panic_if(!isPowerOf2(params.lineSize), "line size must be 2^n");
+    panic_if(!isPowerOf2(params.lineSize) || params.lineSize < 2,
+             "line size must be 2^n, n >= 1");
+    _lineShift = static_cast<unsigned>(std::countr_zero(params.lineSize));
     std::uint64_t lines = params.sizeBytes / params.lineSize;
     panic_if(lines == 0 || lines % params.assoc != 0,
              "cache %s geometry invalid", name.c_str());
     _numSets = lines / params.assoc;
     panic_if(!isPowerOf2(_numSets), "set count must be 2^n");
-    _lines.resize(lines);
+    _tags.assign(lines, invalidTag);
+    _lastUse.assign(lines, 0);
+    _dirty.assign(lines, 0);
 
     registerCheckpointEvent(_sendEvent);
     registerCheckpointEvent(_respEvent);
@@ -38,19 +44,14 @@ Cache::Cache(Simulation &sim, const std::string &name,
     registerCheckpointRequestor(*this);
 }
 
-std::size_t
-Cache::setIndex(Addr line_addr) const
-{
-    return (line_addr / _params.lineSize) & (_numSets - 1);
-}
-
-int
+std::ptrdiff_t
 Cache::findWay(std::size_t set, Addr line_addr) const
 {
+    const std::size_t first = set * _params.assoc;
+    const Addr *tags = _tags.data() + first;
     for (unsigned w = 0; w < _params.assoc; ++w) {
-        const Line &line = _lines[set * _params.assoc + w];
-        if (line.valid && line.tag == line_addr)
-            return static_cast<int>(w);
+        if (tags[w] == line_addr)
+            return static_cast<std::ptrdiff_t>(first + w);
     }
     return -1;
 }
@@ -66,15 +67,12 @@ bool
 Cache::tryAccept(MemPacket *pkt)
 {
     Addr line_addr = lineAddrOf(pkt->addr);
-    std::size_t set = setIndex(line_addr);
-    int way = findWay(set, line_addr);
+    std::ptrdiff_t way = findWay(setIndex(line_addr), line_addr);
 
     if (way >= 0) {
-        Line &line = _lines[set * _params.assoc +
-                            static_cast<unsigned>(way)];
-        line.lastUse = ++_useCounter;
+        _lastUse[static_cast<std::size_t>(way)] = ++_useCounter;
         if (pkt->write)
-            line.dirty = true;
+            _dirty[static_cast<std::size_t>(way)] = 1;
         ++statHits;
         respondLater(pkt);
         return true;
@@ -137,30 +135,30 @@ Cache::memResponse(MemPacket *fill)
 void
 Cache::installLine(Addr line_addr, bool dirty)
 {
-    std::size_t set = setIndex(line_addr);
-    Line *victim = nullptr;
-    for (unsigned w = 0; w < _params.assoc; ++w) {
-        Line &line = _lines[set * _params.assoc + w];
-        if (!line.valid) {
-            victim = &line;
+    // The first invalid way, else the least recently used; the first
+    // way wins ties.
+    const std::size_t first = setIndex(line_addr) * _params.assoc;
+    std::size_t victim = first;
+    for (std::size_t w = first; w < first + _params.assoc; ++w) {
+        if (_tags[w] == invalidTag) {
+            victim = w;
             break;
         }
-        if (!victim || line.lastUse < victim->lastUse)
-            victim = &line;
+        if (_lastUse[w] < _lastUse[victim])
+            victim = w;
     }
 
-    if (victim->valid && victim->dirty) {
+    if (_tags[victim] != invalidTag && _dirty[victim]) {
         ++statWritebacks;
         auto *wb = sim().packetPool().alloc(
-            victim->tag, _params.lineSize, true, _params.trafficClass,
+            _tags[victim], _params.lineSize, true, _params.trafficClass,
             AccessKind::Writeback, _params.requestorId, nullptr);
         pushDownstream(wb);
     }
 
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = line_addr;
-    victim->lastUse = ++_useCounter;
+    _tags[victim] = line_addr;
+    _dirty[victim] = dirty;
+    _lastUse[victim] = ++_useCounter;
 }
 
 void
@@ -262,13 +260,16 @@ Cache::serialize(CheckpointOut &out) const
 {
     const CheckpointRegistry &reg = sim().checkpointRegistry();
 
+    // An invalid way is written as tag 0, as it was stored before
+    // the tag store carried an invalid sentinel.
     std::vector<std::uint64_t> valid, dirty, tag, last_use;
-    valid.reserve(_lines.size());
-    for (const Line &line : _lines) {
-        valid.push_back(line.valid);
-        dirty.push_back(line.dirty);
-        tag.push_back(line.tag);
-        last_use.push_back(line.lastUse);
+    valid.reserve(_tags.size());
+    for (std::size_t w = 0; w < _tags.size(); ++w) {
+        const bool is_valid = _tags[w] != invalidTag;
+        valid.push_back(is_valid);
+        dirty.push_back(_dirty[w]);
+        tag.push_back(is_valid ? _tags[w] : 0);
+        last_use.push_back(_lastUse[w]);
     }
     out.putU64Vec("line.valid", valid);
     out.putU64Vec("line.dirty", dirty);
@@ -321,15 +322,20 @@ Cache::unserialize(CheckpointIn &in)
     auto dirty = in.getU64Vec("line.dirty");
     auto tag = in.getU64Vec("line.tag");
     auto last_use = in.getU64Vec("line.last_use");
-    fatal_if(valid.size() != _lines.size(),
+    fatal_if(valid.size() != _tags.size() ||
+                 dirty.size() != _tags.size() ||
+                 tag.size() != _tags.size() ||
+                 last_use.size() != _tags.size(),
              "%s: checkpoint holds %zu cache lines but this "
              "configuration has %zu",
-             name().c_str(), valid.size(), _lines.size());
-    for (std::size_t w = 0; w < _lines.size(); ++w) {
-        _lines[w].valid = valid[w] != 0;
-        _lines[w].dirty = dirty[w] != 0;
-        _lines[w].tag = tag[w];
-        _lines[w].lastUse = last_use[w];
+             name().c_str(), valid.size(), _tags.size());
+    for (std::size_t w = 0; w < _tags.size(); ++w) {
+        fatal_if(valid[w] != 0 && tag[w] != lineAddrOf(tag[w]),
+                 "%s: checkpointed line tag 0x%llx is not line-aligned",
+                 name().c_str(), (unsigned long long)tag[w]);
+        _tags[w] = valid[w] != 0 ? tag[w] : invalidTag;
+        _dirty[w] = dirty[w] != 0;
+        _lastUse[w] = last_use[w];
     }
     _useCounter = in.getU64("use_counter");
 

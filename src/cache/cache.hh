@@ -102,22 +102,25 @@ class Cache : public SimObject,
     /** @} */
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
-        std::uint64_t lastUse = 0;
-    };
+    /**
+     * The tag of an invalid way. Line addresses are multiples of the
+     * line size (at least 2), so none is all ones.
+     */
+    static constexpr Addr invalidTag = ~Addr(0);
 
     Addr lineAddrOf(Addr addr) const
     {
         return addr & ~static_cast<Addr>(_params.lineSize - 1);
     }
-    std::size_t setIndex(Addr line_addr) const;
+    std::size_t
+    setIndex(Addr line_addr) const
+    {
+        return static_cast<std::size_t>(line_addr >> _lineShift) &
+               (_numSets - 1);
+    }
 
-    /** Find the way holding @p line_addr, or -1. */
-    int findWay(std::size_t set, Addr line_addr) const;
+    /** Find the way (index into _tags) holding @p line_addr, or -1. */
+    std::ptrdiff_t findWay(std::size_t set, Addr line_addr) const;
 
     /** Install a line; evicts (and possibly writes back) the victim. */
     void installLine(Addr line_addr, bool dirty);
@@ -141,8 +144,16 @@ class Cache : public SimObject,
     ClockDomain &_domain;
     MemSink *_downstream = nullptr;
 
-    std::vector<Line> _lines;
+    /**
+     * The tag store, one entry per way, set-major: a way's line
+     * address (or invalidTag), its last access on the _useCounter
+     * clock, and its dirty bit. Lookups scan only _tags.
+     */
+    std::vector<Addr> _tags;
+    std::vector<std::uint64_t> _lastUse;
+    std::vector<std::uint8_t> _dirty;
     std::size_t _numSets;
+    unsigned _lineShift;
     std::uint64_t _useCounter = 0;
 
     MshrFile _mshrs;

@@ -13,7 +13,7 @@ namespace emerald::core
 {
 
 using gpu::WarpTask;
-using gpu::isa::ThreadContext;
+using gpu::isa::WarpState;
 using gpu::isa::warpSize;
 
 GraphicsPipeline::GraphicsPipeline(Simulation &sim,
@@ -263,9 +263,26 @@ GraphicsPipeline::launchVertexWarp()
         strips ? prim_count + 2 : prim_count * 3;
     std::uint64_t first_seq = _seqCounter;
 
+    // Round-robin core placement: the first core with queue space
+    // takes the warp (all busy: retry next cycle).
+    gpu::SimtCore *target = nullptr;
+    for (unsigned attempt = 0; attempt < _gpu.numCores(); ++attempt) {
+        unsigned idx = (_nextCoreRR + attempt) % _gpu.numCores();
+        gpu::SimtCore &core = _gpu.core(idx);
+        if (core.queuedTasks() < core.params().taskQueueDepth) {
+            target = &core;
+            _nextCoreRR = (idx + 1) % _gpu.numCores();
+            break;
+        }
+    }
+    if (!target)
+        return false;
+
     WarpTask task;
     task.type = gpu::WarpTaskType::Vertex;
     task.program = draw.vertexProgram;
+    task.state = std::make_unique<WarpState>();
+    WarpState &state = *task.state;
     task.env.global = draw.memory;
     task.env.constants = draw.constants.data();
     task.env.numConstants =
@@ -276,16 +293,18 @@ GraphicsPipeline::launchVertexWarp()
     for (unsigned lane = 0; lane < vert_count && lane < warpSize;
          ++lane) {
         mask |= 1u << lane;
-        ThreadContext &t = task.threads[lane];
         unsigned vid = first_vert + lane;
-        t.vertexId = vid;
+        state.vertexId[lane] = vid;
         // Functional attribute fetch.
         unsigned n = std::min(draw.floatsPerVertex,
                               gpu::isa::maxAttrs);
         if (draw.memory) {
+            float attrs[gpu::isa::maxAttrs];
             draw.memory->read(draw.vertexBufferAddr +
                                   Addr(vid) * draw.strideBytes(),
-                              t.a, n * 4);
+                              attrs, n * 4);
+            for (unsigned a = 0; a < n; ++a)
+                state.a[a][lane] = attrs[a];
         }
         // Timing: vertex fetch traffic (64 B granules over the
         // vertex's extent).
@@ -300,25 +319,13 @@ GraphicsPipeline::launchVertexWarp()
     task.initFetchKind = AccessKind::Vertex;
 
     task.onComplete = [this, first_seq, base_prim, prim_count,
-                       first_vert, vert_count](WarpTask &,
-                                               ThreadContext *threads) {
+                       first_vert, vert_count](const WarpState &done) {
         assembleVertexWarp(first_seq, base_prim, prim_count, first_vert,
-                           vert_count, threads);
+                           vert_count, done);
     };
 
-    // Round-robin core placement.
-    bool placed = false;
-    for (unsigned attempt = 0; attempt < _gpu.numCores(); ++attempt) {
-        unsigned idx = (_nextCoreRR + attempt) % _gpu.numCores();
-        // Copy the task only on success: tryAddTask moves it.
-        if (_gpu.core(idx).tryAddTask(WarpTask(task))) {
-            _nextCoreRR = (idx + 1) % _gpu.numCores();
-            placed = true;
-            break;
-        }
-    }
-    if (!placed)
-        return false; // All cores busy; retry next cycle.
+    bool ok = target->tryAddTask(std::move(task));
+    panic_if(!ok, "core rejected vertex warp after space check");
 
     _nextPrim += prim_count;
     _seqCounter += prim_count;
@@ -334,7 +341,7 @@ GraphicsPipeline::assembleVertexWarp(std::uint64_t first_seq,
                                      unsigned base_prim,
                                      unsigned prim_count, unsigned,
                                      unsigned vert_count,
-                                     isa_threads_t threads)
+                                     const WarpState &state)
 {
     DrawCall &draw = *_activeDraw;
     const bool strips =
@@ -372,10 +379,11 @@ GraphicsPipeline::assembleVertexWarp(std::uint64_t first_seq,
                 lane_ok = false;
                 break;
             }
-            const ThreadContext &t = threads[lanes[i]];
-            cv[i].pos = {t.o[0], t.o[1], t.o[2], t.o[3]};
+            const unsigned lane = lanes[i];
+            cv[i].pos = {state.o[0][lane], state.o[1][lane],
+                         state.o[2][lane], state.o[3][lane]};
             for (unsigned a = 0; a < nv && a < maxVaryings; ++a)
-                cv[i].attrs[a] = t.o[4 + a];
+                cv[i].attrs[a] = state.o[4 + a][lane];
         }
         ++statPrimsIn;
         ++_frame.primsIn;
@@ -683,6 +691,8 @@ GraphicsPipeline::issueInstance(TcInstance &&instance)
         WarpTask task;
         task.type = gpu::WarpTaskType::Fragment;
         task.program = draw.fragmentProgram;
+        task.state = std::make_unique<WarpState>();
+        WarpState &state = *task.state;
         task.env.textures = draw.textures;
         task.env.rop = _fb;
         task.env.global = draw.memory;
@@ -696,19 +706,17 @@ GraphicsPipeline::issueInstance(TcInstance &&instance)
             if (f >= frags.size())
                 break;
             mask |= 1u << lane;
-            ThreadContext &t = task.threads[lane];
-            t.fragX = frags[f].x;
-            t.fragY = frags[f].y;
-            t.fragZ = frags[f].z;
+            state.fragX[lane] = frags[f].x;
+            state.fragY[lane] = frags[f].y;
+            state.fragZ[lane] = frags[f].z;
             unsigned nv = draw.numVaryings;
             for (unsigned a = 0; a < nv && a < maxVaryings; ++a)
-                t.a[a] = (*frags[f].attrs)[a];
+                state.a[a][lane] = (*frags[f].attrs)[a];
         }
         task.activeMask = mask;
         task.tag = tc_idx;
 
-        task.onComplete = [this, remaining, tc_idx](
-                              WarpTask &, ThreadContext *) {
+        task.onComplete = [this, remaining, tc_idx](const WarpState &) {
             panic_if(_fragWarpsOutstanding == 0,
                      "fragment warp over-completion");
             --_fragWarpsOutstanding;

@@ -158,7 +158,6 @@ class GraphicsPipeline : public SimObject,
 
   private:
     using PrimVec = std::shared_ptr<std::vector<PrimRecord>>;
-    using isa_threads_t = gpu::isa::ThreadContext *;
 
     struct SetupItem
     {
@@ -210,7 +209,7 @@ class GraphicsPipeline : public SimObject,
     void assembleVertexWarp(std::uint64_t first_seq, unsigned base_prim,
                             unsigned prim_count, unsigned first_vert,
                             unsigned vert_count,
-                            isa_threads_t threads);
+                            const gpu::isa::WarpState &state);
     void issueInstance(TcInstance &&instance);
     void pushL2Read(Addr addr, AccessKind kind);
     void pushL2Write(Addr addr, AccessKind kind);

@@ -1,12 +1,23 @@
 #include "gpu/isa/executor.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <iterator>
+#include <type_traits>
 
 #include "sim/logging.hh"
 
 namespace emerald::gpu::isa
 {
+
+WarpState::WarpState()
+{
+    std::fill(std::begin(ntidX), std::end(ntidX), 1u);
+    std::fill(std::begin(ntidY), std::end(ntidY), 1u);
+}
 
 namespace
 {
@@ -23,172 +34,166 @@ asBits(float value)
     return std::bit_cast<std::uint32_t>(value);
 }
 
-/** Read an operand as raw 32-bit value for thread @p t. */
-std::uint32_t
-readRaw(const Operand &op, const ThreadContext &t, const ExecEnv &env,
-        DataType type)
+/** Call @p f(lane) for every lane set in @p mask, lowest lane first. */
+template <typename F>
+void
+forLanes(std::uint32_t mask, F &&f)
 {
-    switch (op.kind) {
-      case Operand::Kind::Reg:
-        return t.r[op.index];
-      case Operand::Kind::Imm:
-        return op.imm.u;
-      case Operand::Kind::Const:
-        if (env.constants &&
-            op.index < static_cast<int>(env.numConstants)) {
-            return asBits(env.constants[op.index]);
+    for (; mask != 0; mask &= mask - 1)
+        f(static_cast<unsigned>(std::countr_zero(mask)));
+}
+
+/** Lane array of an absent ALU operand, which reads 0. */
+constexpr std::uint32_t zeroLanes[warpSize] = {};
+
+/**
+ * A source operand resolved once per warp instruction into one lane
+ * array: a register or compute-input row of the state itself, or a
+ * local copy holding a uniform value (immediate, constant) or the
+ * 32-bit image of a float or converted input. A copy holds only the
+ * executing lanes, the only ones read.
+ */
+class Src
+{
+  public:
+    Src(const Operand &op, const WarpState &s, const ExecEnv &env,
+        DataType type, std::uint32_t exec)
+    {
+        switch (op.kind) {
+          case Operand::Kind::None:
+            _lanes = zeroLanes;
+            return;
+          case Operand::Kind::Reg:
+            _lanes = s.r[op.index];
+            return;
+          case Operand::Kind::Imm:
+            uniform(op.imm.u);
+            return;
+          case Operand::Kind::Const:
+            uniform(env.constants &&
+                            op.index < static_cast<int>(env.numConstants)
+                        ? asBits(env.constants[op.index])
+                        : 0);
+            return;
+          case Operand::Kind::Attr:
+            convert(s.a[op.index], exec, asBits);
+            return;
+          case Operand::Kind::Out:
+            convert(s.o[op.index], exec, asBits);
+            return;
+          case Operand::Kind::Special:
+            special(op.special, s, type, exec);
+            return;
+          default:
+            panic("bad source operand kind");
         }
-        return 0;
-      case Operand::Kind::Attr:
-        return asBits(t.a[op.index]);
-      case Operand::Kind::Out:
-        return asBits(t.o[op.index]);
-      case Operand::Kind::Special:
-        switch (op.special) {
-          case SpecialReg::FragX:
-            return type == DataType::F32
-                       ? asBits(static_cast<float>(t.fragX))
-                       : static_cast<std::uint32_t>(t.fragX);
-          case SpecialReg::FragY:
-            return type == DataType::F32
-                       ? asBits(static_cast<float>(t.fragY))
-                       : static_cast<std::uint32_t>(t.fragY);
-          case SpecialReg::FragZ:
-            return asBits(t.fragZ);
+    }
+
+    Src(const Src &) = delete;
+    Src &operator=(const Src &) = delete;
+
+    std::uint32_t operator[](unsigned lane) const { return _lanes[lane]; }
+    float f(unsigned lane) const { return asFloat(_lanes[lane]); }
+
+  private:
+    void
+    uniform(std::uint32_t value)
+    {
+        std::fill(std::begin(_copy), std::end(_copy), value);
+        _lanes = _copy;
+    }
+
+    template <typename T, typename F>
+    void
+    convert(const T *in, std::uint32_t exec, F to_bits)
+    {
+        forLanes(exec, [&](unsigned l) { _copy[l] = to_bits(in[l]); });
+        _lanes = _copy;
+    }
+
+    void
+    special(SpecialReg reg, const WarpState &s, DataType type,
+            std::uint32_t exec)
+    {
+        const bool f32 = type == DataType::F32;
+        auto int_lanes = [&](const int *in) {
+            if (f32) {
+                convert(in, exec, [](int v) {
+                    return asBits(static_cast<float>(v));
+                });
+            } else {
+                convert(in, exec, [](int v) {
+                    return static_cast<std::uint32_t>(v);
+                });
+            }
+        };
+        switch (reg) {
+          case SpecialReg::FragX: int_lanes(s.fragX); return;
+          case SpecialReg::FragY: int_lanes(s.fragY); return;
+          case SpecialReg::FragZ: convert(s.fragZ, exec, asBits); return;
           case SpecialReg::VertId:
-            return type == DataType::F32
-                       ? asBits(static_cast<float>(t.vertexId))
-                       : t.vertexId;
-          case SpecialReg::TidX: return t.tidX;
-          case SpecialReg::TidY: return t.tidY;
-          case SpecialReg::CtaIdX: return t.ctaIdX;
-          case SpecialReg::CtaIdY: return t.ctaIdY;
-          case SpecialReg::NTidX: return t.ntidX;
-          case SpecialReg::NTidY: return t.ntidY;
+            if (f32) {
+                convert(s.vertexId, exec, [](std::uint32_t v) {
+                    return asBits(static_cast<float>(v));
+                });
+            } else {
+                _lanes = s.vertexId;
+            }
+            return;
+          case SpecialReg::TidX: _lanes = s.tidX; return;
+          case SpecialReg::TidY: _lanes = s.tidY; return;
+          case SpecialReg::CtaIdX: _lanes = s.ctaIdX; return;
+          case SpecialReg::CtaIdY: _lanes = s.ctaIdY; return;
+          case SpecialReg::NTidX: _lanes = s.ntidX; return;
+          case SpecialReg::NTidY: _lanes = s.ntidY; return;
         }
-        return 0;
-      default:
-        panic("bad source operand kind");
+        uniform(0);
     }
-}
 
-float
-readF(const Operand &op, const ThreadContext &t, const ExecEnv &env)
+    const std::uint32_t *_lanes = nullptr;
+    std::uint32_t _copy[warpSize];
+};
+
+/** A lane's 32 bits read as the comparison's operand type. */
+template <typename T>
+T
+laneAs(std::uint32_t bits)
 {
-    return asFloat(readRaw(op, t, env, DataType::F32));
+    if constexpr (std::is_same_v<T, float>)
+        return asFloat(bits);
+    else
+        return static_cast<T>(bits);
 }
 
-bool
-compare(CmpOp cmp, DataType type, std::uint32_t a, std::uint32_t b)
-{
-    if (type == DataType::F32) {
-        float x = asFloat(a);
-        float y = asFloat(b);
-        switch (cmp) {
-          case CmpOp::EQ: return x == y;
-          case CmpOp::NE: return x != y;
-          case CmpOp::LT: return x < y;
-          case CmpOp::LE: return x <= y;
-          case CmpOp::GT: return x > y;
-          case CmpOp::GE: return x >= y;
-        }
-    } else if (type == DataType::S32) {
-        auto x = static_cast<std::int32_t>(a);
-        auto y = static_cast<std::int32_t>(b);
-        switch (cmp) {
-          case CmpOp::EQ: return x == y;
-          case CmpOp::NE: return x != y;
-          case CmpOp::LT: return x < y;
-          case CmpOp::LE: return x <= y;
-          case CmpOp::GT: return x > y;
-          case CmpOp::GE: return x >= y;
-        }
-    } else {
-        switch (cmp) {
-          case CmpOp::EQ: return a == b;
-          case CmpOp::NE: return a != b;
-          case CmpOp::LT: return a < b;
-          case CmpOp::LE: return a <= b;
-          case CmpOp::GT: return a > b;
-          case CmpOp::GE: return a >= b;
-        }
-    }
-    return false;
-}
-
+template <typename T, typename Cmp>
 std::uint32_t
-aluOp(const Instruction &instr, const ThreadContext &t,
-      const ExecEnv &env)
+compareLanes(std::uint32_t exec, const Src &a, const Src &b, Cmp cmp)
 {
-    const DataType type = instr.type;
-    std::uint32_t ra = readRaw(instr.src[0], t, env, type);
-    std::uint32_t rb = instr.src[1].kind == Operand::Kind::None
-                           ? 0
-                           : readRaw(instr.src[1], t, env, type);
-    std::uint32_t rc = instr.src[2].kind == Operand::Kind::None
-                           ? 0
-                           : readRaw(instr.src[2], t, env, type);
+    std::uint32_t out = 0;
+    forLanes(exec, [&](unsigned l) {
+        if (cmp(laneAs<T>(a[l]), laneAs<T>(b[l])))
+            out |= 1u << l;
+    });
+    return out;
+}
 
-    if (type == DataType::F32) {
-        float a = asFloat(ra);
-        float b = asFloat(rb);
-        float c = asFloat(rc);
-        switch (instr.op) {
-          case Opcode::MOV: return ra;
-          case Opcode::ADD: return asBits(a + b);
-          case Opcode::SUB: return asBits(a - b);
-          case Opcode::MUL: return asBits(a * b);
-          case Opcode::DIV: return asBits(a / b);
-          case Opcode::MAD: return asBits(a * b + c);
-          case Opcode::MIN: return asBits(std::fmin(a, b));
-          case Opcode::MAX: return asBits(std::fmax(a, b));
-          case Opcode::ABS: return asBits(std::fabs(a));
-          case Opcode::NEG: return asBits(-a);
-          case Opcode::FLR: return asBits(std::floor(a));
-          case Opcode::FRC: return asBits(a - std::floor(a));
-          case Opcode::RCP: return asBits(1.0f / a);
-          case Opcode::RSQ: return asBits(1.0f / std::sqrt(a));
-          case Opcode::SQRT: return asBits(std::sqrt(a));
-          case Opcode::EX2: return asBits(std::exp2(a));
-          case Opcode::LG2: return asBits(std::log2(a));
-          case Opcode::SIN: return asBits(std::sin(a));
-          case Opcode::COS: return asBits(std::cos(a));
-          case Opcode::POW: return asBits(std::pow(a, b));
-          default: break;
-        }
-    } else {
-        auto sa = static_cast<std::int32_t>(ra);
-        auto sb = static_cast<std::int32_t>(rb);
-        auto sc = static_cast<std::int32_t>(rc);
-        switch (instr.op) {
-          case Opcode::MOV: return ra;
-          case Opcode::ADD: return static_cast<std::uint32_t>(sa + sb);
-          case Opcode::SUB: return static_cast<std::uint32_t>(sa - sb);
-          case Opcode::MUL: return static_cast<std::uint32_t>(sa * sb);
-          case Opcode::DIV:
-            return sb == 0 ? 0 : static_cast<std::uint32_t>(sa / sb);
-          case Opcode::MAD:
-            return static_cast<std::uint32_t>(sa * sb + sc);
-          case Opcode::MIN:
-            return static_cast<std::uint32_t>(std::min(sa, sb));
-          case Opcode::MAX:
-            return static_cast<std::uint32_t>(std::max(sa, sb));
-          case Opcode::ABS:
-            return static_cast<std::uint32_t>(std::abs(sa));
-          case Opcode::NEG: return static_cast<std::uint32_t>(-sa);
-          case Opcode::AND: return ra & rb;
-          case Opcode::OR: return ra | rb;
-          case Opcode::XOR: return ra ^ rb;
-          case Opcode::NOT: return ~ra;
-          case Opcode::SHL: return ra << (rb & 31);
-          case Opcode::SHR:
-            return instr.type == DataType::S32
-                       ? static_cast<std::uint32_t>(sa >> (rb & 31))
-                       : ra >> (rb & 31);
-          default: break;
-        }
+/** Lanes of @p exec for which `a cmp b` holds, compared as T. */
+template <typename T>
+std::uint32_t
+compareMask(CmpOp cmp, std::uint32_t exec, const Src &a, const Src &b)
+{
+    switch (cmp) {
+      case CmpOp::EQ: return compareLanes<T>(exec, a, b, std::equal_to<T>());
+      case CmpOp::NE:
+        return compareLanes<T>(exec, a, b, std::not_equal_to<T>());
+      case CmpOp::LT: return compareLanes<T>(exec, a, b, std::less<T>());
+      case CmpOp::LE:
+        return compareLanes<T>(exec, a, b, std::less_equal<T>());
+      case CmpOp::GT: return compareLanes<T>(exec, a, b, std::greater<T>());
+      case CmpOp::GE:
+        return compareLanes<T>(exec, a, b, std::greater_equal<T>());
     }
-    panic("unhandled ALU op %s for type", opcodeName(instr.op));
+    return 0;
 }
 
 std::uint32_t
@@ -210,175 +215,315 @@ convert(const Instruction &instr, std::uint32_t raw)
     return static_cast<std::uint32_t>(f < 0 ? 0 : f);
 }
 
+std::int32_t
+s32(std::uint32_t bits)
+{
+    return static_cast<std::int32_t>(bits);
+}
+
+/**
+ * The ALU and SFU ops. Integer ops of either type compute in signed
+ * 32-bit arithmetic (division, min, max, and SHR of S32 included);
+ * add, subtract, multiply and negate wrap modulo 2^32.
+ */
+void
+aluOp(const Instruction &instr, WarpState &s, const ExecEnv &env,
+      std::uint32_t exec)
+{
+    const DataType type = instr.type;
+    Src a(instr.src[0], s, env, type, exec);
+    Src b(instr.src[1], s, env, type, exec);
+    Src c(instr.src[2], s, env, type, exec);
+    std::uint32_t *d = s.r[instr.dst.index];
+
+    auto lanes = [&](auto op) {
+        forLanes(exec, [&](unsigned l) { d[l] = op(l); });
+    };
+    auto f1 = [&](auto op) {
+        lanes([&](unsigned l) { return asBits(op(a.f(l))); });
+    };
+    auto f2 = [&](auto op) {
+        lanes([&](unsigned l) { return asBits(op(a.f(l), b.f(l))); });
+    };
+    auto i2 = [&](auto op) {
+        lanes([&](unsigned l) { return op(a[l], b[l]); });
+    };
+
+    if (instr.op == Opcode::MOV) {
+        lanes([&](unsigned l) { return a[l]; });
+        return;
+    }
+    if (type == DataType::F32) {
+        switch (instr.op) {
+          case Opcode::ADD: return f2([](float x, float y) { return x + y; });
+          case Opcode::SUB: return f2([](float x, float y) { return x - y; });
+          case Opcode::MUL: return f2([](float x, float y) { return x * y; });
+          case Opcode::DIV: return f2([](float x, float y) { return x / y; });
+          case Opcode::MAD:
+            return lanes([&](unsigned l) {
+                return asBits(a.f(l) * b.f(l) + c.f(l));
+            });
+          case Opcode::MIN:
+            return f2([](float x, float y) { return std::fmin(x, y); });
+          case Opcode::MAX:
+            return f2([](float x, float y) { return std::fmax(x, y); });
+          case Opcode::ABS: return f1([](float x) { return std::fabs(x); });
+          case Opcode::NEG: return f1([](float x) { return -x; });
+          case Opcode::FLR: return f1([](float x) { return std::floor(x); });
+          case Opcode::FRC:
+            return f1([](float x) { return x - std::floor(x); });
+          case Opcode::RCP: return f1([](float x) { return 1.0f / x; });
+          case Opcode::RSQ:
+            return f1([](float x) { return 1.0f / std::sqrt(x); });
+          case Opcode::SQRT: return f1([](float x) { return std::sqrt(x); });
+          case Opcode::EX2: return f1([](float x) { return std::exp2(x); });
+          case Opcode::LG2: return f1([](float x) { return std::log2(x); });
+          case Opcode::SIN: return f1([](float x) { return std::sin(x); });
+          case Opcode::COS: return f1([](float x) { return std::cos(x); });
+          case Opcode::POW:
+            return f2([](float x, float y) { return std::pow(x, y); });
+          default: break;
+        }
+    } else {
+        using U = std::uint32_t;
+        switch (instr.op) {
+          case Opcode::ADD: return i2([](U x, U y) { return x + y; });
+          case Opcode::SUB: return i2([](U x, U y) { return x - y; });
+          case Opcode::MUL: return i2([](U x, U y) { return x * y; });
+          case Opcode::DIV:
+            return i2([](U x, U y) {
+                return s32(y) == 0 ? 0u
+                                   : static_cast<U>(s32(x) / s32(y));
+            });
+          case Opcode::MAD:
+            return lanes([&](unsigned l) { return a[l] * b[l] + c[l]; });
+          case Opcode::MIN:
+            return i2([](U x, U y) {
+                return static_cast<U>(std::min(s32(x), s32(y)));
+            });
+          case Opcode::MAX:
+            return i2([](U x, U y) {
+                return static_cast<U>(std::max(s32(x), s32(y)));
+            });
+          case Opcode::ABS:
+            return lanes([&](unsigned l) {
+                return s32(a[l]) < 0 ? 0u - a[l] : a[l];
+            });
+          case Opcode::NEG:
+            return lanes([&](unsigned l) { return 0u - a[l]; });
+          case Opcode::AND: return i2([](U x, U y) { return x & y; });
+          case Opcode::OR: return i2([](U x, U y) { return x | y; });
+          case Opcode::XOR: return i2([](U x, U y) { return x ^ y; });
+          case Opcode::NOT: return lanes([&](unsigned l) { return ~a[l]; });
+          case Opcode::SHL:
+            return i2([](U x, U y) { return x << (y & 31); });
+          case Opcode::SHR:
+            if (type == DataType::S32) {
+                return i2([](U x, U y) {
+                    return static_cast<U>(s32(x) >> (y & 31));
+                });
+            }
+            return i2([](U x, U y) { return x >> (y & 31); });
+          default: break;
+        }
+    }
+    panic("unhandled ALU op %s for type", opcodeName(instr.op));
+}
+
 } // namespace
 
 void
 executeWarpInstruction(const Instruction &instr,
-                       std::uint32_t active_mask, ThreadContext *threads,
+                       std::uint32_t active_mask, WarpState &s,
                        ExecEnv &env, StepEffects &effects)
 {
     effects.clear();
 
-    for (unsigned lane = 0; lane < warpSize; ++lane) {
-        if (!(active_mask & (1u << lane)))
-            continue;
-        ThreadContext &t = threads[lane];
-        if (!t.alive)
-            continue;
+    std::uint32_t exec = active_mask & s.alive;
+    if (instr.guard >= 0) {
+        std::uint32_t guard = s.p[instr.guard];
+        exec &= instr.guardNegate ? ~guard : guard;
+    }
+    effects.execMask = exec;
+    if (exec == 0)
+        return;
 
-        // Guard predicate.
-        if (instr.guard >= 0) {
-            bool g = t.p[instr.guard];
-            if (instr.guardNegate)
-                g = !g;
-            if (!g)
-                continue;
-        }
-        effects.execMask |= 1u << lane;
+    switch (instr.op) {
+      case Opcode::NOP:
+      case Opcode::BAR:
+        break;
 
-        switch (instr.op) {
-          case Opcode::NOP:
-          case Opcode::BAR:
-            break;
+      case Opcode::EXIT:
+        s.alive &= ~exec;
+        break;
 
-          case Opcode::EXIT:
-            t.alive = false;
-            break;
+      case Opcode::DISCARD:
+        s.alive &= ~exec;
+        s.killed |= exec;
+        break;
 
-          case Opcode::DISCARD:
-            t.alive = false;
-            t.killed = true;
-            break;
+      case Opcode::BRA:
+        effects.takenMask = exec;
+        break;
 
-          case Opcode::BRA:
-            effects.takenMask |= 1u << lane;
-            break;
+      case Opcode::SETP: {
+        Src a(instr.src[0], s, env, instr.type, exec);
+        Src b(instr.src[1], s, env, instr.type, exec);
+        std::uint32_t set;
+        if (instr.type == DataType::F32)
+            set = compareMask<float>(instr.cmp, exec, a, b);
+        else if (instr.type == DataType::S32)
+            set = compareMask<std::int32_t>(instr.cmp, exec, a, b);
+        else
+            set = compareMask<std::uint32_t>(instr.cmp, exec, a, b);
+        std::uint32_t &p = s.p[instr.dst.index];
+        p = (p & ~exec) | set;
+        break;
+      }
 
-          case Opcode::SETP: {
-            std::uint32_t a = readRaw(instr.src[0], t, env, instr.type);
-            std::uint32_t b = readRaw(instr.src[1], t, env, instr.type);
-            t.p[instr.dst.index] = compare(instr.cmp, instr.type, a, b);
-            break;
-          }
+      case Opcode::SELP: {
+        std::uint32_t sel = s.p[instr.src[2].index];
+        Src a(instr.src[0], s, env, instr.type, exec);
+        Src b(instr.src[1], s, env, instr.type, exec);
+        std::uint32_t *d = s.r[instr.dst.index];
+        forLanes(exec, [&](unsigned l) {
+            d[l] = (sel >> l) & 1u ? a[l] : b[l];
+        });
+        break;
+      }
 
-          case Opcode::SELP: {
-            bool sel = t.p[instr.src[2].index];
-            std::uint32_t a = readRaw(instr.src[0], t, env, instr.type);
-            std::uint32_t b = readRaw(instr.src[1], t, env, instr.type);
-            t.r[instr.dst.index] = sel ? a : b;
-            break;
-          }
+      case Opcode::CVT: {
+        Src a(instr.src[0], s, env, instr.srcType, exec);
+        std::uint32_t *d = s.r[instr.dst.index];
+        forLanes(exec, [&](unsigned l) { d[l] = convert(instr, a[l]); });
+        break;
+      }
 
-          case Opcode::CVT: {
-            std::uint32_t raw =
-                readRaw(instr.src[0], t, env, instr.srcType);
-            t.r[instr.dst.index] = convert(instr, raw);
-            break;
-          }
-
-          case Opcode::LDG: {
-            Addr addr = t.r[instr.src[0].index] + instr.memOffset;
-            t.r[instr.dst.index] = env.global ? env.global->read32(addr)
-                                              : 0;
+      case Opcode::LDG: {
+        const std::uint32_t *base = s.r[instr.src[0].index];
+        std::uint32_t *d = s.r[instr.dst.index];
+        forLanes(exec, [&](unsigned l) {
+            Addr addr = base[l] + instr.memOffset;
+            d[l] = env.global ? env.global->read32(addr) : 0;
             effects.accesses.push_back({addr, 4, false});
-            effects.kind = AccessKind::GlobalData;
-            break;
-          }
+        });
+        effects.kind = AccessKind::GlobalData;
+        break;
+      }
 
-          case Opcode::STG: {
-            Addr addr = t.r[instr.src[0].index] + instr.memOffset;
-            std::uint32_t v =
-                readRaw(instr.src[1], t, env, instr.type);
+      case Opcode::STG: {
+        const std::uint32_t *base = s.r[instr.src[0].index];
+        Src v(instr.src[1], s, env, instr.type, exec);
+        forLanes(exec, [&](unsigned l) {
+            Addr addr = base[l] + instr.memOffset;
             if (env.global)
-                env.global->write32(addr, v);
+                env.global->write32(addr, v[l]);
             effects.accesses.push_back({addr, 4, true});
-            effects.kind = AccessKind::GlobalData;
-            break;
-          }
+        });
+        effects.kind = AccessKind::GlobalData;
+        break;
+      }
 
-          case Opcode::LDS: {
-            Addr addr = t.r[instr.src[0].index] + instr.memOffset;
+      case Opcode::LDS: {
+        const std::uint32_t *base = s.r[instr.src[0].index];
+        std::uint32_t *d = s.r[instr.dst.index];
+        forLanes(exec, [&](unsigned l) {
+            Addr addr = base[l] + instr.memOffset;
             std::uint32_t v = 0;
             if (env.sharedMem && addr + 4 <= env.sharedSize)
                 std::memcpy(&v, env.sharedMem + addr, 4);
-            t.r[instr.dst.index] = v;
-            break;
-          }
+            d[l] = v;
+        });
+        break;
+      }
 
-          case Opcode::STS: {
-            Addr addr = t.r[instr.src[0].index] + instr.memOffset;
-            std::uint32_t v =
-                readRaw(instr.src[1], t, env, instr.type);
+      case Opcode::STS: {
+        const std::uint32_t *base = s.r[instr.src[0].index];
+        Src v(instr.src[1], s, env, instr.type, exec);
+        forLanes(exec, [&](unsigned l) {
+            Addr addr = base[l] + instr.memOffset;
+            std::uint32_t value = v[l];
             if (env.sharedMem && addr + 4 <= env.sharedSize)
-                std::memcpy(env.sharedMem + addr, &v, 4);
-            break;
-          }
+                std::memcpy(env.sharedMem + addr, &value, 4);
+        });
+        break;
+      }
 
-          case Opcode::TEX: {
-            panic_if(!env.textures, "TEX without bound textures");
-            float u = readF(instr.src[0], t, env);
-            float v = readF(instr.src[1], t, env);
+      case Opcode::TEX: {
+        panic_if(!env.textures, "TEX without bound textures");
+        Src u(instr.src[0], s, env, DataType::F32, exec);
+        Src v(instr.src[1], s, env, DataType::F32, exec);
+        forLanes(exec, [&](unsigned l) {
             float rgba[4];
-            std::vector<Addr> texels;
-            env.textures->sample(instr.texUnit, u, v, rgba, texels);
+            effects.texels.clear();
+            env.textures->sample(instr.texUnit, u.f(l), v.f(l), rgba,
+                                 effects.texels);
             for (int i = 0; i < 4; ++i)
-                t.r[instr.dst.index + i] = asBits(rgba[i]);
-            for (Addr a : texels)
+                s.r[instr.dst.index + i][l] = asBits(rgba[i]);
+            for (Addr a : effects.texels)
                 effects.accesses.push_back({a, 4, false});
-            effects.kind = AccessKind::Texture;
-            break;
-          }
+        });
+        effects.kind = AccessKind::Texture;
+        break;
+      }
 
-          case Opcode::STO: {
-            float v = readF(instr.src[0], t, env);
-            t.o[instr.dst.index] = v;
-            break;
-          }
+      case Opcode::STO: {
+        Src v(instr.src[0], s, env, DataType::F32, exec);
+        float *o = s.o[instr.dst.index];
+        forLanes(exec, [&](unsigned l) { o[l] = v.f(l); });
+        break;
+      }
 
-          case Opcode::ZTEST: {
-            panic_if(!env.rop, "ZTEST without a framebuffer");
-            float z = readF(instr.src[0], t, env);
+      case Opcode::ZTEST: {
+        panic_if(!env.rop, "ZTEST without a framebuffer");
+        Src z(instr.src[0], s, env, DataType::F32, exec);
+        forLanes(exec, [&](unsigned l) {
             Addr addr = 0;
-            bool pass = env.rop->depthTest(t.fragX, t.fragY, z, addr);
+            bool pass =
+                env.rop->depthTest(s.fragX[l], s.fragY[l], z.f(l), addr);
             effects.accesses.push_back({addr, 4, pass});
-            effects.kind = AccessKind::Depth;
             if (!pass) {
-                t.alive = false;
-                t.killed = true;
+                s.alive &= ~(1u << l);
+                s.killed |= 1u << l;
             }
-            break;
-          }
+        });
+        effects.kind = AccessKind::Depth;
+        break;
+      }
 
-          case Opcode::BLEND: {
-            panic_if(!env.rop, "BLEND without a framebuffer");
+      case Opcode::BLEND: {
+        panic_if(!env.rop, "BLEND without a framebuffer");
+        forLanes(exec, [&](unsigned l) {
             float rgba[4];
             for (int i = 0; i < 4; ++i)
-                rgba[i] = asFloat(t.r[instr.src[0].index + i]);
+                rgba[i] = asFloat(s.r[instr.src[0].index + i][l]);
             Addr addr = 0;
-            env.rop->blendPixel(t.fragX, t.fragY, rgba, addr);
+            env.rop->blendPixel(s.fragX[l], s.fragY[l], rgba, addr);
             // Read-modify-write of the destination pixel.
             effects.accesses.push_back({addr, 4, false});
             effects.accesses.push_back({addr, 4, true});
-            effects.kind = AccessKind::Color;
-            break;
-          }
+        });
+        effects.kind = AccessKind::Color;
+        break;
+      }
 
-          case Opcode::STFB: {
-            panic_if(!env.rop, "STFB without a framebuffer");
+      case Opcode::STFB: {
+        panic_if(!env.rop, "STFB without a framebuffer");
+        forLanes(exec, [&](unsigned l) {
             float rgba[4];
             for (int i = 0; i < 4; ++i)
-                rgba[i] = asFloat(t.r[instr.src[0].index + i]);
+                rgba[i] = asFloat(s.r[instr.src[0].index + i][l]);
             Addr addr = 0;
-            env.rop->storePixel(t.fragX, t.fragY, rgba, addr);
+            env.rop->storePixel(s.fragX[l], s.fragY[l], rgba, addr);
             effects.accesses.push_back({addr, 4, true});
-            effects.kind = AccessKind::Color;
-            break;
-          }
+        });
+        effects.kind = AccessKind::Color;
+        break;
+      }
 
-          default:
-            t.r[instr.dst.index] = aluOp(instr, t, env);
-            break;
-        }
+      default:
+        aluOp(instr, s, env, exec);
+        break;
     }
 }
 

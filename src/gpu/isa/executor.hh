@@ -3,7 +3,7 @@
  * Functional execution of Emerald ISA instructions.
  *
  * The executor operates on whole warps: one call executes one
- * instruction for every active thread, updating thread contexts and
+ * instruction for every active thread, updating the warp's state and
  * reporting the memory accesses the timing model must charge.
  * Function and timing are decoupled (see sim/packet.hh): functional
  * effects happen here at issue time; the SIMT core turns the reported
@@ -23,29 +23,41 @@
 namespace emerald::gpu::isa
 {
 
-/** Per-thread architectural state. */
-struct ThreadContext
+/**
+ * Architectural state of one warp's threads (docs/ISA.md, "Registers
+ * and state"), stored lane-major: every register, attribute, output
+ * and input is one array indexed by lane, and every predicate
+ * register, alive and killed is a lane mask (bit i is lane i). A
+ * warp's state lives on the heap and moves by pointer
+ * (WarpTask::state).
+ */
+struct WarpState
 {
-    std::uint32_t r[maxRegs] = {};
-    bool p[maxPreds] = {};
-    float a[maxAttrs] = {};
-    float o[maxOutputs] = {};
+    std::uint32_t r[maxRegs][warpSize] = {};
+    std::uint32_t p[maxPreds] = {};
+    float a[maxAttrs][warpSize] = {};
+    float o[maxOutputs][warpSize] = {};
 
     // Fragment inputs.
-    int fragX = 0;
-    int fragY = 0;
-    float fragZ = 0.0f;
+    int fragX[warpSize] = {};
+    int fragY[warpSize] = {};
+    float fragZ[warpSize] = {};
     // Vertex input.
-    std::uint32_t vertexId = 0;
-    // Compute inputs.
-    std::uint32_t tidX = 0, tidY = 0;
-    std::uint32_t ctaIdX = 0, ctaIdY = 0;
-    std::uint32_t ntidX = 1, ntidY = 1;
+    std::uint32_t vertexId[warpSize] = {};
+    // Compute inputs; ntidX and ntidY start at 1.
+    std::uint32_t tidX[warpSize] = {};
+    std::uint32_t tidY[warpSize] = {};
+    std::uint32_t ctaIdX[warpSize] = {};
+    std::uint32_t ctaIdY[warpSize] = {};
+    std::uint32_t ntidX[warpSize];
+    std::uint32_t ntidY[warpSize];
 
-    /** Cleared by EXIT, DISCARD, or a failed ZTEST. */
-    bool alive = true;
-    /** Set when the fragment was killed (discard or depth fail). */
-    bool killed = false;
+    /** Lanes not yet retired by EXIT, DISCARD or a failed ZTEST. */
+    std::uint32_t alive = ~0u;
+    /** Lanes whose fragment was killed (discard or depth fail). */
+    std::uint32_t killed = 0;
+
+    WarpState();
 };
 
 /** Texture sampling callback; implemented by core::TextureSet. */
@@ -115,6 +127,11 @@ struct StepEffects
     std::uint32_t takenMask = 0;
     /** Lanes that passed their guard and executed. */
     std::uint32_t execMask = 0;
+    /**
+     * TEX's reused buffer for one lane's texel addresses, kept here so
+     * sampling does not allocate; not an effect.
+     */
+    std::vector<Addr> texels;
 
     void
     clear()
@@ -127,14 +144,16 @@ struct StepEffects
 };
 
 /**
- * Execute @p instr for all lanes set in @p active_mask.
- * Branch direction is reported through @p effects; pc management is
- * the caller's job (see Warp / SimtStack).
+ * Execute @p instr for all lanes set in @p active_mask that are alive
+ * and pass the guard. Operands and the opcode are decoded once; lanes
+ * run in ascending order, so every side effect (texture samples,
+ * depth tests, blends, stores, memory accesses) happens in lane
+ * order. Branch direction is reported through @p effects; pc
+ * management is the caller's job (see Warp / SimtStack).
  */
 void executeWarpInstruction(const Instruction &instr,
-                            std::uint32_t active_mask,
-                            ThreadContext *threads, ExecEnv &env,
-                            StepEffects &effects);
+                            std::uint32_t active_mask, WarpState &state,
+                            ExecEnv &env, StepEffects &effects);
 
 } // namespace emerald::gpu::isa
 

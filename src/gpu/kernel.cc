@@ -74,6 +74,8 @@ KernelDispatcher::dispatchNextCta()
             WarpTask task;
             task.type = WarpTaskType::Compute;
             task.program = kernel.launch.program;
+            task.state = std::make_unique<isa::WarpState>();
+            isa::WarpState &state = *task.state;
             task.ctaKey = cta_key;
             task.ctaWarps = warps;
             task.env.global = kernel.launch.memory;
@@ -90,20 +92,18 @@ KernelDispatcher::dispatchNextCta()
                 if (tid >= threads)
                     break;
                 mask |= 1u << lane;
-                isa::ThreadContext &t = task.threads[lane];
-                t.tidX = tid % kernel.launch.blockX;
-                t.tidY = tid / kernel.launch.blockX;
-                t.ctaIdX = cta_x;
-                t.ctaIdY = cta_y;
-                t.ntidX = kernel.launch.blockX;
-                t.ntidY = kernel.launch.blockY;
+                state.tidX[lane] = tid % kernel.launch.blockX;
+                state.tidY[lane] = tid / kernel.launch.blockX;
+                state.ctaIdX[lane] = cta_x;
+                state.ctaIdY[lane] = cta_y;
+                state.ntidX[lane] = kernel.launch.blockX;
+                state.ntidY[lane] = kernel.launch.blockY;
             }
             task.activeMask = mask;
 
             unsigned cta_slot =
                 static_cast<unsigned>(kernel.ctas.size()) - 1;
-            task.onComplete = [this, cta_slot](WarpTask &,
-                                               isa::ThreadContext *) {
+            task.onComplete = [this, cta_slot](const isa::WarpState &) {
                 warpFinished(cta_slot);
             };
 

@@ -29,18 +29,29 @@ SimtCore::SimtCore(Simulation &sim, const std::string &name,
                            "scheduler cycles with no ready warp"),
       statLsuStalls(*this, "lsu_stalls",
                     "LSU sends blocked pending an L1 retry"),
+      statQuietTicks(*this, "quiet_ticks",
+                     "ticks that retired no writeback, launched no "
+                     "task, issued nothing, offered no LSU packet and "
+                     "finished no warp"),
       _params(params), _downstream(downstream),
-      _warps(params.maxWarps), _issueBlocked(params.maxWarps, 0),
-      _scoreboard(params.maxWarps)
+      _warps(params.maxWarps), _scoreboard(params.maxWarps)
 {
+    // One bit per slot in the issue-blocked mask.
+    fatal_if(params.maxWarps > 64,
+             "%s: %u warp slots configured; a SIMT core holds at most "
+             "64",
+             name.c_str(), params.maxWarps);
     // Each scheduler lane owns an interleaved subset of the warp
     // slots; the policy object only ever ranks its own subset.
     for (unsigned s = 0; s < params.schedulers; ++s) {
         std::vector<unsigned> owned;
+        std::uint64_t owned_bits = 0;
         for (unsigned slot = s; slot < params.maxWarps;
              slot += params.schedulers) {
             owned.push_back(slot);
+            owned_bits |= std::uint64_t{1} << slot;
         }
+        _ownedSlots.push_back(owned_bits);
         _warpScheds.push_back(
             createWarpScheduler(params.warpSched, std::move(owned), s));
     }
@@ -135,6 +146,7 @@ SimtCore::l1ForKind(AccessKind kind)
 bool
 SimtCore::tryAddTask(WarpTask &&task)
 {
+    panic_if(!task.state, "%s: warp task without state", name().c_str());
     if (_taskQueue.size() >= _params.taskQueueDepth)
         return false;
     _taskQueue.push_back(std::move(task));
@@ -170,9 +182,10 @@ SimtCore::allocMemInstr(unsigned slot, const SlotList &regs,
     return id;
 }
 
-void
+bool
 SimtCore::launchQueuedTasks()
 {
+    bool launched = false;
     while (!_taskQueue.empty()) {
         WarpTask &task = _taskQueue.front();
         unsigned regs_needed =
@@ -180,7 +193,7 @@ SimtCore::launchQueuedTasks()
         if (_regsInUse + regs_needed > _params.numRegisters ||
             _threadsInUse + isa::warpSize > _params.maxThreads ||
             _residentWarps == _warps.size()) {
-            return;
+            return launched;
         }
         int free_slot = -1;
         for (unsigned i = 0; i < _warps.size(); ++i) {
@@ -195,7 +208,7 @@ SimtCore::launchQueuedTasks()
         Warp &warp = _warps[static_cast<unsigned>(free_slot)];
         warp.valid = true;
         ++_residentWarps;
-        _issueBlocked[static_cast<unsigned>(free_slot)] = 0;
+        unblock(static_cast<unsigned>(free_slot));
         warp.task = std::move(task);
         _taskQueue.pop_front();
         warp.stack.reset(warp.task.activeMask);
@@ -236,7 +249,9 @@ SimtCore::launchQueuedTasks()
                 warp.pendingInitFetch = state.outstanding;
             }
         }
+        launched = true;
     }
+    return launched;
 }
 
 void
@@ -272,14 +287,14 @@ SimtCore::executeWarp(unsigned slot)
     chargeInstructionFetch(warp, slot);
 
     std::uint32_t active = warp.stack.activeMask();
-    executeWarpInstruction(instr, active, warp.task.threads.data(),
+    executeWarpInstruction(instr, active, *warp.task.state,
                            warp.task.env, _effects);
 
     ++statWarpInstrs;
     statThreadInstrs += std::popcount(_effects.execMask);
     ++warp.warpInstrsExecuted;
 
-    std::uint32_t alive = warp.aliveMask();
+    std::uint32_t alive = warp.task.state->alive;
     if (instr.isBranch())
         warp.stack.branch(instr, _effects.takenMask, alive);
     else
@@ -379,7 +394,7 @@ SimtCore::barrierArrive(unsigned slot)
         if (_warps[other].valid &&
             _warps[other].task.ctaKey == warp.task.ctaKey) {
             _warps[other].atBarrier = false;
-            _issueBlocked[other] = 0;
+            unblock(other);
         }
     }
 }
@@ -387,17 +402,22 @@ SimtCore::barrierArrive(unsigned slot)
 bool
 SimtCore::issueFrom(unsigned scheduler)
 {
+    // The checks below read only one warp and its scoreboard, so a
+    // slot that failed them fails again until its _issueBlocked bit
+    // is cleared; the first ready slot in the policy's order is the
+    // same either way, and a lane whose every slot is blocked has
+    // none. Ranking has no side effects, so it can be skipped.
+    const std::uint64_t owned = _ownedSlots[scheduler];
+    if ((_issueBlocked & owned) == owned)
+        return false;
     // The policy ranks only the slots this lane owns — O(warps /
     // schedulers) per lane instead of the old O(warps) scan over the
     // whole array with a modulo ownership filter.
     WarpScheduler &sched = *_warpScheds[scheduler];
     sched.order(_warps, _orderBuf);
     for (unsigned slot : _orderBuf) {
-        // The checks below read only this warp and its scoreboard, so
-        // a slot that failed them fails again until _issueBlocked is
-        // cleared; the first ready slot in the policy's order is the
-        // same either way.
-        if (_issueBlocked[slot])
+        const std::uint64_t bit = std::uint64_t{1} << slot;
+        if (_issueBlocked & bit)
             continue;
         Warp &warp = _warps[slot];
         if (!warp.valid || warp.draining || warp.atBarrier ||
@@ -405,7 +425,7 @@ SimtCore::issueFrom(unsigned scheduler)
             warp.pendingMemInstrs >=
                 _params.maxPendingMemInstrsPerWarp ||
             warp.stack.empty()) {
-            _issueBlocked[slot] = 1;
+            _issueBlocked |= bit;
             continue;
         }
         int pc = warp.stack.pc();
@@ -417,7 +437,7 @@ SimtCore::issueFrom(unsigned scheduler)
         const Instruction &instr =
             warp.task.program->code[static_cast<std::size_t>(pc)];
         if (!_scoreboard.ready(slot, instr)) {
-            _issueBlocked[slot] = 1;
+            _issueBlocked |= bit;
             continue;
         }
         executeWarp(slot);
@@ -427,14 +447,14 @@ SimtCore::issueFrom(unsigned scheduler)
     return false;
 }
 
-void
+bool
 SimtCore::drainLsu()
 {
     if (_lsuRetryPkt)
-        return; // Head is blocked; the L1 wakes us when a slot frees.
+        return false; // Head is blocked; the L1 wakes us when a slot frees.
     for (unsigned i = 0; i < _params.lsuIssuePerCycle; ++i) {
         if (_lsuQueue.empty())
-            return;
+            return i > 0;
         const LsuTxn &txn = _lsuQueue.front();
         bool posted = txn.memInstrId < 0;
         auto *pkt = sim().packetPool().alloc(
@@ -445,7 +465,7 @@ SimtCore::drainLsu()
         if (!l1ForKind(txn.kind).offer(pkt, *this)) {
             _lsuRetryPkt = pkt;
             ++statLsuStalls;
-            return;
+            return true;
         }
         if (_traceWriter) {
             _traceWriter->record(_traceClient, curTick(), txn.lineAddr,
@@ -453,6 +473,7 @@ SimtCore::drainLsu()
         }
         _lsuQueue.pop_front();
     }
+    return _params.lsuIssuePerCycle > 0;
 }
 
 void
@@ -500,31 +521,34 @@ SimtCore::memResponse(MemPacket *pkt)
         state.inUse = false;
         state.regSlots = {};
         _memInstrFreeList.push_back(id);
-        _issueBlocked[state.slot] = 0;
+        unblock(state.slot);
     }
     freePacket(pkt);
     activate();
 }
 
-void
+bool
 SimtCore::processWritebacks()
 {
     Tick now = curTick();
+    bool retired = false;
     while (!_writebacks.empty() && _writebacks.top().at <= now) {
         const Writeback &wb = _writebacks.top();
         _scoreboard.release(wb.slot, wb.regs);
-        _issueBlocked[wb.slot] = 0;
+        unblock(wb.slot);
         _writebacks.pop();
+        retired = true;
     }
+    return retired;
 }
 
-void
+bool
 SimtCore::finishWarpIfDrained(unsigned slot)
 {
     Warp &warp = _warps[slot];
     if (warp.pendingInitFetch > 0 || warp.pendingMemInstrs > 0 ||
         !_scoreboard.idle(slot)) {
-        return;
+        return false;
     }
     // Free resources before the callback so completion handlers can
     // immediately enqueue follow-up work.
@@ -536,14 +560,15 @@ SimtCore::finishWarpIfDrained(unsigned slot)
     _regsInUse -= task.program->numRegs * isa::warpSize;
     _threadsInUse -= isa::warpSize;
     if (task.onComplete)
-        task.onComplete(task, task.threads.data());
+        task.onComplete(*task.state);
+    return true;
 }
 
 bool
 SimtCore::tick()
 {
-    processWritebacks();
-    launchQueuedTasks();
+    bool moved = processWritebacks();
+    moved |= launchQueuedTasks();
 
     bool any_resident = _residentWarps > 0;
     if (any_resident)
@@ -556,16 +581,19 @@ SimtCore::tick()
         else if (any_resident)
             ++statStallNoReadyWarp;
     }
+    moved |= issued_any;
 
-    drainLsu();
+    moved |= drainLsu();
 
     // Slot order, stopping after the last draining warp.
     for (unsigned slot = 0, left = _drainingWarps; left > 0; ++slot) {
         if (_warps[slot].draining) {
             --left;
-            finishWarpIfDrained(slot);
+            moved |= finishWarpIfDrained(slot);
         }
     }
+    if (!moved)
+        ++statQuietTicks;
 
     if (idle())
         return false;

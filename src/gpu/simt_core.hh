@@ -84,7 +84,8 @@ class SimtCore : public SimObject,
              MemSink &downstream);
 
     /**
-     * Offer a warp task.
+     * Offer a warp task, which must carry its state. The task is moved
+     * from only when accepted.
      * @return false when the core's task queue is full.
      */
     bool tryAddTask(WarpTask &&task);
@@ -145,6 +146,7 @@ class SimtCore : public SimObject,
     Scalar statTasksCompute;
     Scalar statStallNoReadyWarp;
     Scalar statLsuStalls;
+    Scalar statQuietTicks;
     /** @} */
 
   protected:
@@ -185,14 +187,27 @@ class SimtCore : public SimObject,
         }
     };
 
-    void launchQueuedTasks();
+    /**
+     * @{ The steps of tick(). Each returns whether it did anything:
+     * launched a task, executed an instruction, finished a warp,
+     * offered an LSU packet, retired a writeback.
+     */
+    bool launchQueuedTasks();
     bool issueFrom(unsigned scheduler);
+    bool finishWarpIfDrained(unsigned slot);
+    bool drainLsu();
+    bool processWritebacks();
+    /** @} */
     void executeWarp(unsigned slot);
     void chargeInstructionFetch(Warp &warp, unsigned slot);
-    void finishWarpIfDrained(unsigned slot);
-    void drainLsu();
-    void processWritebacks();
     void barrierArrive(unsigned slot);
+
+    /** Something @p slot's issue checks read changed: re-check it. */
+    void
+    unblock(unsigned slot)
+    {
+        _issueBlocked &= ~(std::uint64_t{1} << slot);
+    }
 
     unsigned allocMemInstr(unsigned slot, const SlotList &regs,
                            bool init_fetch);
@@ -211,13 +226,15 @@ class SimtCore : public SimObject,
     unsigned _residentWarps = 0;
     unsigned _drainingWarps = 0;
     /**
-     * Per slot: the warp failed issueFrom's eligibility or scoreboard
-     * check, and nothing those checks read has changed since. Cleared
-     * on a launch into the slot, a writeback release, a completed
-     * memory instruction of the warp, and a barrier release
+     * Bit per slot: the warp failed issueFrom's eligibility or
+     * scoreboard check, and nothing those checks read has changed
+     * since. Cleared on a launch into the slot, a writeback release, a
+     * completed memory instruction of the warp, and a barrier release
      * (docs/scheduling.md, "Warp schedulers").
      */
-    std::vector<std::uint8_t> _issueBlocked;
+    std::uint64_t _issueBlocked = 0;
+    /** Per scheduler lane: the bits of the slots it owns. */
+    std::vector<std::uint64_t> _ownedSlots;
     Scoreboard _scoreboard;
     std::deque<WarpTask> _taskQueue;
 

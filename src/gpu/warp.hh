@@ -2,8 +2,10 @@
  * @file
  * Warp tasks and warp execution state.
  *
- * Work reaches the SIMT cores as WarpTasks: 32 pre-initialized thread
- * contexts plus a program and execution environment. Vertex warps,
+ * Work reaches the SIMT cores as WarpTasks: one pre-initialized warp
+ * state (32 threads) plus a program and execution environment. The
+ * state moves by pointer from producer to queue to warp slot to the
+ * completion callback and is never copied. Vertex warps,
  * fragment warps (built by the TC stage) and compute warps (built by
  * the kernel dispatcher) all use this one abstraction — the unified
  * shader model the paper builds on GPGPU-Sim.
@@ -12,9 +14,9 @@
 #ifndef EMERALD_GPU_WARP_HH
 #define EMERALD_GPU_WARP_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "gpu/isa/executor.hh"
@@ -30,7 +32,8 @@ struct WarpTask
 {
     WarpTaskType type = WarpTaskType::Compute;
     const isa::Program *program = nullptr;
-    std::array<isa::ThreadContext, isa::warpSize> threads;
+    /** The threads' initial state; the producer allocates it. */
+    std::unique_ptr<isa::WarpState> state;
     std::uint32_t activeMask = 0;
     isa::ExecEnv env;
 
@@ -51,9 +54,9 @@ struct WarpTask
 
     /**
      * Invoked when the warp fully completes (all threads exited, all
-     * reads returned). Receives the final thread contexts.
+     * reads returned). Receives the final state.
      */
-    std::function<void(WarpTask &, isa::ThreadContext *)> onComplete;
+    std::function<void(const isa::WarpState &)> onComplete;
 };
 
 /** Runtime state of one warp slot inside a SIMT core. */
@@ -83,22 +86,12 @@ struct Warp
      */
     std::uint64_t launchSeq = 0;
 
-    std::uint32_t
-    aliveMask() const
-    {
-        std::uint32_t mask = 0;
-        for (unsigned lane = 0; lane < isa::warpSize; ++lane) {
-            if (task.threads[lane].alive)
-                mask |= 1u << lane;
-        }
-        return mask;
-    }
-
     /** True when no further instructions will issue. */
     bool
     executionDone() const
     {
-        return stack.empty() || (stack.activeMask() & aliveMask()) == 0;
+        return stack.empty() ||
+               (stack.activeMask() & task.state->alive) == 0;
     }
 };
 

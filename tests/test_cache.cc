@@ -216,6 +216,54 @@ TEST(Cache, PostedWritesComplete)
     EXPECT_TRUE(rig.cache.isCached(0x40));
 }
 
+// The tag store's checkpoint sections after a fixed access sequence:
+// evictions of dirty lines, write hits, and a set left empty.
+// The expected vectors were recorded before the tag store became one
+// dense tag array, so its on-disk layout cannot drift.
+TEST(Cache, CheckpointSectionsMatchRecordedLayout)
+{
+    Rig rig(smallCache()); // 4 sets x 2 ways; set stride 4 * 128.
+    const Addr stride = 4 * 128;
+    auto settle = [&](bool ok) {
+        ASSERT_TRUE(ok);
+        rig.sim.run();
+    };
+    settle(rig.write(0x0));            // Set 0, dirty.
+    settle(rig.read(stride));          // Set 0.
+    settle(rig.read(2 * stride));      // Set 0: evicts dirty 0x0.
+    settle(rig.write(0x80));           // Set 1, dirty.
+    settle(rig.read(0x84));            // Set 1 hit.
+    settle(rig.read(0x100 + stride));  // Set 2.
+    settle(rig.write(0x104 + stride)); // Set 2 write hit.
+    settle(rig.read(0x80 + 3 * stride)); // Set 1, second way.
+    settle(rig.read(0x80 + 5 * stride)); // Set 1: evicts dirty 0x80.
+    EXPECT_EQ(rig.cache.statWritebacks.value(), 2.0);
+
+    CheckpointOut out("l1");
+    rig.cache.serialize(out);
+    CheckpointIn in("l1", out.bytes().data(), out.bytes().size());
+    using V = std::vector<std::uint64_t>;
+    EXPECT_EQ(in.getU64Vec("line.valid"), (V{1, 1, 1, 1, 1, 0, 0, 0}));
+    EXPECT_EQ(in.getU64Vec("line.dirty"), (V{0, 0, 0, 0, 1, 0, 0, 0}));
+    EXPECT_EQ(in.getU64Vec("line.tag"),
+              (V{0x400, 0x200, 0xa80, 0x680, 0x300, 0, 0, 0}));
+    EXPECT_EQ(in.getU64Vec("line.last_use"),
+              (V{3, 2, 9, 8, 7, 0, 0, 0}));
+    EXPECT_EQ(in.getU64("use_counter"), 9u);
+
+    // A restored cache holds the same lines and writes the same bytes.
+    Rig restored(smallCache());
+    restored.cache.unserialize(in);
+    CheckpointOut again("l1");
+    restored.cache.serialize(again);
+    EXPECT_EQ(again.bytes(), out.bytes());
+    EXPECT_TRUE(restored.cache.isCached(0xa80));
+    EXPECT_TRUE(restored.cache.isCached(0x304));
+    EXPECT_FALSE(restored.cache.isCached(0x80));
+    EXPECT_FALSE(restored.cache.isCached(0x0));
+    EXPECT_FALSE(restored.cache.isCached(3 * 128));
+}
+
 /**
  * Property test: the timing cache's hit/miss decisions must match a
  * simple reference model over random traffic.

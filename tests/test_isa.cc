@@ -16,7 +16,7 @@ namespace
 struct MiniRunner
 {
     Program prog;
-    ThreadContext threads[warpSize];
+    WarpState state;
     ExecEnv env;
     StepEffects effects;
 
@@ -36,7 +36,7 @@ struct MiniRunner
                ++guard_steps < 10000) {
             const Instruction &instr =
                 prog.code[static_cast<std::size_t>(pc)];
-            executeWarpInstruction(instr, mask, threads, env, effects);
+            executeWarpInstruction(instr, mask, state, env, effects);
             if (instr.op == Opcode::EXIT)
                 break;
             if (instr.op == Opcode::BRA &&
@@ -49,10 +49,10 @@ struct MiniRunner
         }
     }
 
-    float regF(int r) const { return std::bit_cast<float>(threads[0].r[r]); }
+    float regF(int r) const { return std::bit_cast<float>(state.r[r][0]); }
     std::int32_t regI(int r) const
     {
-        return static_cast<std::int32_t>(threads[0].r[r]);
+        return static_cast<std::int32_t>(state.r[r][0]);
     }
 };
 
@@ -317,7 +317,7 @@ TEST(Executor, ConstantsAndAttrs)
     float consts[4] = {0.0f, 0.0f, 1.5f, 0.0f};
     r.env.constants = consts;
     r.env.numConstants = 4;
-    r.threads[0].a[1] = 2.25f;
+    r.state.a[1][0] = 2.25f;
     r.run();
     EXPECT_FLOAT_EQ(r.regF(0), 3.75f);
 }
@@ -331,7 +331,7 @@ TEST(Executor, OutputRegisters)
         exit
     )");
     r.run();
-    EXPECT_FLOAT_EQ(r.threads[0].o[3], 1.25f);
+    EXPECT_FLOAT_EQ(r.state.o[3][0], 1.25f);
     EXPECT_FLOAT_EQ(r.regF(1), 1.25f);
 }
 
@@ -344,10 +344,10 @@ TEST(Executor, SpecialRegisters)
         mov.f32 r3, %z
         exit
     )");
-    r.threads[0].tidX = 5;
-    r.threads[0].ctaIdX = 7;
-    r.threads[0].ntidX = 128;
-    r.threads[0].fragZ = 0.5f;
+    r.state.tidX[0] = 5;
+    r.state.ctaIdX[0] = 7;
+    r.state.ntidX[0] = 128;
+    r.state.fragZ[0] = 0.5f;
     r.run();
     EXPECT_EQ(r.regI(0), 5);
     EXPECT_EQ(r.regI(1), 7);
@@ -359,8 +359,8 @@ TEST(Executor, DiscardKillsThread)
 {
     MiniRunner r("discard\nexit\n");
     r.run();
-    EXPECT_FALSE(r.threads[0].alive);
-    EXPECT_TRUE(r.threads[0].killed);
+    EXPECT_FALSE(r.state.alive & 1u);
+    EXPECT_TRUE(r.state.killed & 1u);
 }
 
 TEST(Executor, GuardedLanesDoNotAccessMemory)
@@ -370,15 +370,15 @@ TEST(Executor, GuardedLanesDoNotAccessMemory)
         @p0 ldg.f32 r0, [r1]
         exit
     )");
-    ThreadContext threads[warpSize];
+    WarpState state;
     for (unsigned i = 0; i < warpSize; ++i)
-        threads[i].tidX = i;
+        state.tidX[i] = i;
     mem::FunctionalMemory fmem;
     ExecEnv env;
     env.global = &fmem;
     StepEffects fx;
-    executeWarpInstruction(p.code[0], 0xffffffffu, threads, env, fx);
-    executeWarpInstruction(p.code[1], 0xffffffffu, threads, env, fx);
+    executeWarpInstruction(p.code[0], 0xffffffffu, state, env, fx);
+    executeWarpInstruction(p.code[1], 0xffffffffu, state, env, fx);
     // Only lane 0 passed the guard: exactly one access.
     EXPECT_EQ(fx.accesses.size(), 1u);
     EXPECT_EQ(fx.execMask, 1u);

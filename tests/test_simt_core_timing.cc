@@ -53,17 +53,16 @@ struct CoreRig
         WarpTask task;
         task.type = WarpTaskType::Compute;
         task.program = prog;
+        task.state = std::make_unique<isa::WarpState>();
         task.env.global = &fmem;
         std::uint32_t mask = lanes >= 32
                                  ? 0xffffffffu
                                  : ((1u << lanes) - 1u);
         task.activeMask = mask;
         for (unsigned lane = 0; lane < 32; ++lane)
-            task.threads[lane].tidX = lane;
+            task.state->tidX[lane] = lane;
         bool done = false;
-        task.onComplete = [&](WarpTask &, isa::ThreadContext *) {
-            done = true;
-        };
+        task.onComplete = [&](const isa::WarpState &) { done = true; };
         Tick start = sim.curTick();
         EXPECT_TRUE(gpu.core(0).tryAddTask(std::move(task)));
         while (!done && sim.eventQueue().runOne()) {
@@ -215,6 +214,7 @@ TEST(SimtCoreTiming, TaskQueueBackpressure)
         WarpTask task;
         task.type = WarpTaskType::Compute;
         task.program = prog;
+        task.state = std::make_unique<isa::WarpState>();
         task.activeMask = 1;
         if (rig.gpu.core(0).tryAddTask(std::move(task)))
             ++accepted;
@@ -251,13 +251,12 @@ TEST(SimtCoreTiming, ManyWarpsHideMemoryLatency)
         WarpTask task;
         task.type = WarpTaskType::Compute;
         task.program = p;
+        task.state = std::make_unique<isa::WarpState>();
         task.env.global = &rig_many.fmem;
         task.activeMask = 0xffffffffu;
         for (unsigned lane = 0; lane < 32; ++lane)
-            task.threads[lane].tidX = lane + 32u * unsigned(i);
-        task.onComplete = [&](WarpTask &, isa::ThreadContext *) {
-            --remaining;
-        };
+            task.state->tidX[lane] = lane + 32u * unsigned(i);
+        task.onComplete = [&](const isa::WarpState &) { --remaining; };
         ASSERT_TRUE(rig_many.gpu.core(0).tryAddTask(std::move(task)));
     }
     while (remaining > 0 && rig_many.sim.eventQueue().runOne()) {
@@ -266,4 +265,24 @@ TEST(SimtCoreTiming, ManyWarpsHideMemoryLatency)
     std::uint64_t eight =
         (rig_many.sim.curTick() - start) / rig_many.clk.period();
     EXPECT_LT(eight, one * 6);
+}
+
+// One bit per warp slot in the core's issue-blocked mask.
+TEST(SimtCoreDeathTest, MoreThan64WarpSlotsIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            Simulation sim;
+            ClockDomain &clk = sim.createClockDomain(1000.0, "gpu");
+            mem::FrfcfsScheduler sched;
+            mem::MemorySystemParams mp;
+            mp.geom.channels = 2;
+            mp.timing = mem::lpddr3Timing(1600, 32, 128);
+            mem::MemorySystem memory(sim, "mem", mp, sched);
+            GpuTopParams p = defaultGpuParams();
+            p.numClusters = 1;
+            p.core.maxWarps = 65;
+            GpuTop gpu(sim, "gpu", clk, p, memory);
+        },
+        "at most 64");
 }
