@@ -5,9 +5,9 @@
  * checkpointing records and replays draw calls the same way).
  *
  * Records a few frames of a workload into a trace directory (the
- * checkpoint codec's manifest.json + data.bin), reloads it, replays
- * through a fresh simulator instance, and verifies the replayed
- * images hash-match a live render. Exits 1 on any mismatch.
+ * checkpoint codec's data.bin), reloads it, replays through a fresh
+ * simulator instance, and verifies the replayed images hash-match a
+ * live render. Exits 1 on any mismatch.
  *
  * Usage: trace_replay [--workload=W3] [--frames=3]
  *                     [--out=draw_trace] [--sim-stats-out=stats.json]

@@ -196,23 +196,35 @@ compareMask(CmpOp cmp, std::uint32_t exec, const Src &a, const Src &b)
     return 0;
 }
 
+/**
+ * cvt: an integer-to-integer conversion keeps the bits; a
+ * float-to-integer one truncates toward zero and saturates to the
+ * destination's range, with NaN giving 0.
+ */
 std::uint32_t
 convert(const Instruction &instr, std::uint32_t raw)
 {
-    if (instr.type == instr.srcType)
-        return raw;
-    // Only F32 <-> S32/U32 conversions are meaningful here.
-    if (instr.type == DataType::F32) {
-        if (instr.srcType == DataType::S32) {
-            return asBits(
-                static_cast<float>(static_cast<std::int32_t>(raw)));
-        }
+    if (instr.type == DataType::F32 && instr.srcType == DataType::S32)
+        return asBits(static_cast<float>(static_cast<std::int32_t>(raw)));
+    if (instr.type == DataType::F32 && instr.srcType == DataType::U32)
         return asBits(static_cast<float>(raw));
-    }
+    if (instr.type == DataType::F32 || instr.srcType != DataType::F32)
+        return raw;
     float f = asFloat(raw);
-    if (instr.type == DataType::S32)
+    if (std::isnan(f))
+        return 0;
+    if (instr.type == DataType::S32) {
+        if (f <= -2147483648.0f)
+            return 0x80000000u;
+        if (f >= 2147483648.0f)
+            return 0x7fffffffu;
         return static_cast<std::uint32_t>(static_cast<std::int32_t>(f));
-    return static_cast<std::uint32_t>(f < 0 ? 0 : f);
+    }
+    if (f <= 0.0f)
+        return 0;
+    if (f >= 4294967296.0f)
+        return 0xffffffffu;
+    return static_cast<std::uint32_t>(f);
 }
 
 std::int32_t
@@ -222,9 +234,11 @@ s32(std::uint32_t bits)
 }
 
 /**
- * The ALU and SFU ops. Integer ops of either type compute in signed
- * 32-bit arithmetic (division, min, max, and SHR of S32 included);
- * add, subtract, multiply and negate wrap modulo 2^32.
+ * The ALU and SFU ops. Add, subtract, multiply, mad and negate wrap
+ * modulo 2^32; division, min and max compare and divide as the
+ * instruction's type (S32 signed, U32 unsigned), and SHR of S32 is
+ * arithmetic. Integer division by zero gives 0, and S32 INT_MIN / -1
+ * wraps to INT_MIN.
  */
 void
 aluOp(const Instruction &instr, WarpState &s, const ExecEnv &env,
@@ -291,17 +305,26 @@ aluOp(const Instruction &instr, WarpState &s, const ExecEnv &env,
           case Opcode::SUB: return i2([](U x, U y) { return x - y; });
           case Opcode::MUL: return i2([](U x, U y) { return x * y; });
           case Opcode::DIV:
+            if (type == DataType::U32)
+                return i2([](U x, U y) { return y == 0 ? 0u : x / y; });
             return i2([](U x, U y) {
-                return s32(y) == 0 ? 0u
-                                   : static_cast<U>(s32(x) / s32(y));
+                if (y == 0)
+                    return 0u;
+                if (s32(y) == -1) // INT_MIN / -1 wraps, as negation.
+                    return 0u - x;
+                return static_cast<U>(s32(x) / s32(y));
             });
           case Opcode::MAD:
             return lanes([&](unsigned l) { return a[l] * b[l] + c[l]; });
           case Opcode::MIN:
+            if (type == DataType::U32)
+                return i2([](U x, U y) { return std::min(x, y); });
             return i2([](U x, U y) {
                 return static_cast<U>(std::min(s32(x), s32(y)));
             });
           case Opcode::MAX:
+            if (type == DataType::U32)
+                return i2([](U x, U y) { return std::max(x, y); });
             return i2([](U x, U y) {
                 return static_cast<U>(std::max(s32(x), s32(y)));
             });

@@ -19,6 +19,9 @@ SimtCore::SimtCore(Simulation &sim, const std::string &name,
     : SimObject(sim, name), Clocked(domain, name),
       statCyclesActive(*this, "cycles_active",
                        "cycles with work resident"),
+      statCyclesMemWait(*this, "cycles_mem_wait",
+                        "cycles asleep with work resident, waiting "
+                        "on memory"),
       statWarpInstrs(*this, "warp_instrs", "warp instructions issued"),
       statThreadInstrs(*this, "thread_instrs",
                        "thread instructions executed"),
@@ -567,12 +570,30 @@ SimtCore::finishWarpIfDrained(unsigned slot)
 bool
 SimtCore::tick()
 {
+    Tick now = curTick();
+    if (_asleepWithWarps && now > _activeTick) {
+        // The cycles slept since the last active tick had warps
+        // resident and no scheduler could issue: only a memory
+        // response could unblock the core, and one (or a new task)
+        // has woken it.
+        Cycle slept = (now - _activeTick) / clockDomain().period() - 1;
+        statCyclesActive += static_cast<double>(slept);
+        statCyclesMemWait += static_cast<double>(slept);
+        statStallNoReadyWarp +=
+            static_cast<double>(slept * _params.schedulers);
+    }
+    _asleepWithWarps = false;
+
     bool moved = processWritebacks();
     moved |= launchQueuedTasks();
 
+    // A core woken in the cycle it went to sleep ticks twice in that
+    // cycle; the cycle is active once.
     bool any_resident = _residentWarps > 0;
-    if (any_resident)
+    if (any_resident && now != _activeTick) {
         ++statCyclesActive;
+        _activeTick = now;
+    }
 
     bool issued_any = false;
     for (unsigned s = 0; s < _params.schedulers; ++s) {
@@ -606,6 +627,7 @@ SimtCore::tick()
     bool local_work = issued_any ||
                       (!_lsuQueue.empty() && !_lsuRetryPkt) ||
                       !_writebacks.empty() || !_taskQueue.empty();
+    _asleepWithWarps = !local_work && _residentWarps > 0;
     return local_work;
 }
 

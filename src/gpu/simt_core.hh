@@ -105,6 +105,9 @@ class SimtCore : public SimObject,
      */
     std::uint64_t tasksLaunched() const { return _launchSeq; }
 
+    /** Warps launched and not yet retired. */
+    unsigned residentWarps() const { return _residentWarps; }
+
     const SimtCoreParams &params() const { return _params; }
 
     /** The L1 cache that services @p kind. */
@@ -139,6 +142,7 @@ class SimtCore : public SimObject,
 
     /** @{ Statistics. */
     Scalar statCyclesActive;
+    Scalar statCyclesMemWait;
     Scalar statWarpInstrs;
     Scalar statThreadInstrs;
     Scalar statTasksVertex;
@@ -255,6 +259,14 @@ class SimtCore : public SimObject,
 
     /** Pending scoreboard releases, earliest first. */
     std::priority_queue<Writeback> _writebacks;
+
+    /** The tick of the last cycle counted in cycles_active. */
+    Tick _activeTick = maxTick;
+    /**
+     * The latest tick put the core to sleep with warps resident; the
+     * next tick credits the cycles slept since _activeTick as active.
+     */
+    bool _asleepWithWarps = false;
 
     /** One scheduling policy per scheduler lane (warp_sched.hh). */
     std::vector<std::unique_ptr<WarpScheduler>> _warpScheds;

@@ -18,7 +18,7 @@
  * for memory-system studies.
  *
  * On disk a trace is a src/sim/serialize/ checkpoint directory
- * (manifest.json + data.bin) whose sections hold typed-record
+ * (one CRC-checked data.bin) whose sections hold typed-record
  * vectors: a "meta" section (format version, frame table, framebuffer
  * base) plus one "client<i>" section per client. The config
  * fingerprint field is left 0 — a trace is deliberately replayable

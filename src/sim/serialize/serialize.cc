@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "sim/logging.hh"
 
@@ -51,281 +48,22 @@ readLE(const char *p, unsigned bytes)
     return v;
 }
 
-/**
- * Internal parse failure: thrown by the manifest scanner, reported by
- * CheckpointReader::load() as a MalformedManifest.
- */
-struct ManifestError
-{
-    std::string msg;
-};
+/** data.bin's header: magic, format version, index size, index CRC. */
+constexpr char headerMagic[4] = {'E', 'M', 'C', 'K'};
+constexpr std::size_t headerBytes = 16;
 
-/**
- * Minimal JSON scanner for the manifest we write ourselves: objects,
- * arrays, strings and unsigned integers. All numeric manifest fields
- * are written as JSON strings (u64 values do not survive a double
- * round-trip), so the number production only needs to tolerate, not
- * preserve, foreign numbers.
- */
-class ManifestParser
-{
-  public:
-    ManifestParser(const std::string &text, std::string path)
-        : _text(text), _path(std::move(path))
-    {}
-
-    [[noreturn]] void
-    die(const char *what) const
-    {
-        throw ManifestError{strprintf(
-            "checkpoint manifest '%s': malformed JSON (%s near "
-            "offset %zu)", _path.c_str(), what, _pos)};
-    }
-
-    void
-    skipWs()
-    {
-        while (_pos < _text.size() &&
-               (_text[_pos] == ' ' || _text[_pos] == '\n' ||
-                _text[_pos] == '\t' || _text[_pos] == '\r'))
-            ++_pos;
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        if (_pos >= _text.size())
-            die("unexpected end");
-        return _text[_pos];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            die("unexpected character");
-        ++_pos;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (_pos >= _text.size())
-                die("unterminated string");
-            char c = _text[_pos++];
-            if (c == '"')
-                return out;
-            if (c == '\\') {
-                if (_pos >= _text.size())
-                    die("bad escape");
-                char e = _text[_pos++];
-                switch (e) {
-                case '"': out.push_back('"'); break;
-                case '\\': out.push_back('\\'); break;
-                case 'n': out.push_back('\n'); break;
-                case 't': out.push_back('\t'); break;
-                case '/': out.push_back('/'); break;
-                default: die("unsupported escape");
-                }
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-
-    /** Parse a value but keep only strings; others are skipped. */
-    std::string
-    parseScalar()
-    {
-        char c = peek();
-        if (c == '"')
-            return parseString();
-        // Bare number (tolerated, returned as text).
-        std::string out;
-        while (_pos < _text.size() &&
-               (std::isdigit(static_cast<unsigned char>(_text[_pos])) ||
-                _text[_pos] == '-' || _text[_pos] == '.' ||
-                _text[_pos] == 'e' || _text[_pos] == 'E' ||
-                _text[_pos] == '+'))
-            out.push_back(_text[_pos++]);
-        if (out.empty())
-            die("expected scalar");
-        return out;
-    }
-
-    /**
-     * Parse an object of scalar fields plus at most one array-valued
-     * field; @p onField receives scalar fields, @p onArrayElem is
-     * invoked with a fresh sub-object parser position for each array
-     * element (used for "sections").
-     */
-    template <typename FieldFn, typename ArrayFn>
-    void
-    parseObject(FieldFn onField, ArrayFn onArrayElem)
-    {
-        expect('{');
-        if (peek() == '}') {
-            ++_pos;
-            return;
-        }
-        while (true) {
-            std::string key = parseString();
-            expect(':');
-            if (peek() == '[') {
-                ++_pos;
-                if (peek() == ']') {
-                    ++_pos;
-                } else {
-                    while (true) {
-                        onArrayElem(key);
-                        char c = peek();
-                        if (c == ',') {
-                            ++_pos;
-                            continue;
-                        }
-                        expect(']');
-                        break;
-                    }
-                }
-            } else {
-                onField(key, parseScalar());
-            }
-            char c = peek();
-            if (c == ',') {
-                ++_pos;
-                continue;
-            }
-            expect('}');
-            return;
-        }
-    }
-
-  private:
-    const std::string &_text;
-    std::string _path;
-    std::size_t _pos = 0;
-};
-
-std::uint64_t
-parseU64Field(const std::string &text, const std::string &key,
-              const std::string &path)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0') {
-        throw ManifestError{strprintf(
-            "checkpoint manifest '%s': field '%s' ('%s') is not an "
-            "unsigned integer", path.c_str(), key.c_str(),
-            text.c_str())};
-    }
-    return v;
-}
-
-/** One parsed section-table entry. */
-struct SectionEntry
-{
-    std::size_t offset = 0;
-    std::size_t size = 0;
-    std::uint32_t crc = 0;
-    /** Version-1 manifests carry no CRC; verification is skipped. */
-    bool hasCrc = false;
-};
-
-/** Everything a manifest.json holds, independent of error policy. */
-struct ManifestData
-{
-    std::uint64_t version = 0;
-    bool sawVersion = false;
-    std::uint64_t fingerprint = 0;
-    std::uint64_t tick = 0;
-    std::uint64_t numProcessed = 0;
-    std::map<std::string, SectionEntry> sections;
-};
-
-/** Parse @p text (throws ManifestError on any malformation). */
-ManifestData
-parseManifestText(const std::string &text, const std::string &path)
-{
-    ManifestData md;
-    ManifestParser p(text, path);
-    p.parseObject(
-        [&](const std::string &key, const std::string &value) {
-            if (key == "format_version") {
-                md.version = parseU64Field(value, key, path);
-                md.sawVersion = true;
-            } else if (key == "config_fingerprint") {
-                md.fingerprint = parseU64Field(value, key, path);
-            } else if (key == "tick") {
-                md.tick = parseU64Field(value, key, path);
-            } else if (key == "num_processed") {
-                md.numProcessed = parseU64Field(value, key, path);
-            }
-            // Unknown scalar fields are ignored: adding manifest
-            // metadata is a compatible change.
-        },
-        [&](const std::string &key) {
-            std::string name;
-            SectionEntry entry;
-            p.parseObject(
-                [&](const std::string &k, const std::string &v) {
-                    if (k == "name") {
-                        name = v;
-                    } else if (k == "offset") {
-                        entry.offset = static_cast<std::size_t>(
-                            parseU64Field(v, k, path));
-                    } else if (k == "size") {
-                        entry.size = static_cast<std::size_t>(
-                            parseU64Field(v, k, path));
-                    } else if (k == "crc") {
-                        entry.crc = static_cast<std::uint32_t>(
-                            parseU64Field(v, k, path));
-                        entry.hasCrc = true;
-                    }
-                },
-                [&](const std::string &) {
-                    p.die("nested array in section entry");
-                });
-            if (key != "sections") {
-                throw ManifestError{strprintf(
-                    "checkpoint manifest '%s': unexpected array "
-                    "field '%s'", path.c_str(), key.c_str())};
-            }
-            if (name.empty()) {
-                throw ManifestError{strprintf(
-                    "checkpoint manifest '%s': section without a "
-                    "name", path.c_str())};
-            }
-            auto [it, inserted] = md.sections.emplace(name, entry);
-            if (!inserted) {
-                throw ManifestError{strprintf(
-                    "checkpoint manifest '%s': duplicate section "
-                    "'%s'", path.c_str(), name.c_str())};
-            }
-        });
-    if (!md.sawVersion) {
-        throw ManifestError{strprintf(
-            "checkpoint manifest '%s': missing format_version",
-            path.c_str())};
-    }
-    return md;
-}
-
-/** Read a whole file into @p out; false when it cannot be opened. */
+/** Read a whole binary file into @p out; false when it cannot. */
 bool
-slurpFile(const std::string &path, std::string &out, bool binary)
+readFile(const std::string &path, std::string &out)
 {
-    std::ifstream in(path, binary ? std::ios::binary
-                                  : std::ios::in);
-    if (!in.is_open())
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    std::streamoff size = in.is_open() ? std::streamoff(in.tellg()) : -1;
+    if (size < 0)
         return false;
-    std::stringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return true;
+    out.resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    return static_cast<bool>(
+        in.read(out.data(), static_cast<std::streamsize>(out.size())));
 }
 
 using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
@@ -393,12 +131,11 @@ ckptIntegrityName(CkptIntegrity status)
 {
     switch (status) {
     case CkptIntegrity::Ok: return "ok";
-    case CkptIntegrity::MissingManifest: return "missing-manifest";
-    case CkptIntegrity::MalformedManifest: return "malformed-manifest";
-    case CkptIntegrity::UnsupportedVersion: return "unsupported-version";
     case CkptIntegrity::MissingData: return "missing-data";
+    case CkptIntegrity::UnsupportedVersion: return "unsupported-version";
     case CkptIntegrity::TruncatedSection: return "truncated-section";
     case CkptIntegrity::CrcMismatch: return "crc-mismatch";
+    case CkptIntegrity::TrailingBytes: return "trailing-bytes";
     }
     return "?";
 }
@@ -714,44 +451,39 @@ CheckpointWriter::finalize()
         return;
     _finalized = true;
 
+    // The index: identity, then the section table in file order.
+    CheckpointOut index("index");
+    index.putU64("config_fingerprint", _fingerprint);
+    index.putTick("tick", _tick);
+    index.putU64("num_processed", _numProcessed);
+    index.putU64("sections", _sections.size());
+    for (std::size_t i = 0; i < _sections.size(); ++i) {
+        const std::string &bytes = _sections[i].bytes();
+        std::string key = strprintf("section%zu", i);
+        index.putStr(key + ".name", _sections[i].sectionName());
+        index.putU64(key + ".size", bytes.size());
+        index.putU64(key + ".crc", crc32(bytes.data(), bytes.size()));
+    }
+
+    std::string header(headerMagic, sizeof(headerMagic));
+    appendLE(header, checkpointFormatVersion, 4);
+    appendLE(header, index.bytes().size(), 4);
+    appendLE(header, crc32(index.bytes().data(), index.bytes().size()),
+             4);
+
     std::string data_path = _dir + "/data.bin";
     std::ofstream data(data_path, std::ios::binary);
     fatal_if(!data.is_open(), "cannot write '%s'", data_path.c_str());
-
-    std::ostringstream manifest;
-    manifest << "{\n"
-             << "  \"format_version\": \"" << checkpointFormatVersion
-             << "\",\n"
-             << "  \"config_fingerprint\": \"" << _fingerprint
-             << "\",\n"
-             << "  \"tick\": \"" << _tick << "\",\n"
-             << "  \"num_processed\": \"" << _numProcessed << "\",\n"
-             << "  \"sections\": [\n";
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < _sections.size(); ++i) {
-        const CheckpointOut &s = _sections[i];
-        data.write(s.bytes().data(),
-                   static_cast<std::streamsize>(s.bytes().size()));
-        manifest << "    {\"name\": \"" << jsonEscape(s.sectionName())
-                 << "\", \"offset\": \"" << offset
-                 << "\", \"size\": \"" << s.bytes().size()
-                 << "\", \"crc\": \""
-                 << crc32(s.bytes().data(), s.bytes().size())
-                 << "\"}"
-                 << (i + 1 < _sections.size() ? "," : "") << "\n";
-        offset += s.bytes().size();
-    }
-    manifest << "  ]\n}\n";
+    auto put = [&data](const std::string &bytes) {
+        data.write(bytes.data(),
+                   static_cast<std::streamsize>(bytes.size()));
+    };
+    put(header);
+    put(index.bytes());
+    for (const CheckpointOut &s : _sections)
+        put(s.bytes());
     data.close();
     fatal_if(data.fail(), "write to '%s' failed", data_path.c_str());
-
-    std::string manifest_path = _dir + "/manifest.json";
-    std::ofstream mf(manifest_path);
-    fatal_if(!mf.is_open(), "cannot write '%s'",
-             manifest_path.c_str());
-    mf << manifest.str();
-    mf.close();
-    fatal_if(mf.fail(), "write to '%s' failed", manifest_path.c_str());
 }
 
 //
@@ -786,63 +518,81 @@ CheckpointReader::load()
         return probe;
     };
 
-    std::string manifest_path = _dir + "/manifest.json";
-    std::string text;
-    if (!slurpFile(manifest_path, text, /*binary=*/false)) {
-        return damaged(CkptIntegrity::MissingManifest,
-                       "cannot open " + manifest_path + " — is '" +
-                           _dir + "' a checkpoint directory?");
+    std::string data_path = _dir + "/data.bin";
+    if (!readFile(data_path, _data)) {
+        return damaged(CkptIntegrity::MissingData,
+                       "cannot open " + data_path + " — is '" + _dir +
+                           "' a checkpoint directory?");
     }
+    const std::size_t size = _data.size();
+    auto pastEnd = [&](const std::string &what, std::size_t offset,
+                       std::size_t bytes) {
+        return damaged(
+            CkptIntegrity::TruncatedSection,
+            strprintf("%s (offset %zu, size %zu) extends past the end "
+                      "of data.bin (%zu bytes)",
+                      what.c_str(), offset, bytes, size));
+    };
+    auto crcMismatch = [&](const std::string &what, std::uint32_t actual,
+                           std::uint64_t want) {
+        return damaged(
+            CkptIntegrity::CrcMismatch,
+            strprintf("%s fails CRC verification (%08x, expected "
+                      "%08llx) — the checkpoint is corrupt",
+                      what.c_str(), actual, (unsigned long long)want));
+    };
 
-    ManifestData md;
-    try {
-        md = parseManifestText(text, manifest_path);
-    } catch (const ManifestError &err) {
-        return damaged(CkptIntegrity::MalformedManifest, err.msg);
-    }
-    _fingerprint = probe.fingerprint = md.fingerprint;
-    _tick = probe.tick = md.tick;
-    _numProcessed = probe.numProcessed = md.numProcessed;
-
-    if (md.version < checkpointMinReadVersion ||
-        md.version > checkpointFormatVersion) {
+    if (size < headerBytes)
+        return pastEnd("the header", 0, headerBytes);
+    if (_data.compare(0, sizeof(headerMagic), headerMagic,
+                      sizeof(headerMagic)) != 0) {
         return damaged(
             CkptIntegrity::UnsupportedVersion,
-            strprintf("format version %llu (this binary reads "
-                      "%llu..%llu)",
-                      (unsigned long long)md.version,
-                      (unsigned long long)checkpointMinReadVersion,
+            strprintf("data.bin has no format version %llu header "
+                      "(format 2 and older are not readable)",
                       (unsigned long long)checkpointFormatVersion));
     }
+    std::uint64_t version = readLE(_data.data() + 4, 4);
+    if (version != checkpointFormatVersion) {
+        return damaged(
+            CkptIntegrity::UnsupportedVersion,
+            strprintf("format version %llu (this binary reads %llu)",
+                      (unsigned long long)version,
+                      (unsigned long long)checkpointFormatVersion));
+    }
+    std::size_t index_size = readLE(_data.data() + 8, 4);
+    if (index_size > size - headerBytes)
+        return pastEnd("the index", headerBytes, index_size);
+    std::uint64_t index_crc = readLE(_data.data() + 12, 4);
+    std::uint32_t actual = crc32(_data.data() + headerBytes, index_size);
+    if (actual != index_crc)
+        return crcMismatch("the index", actual, index_crc);
 
-    std::string data_path = _dir + "/data.bin";
-    if (!slurpFile(data_path, _data, /*binary=*/true))
-        return damaged(CkptIntegrity::MissingData,
-                       "cannot open " + data_path);
+    CheckpointIn index("index", _data.data() + headerBytes, index_size);
+    _fingerprint = probe.fingerprint = index.getU64("config_fingerprint");
+    _tick = probe.tick = index.getTick("tick");
+    _numProcessed = probe.numProcessed = index.getU64("num_processed");
 
-    for (const auto &[name, entry] : md.sections) {
-        if (entry.offset + entry.size > _data.size()) {
-            return damaged(
-                CkptIntegrity::TruncatedSection,
-                strprintf("section '%s' (offset %zu, size %zu) extends "
-                          "past the end of data.bin (%zu bytes)",
-                          name.c_str(), entry.offset, entry.size,
-                          _data.size()));
-        }
-        if (entry.hasCrc) {
-            std::uint32_t actual =
-                crc32(_data.data() + entry.offset, entry.size);
-            if (actual != entry.crc) {
-                return damaged(
-                    CkptIntegrity::CrcMismatch,
-                    strprintf("section '%s' fails CRC verification "
-                              "(%08x, manifest says %08x) — the "
-                              "checkpoint is corrupt",
-                              name.c_str(), actual, entry.crc));
-            }
-        }
-        _sections.emplace(name,
-                          SectionRef{entry.offset, entry.size});
+    std::size_t offset = headerBytes + index_size;
+    for (std::uint64_t i = 0; i < index.getU64("sections"); ++i) {
+        std::string key = strprintf("section%llu", (unsigned long long)i);
+        std::string name = index.getStr(key + ".name");
+        std::size_t bytes = index.getU64(key + ".size");
+        std::uint64_t crc = index.getU64(key + ".crc");
+        std::string what = "section '" + name + "'";
+        if (bytes > size - offset)
+            return pastEnd(what, offset, bytes);
+        actual = crc32(_data.data() + offset, bytes);
+        if (actual != crc)
+            return crcMismatch(what, actual, crc);
+        _sections.emplace(std::move(name), SectionRef{offset, bytes});
+        offset += bytes;
+    }
+    if (offset != size) {
+        return damaged(CkptIntegrity::TrailingBytes,
+                       strprintf("data.bin runs on for %zu bytes past "
+                                 "its last section",
+                                 size - offset));
     }
     probe.status = CkptIntegrity::Ok;
     return probe;

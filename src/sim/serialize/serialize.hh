@@ -2,14 +2,21 @@
  * @file
  * Versioned, schema-checked checkpointing (gem5 Serialize in spirit).
  *
- * A checkpoint is a directory: `manifest.json` (format version, config
- * fingerprint, tick, and a section table) plus `data.bin` (the
- * concatenated binary sections). Each stateful object writes one
- * section of typed key/value records through CheckpointOut and reads
- * it back through CheckpointIn. Reads are strict: a missing key or a
- * type mismatch is fatal, never a silently default-initialized member
- * — schema drift between the writer and the reader must fail loudly
- * (see docs/checkpointing.md for the compatibility rules).
+ * A checkpoint is a directory holding one file, `data.bin`:
+ *
+ *   header    16 bytes: magic "EMCK", then the format version, the
+ *             index size and the index's CRC-32 (u32 little-endian)
+ *   index     typed records: config fingerprint, tick, events
+ *             processed, and the section table (each section's name,
+ *             size and CRC-32, in file order)
+ *   sections  the sections, back to back
+ *
+ * Each stateful object writes one section of typed key/value records
+ * through CheckpointOut and reads it back through CheckpointIn; the
+ * index uses the same record codec. Reads are strict: a missing key or
+ * a type mismatch is fatal, never a silently default-initialized
+ * member — schema drift between the writer and the reader must fail
+ * loudly (see docs/checkpointing.md for the compatibility rules).
  */
 
 #ifndef EMERALD_SIM_SERIALIZE_SERIALIZE_HH
@@ -41,15 +48,11 @@ enum class RecordType : std::uint8_t
 };
 
 /**
- * Bump on any incompatible change to the record or manifest format.
- * Version 2 added a per-section CRC-32 to the manifest's section
- * table; the reader still accepts version-1 checkpoints (no CRC
- * entries, so integrity verification is skipped for them).
+ * Bump on any incompatible change to the record or container format;
+ * the reader accepts only this version. Version 3 moved the identity
+ * and the section table from a JSON manifest into data.bin's index.
  */
-constexpr std::uint64_t checkpointFormatVersion = 2;
-
-/** Oldest manifest format this binary still reads. */
-constexpr std::uint64_t checkpointMinReadVersion = 1;
+constexpr std::uint64_t checkpointFormatVersion = 3;
 
 /** CRC-32 (IEEE, reflected polynomial 0xEDB88320) of @p n bytes. */
 std::uint32_t crc32(const void *bytes, std::size_t n);
@@ -63,18 +66,16 @@ std::uint32_t crc32(const void *bytes, std::size_t n);
 enum class CkptIntegrity : std::uint8_t
 {
     Ok,
-    /** No manifest.json — not a checkpoint directory (or torn). */
-    MissingManifest,
-    /** manifest.json exists but does not parse or lacks fields. */
-    MalformedManifest,
-    /** Format version outside [min read, current]. */
-    UnsupportedVersion,
-    /** manifest.json is fine but data.bin is absent. */
+    /** No data.bin — not a checkpoint directory (or torn). */
     MissingData,
-    /** A section extends past the end of data.bin. */
+    /** data.bin has no header of this binary's format version. */
+    UnsupportedVersion,
+    /** data.bin ends inside its header, its index or a section. */
     TruncatedSection,
-    /** A section's bytes do not match its manifest CRC. */
+    /** The index or a section does not match its CRC-32. */
     CrcMismatch,
+    /** data.bin runs on past its last section. */
+    TrailingBytes,
 };
 
 /** Stable lower-case name ("ok", "crc-mismatch", ...) for logs/DBs. */
@@ -83,8 +84,8 @@ const char *ckptIntegrityName(CkptIntegrity status);
 /** Result of a non-fatal checkpoint integrity check. */
 struct CkptProbe
 {
-    CkptIntegrity status = CkptIntegrity::MissingManifest;
-    /** Human-readable diagnosis (names the section / parse error). */
+    CkptIntegrity status = CkptIntegrity::MissingData;
+    /** Human-readable diagnosis (names the damaged part). */
     std::string detail;
     std::uint64_t fingerprint = 0;
     Tick tick = 0;
@@ -227,9 +228,9 @@ class Serializable
 
 /**
  * Accumulates named sections and writes the checkpoint directory
- * (manifest.json + data.bin) in finalize(). Section names must be
- * unique; the writer owns the section buffers, and a section returned
- * by section() stays valid while later sections open.
+ * (its data.bin) in finalize(). Section names must be unique; the
+ * writer owns the section buffers, and a section returned by
+ * section() stays valid while later sections open.
  */
 class CheckpointWriter
 {
@@ -244,7 +245,7 @@ class CheckpointWriter
     /** Start a new section named @p name (fatal on duplicates). */
     CheckpointOut &section(const std::string &name);
 
-    /** Write manifest.json + data.bin; implicit in the destructor. */
+    /** Write data.bin; implicit in the destructor. */
     void finalize();
 
     const std::string &dir() const { return _dir; }
@@ -259,11 +260,12 @@ class CheckpointWriter
 };
 
 /**
- * Opens a checkpoint directory and serves sections. Opening validates
- * it: the manifest parses, its format version is readable, and every
- * section lies inside data.bin (read once) and matches its CRC
- * (format >= 2; checked once). The config-fingerprint policy belongs
- * to the caller (Simulation refuses a mismatch unless --restore-force).
+ * Opens a checkpoint directory and serves sections. Opening reads
+ * data.bin once and validates it, in file order: the header's format
+ * version, the index's bounds and CRC, then each section's bounds and
+ * CRC; the index is decoded only once its CRC holds. The
+ * config-fingerprint policy belongs to the caller (Simulation refuses
+ * a mismatch unless --restore-force).
  */
 class CheckpointReader
 {

@@ -412,15 +412,6 @@ Simulation::saveCheckpoint(const std::string &dir)
 
     w.finalize();
 
-    // Boundary stats snapshot: lets a warm run's deltas be diffed
-    // against the cold run's measured region (tools/check_restore.py).
-    std::string stats_path = dir + "/stats.json";
-    std::ofstream stats(stats_path);
-    if (stats.is_open())
-        dumpStatsJson(stats);
-    else
-        warn("cannot write '%s'", stats_path.c_str());
-
     inform("checkpoint written to '%s' at tick %llu (%llu events, "
            "%zu live packets)", dir.c_str(),
            (unsigned long long)_eq.curTick(),
@@ -433,7 +424,7 @@ namespace
 
 /**
  * Open the checkpoint restoreCheckpoint() actually reads. @p base is
- * either a checkpoint directory itself (manifest.json present) or a
+ * either a checkpoint directory itself (data.bin present) or a
  * rotation base holding auto-<tick> subdirectories, in which case the
  * newest rotation that opens intact wins and corrupt ones are skipped
  * with a warning — a torn or bit-rotted rotation is recoverable, not
@@ -443,7 +434,7 @@ std::optional<CheckpointReader>
 openRestoreSource(const std::string &base, bool lenient)
 {
     std::error_code ec;
-    bool single = std::filesystem::exists(base + "/manifest.json", ec);
+    bool single = std::filesystem::exists(base + "/data.bin", ec);
     std::vector<std::string> candidates =
         single ? std::vector<std::string>{base} : listRotations(base);
     CkptProbe probe;
@@ -459,7 +450,7 @@ openRestoreSource(const std::string &base, bool lenient)
     }
     fatal_if(!lenient,
              "restore directory '%s' holds no usable checkpoint (no "
-             "manifest.json and no intact auto-* rotation)",
+             "data.bin and no intact auto-* rotation)",
              base.c_str());
     warn("restore directory '%s' holds no usable checkpoint — "
          "starting cold", base.c_str());

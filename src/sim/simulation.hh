@@ -261,8 +261,8 @@ class Simulation
 
     /**
      * Write a checkpoint of the current state into directory @p dir
-     * (manifest.json + data.bin + stats.json). Fatal when any object
-     * reports !checkpointSafe().
+     * (its data.bin; the stats tree is the "stats" section). Fatal
+     * when any object reports !checkpointSafe().
      */
     void saveCheckpoint(const std::string &dir);
 

@@ -1,8 +1,10 @@
 #include "reference_executor.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "sim/logging.hh"
 
@@ -167,13 +169,23 @@ aluOp(const Instruction &instr, const ThreadContext &t,
           case Opcode::SUB: return static_cast<std::uint32_t>(sa - sb);
           case Opcode::MUL: return static_cast<std::uint32_t>(sa * sb);
           case Opcode::DIV:
-            return sb == 0 ? 0 : static_cast<std::uint32_t>(sa / sb);
+            if (rb == 0)
+                return 0;
+            if (type == DataType::U32)
+                return ra / rb;
+            if (sa == std::numeric_limits<std::int32_t>::min() && sb == -1)
+                return ra;
+            return static_cast<std::uint32_t>(sa / sb);
           case Opcode::MAD:
             return static_cast<std::uint32_t>(sa * sb + sc);
           case Opcode::MIN:
-            return static_cast<std::uint32_t>(std::min(sa, sb));
+            return type == DataType::U32
+                       ? std::min(ra, rb)
+                       : static_cast<std::uint32_t>(std::min(sa, sb));
           case Opcode::MAX:
-            return static_cast<std::uint32_t>(std::max(sa, sb));
+            return type == DataType::U32
+                       ? std::max(ra, rb)
+                       : static_cast<std::uint32_t>(std::max(sa, sb));
           case Opcode::ABS:
             return static_cast<std::uint32_t>(std::abs(sa));
           case Opcode::NEG: return static_cast<std::uint32_t>(-sa);
@@ -197,7 +209,6 @@ convert(const Instruction &instr, std::uint32_t raw)
 {
     if (instr.type == instr.srcType)
         return raw;
-    // Only F32 <-> S32/U32 conversions are meaningful here.
     if (instr.type == DataType::F32) {
         if (instr.srcType == DataType::S32) {
             return asBits(
@@ -205,10 +216,18 @@ convert(const Instruction &instr, std::uint32_t raw)
         }
         return asBits(static_cast<float>(raw));
     }
-    float f = asFloat(raw);
-    if (instr.type == DataType::S32)
+    if (instr.srcType != DataType::F32)
+        return raw; // Integer to integer keeps the bits.
+    // Float to integer: truncate, saturate, NaN to 0 (in double, where
+    // every bound is exact).
+    double f = asFloat(raw);
+    if (std::isnan(f))
+        return 0;
+    if (instr.type == DataType::S32) {
+        f = std::clamp(f, -2147483648.0, 2147483647.0);
         return static_cast<std::uint32_t>(static_cast<std::int32_t>(f));
-    return static_cast<std::uint32_t>(f < 0 ? 0 : f);
+    }
+    return static_cast<std::uint32_t>(std::clamp(f, 0.0, 4294967295.0));
 }
 
 } // namespace

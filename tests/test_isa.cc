@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
+#include <limits>
 
 #include "gpu/isa/assembler.hh"
 #include "gpu/isa/cfg.hh"
@@ -54,6 +56,7 @@ struct MiniRunner
     {
         return static_cast<std::int32_t>(state.r[r][0]);
     }
+    std::uint32_t regU(int r) const { return state.r[r][0]; }
 };
 
 } // namespace
@@ -254,6 +257,91 @@ TEST(Executor, Conversions)
     EXPECT_FLOAT_EQ(r.regF(1), -7.0f);
     EXPECT_EQ(r.regI(3), 3);
     EXPECT_EQ(r.regI(5), 5);
+}
+
+TEST(Executor, IntegerToIntegerCvtKeepsBits)
+{
+    MiniRunner r(R"(
+        mov.s32 r0, 5
+        cvt.u32.s32 r1, r0
+        mov.u32 r2, 7
+        cvt.s32.u32 r3, r2
+        mov.s32 r4, -1
+        cvt.u32.s32 r5, r4
+        exit
+    )");
+    r.run();
+    EXPECT_EQ(r.regU(1), 5u);
+    EXPECT_EQ(r.regI(3), 7);
+    EXPECT_EQ(r.regU(5), 0xffffffffu);
+}
+
+TEST(Executor, FloatToIntegerCvtSaturatesAndMapsNanToZero)
+{
+    MiniRunner r(R"(
+        mov.f32 r0, 0.0
+        div.f32 r0, r0, r0
+        cvt.s32.f32 r1, r0
+        cvt.u32.f32 r2, r0
+        mov.f32 r3, 3e9
+        cvt.s32.f32 r4, r3
+        cvt.u32.f32 r5, r3
+        mov.f32 r6, -3e9
+        cvt.s32.f32 r7, r6
+        cvt.u32.f32 r8, r6
+        mov.f32 r9, 5e9
+        cvt.u32.f32 r10, r9
+        mov.f32 r11, -2.9
+        cvt.s32.f32 r12, r11
+        exit
+    )");
+    r.run();
+    ASSERT_TRUE(std::isnan(r.regF(0)));
+    EXPECT_EQ(r.regI(1), 0);
+    EXPECT_EQ(r.regU(2), 0u);
+    EXPECT_EQ(r.regI(4), std::numeric_limits<std::int32_t>::max());
+    EXPECT_EQ(r.regU(5), 3000000000u);
+    EXPECT_EQ(r.regI(7), std::numeric_limits<std::int32_t>::min());
+    EXPECT_EQ(r.regU(8), 0u);
+    EXPECT_EQ(r.regU(10), 0xffffffffu);
+    EXPECT_EQ(r.regI(12), -2); // In range: truncates toward zero.
+}
+
+TEST(Executor, UnsignedDivMinMaxAreUnsigned)
+{
+    MiniRunner r(R"(
+        mov.u32 r0, 3000000000
+        div.u32 r1, r0, 2
+        min.u32 r2, r0, 1
+        max.u32 r3, r0, 1
+        div.u32 r4, r0, 0
+        exit
+    )");
+    r.run();
+    EXPECT_EQ(r.regU(1), 1500000000u);
+    EXPECT_EQ(r.regU(2), 1u);
+    EXPECT_EQ(r.regU(3), 3000000000u);
+    EXPECT_EQ(r.regU(4), 0u);
+}
+
+TEST(Executor, SignedDivisionOverflowWrapsAndByZeroIsZero)
+{
+    MiniRunner r(R"(
+        mov.s32 r0, -2147483648
+        div.s32 r1, r0, -1
+        div.s32 r2, r0, 0
+        mov.s32 r3, -7
+        div.s32 r4, r3, 2
+        min.s32 r5, r3, 1
+        max.s32 r6, r3, 1
+        exit
+    )");
+    r.run();
+    EXPECT_EQ(r.regI(1), std::numeric_limits<std::int32_t>::min());
+    EXPECT_EQ(r.regI(2), 0);
+    EXPECT_EQ(r.regI(4), -3);
+    EXPECT_EQ(r.regI(5), -7);
+    EXPECT_EQ(r.regI(6), 1);
 }
 
 TEST(Executor, PredicatesAndSelp)

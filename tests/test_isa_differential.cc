@@ -269,19 +269,6 @@ class Generator
         }
     }
 
-    /** A source whose value, read as F32, lies in [-100, 100]. */
-    Operand
-    smallFloatSrc()
-    {
-        switch (pick(0, 4)) {
-          case 0: return reg(smallFloatRegs + pick(0, 7));
-          case 1: return imm(bits(smallFloat()));
-          case 2: return kind(Operand::Kind::Const, pick(0, 3));
-          case 3: return kind(Operand::Kind::Attr, pick(0, 11));
-          default: return special(anySpecial()); // Read as F32.
-        }
-    }
-
     DataType
     anyType()
     {
@@ -328,12 +315,11 @@ class Generator
             in.src[0] = anySrc();
             break;
           case Opcode::CVT:
-            // A conversion to an integer type reads its source as F32.
+            // Every conversion is defined on every input (docs/ISA.md),
+            // NaN and out-of-range floats included.
             in.type = anyType();
             in.srcType = anyType();
-            in.src[0] = in.type != DataType::F32 && in.type != in.srcType
-                            ? smallFloatSrc()
-                            : anySrc();
+            in.src[0] = anySrc();
             break;
           case Opcode::SETP:
             in.type = anyType();

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -553,10 +552,20 @@ TEST(CheckpointProbe, OpenServesWhatItValidated)
 
 TEST(CheckpointProbe, TruncationIsTruncatedSection)
 {
+    // Cut inside the header, the index and the last section: each is
+    // reported, and none is fatal to the probe.
     std::string dir = probeFixture("probe_trunc");
-    std::filesystem::resize_file(dir + "/data.bin", 4);
-    CkptProbe probe = probeCheckpoint(dir);
-    EXPECT_EQ(probe.status, CkptIntegrity::TruncatedSection);
+    std::string data = dir + "/data.bin";
+    auto size = std::filesystem::file_size(data);
+    for (std::uintmax_t cut : {std::uintmax_t{4}, std::uintmax_t{20},
+                               size - 3}) {
+        std::string trunc = probeFixture("probe_trunc_at");
+        std::filesystem::resize_file(trunc + "/data.bin", cut);
+        CkptProbe probe = probeCheckpoint(trunc);
+        EXPECT_EQ(probe.status, CkptIntegrity::TruncatedSection)
+            << "cut at " << cut << ": " << probe.detail;
+    }
+    std::filesystem::resize_file(data, 4);
     EXPECT_DEATH(CheckpointReader r(dir), "past the end");
 }
 
@@ -565,87 +574,138 @@ TEST(CheckpointProbe, MissingAndMalformedPieces)
     std::string dir = probeFixture("probe_nodata");
     std::filesystem::remove(dir + "/data.bin");
     EXPECT_EQ(probeCheckpoint(dir).status, CkptIntegrity::MissingData);
-
-    dir = probeFixture("probe_nomanifest");
-    std::filesystem::remove(dir + "/manifest.json");
-    EXPECT_EQ(probeCheckpoint(dir).status,
-              CkptIntegrity::MissingManifest);
     EXPECT_EQ(probeCheckpoint(tempDir("probe_absent")).status,
-              CkptIntegrity::MissingManifest);
+              CkptIntegrity::MissingData);
 
     dir = probeFixture("probe_garbage");
     {
-        std::ofstream mf(dir + "/manifest.json", std::ios::trunc);
-        mf << "{ this is not json";
+        std::ofstream data(dir + "/data.bin", std::ios::trunc);
+        data << "this is not a checkpoint at all";
     }
     EXPECT_EQ(probeCheckpoint(dir).status,
-              CkptIntegrity::MalformedManifest);
-}
+              CkptIntegrity::UnsupportedVersion);
 
-/** Rewrite @p dir's manifest as a version-1 checkpoint: no CRC
- *  entries, so integrity verification downgrades to bounds checks. */
-void
-downgradeManifestToV1(const std::string &dir)
-{
-    std::string path = dir + "/manifest.json";
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string text = buf.str();
-    in.close();
-
-    auto vpos = text.find("\"format_version\": \"2\"");
-    ASSERT_NE(vpos, std::string::npos);
-    text.replace(vpos, std::strlen("\"format_version\": \"2\""),
-                 "\"format_version\": \"1\"");
-    for (std::string::size_type pos;
-         (pos = text.find(", \"crc\": \"")) != std::string::npos;) {
-        auto end = text.find('"', pos + std::strlen(", \"crc\": \""));
-        ASSERT_NE(end, std::string::npos);
-        text.erase(pos, end + 1 - pos);
+    dir = probeFixture("probe_trailing");
+    {
+        std::ofstream data(dir + "/data.bin", std::ios::app);
+        data << "x";
     }
-    std::ofstream out(path, std::ios::trunc);
-    out << text;
+    EXPECT_EQ(probeCheckpoint(dir).status, CkptIntegrity::TrailingBytes);
 }
 
-TEST(CheckpointProbe, Version1ManifestStillReadsWithoutCrc)
+TEST(CheckpointProbe, FormatTwoDirectoryIsUnsupported)
 {
-    std::string dir = probeFixture("probe_v1");
-    downgradeManifestToV1(dir);
-
-    // Probe passes (no CRCs to verify) and the reader still serves
-    // the sections: min-read compatibility.
-    EXPECT_EQ(probeCheckpoint(dir).status, CkptIntegrity::Ok);
-    CheckpointReader r(dir);
-    EXPECT_EQ(r.section("alpha").getU64("x"), 11u);
-
-    // A corrupt v1 checkpoint sails through the probe — exactly why
-    // the format moved to 2.
-    auto size = std::filesystem::file_size(dir + "/data.bin");
-    patchFile(dir + "/data.bin", static_cast<long>(size) - 3, 'X');
-    EXPECT_EQ(probeCheckpoint(dir).status, CkptIntegrity::Ok);
+    // Format 2 kept the identity and section table in manifest.json
+    // and began data.bin with the first section's records.
+    std::string dir = tempDir("probe_format2");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    CheckpointOut alpha("alpha");
+    alpha.putU64("x", 11);
+    CheckpointOut beta("beta");
+    beta.putStr("y", "payload bytes the crc covers");
+    {
+        std::ofstream data(dir + "/data.bin", std::ios::binary);
+        data << alpha.bytes() << beta.bytes();
+        std::ofstream manifest(dir + "/manifest.json");
+        manifest << "{\"format_version\": \"2\", \"sections\": []}\n";
+    }
+    CkptProbe probe = probeCheckpoint(dir);
+    EXPECT_EQ(probe.status, CkptIntegrity::UnsupportedVersion);
+    EXPECT_DEATH(CheckpointReader r(dir), "format version");
 }
 
 TEST(CheckpointProbe, FutureVersionIsUnsupported)
 {
     std::string dir = probeFixture("probe_future");
-    std::string path = dir + "/manifest.json";
-    std::ifstream in(path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string text = buf.str();
-    in.close();
-    auto vpos = text.find("\"format_version\": \"2\"");
-    ASSERT_NE(vpos, std::string::npos);
-    text.replace(vpos, std::strlen("\"format_version\": \"2\""),
-                 "\"format_version\": \"99\"");
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << text;
-    }
+    patchFile(dir + "/data.bin", 4, 99); // The header's version field.
     EXPECT_EQ(probeCheckpoint(dir).status,
               CkptIntegrity::UnsupportedVersion);
     EXPECT_DEATH(CheckpointReader r(dir), "format version");
+}
+
+/** @p path's bytes. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+TEST(CheckpointProbe, IndexDamageIsCrcMismatch)
+{
+    // A renamed section and an edited tick live in the index: both
+    // are corruption, caught before any section is served.
+    std::string dir = probeFixture("probe_index_name");
+    std::string data = dir + "/data.bin";
+    auto name = fileBytes(data).find("beta");
+    ASSERT_NE(name, std::string::npos);
+    patchFile(data, static_cast<long>(name), 'z');
+    CkptProbe probe = probeCheckpoint(dir);
+    EXPECT_EQ(probe.status, CkptIntegrity::CrcMismatch);
+    EXPECT_NE(probe.detail.find("the index"), std::string::npos)
+        << probe.detail;
+    EXPECT_DEATH(CheckpointReader r(dir), "fails CRC");
+
+    // The tick (777 = 0x309) follows its key in the index.
+    dir = probeFixture("probe_index_tick");
+    data = dir + "/data.bin";
+    auto tick = fileBytes(data).find("tick");
+    ASSERT_NE(tick, std::string::npos);
+    patchFile(data, static_cast<long>(tick + 4), 0x08);
+    EXPECT_EQ(probeCheckpoint(dir).status, CkptIntegrity::CrcMismatch);
+}
+
+TEST(CheckpointProbe, EveryByteIsChecked)
+{
+    // A one-byte change anywhere in data.bin — header, index or
+    // section — turns the probe non-Ok.
+    std::string dir = probeFixture("probe_every_byte");
+    std::string data = dir + "/data.bin";
+    const std::string intact = fileBytes(data);
+    for (std::size_t i = 0; i < intact.size(); ++i) {
+        patchFile(data, static_cast<long>(i),
+                  static_cast<char>(intact[i] ^ 0x01));
+        EXPECT_FALSE(probeCheckpoint(dir).ok()) << "byte " << i;
+        patchFile(data, static_cast<long>(i), intact[i]);
+    }
+    EXPECT_TRUE(probeCheckpoint(dir).ok());
+}
+
+TEST(CheckpointRotation, DamagedIndexFallsBackToOlderRotation)
+{
+    std::string base = tempDir("ckpt_rotation_index");
+    std::filesystem::remove_all(base);
+    {
+        Simulation sim;
+        sim.setConfigFingerprint(0x77);
+        EventFunction step([] {}, "step");
+        for (Tick when : {Tick{100}, Tick{200}}) {
+            sim.eventQueue().schedule(step, when);
+            sim.eventQueue().runOne();
+            sim.saveRotatedCheckpoint(base, 2);
+        }
+    }
+    std::vector<std::string> rotations = listRotations(base);
+    ASSERT_EQ(rotations.size(), 2u);
+    std::string newest = rotations.back() + "/data.bin";
+    auto name = fileBytes(newest).find("sim.pool");
+    ASSERT_NE(name, std::string::npos);
+    patchFile(newest, static_cast<long>(name + 7), '1');
+
+    Simulation sim;
+    sim.setConfigFingerprint(0x77);
+    ::testing::internal::CaptureStderr();
+    sim.restoreCheckpoint(base, false, /*lenient=*/true);
+    std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(sim.restored());
+    EXPECT_EQ(sim.curTick(), 100u);
+    EXPECT_NE(log.find("ckpt-corrupt: skipping checkpoint '" +
+                       rotations.back() + "' (crc-mismatch)"),
+              std::string::npos)
+        << log;
 }
 
 // Fingerprint policy ---------------------------------------------------

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/shader_builder.hh"
 #include "gpu/gpu_top.hh"
 #include "mem/frfcfs_scheduler.hh"
 #include "mem/memory_system.hh"
+#include "scenes/workloads.hh"
 #include "sim/simulation.hh"
+#include "soc/configs.hh"
 
 using namespace emerald;
 using namespace emerald::gpu;
@@ -268,6 +273,63 @@ TEST(SimtCoreTiming, ManyWarpsHideMemoryLatency)
 }
 
 // One bit per warp slot in the core's issue-blocked mask.
+TEST(SimtCoreTiming, CyclesActiveIsTheUnionOfWarpLifetimes)
+{
+    // Render one small frame event by event and mark, per core, every
+    // cycle from a warp's launch to its retirement. Residency changes
+    // only inside the core's own tick, so between two observations it
+    // held for every cycle in between, whether the core ticked or
+    // slept through them.
+    soc::StandaloneGpu rig(128, 96);
+    bool done = false;
+    scenes::SceneRenderer scene(
+        rig.pipeline(), scenes::makeWorkload(scenes::WorkloadId::W3_Cube),
+        rig.functionalMemory());
+    scene.renderFrame(0, [&](const core::FrameStats &) { done = true; });
+
+    GpuTop &gpu = rig.gpu();
+    const unsigned cores = gpu.numCores();
+    ClockDomain &clk = gpu.core(0).clockDomain();
+    std::vector<std::vector<bool>> busy(cores);
+    std::vector<unsigned> resident(cores, 0);
+    std::vector<std::uint64_t> launched(cores, 0);
+    std::vector<Cycle> seen(cores, 0);
+    auto mark = [&](unsigned c, Cycle from, Cycle to) {
+        if (busy[c].size() <= to)
+            busy[c].resize(to + 1, false);
+        std::fill(busy[c].begin() + static_cast<long>(from),
+                  busy[c].begin() + static_cast<long>(to) + 1, true);
+    };
+    while (!done && rig.sim().eventQueue().runOne()) {
+        Cycle now = clk.curCycle();
+        for (unsigned c = 0; c < cores; ++c) {
+            const SimtCore &core = gpu.core(c);
+            if (resident[c] > 0)
+                mark(c, seen[c], now);
+            if (core.residentWarps() > 0 ||
+                core.tasksLaunched() != launched[c])
+                mark(c, now, now);
+            resident[c] = core.residentWarps();
+            launched[c] = core.tasksLaunched();
+            seen[c] = now;
+        }
+    }
+    ASSERT_TRUE(done);
+
+    double slept = 0;
+    for (unsigned c = 0; c < cores; ++c) {
+        const SimtCore &core = gpu.core(c);
+        auto lifetime = std::count(busy[c].begin(), busy[c].end(), true);
+        EXPECT_GT(lifetime, 0) << "core " << c;
+        EXPECT_EQ(core.statCyclesActive.value(),
+                  static_cast<double>(lifetime))
+            << "core " << c;
+        slept += core.statCyclesMemWait.value();
+    }
+    // The frame does wait on memory with warps resident.
+    EXPECT_GT(slept, 0.0);
+}
+
 TEST(SimtCoreDeathTest, MoreThan64WarpSlotsIsFatal)
 {
     EXPECT_DEATH(

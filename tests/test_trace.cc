@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "core/trace.hh"
 #include "scenes/shaders.hh"
@@ -100,6 +101,30 @@ TEST(Trace, CorruptTraceIsRefused)
     f.get(byte);
     f.seekp(mid);
     f.put(static_cast<char>(byte ^ 0x01));
+    f.close();
+
+    EXPECT_FALSE(loadTrace(dir).has_value());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Trace, RenamedSectionIsRefusedAsCorrupt)
+{
+    // Section names live in data.bin's CRC-checked index: renaming
+    // one is corruption, refused before any draw is decoded.
+    std::string dir = tempDir("trace_renamed");
+    saveTrace(dir, makeCubeTrace(64, 48, 1));
+    std::string data = dir + "/data.bin";
+    std::string bytes;
+    {
+        std::ifstream in(data, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    auto name = bytes.find("draw0");
+    ASSERT_NE(name, std::string::npos);
+    std::fstream f(data, std::ios::in | std::ios::out |
+                             std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(name + 4));
+    f.put('7');
     f.close();
 
     EXPECT_FALSE(loadTrace(dir).has_value());

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <tuple>
 #include <vector>
 
@@ -114,6 +116,36 @@ TEST(TrafficTrace, MissingDirectoryIsFatal)
 {
     EXPECT_DEATH(
         mem::TrafficTraceReader(tempDir("trace_nonexistent")), "");
+}
+
+TEST(TrafficTrace, RenamedSectionIsCorruption)
+{
+    // A client section renamed in data.bin's index fails the index
+    // CRC; the reader never gets as far as a missing section.
+    std::string dir = tempDir("trace_renamed");
+    {
+        mem::TrafficTraceWriter writer(dir, "unit", 0x1000);
+        writer.addClient("c0");
+        writer.beginFrame(100);
+        writer.record(0, 150, 0x2000, AccessKind::Texture, false);
+        writer.endFrame(300, 640.0);
+        writer.finalize();
+    }
+    std::string data = dir + "/data.bin";
+    std::string bytes;
+    {
+        std::ifstream in(data, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    auto name = bytes.find("client0");
+    ASSERT_NE(name, std::string::npos);
+    std::fstream f(data, std::ios::in | std::ios::out |
+                             std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(name + 6));
+    f.put('1');
+    f.close();
+
+    EXPECT_DEATH(mem::TrafficTraceReader reader(dir), "fails CRC");
 }
 
 TEST(TrafficTraceSoc, CaptureProducesOneClientPerCore)
