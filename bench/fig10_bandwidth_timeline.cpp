@@ -69,7 +69,6 @@ runScenario(int argc, char **argv)
     harness.record("total_bytes",
                    static_cast<double>(soc.memory().totalBytes()));
     harness.record("mean_gpu_frame_ms", soc.meanGpuFrameMs());
-    harness.addSimStats(soc.sim(), "");
 
     std::printf("\npaper shape: CPU bursts between GPU frames; GPU "
                 "dominates during rendering\n");
@@ -79,7 +78,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "fig10_bandwidth_timeline",
     .desc = "Fig. 10: M3-HMC DRAM bandwidth per source over time",
-    .axes = {"frames"},
     .expectedShape = "CPU bursts between GPU frames; GPU dominates during rendering",
     .run = runScenario,
     .kind = ScenarioKind::Figure,

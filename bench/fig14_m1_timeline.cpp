@@ -29,7 +29,6 @@ runAndPrint(soc::MemConfig config, BenchHarness &harness)
                    soc.display().statRequests.value());
     harness.record(prefix + ".display_aborted",
                    soc.display().statFramesAborted.value());
-    harness.addSimStats(soc.sim(), prefix);
 
     std::printf("--- %s ---\n", soc::memConfigName(config));
     std::printf("GPU mean read latency: %.0f ns; display serviced "
@@ -89,7 +88,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "fig14_m1_timeline",
     .desc = "Fig. 14: M1 bandwidth timeline, BAS vs DTB, high load",
-    .axes = {},
     .expectedShape = "DTB boosts CPU share, squeezes GPU bandwidth; display starved",
     .run = runScenario,
     .kind = ScenarioKind::Figure,

@@ -53,7 +53,7 @@ labelledPath(const std::string &path, const std::string &label)
  * arguments, interprets --quick, hands out the recipe of every
  * simulation the bench builds (builderFor) and collects the bench's
  * machine-readable output: named scalar results (the numbers the
- * bench prints) plus optional full simulation stat trees, handed to
+ * bench prints) plus every simulation's full stats tree, handed to
  * the StatsSink named by --stats-out=<uri> (a plain path writes the
  * JSON document, sqlite:<path> the sweep database, nothing/null
  * discards) when the harness goes out of scope.
@@ -87,18 +87,6 @@ class BenchHarness
     }
 
     /**
-     * Embed @p sim's full stats tree (captured now) under the label
-     * of its builderFor() call ("" files it as "sim").
-     */
-    void
-    addSimStats(Simulation &sim, const std::string &label)
-    {
-        if (_sink->live())
-            _sink->addStatsTree(label.empty() ? "sim" : label,
-                                sim.statsRoot());
-    }
-
-    /**
      * Recipe for the one SocTop / StandaloneGpu simulation named
      * @p label, carrying every simulation key of the command line.
      * The label scopes each per-simulation output:
@@ -106,11 +94,12 @@ class BenchHarness
      *    the checkpoint-scope fingerprint (ckptScopeFingerprintHex)
      *    keeps sweep points that share a label apart unless
      *    --ckpt-share-keys names their differing axes (docs/sweeps.md);
-     *  - --sim-stats-out and --trace-file: <stem>.<label><ext>;
-     *  - results, recorded when the rig exits: <label>.events,
-     *    <label>.wall_ms (host time from rig construction to exit)
-     *    and <label>.event_hash (53-bit fold, exact in JSON; 0
-     *    without --check-determinism).
+     *  - --trace-file: <stem>.<label><ext>;
+     *  - what the rig's exit files in --stats-out: the results
+     *    <label>.events, <label>.wall_ms (host time from rig
+     *    construction to exit) and <label>.event_hash (53-bit fold,
+     *    exact in JSON; 0 without --check-determinism), then the
+     *    whole stats tree under the label ("" files it as "sim").
      * A second rig built from one label (a repeated call, or a reused
      * builder) is fatal. A bench with one simulation passes "": bare
      * result keys, unscoped files, and <dir>/<scope>. The hang report
@@ -128,12 +117,9 @@ class BenchHarness
                               : label + "-" + scope;
         if (!dir.empty())
             builder.subdir(dir);
-        if (!label.empty()) {
+        if (!label.empty())
             builder.traceFile(
                 labelledPath(cfg.getString("trace-file", ""), label));
-            builder.statsOutOnExit(labelledPath(
-                cfg.getString("sim-stats-out", ""), label));
-        }
         std::string prefix = label.empty() ? "" : label + ".";
         builder.onBuild([this, label, prefix](Simulation &sim) {
             fatal_if(!_labels.insert(label).second,
@@ -141,7 +127,7 @@ class BenchHarness
                      "give each simulation its own builderFor() label",
                      label.c_str());
             auto start = std::chrono::steady_clock::now();
-            sim.atExit([this, prefix, start, &sim] {
+            sim.atExit([this, label, prefix, start, &sim] {
                 record(prefix + "events",
                        static_cast<double>(
                            sim.eventQueue().numProcessed()));
@@ -152,6 +138,9 @@ class BenchHarness
                 record(prefix + "event_hash",
                        static_cast<double>(sim.determinismHash() &
                                            ((1ULL << 53) - 1)));
+                if (_sink->live())
+                    _sink->addStatsTree(label.empty() ? "sim" : label,
+                                        sim.statsRoot());
             });
         });
         return builder;

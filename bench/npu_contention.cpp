@@ -89,9 +89,6 @@ runScenario(int argc, char **argv)
                                npu_miss);
                 harness.record(label + ".npu_dropped", npu_drop);
                 harness.record(label + ".npu_inf_ms", npu_inf_ms);
-                // The NPU-on runs carry the full stats tree
-                // (soc.npu.* lands in --stats-out) for sweep queries.
-                harness.addSimStats(soc.sim(), label);
             }
         }
         std::printf("%-6s | %8.3f %8.3f | %8.3f %8.3f | "
@@ -116,9 +113,6 @@ const RegisterScenario reg{{
     .name = "npu_contention",
     .desc = "NPU-in-the-mix contention: figs 9/12/13 with a fourth "
             "memory client",
-    .axes = {"npu-tile", "npu-model", "npu-fps", "npu-frames",
-             "npu-queue-depth", "npu-dma-outstanding",
-             "npu-scratch-kb", "quick"},
     .expectedShape = "NPU-on inflates total frame time far more "
                      "under FR-FCFS (BAS) than DASH; deadline "
                      "misses and inference latency shift between "

@@ -1,11 +1,11 @@
 /**
  * @file
  * Declarative bench scenario registry. Every figure/ablation bench
- * registers itself here (name, description, the Config axes it
- * reads, the expected paper shape, and its entry point); the single
- * emerald_bench binary runs them by name (--run=<name>, --list) and
- * the sweep driver (src/sweep/) enumerates them programmatically
- * instead of exec'ing bespoke binaries.
+ * registers itself here (name, description, the expected paper shape,
+ * and its entry point); the single emerald_bench binary runs them by
+ * name (--run=<name>, --list) and the sweep driver (src/sweep/)
+ * enumerates them programmatically instead of exec'ing bespoke
+ * binaries.
  */
 
 #ifndef EMERALD_BENCH_REGISTRY_HH
@@ -36,8 +36,6 @@ struct Scenario
 {
     std::string name;
     std::string desc;
-    /** Config keys this scenario reads as experiment axes. */
-    std::vector<std::string> axes;
     /** One-line expected-shape note (from the paper), "" if none. */
     std::string expectedShape;
     ScenarioFn run = nullptr;

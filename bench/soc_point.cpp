@@ -106,7 +106,6 @@ runScenario(int argc, char **argv)
         harness.record("npu_completed",
                        soc.npuCamera()->statCompleted.value());
     }
-    harness.addSimStats(soc.sim(), "");
 
     std::printf("soc_point %s/%s: gpu %.3f ms, total %.3f ms "
                 "(%.0f ms wall)\n",
@@ -119,11 +118,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "soc_point",
     .desc = "one SocTop run, fully parameterized — the sweep unit",
-    .axes = {"model", "config", "highload", "frames", "prep", "width",
-             "height", "fps", "channels", "warp-sched", "mem-sched",
-             "npu", "npu-tile", "npu-model", "npu-fps", "npu-frames",
-             "npu-queue-depth", "npu-dma-outstanding",
-             "npu-scratch-kb", "quick"},
     .expectedShape = "one fully-parameterized design point; no fixed shape",
     .run = runScenario,
     .kind = ScenarioKind::Aux,

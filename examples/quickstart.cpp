@@ -6,7 +6,9 @@
  *
  * Usage: quickstart [--width=256] [--height=192] [--wt=1]
  *                   [--frames=1] [--out=teapot.ppm]
- *                   [--trace-file=trace.json] [--profile]
+ *                   [--trace-file=trace.json] [--profile] [--stats]
+ *
+ * --stats prints the whole stats tree as JSON.
  */
 
 #include <cstdio>
@@ -74,8 +76,8 @@ main(int argc, char **argv)
     if (cfg.getBool("stats", false)) {
         std::printf("--- full stats dump ---\n");
         std::ostringstream os;
-        rig.sim().dumpStats(os);
-        std::fputs(os.str().c_str(), stdout);
+        rig.sim().statsRoot().dumpJson(os);
+        std::printf("%s\n", os.str().c_str());
     }
 
     if (EventTracer *tracer = rig.sim().tracer()) {

@@ -6,7 +6,6 @@
  * statistics.
  *
  * Usage: render_scenes [--width=256] [--height=192] [--outdir=.]
- *                      [--sim-stats-out=stats.json]
  *                      [--check-determinism] [--profile]
  */
 

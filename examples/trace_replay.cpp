@@ -10,8 +10,8 @@
  * live render. Exits 1 on any mismatch.
  *
  * Usage: trace_replay [--workload=W3] [--frames=3]
- *                     [--out=draw_trace] [--sim-stats-out=stats.json]
- *                     [--check-determinism] [--profile]
+ *                     [--out=draw_trace] [--check-determinism]
+ *                     [--profile]
  *
  * The simulation flags apply to both rigs.
  */

@@ -4,8 +4,7 @@
 # All figure benches live in one binary, build/bench/emerald_bench;
 # this script enumerates them with --list and runs each with
 # --run <name> (aux scenarios like soc_point, the sweep unit, are
-# skipped — emerald_sweep drives those; docs/sweeps.md). The
-# micro_kernels google-benchmark binary still runs separately.
+# skipped — emerald_sweep drives those; docs/sweeps.md).
 #
 # Usage: run_benches.sh [--stats-out <dir>]
 #   --stats-out <dir>   also write one machine-readable JSON results
@@ -55,16 +54,6 @@ while IFS=$'\t' read -r name kind _desc; do
         failed+=("$name")
     fi
 done < <("$BENCH" --list)
-
-# micro_kernels is a google-benchmark binary; it does not take the
-# emerald Config flags and is not in the scenario registry.
-MICRO="$SCRIPT_DIR/build/bench/micro_kernels"
-if [ -x "$MICRO" ]; then
-    if ! "$MICRO" 2>&1 | tee -a "$OUTPUT"; then
-        echo "BENCH_FAILED: micro_kernels" | tee -a "$OUTPUT" >&2
-        failed+=("micro_kernels")
-    fi
-fi
 
 if [ "${#failed[@]}" -gt 0 ]; then
     echo "FAILED_BENCHES: ${failed[*]}" | tee -a "$OUTPUT" >&2

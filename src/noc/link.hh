@@ -1,9 +1,8 @@
 /**
  * @file
  * A point-to-point interconnect link with latency, serialization
- * bandwidth and a bounded queue. Links compose into the crossbars
- * that form the GPU-internal network and the system NoC (paper
- * Fig. 1, elements 3-5). Response paths are modelled as latency only
+ * bandwidth and a bounded queue. Links form the GPU-internal network
+ * and the system NoC (paper Fig. 1, elements 3-5). Response paths are modelled as latency only
  * (gem5 "classic" network style).
  */
 

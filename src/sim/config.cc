@@ -16,9 +16,9 @@ namespace
 
 /**
  * Every --key some bench, example or the simulation kernel reads.
- * parseArgs rejects anything else (with a near-miss suggestion)
- * unless --allow-unknown-args is given; keeping the table here, next
- * to the parser, makes "add a flag" a one-line change.
+ * parseArgs rejects anything else (with a near-miss suggestion);
+ * keeping the table here, next to the parser, makes "add a flag" a
+ * one-line change.
  */
 const char *const knownKeys[] = {
     // Simulation kernel (SimulationBuilder::observability).
@@ -26,13 +26,10 @@ const char *const knownKeys[] = {
     "checkpoint-dir", "checkpoint-every", "checkpoint-keep",
     "fault-plan", "fault-seed", "hang-report-path", "mem-sched",
     "profile", "replay-trace", "restore", "restore-force",
-    "sim-stats-out", "trace-file", "warp-sched", "watchdog-mode",
-    "watchdog-ticks",
+    "trace-file", "warp-sched", "watchdog-mode", "watchdog-ticks",
     // Run supervisor (bench_main --supervise).
     "supervise", "supervise-backoff-ms", "supervise-dir",
     "supervise-kill-after-ms", "supervise-retries",
-    // Parser control.
-    "allow-unknown-args",
     // Benches and examples.
     "alpha", "beta", "channels", "config", "fps", "frames", "gamma",
     "height", "highload", "maxwt", "model", "n", "name", "npu",
@@ -52,13 +49,12 @@ const char *const knownKeys[] = {
  * in these keys are the same design point.
  */
 const char *const fingerprintExcludedKeys[] = {
-    "allow-unknown-args", "bench-bin", "capture-trace",
-    "check-determinism", "checkpoint-at", "checkpoint-dir",
-    "checkpoint-every", "checkpoint-keep", "ckpt-share-keys", "db",
-    "dry-run", "git-sha", "hang-report-path", "jobs", "list", "name",
-    "out", "outdir", "profile", "replay-trace", "restore",
-    "restore-force", "retries", "retry-backoff-ms", "run",
-    "sim-stats-out", "spec", "stats", "stats-out", "supervise",
+    "bench-bin", "capture-trace", "check-determinism",
+    "checkpoint-at", "checkpoint-dir", "checkpoint-every",
+    "checkpoint-keep", "ckpt-share-keys", "db", "dry-run", "git-sha",
+    "hang-report-path", "jobs", "list", "name", "out", "outdir",
+    "profile", "replay-trace", "restore", "restore-force", "retries",
+    "retry-backoff-ms", "run", "spec", "stats", "stats-out", "supervise",
     "supervise-backoff-ms", "supervise-dir",
     "supervise-kill-after-ms", "supervise-retries", "trace-file",
     "watchdog-mode", "watchdog-ticks",
@@ -80,12 +76,10 @@ rejectUnknownKey(const std::string &key)
                                    std::end(knownKeys));
     std::string suggestion = nearestMatch(key, known);
     if (!suggestion.empty()) {
-        fatal("unknown option '--%s' — did you mean '--%s'? (pass "
-              "--allow-unknown-args to skip this check)",
+        fatal("unknown option '--%s' — did you mean '--%s'?",
               key.c_str(), suggestion.c_str());
     }
-    fatal("unknown option '--%s' (pass --allow-unknown-args to skip "
-          "this check)", key.c_str());
+    fatal("unknown option '--%s'", key.c_str());
 }
 
 } // namespace
@@ -93,15 +87,6 @@ rejectUnknownKey(const std::string &key)
 void
 Config::parseArgs(int argc, char **argv)
 {
-    // First pass: the opt-out may appear anywhere on the line.
-    bool allow_unknown = false;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--allow-unknown-args" ||
-            arg.rfind("--allow-unknown-args=", 0) == 0)
-            allow_unknown = true;
-    }
-
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0)
@@ -110,7 +95,7 @@ Config::parseArgs(int argc, char **argv)
         std::string key = eq != std::string::npos
                               ? arg.substr(2, eq - 2)
                               : arg.substr(2);
-        if (!allow_unknown && !isKnownKey(key))
+        if (!isKnownKey(key))
             rejectUnknownKey(key);
         if (eq != std::string::npos) {
             set(key, arg.substr(eq + 1));

@@ -63,9 +63,8 @@ class Config
      *
      * Keys are validated against the table of options the tools
      * actually read, so a typo like --fault-sed fails loudly (with a
-     * near-miss suggestion) instead of being silently ignored. Pass
-     * --allow-unknown-args to opt out, e.g. when feeding one argv to
-     * several parsers. Programmatic set() is never validated.
+     * near-miss suggestion) instead of being silently ignored.
+     * Programmatic set() is never validated.
      */
     void parseArgs(int argc, char **argv);
 

@@ -265,10 +265,8 @@ ProgressWatchdog::abortWithReport(const char *kind)
             os << "}\n";
         }
     }
-    // abort skips destructors, so flush the JSON stats sink first;
     // panic() is the one sanctioned abort path and carries the
     // report to stderr.
-    _sim.flushStatsSink();
     panic("%s", _lastReport.c_str());
 }
 

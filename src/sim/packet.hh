@@ -223,9 +223,9 @@ class MemSink
      * queued: the sink calls req.retryRequest() when capacity frees
      * (FIFO among waiters). The caller must not re-offer until then.
      *
-     * Routing sinks (crossbars, the memory system) override this to
-     * register the requestor with the component that actually ran out
-     * of capacity, so wakeups come from the right queue.
+     * A routing sink (the memory system) overrides this to register
+     * the requestor with the component that actually ran out of
+     * capacity, so wakeups come from the right queue.
      */
     virtual bool
     offer(MemPacket *pkt, MemRequestor &req)

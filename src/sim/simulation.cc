@@ -1,7 +1,5 @@
 #include "sim/simulation.hh"
 
-#include <fstream>
-
 #include <algorithm>
 #include <filesystem>
 #include <optional>
@@ -130,29 +128,6 @@ Simulation::~Simulation()
     _faultDomain.setCheckContext(nullptr);
 
     flushStatsSink();
-}
-
-void
-Simulation::writeStatsAtExit(const std::string &path)
-{
-    fatal_if(path.rfind("sqlite:", 0) == 0,
-             "--sim-stats-out=%s: the exit dump takes a JSON path; use "
-             "--stats-out=%s to store the run in the sweep database",
-             path.c_str(), path.c_str());
-    if (path.empty() || path == "null")
-        return;
-    // Append mode probes without truncating: the dump is written at
-    // flushStatsSink.
-    fatal_if(!std::ofstream(path, std::ios::app),
-             "cannot open --sim-stats-out file '%s' for writing",
-             path.c_str());
-    atExit([this, path] {
-        std::ofstream os(path);
-        if (os.is_open())
-            dumpStatsJson(os);
-        else
-            warn("cannot open stats file '%s'", path.c_str());
-    });
 }
 
 void

@@ -9,7 +9,6 @@
 
 #include <functional>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -84,18 +83,8 @@ class Simulation
     /** Run until the event queue drains or @p limit is reached. */
     std::uint64_t run(Tick limit = maxTick) { return _eq.runUntil(limit); }
 
-    /** Dump all stats as "name value # desc" lines. */
-    void dumpStats(std::ostream &os) { _statsRoot.dumpStats(os); }
-
     /** Root of the stats tree (StatsSink capture, flattening). */
     const StatGroup &statsRoot() const { return _statsRoot; }
-
-    /** Dump all stats as one machine-readable JSON tree. */
-    void dumpStatsJson(std::ostream &os)
-    {
-        _statsRoot.dumpJson(os);
-        os << "\n";
-    }
 
     /** Reset all stats without disturbing component state. */
     void resetStats() { _statsRoot.resetStats(); }
@@ -118,14 +107,6 @@ class Simulation
 
     /** The active tracer, or nullptr when tracing is off. */
     EventTracer *tracer() { return _tracer.get(); }
-
-    /**
-     * Exit stats dump: write the final dumpStatsJson tree to @p path
-     * ("" or "null" disables) as an exit action (atExit). Fatal now
-     * when @p path cannot be opened for writing or is a "sqlite:" URI
-     * (results for the sweep database go through --stats-out).
-     */
-    void writeStatsAtExit(const std::string &path);
 
     /**
      * Run @p action, after those added before it, at the first
@@ -196,9 +177,8 @@ class Simulation
 
     /**
      * Run the exit actions (atExit) now, once: later calls are no-ops,
-     * so the Simulation's own destructor cannot overwrite a dump a rig
-     * flushed while its components were alive. The watchdog's abort
-     * path calls this because abort() skips destructors.
+     * so the Simulation's own destructor cannot file again what a rig
+     * flushed while its components were alive.
      */
     void flushStatsSink();
 

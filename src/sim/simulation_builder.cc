@@ -31,13 +31,6 @@ SimulationBuilder::profiling(bool on)
 }
 
 SimulationBuilder &
-SimulationBuilder::statsOutOnExit(const std::string &path)
-{
-    _statsOutOnExit = path;
-    return *this;
-}
-
-SimulationBuilder &
 SimulationBuilder::checkDeterminism(bool on)
 {
     _checkDeterminism = on;
@@ -144,7 +137,6 @@ SimulationBuilder::observability(const Config &cfg)
 {
     traceFile(cfg.getString("trace-file", _traceFile));
     profiling(cfg.getBool("profile", _profiling));
-    statsOutOnExit(cfg.getString("sim-stats-out", _statsOutOnExit));
     checkDeterminism(cfg.getBool("check-determinism", _checkDeterminism));
     faultPlan(cfg.getString("fault-plan", _faultPlan),
               cfg.getU64("fault-seed", _faultSeed));
@@ -195,8 +187,6 @@ SimulationBuilder::applyTo(Simulation &sim) const
         sim.enableTracing(_traceFile);
     if (_profiling)
         sim.enableProfiling();
-    if (!_statsOutOnExit.empty())
-        sim.writeStatsAtExit(_statsOutOnExit);
     if (_checkDeterminism)
         sim.enableDeterminismCheck();
     // The checkpoint trigger attaches after the determinism verifier

@@ -1,9 +1,8 @@
 /**
  * @file
- * Fluent construction recipe for a Simulation: clock domains,
- * observability (tracing / profiling), and stats sinks. Replaces the
- * copy-pasted "parse config, wire tracer, dump stats at the end"
- * prologue of the benches and examples.
+ * Fluent construction recipe for a Simulation: clock domains and
+ * observability (tracing / profiling). Replaces the copy-pasted
+ * "parse config, wire tracer" prologue of the benches and examples.
  */
 
 #ifndef EMERALD_SIM_SIMULATION_BUILDER_HH
@@ -72,12 +71,6 @@ class SimulationBuilder
 
     /** Enable the sim.profile.* event counters. */
     SimulationBuilder &profiling(bool on = true);
-
-    /**
-     * Write the final dumpStatsJson tree to @p path at destruction
-     * (--sim-stats-out; "" or "null" disables).
-     */
-    SimulationBuilder &statsOutOnExit(const std::string &path);
 
     /**
      * Hash the processed event stream into sim.check.event_hash for
@@ -174,9 +167,8 @@ class SimulationBuilder
 
     /**
      * Read the observability keys from @p cfg: "trace-file" (path),
-     * "profile" (bool), "sim-stats-out" (JSON path, dumped at exit),
-     * "check-determinism" (bool, --check-determinism on the CLI),
-     * the robustness keys "fault-plan" (campaign string),
+     * "profile" (bool), "check-determinism" (bool), the robustness
+     * keys "fault-plan" (campaign string),
      * "fault-seed" (integer), "watchdog-ticks" (duration: "1ms",
      * "250us", or raw ticks) and "watchdog-mode" (abort|degrade),
      * "hang-report-path" (file the watchdog's abort mode writes its
@@ -215,7 +207,6 @@ class SimulationBuilder
 
     std::vector<DomainSpec> _domains;
     std::string _traceFile;
-    std::string _statsOutOnExit;
     bool _profiling = false;
     bool _checkDeterminism = false;
     std::string _faultPlan;

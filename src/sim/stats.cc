@@ -41,12 +41,6 @@ Stat::Stat(StatGroup &parent, std::string name, std::string desc)
 }
 
 void
-Scalar::dump(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << " " << _value << " # " << desc() << "\n";
-}
-
-void
 Scalar::dumpJson(std::ostream &os) const
 {
     os << "{\"type\":\"scalar\",\"value\":" << jsonNumber(_value)
@@ -92,21 +86,6 @@ Distribution::reset()
     _sum = 0.0;
     _min = 0.0;
     _max = 0.0;
-}
-
-void
-Distribution::dump(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << ".count " << _count << " # " << desc()
-       << " (samples)\n";
-    os << prefix << name() << ".mean " << mean() << " # " << desc()
-       << " (mean)\n";
-    os << prefix << name() << ".min " << min() << " # " << desc()
-       << " (min)\n";
-    os << prefix << name() << ".max " << max() << " # " << desc()
-       << " (max)\n";
-    os << prefix << name() << ".total " << total() << " # " << desc()
-       << " (total)\n";
 }
 
 void
@@ -169,17 +148,6 @@ TimeSeries::add(Tick when, double value)
     if (idx >= _buckets.size())
         _buckets.resize(idx + 1, 0.0);
     _buckets[idx] += value;
-}
-
-void
-TimeSeries::dump(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << ".nbuckets " << _buckets.size() << " # "
-       << desc() << "\n";
-    for (std::size_t i = 0; i < _buckets.size(); ++i) {
-        os << prefix << name() << "[" << i << "] " << _buckets[i]
-           << " # " << desc() << "\n";
-    }
 }
 
 void
@@ -260,18 +228,6 @@ StatGroup::fullStatName() const
     if (parent_name.empty())
         return _name;
     return parent_name + "." + _name;
-}
-
-void
-StatGroup::dumpStats(std::ostream &os) const
-{
-    std::string prefix = fullStatName();
-    if (!prefix.empty())
-        prefix += ".";
-    for (const Stat *stat : _stats)
-        stat->dump(os, prefix);
-    for (const StatGroup *child : _children)
-        child->dumpStats(os);
 }
 
 void

@@ -48,10 +48,6 @@ class Stat
     const std::string &name() const { return _name; }
     const std::string &desc() const { return _desc; }
 
-    /** Write one or more "name value # desc" lines. */
-    virtual void dump(std::ostream &os, const std::string &prefix)
-        const = 0;
-
     /**
      * Write this stat as one JSON object (no trailing newline), e.g.
      * {"type":"scalar","value":3,"desc":"..."}.
@@ -95,7 +91,6 @@ class Scalar : public Stat
 
     double value() const { return _value; }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(std::ostream &os) const override;
     void flatten(const StatValueVisitor &emit) const override;
     void reset() override { _value = 0.0; }
@@ -126,7 +121,6 @@ class Distribution : public Stat
     double min() const { return _count ? _min : 0.0; }
     double max() const { return _count ? _max : 0.0; }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(std::ostream &os) const override;
     void flatten(const StatValueVisitor &emit) const override;
     void reset() override;
@@ -168,7 +162,6 @@ class TimeSeries : public Stat
     /** Samples clamped into the last bucket by the maxBuckets cap. */
     std::uint64_t clampedSamples() const { return _clampedSamples; }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
     void dumpJson(std::ostream &os) const override;
     void flatten(const StatValueVisitor &emit) const override;
     void reset() override { _buckets.clear(); _clampedSamples = 0; }
@@ -206,21 +199,17 @@ class StatGroup
     /** Fully qualified dotted name. */
     std::string fullStatName() const;
 
-    /** Dump this group's stats and all children, depth first. */
-    void dumpStats(std::ostream &os) const;
-
     /**
      * Dump this group's subtree as a JSON object:
-     * {"stats":{"<name>":{...}},"groups":{"<name>":{...}}}.
-     * The output is machine-readable (bench diffing, BENCH_*.json)
-     * where dumpStats() is human-readable.
+     * {"stats":{"<name>":{...}},"groups":{"<name>":{...}}}, stats
+     * before child groups, each in registration order.
      */
     void dumpJson(std::ostream &os) const { dumpJson(os, 0); }
 
     /**
      * Flatten this subtree into (dotted name, value) rows: every
      * stat's full path relative to this group, expanded through
-     * Stat::flatten. The row order matches dumpStats().
+     * Stat::flatten. The row order matches dumpJson().
      */
     void flattenStats(const StatValueVisitor &emit) const;
 

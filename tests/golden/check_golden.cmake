@@ -1,7 +1,9 @@
 # Golden-hash check of one bench scenario: run it --quick with the
 # determinism check on, then require every <case>.event_hash to equal
-# the committed golden file (tools/check_restore.py). Registered by
-# tests/CMakeLists.txt; by hand:
+# the committed golden file (tools/check_restore.py) and the run's
+# --stats-out document to hold exactly one stats tree per simulation
+# (tests/check_stats_trees.py). Registered by tests/CMakeLists.txt;
+# by hand:
 #
 #   cmake -DBENCH=build/bench/emerald_bench
 #         -DSCENARIO=fig12_memsched_highload -DPYTHON=python3
@@ -29,4 +31,13 @@ execute_process(COMMAND ${PYTHON} ${CHECK} ${GOLDEN} ${OUT}
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${SCENARIO}: event hashes differ from ${GOLDEN}")
+endif()
+
+execute_process(COMMAND ${PYTHON}
+                        ${CMAKE_CURRENT_LIST_DIR}/../check_stats_trees.py
+                        ${OUT}
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${SCENARIO}: ${OUT} does not hold one stats "
+                        "tree per simulation")
 endif()

@@ -144,15 +144,6 @@ TEST(ConfigDeathTest, UnknownKeyWithoutNeighborStillRejected)
                  "unknown option '--zzqqxx'");
 }
 
-TEST(ConfigTest, AllowUnknownArgsOptsOut)
-{
-    Config cfg;
-    const char *argv[] = {"prog", "--allow-unknown-args",
-                          "--totally-custom=7"};
-    cfg.parseArgs(3, const_cast<char **>(argv));
-    EXPECT_EQ(cfg.getU64("totally-custom", 0), 7u);
-}
-
 TEST(ConfigTest, KnownKeysParseClean)
 {
     Config cfg;

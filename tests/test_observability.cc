@@ -12,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -362,59 +363,19 @@ TEST(JsonStats, SimulationDumpIncludesProfileGroup)
     sim.profiler().registerComponent("gpu");
 
     std::ostringstream os;
-    sim.dumpStatsJson(os);
+    sim.statsRoot().dumpJson(os);
     JsonValue doc = parseJson(os.str());
     const JsonValue &profile =
         doc.at("groups").at("sim").at("groups").at("profile");
     EXPECT_TRUE(profile.at("groups").object.count("gpu"));
     EXPECT_TRUE(profile.at("groups").object.count("other"));
-}
 
-TEST(JsonStats, RigExitDumpHoldsComponentGroups)
-{
-    std::string path =
-        ::testing::TempDir() + "emerald_rig_exit_dump.json";
-    std::remove(path.c_str());
-    {
-        soc::StandaloneGpu rig(64, 64, soc::caseStudy2GpuParams(),
-                               soc::caseStudy2MemParams(),
-                               SimulationBuilder().statsOutOnExit(path));
-        scenes::SceneRenderer scene(
-            rig.pipeline(),
-            scenes::makeWorkload(scenes::WorkloadId::W3_Cube),
-            rig.functionalMemory());
-        bool done = false;
-        scene.renderFrame(0, [&](const core::FrameStats &) {
-            done = true;
-        });
-        ASSERT_TRUE(rig.runUntil([&] { return done; }));
-    }
-    // Flushed by the rig while its components were alive, and not
-    // overwritten by the Simulation's own teardown afterwards.
-    JsonValue doc = parseJson(readFile(path));
-    const JsonValue &groups = doc.at("groups");
-    for (const char *group : {"sim", "gpu", "gfx", "dram"})
-        EXPECT_TRUE(groups.has(group)) << group;
-    EXPECT_DOUBLE_EQ(
-        groups.at("gfx").at("stats").at("frames").at("value").number, 1.0);
-}
-
-TEST(JsonStatsDeathTest, UnwritableExitDumpPathIsFatal)
-{
-    // Fails when the simulation is built, before it runs, not with a
-    // warning at teardown.
-    EXPECT_EXIT(SimulationBuilder()
-                    .statsOutOnExit("/nonexistent/emerald/y.json")
-                    .build(),
-                ::testing::ExitedWithCode(1),
-                "cannot open --sim-stats-out file "
-                "'/nonexistent/emerald/y.json'");
-}
-
-TEST(JsonStatsDeathTest, SqliteExitDumpPointsAtStatsOut)
-{
-    EXPECT_EXIT(SimulationBuilder().statsOutOnExit("sqlite:x.db").build(),
-                ::testing::ExitedWithCode(1), "use --stats-out=sqlite:x.db");
+    // The flattened view holds the same counters.
+    std::set<std::string> rows;
+    sim.statsRoot().flattenStats(
+        [&](const std::string &name, double) { rows.insert(name); });
+    EXPECT_TRUE(rows.count("sim.profile.gpu.numProcessed"));
+    EXPECT_TRUE(rows.count("sim.profile.other.wallNs"));
 }
 
 // ------------------------------------------------------------------
@@ -456,18 +417,6 @@ freshDir(const std::string &leaf)
     return dir;
 }
 
-double
-dumpedFrames(const std::string &path)
-{
-    return parseJson(readFile(path))
-        .at("groups")
-        .at("gfx")
-        .at("stats")
-        .at("frames")
-        .at("value")
-        .number;
-}
-
 TEST(BenchHarness, RecordsEventsWallTimeAndHashPerLabel)
 {
     std::string out = freshDir("harness_results") + "/r.json";
@@ -490,19 +439,35 @@ TEST(BenchHarness, RecordsEventsWallTimeAndHashPerLabel)
               results.at("event_hash").number);
 }
 
-TEST(BenchHarness, SimStatsOutAndTraceFileWriteOneFilePerLabel)
+TEST(BenchHarness, StatsOutTreeAndTraceFilePerLabel)
 {
     std::string dir = freshDir("harness_dumps");
     {
-        auto harness = makeHarness({"--sim-stats-out=" + dir + "/s.json",
+        auto harness = makeHarness({"--stats-out=" + dir + "/s.json",
                                     "--trace-file=" + dir + "/t.json"});
         renderOn(harness->builderFor("one"), 1);
         renderOn(harness->builderFor("two"), 2);
     }
-    EXPECT_FALSE(std::filesystem::exists(dir + "/s.json"));
+    // Each rig files its whole tree when it exits, while its
+    // components are alive: exactly one tree per label.
+    JsonValue stats = parseJson(readFile(dir + "/s.json"));
+    const JsonValue &trees = stats.at("sim");
+    EXPECT_EQ(trees.object.size(), 2u);
+    const std::pair<const char *, double> labels[] = {{"one", 1.0},
+                                                      {"two", 2.0}};
+    for (const auto &[label, frames] : labels) {
+        const JsonValue &groups = trees.at(label).at("groups");
+        for (const char *group : {"sim", "gpu", "gfx", "dram"})
+            EXPECT_TRUE(groups.has(group)) << label << ": " << group;
+        EXPECT_DOUBLE_EQ(groups.at("gfx")
+                             .at("stats")
+                             .at("frames")
+                             .at("value")
+                             .number,
+                         frames)
+            << label;
+    }
     EXPECT_FALSE(std::filesystem::exists(dir + "/t.json"));
-    EXPECT_DOUBLE_EQ(dumpedFrames(dir + "/s.one.json"), 1.0);
-    EXPECT_DOUBLE_EQ(dumpedFrames(dir + "/s.two.json"), 2.0);
     for (const char *trace : {"/t.one.json", "/t.two.json"}) {
         JsonValue doc = parseJson(readFile(dir + trace));
         EXPECT_FALSE(doc.array.empty()) << trace;
@@ -530,6 +495,34 @@ TEST(BenchHarness, CheckpointDirIsLabelThenScope)
         makeHarness({"--checkpoint-at=1ms", "--checkpoint-dir=ck"});
     EXPECT_EQ(plain->builderFor("BAS").checkpointDir(), "ck/BAS");
     EXPECT_EQ(plain->builderFor("").checkpointDir(), "ck");
+}
+
+TEST(JsonStats, RigExitDumpHoldsComponentGroups)
+{
+    std::string path = freshDir("rig_exit_dump") + "/s.json";
+    {
+        auto harness = makeHarness({"--stats-out=" + path});
+        renderOn(harness->builderFor(""), 1);
+    }
+    // Filed by the rig while its components were alive, not by the
+    // Simulation's own teardown afterwards.
+    JsonValue doc = parseJson(readFile(path));
+    const JsonValue &groups = doc.at("sim").at("sim").at("groups");
+    for (const char *group : {"sim", "gpu", "gfx", "dram"})
+        EXPECT_TRUE(groups.has(group)) << group;
+    EXPECT_DOUBLE_EQ(
+        groups.at("gfx").at("stats").at("frames").at("value").number, 1.0);
+}
+
+TEST(JsonStatsDeathTest, UnwritableExitDumpPathIsFatal)
+{
+    // The exit dump goes to --stats-out, whose sink opens with the
+    // harness: a bad path fails before any simulation is built, not
+    // with a warning at teardown.
+    EXPECT_EXIT(makeHarness({"--stats-out=/nonexistent/emerald/y.json"}),
+                ::testing::ExitedWithCode(1),
+                "cannot open stats-out file "
+                "'/nonexistent/emerald/y.json'");
 }
 
 TEST(BenchHarnessDeathTest, LabelReachingSecondSimulationIsFatal)
@@ -818,6 +811,24 @@ TEST(ConfigParse, RetiredStatsJsonAliasIsUnknown)
     Config cfg;
     EXPECT_DEATH(cfg.parseArgs(2, const_cast<char **>(argv)),
                  "unknown option '--stats-json'");
+}
+
+TEST(ConfigParse, RetiredSimStatsOutIsUnknown)
+{
+    // --stats-out holds every simulation's stats tree.
+    const char *argv[] = {"prog", "--sim-stats-out=x"};
+    Config cfg;
+    EXPECT_DEATH(cfg.parseArgs(2, const_cast<char **>(argv)),
+                 "unknown option '--sim-stats-out'");
+}
+
+TEST(ConfigParse, RetiredAllowUnknownArgsIsUnknown)
+{
+    const char *argv[] = {"prog", "--allow-unknown-args",
+                          "--totally-custom=7"};
+    Config cfg;
+    EXPECT_DEATH(cfg.parseArgs(3, const_cast<char **>(argv)),
+                 "unknown option '--allow-unknown-args'");
 }
 
 TEST(ConfigParse, AcceptsFullNumericRange)

@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "mem/functional_memory.hh"
-#include "noc/crossbar.hh"
 #include "noc/link.hh"
 #include "sim/clocked.hh"
 #include "sim/config.hh"
@@ -400,6 +399,22 @@ TEST(Clocked, TicksUntilIdleThenReactivates)
     EXPECT_EQ(ticker.ticks, 5);
 }
 
+namespace
+{
+
+/** @p root's flattenStats rows, by dotted name. */
+std::map<std::string, double>
+flatRows(const StatGroup &root)
+{
+    std::map<std::string, double> rows;
+    root.flattenStats([&](const std::string &name, double value) {
+        rows[name] = value;
+    });
+    return rows;
+}
+
+} // namespace
+
 TEST(Stats, ScalarAndDistributionDump)
 {
     StatGroup root("");
@@ -416,11 +431,16 @@ TEST(Stats, ScalarAndDistributionDump)
     EXPECT_EQ(dist.min(), 10.0);
     EXPECT_EQ(dist.max(), 20.0);
 
+    auto rows = flatRows(root);
+    EXPECT_EQ(rows.at("unit.count"), 3.0);
+    EXPECT_EQ(rows.at("unit.lat.count"), 2.0);
+    EXPECT_EQ(rows.at("unit.lat.mean"), 15.0);
+    EXPECT_EQ(rows.at("unit.lat.total"), 30.0);
     std::ostringstream os;
-    root.dumpStats(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("unit.count 3"), std::string::npos);
-    EXPECT_NE(text.find("unit.lat.mean 15"), std::string::npos);
+    root.dumpJson(os);
+    EXPECT_NE(os.str().find(
+                  "\"count\": {\"type\":\"scalar\",\"value\":3,"),
+              std::string::npos);
 
     root.resetStats();
     EXPECT_EQ(counter.value(), 0.0);
@@ -586,32 +606,6 @@ TEST(Link, BackpressureAndRetry)
     EXPECT_EQ(sink.count, 2u); // Delivered after the retry wake.
 }
 
-TEST(Crossbar, RoutesByFunction)
-{
-    Simulation sim;
-    noc::LinkParams lp;
-    lp.latency = ticksFromNs(1.0);
-    noc::Crossbar xbar(sim, "xbar", lp, [](const MemPacket &pkt) {
-        return pkt.addr < 0x1000 ? 0u : 1u;
-    });
-    SinkCounter low, high;
-    low.eq = high.eq = &sim.eventQueue();
-    xbar.addDestination(low);
-    xbar.addDestination(high);
-
-    auto send = [&](Addr a) {
-        auto *pkt = new MemPacket(a, 128, false, TrafficClass::Gpu,
-                                  AccessKind::GlobalData, 0, nullptr);
-        ASSERT_TRUE(xbar.tryAccept(pkt));
-    };
-    send(0x100);
-    send(0x2000);
-    send(0x200);
-    sim.run();
-    EXPECT_EQ(low.count, 2u);
-    EXPECT_EQ(high.count, 1u);
-}
-
 TEST(Stats, SimulationTreeDumpsComponentStats)
 {
     Simulation sim;
@@ -620,14 +614,14 @@ TEST(Stats, SimulationTreeDumpsComponentStats)
     noc::Link link(sim, "syslink", lp);
     (void)clk;
 
-    std::ostringstream os;
-    sim.dumpStats(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("syslink.packets 0"), std::string::npos);
-    EXPECT_NE(text.find("syslink.bytes 0"), std::string::npos);
+    auto rows = flatRows(sim.statsRoot());
+    ASSERT_TRUE(rows.count("syslink.packets"));
+    EXPECT_EQ(rows.at("syslink.packets"), 0.0);
+    ASSERT_TRUE(rows.count("syslink.bytes"));
+    EXPECT_EQ(rows.at("syslink.bytes"), 0.0);
 
     sim.resetStats();
-    std::ostringstream os2;
-    sim.dumpStats(os2);
-    EXPECT_FALSE(os2.str().empty());
+    std::ostringstream os;
+    sim.statsRoot().dumpJson(os);
+    EXPECT_NE(os.str().find("\"syslink\": {"), std::string::npos);
 }

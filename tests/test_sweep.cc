@@ -17,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "harness.hh"
 #include "sim/config.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
@@ -361,21 +362,27 @@ TEST(StatsSinkJson, LegacyDocumentShapeIsPreserved)
 
 TEST(StatsSinkJson, TreeModeMatchesDumpJsonByteForByte)
 {
-    // The --sim-stats-out exit dump is dumpStatsJson, byte for byte.
+    // A bench files each simulation's tree when the simulation exits,
+    // as its statsRoot().dumpJson, byte for byte.
     std::string path = tempPath("tree.json");
-    Simulation sim;
-    StatGroup gpu{sim.statsRoot(), "gpu"};
-    Scalar cycles{gpu, "cycles", "cycle count"};
-    Distribution lat{gpu, "lat", "request latency"};
-    cycles += 1234;
-    lat.sample(4);
-    lat.sample(8);
-    sim.writeStatsAtExit(path);
-    sim.flushStatsSink();
-
     std::ostringstream expected;
-    sim.dumpStatsJson(expected);
-    EXPECT_EQ(readFile(path), expected.str());
+    {
+        std::string stats_out = "--stats-out=" + path;
+        char prog[] = "t";
+        char *argv[] = {prog, stats_out.data()};
+        bench::BenchHarness harness(2, argv, "t");
+        std::unique_ptr<Simulation> sim = harness.builderFor("").build();
+        StatGroup gpu{sim->statsRoot(), "gpu"};
+        Scalar cycles{gpu, "cycles", "cycle count"};
+        Distribution lat{gpu, "lat", "request latency"};
+        cycles += 1234;
+        lat.sample(4);
+        lat.sample(8);
+        sim->statsRoot().dumpJson(expected);
+        sim->flushStatsSink();
+    }
+    EXPECT_TRUE(readFile(path).ends_with("  \"sim\": {\n    \"sim\": " +
+                                         expected.str() + "\n  }\n}\n"));
 }
 
 TEST(StatsSinkDeathTest, UnwritableJsonPathIsFatal)
