@@ -127,7 +127,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "ablation_concurrency",
     .desc = "Ablation: graphics + compute sharing the SIMT cores",
-    .expectedShape = "both directions slow down on shared cores/caches/DRAM",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

@@ -114,7 +114,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "ablation_energy",
     .desc = "Ablation: per-frame GPU energy vs work distribution",
-    .expectedShape = "shorter render windows cut static energy; DFSL tracks best static",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

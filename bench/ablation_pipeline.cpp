@@ -190,7 +190,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "ablation_pipeline",
     .desc = "Ablation: Hi-Z, TC coalescing and early-Z pipeline choices",
-    .expectedShape = "each mechanism saves cycles on its stressor scene",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

@@ -69,7 +69,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "fig09_memsched_regular",
     .desc = "Fig. 9: GPU frame time under regular load, normalized to BAS",
-    .expectedShape = "DCB/DTB ~1.19-1.20x, HMC ~2x",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

@@ -78,7 +78,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "fig10_bandwidth_timeline",
     .desc = "Fig. 10: M3-HMC DRAM bandwidth per source over time",
-    .expectedShape = "CPU bursts between GPU frames; GPU dominates during rendering",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

@@ -76,7 +76,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "fig11_rowbuffer",
     .desc = "Fig. 11: HMC row-buffer hit rate and bytes/activation vs BAS",
-    .expectedShape = "hit rate ~0.85x, bytes/act ~0.4x under HMC",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

@@ -103,7 +103,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "fig12_memsched_highload",
     .desc = "Fig. 12: high-load total/GPU frame time normalized to BAS",
-    .expectedShape = "HMC ~1.45x GPU time; DASH ~1.1-1.16x on the larger models",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

@@ -67,7 +67,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "fig13_display_service",
     .desc = "Fig. 13: display requests serviced relative to BAS, high load",
-    .expectedShape = "DTB services far less display traffic on M1/M3; HMC > BAS on M2/M4",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

@@ -88,7 +88,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "fig14_m1_timeline",
     .desc = "Fig. 14: M1 bandwidth timeline, BAS vs DTB, high load",
-    .expectedShape = "DTB boosts CPU share, squeezes GPU bandwidth; display starved",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

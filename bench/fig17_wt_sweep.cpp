@@ -67,7 +67,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "fig17_wt_sweep",
     .desc = "Fig. 17: frame time vs WT size, normalized to WT=1",
-    .expectedShape = "25-88% swing across WT sizes; optimum differs per workload",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

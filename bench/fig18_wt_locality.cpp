@@ -99,7 +99,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "fig18_wt_locality",
     .desc = "Fig. 18: W1 execution time and L1 misses vs WT",
-    .expectedShape = "execution time correlates ~0.78-0.82 with L1 miss counts",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

@@ -166,7 +166,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "fig19_dfsl",
     .desc = "Fig. 19: DFSL vs static work distributions (speedup over MLB)",
-    .expectedShape = "DFSL ~1.19x over MLB, ~1.073x over SOPT on average",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

@@ -113,10 +113,6 @@ const RegisterScenario reg{{
     .name = "npu_contention",
     .desc = "NPU-in-the-mix contention: figs 9/12/13 with a fourth "
             "memory client",
-    .expectedShape = "NPU-on inflates total frame time far more "
-                     "under FR-FCFS (BAS) than DASH; deadline "
-                     "misses and inference latency shift between "
-                     "schedulers",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
 }};

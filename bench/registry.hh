@@ -36,8 +36,6 @@ struct Scenario
 {
     std::string name;
     std::string desc;
-    /** One-line expected-shape note (from the paper), "" if none. */
-    std::string expectedShape;
     ScenarioFn run = nullptr;
     ScenarioKind kind = ScenarioKind::Figure;
 };

@@ -118,7 +118,6 @@ runScenario(int argc, char **argv)
 const RegisterScenario reg{{
     .name = "soc_point",
     .desc = "one SocTop run, fully parameterized — the sweep unit",
-    .expectedShape = "one fully-parameterized design point; no fixed shape",
     .run = runScenario,
     .kind = ScenarioKind::Aux,
 }};

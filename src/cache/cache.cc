@@ -3,8 +3,7 @@
 #include <bit>
 
 #include "sim/logging.hh"
-#include "sim/serialize/packet_serialize.hh"
-#include "sim/serialize/registry.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::cache
@@ -256,121 +255,62 @@ Cache::deliverResponses()
 }
 
 void
-Cache::serialize(CheckpointOut &out) const
+Cache::serialize(CheckpointIo &io)
 {
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-
     // An invalid way is written as tag 0, as it was stored before
-    // the tag store carried an invalid sentinel.
-    std::vector<std::uint64_t> valid, dirty, tag, last_use;
-    valid.reserve(_tags.size());
-    for (std::size_t w = 0; w < _tags.size(); ++w) {
-        const bool is_valid = _tags[w] != invalidTag;
-        valid.push_back(is_valid);
-        dirty.push_back(_dirty[w]);
-        tag.push_back(is_valid ? _tags[w] : 0);
-        last_use.push_back(_lastUse[w]);
+    // the tag store carried an invalid sentinel. Saving decodes what
+    // it encoded, which leaves the tag store as it was.
+    const std::size_t ways = _tags.size();
+    std::vector<std::uint64_t> valid(ways), tag(ways);
+    for (std::size_t w = 0; w < ways; ++w) {
+        valid[w] = _tags[w] != invalidTag;
+        tag[w] = valid[w] ? _tags[w] : 0;
     }
-    out.putU64Vec("line.valid", valid);
-    out.putU64Vec("line.dirty", dirty);
-    out.putU64Vec("line.tag", tag);
-    out.putU64Vec("line.last_use", last_use);
-    out.putU64("use_counter", _useCounter);
-
-    // Sorted by line address, so the same cache state always produces
-    // byte-identical sections whichever slots the entries occupy.
-    std::vector<const Mshr *> mshrs = _mshrs.entries();
-    out.putU64("num_mshrs", mshrs.size());
-    for (std::size_t i = 0; i < mshrs.size(); ++i) {
-        const Mshr &mshr = *mshrs[i];
-        std::string prefix = strprintf("mshr%zu", i);
-        out.putU64(prefix + ".line_addr", mshr.lineAddr);
-        out.putBool(prefix + ".fill_sent", mshr.fillSent);
-        out.putU64(prefix + ".num_targets", mshr.targets.size());
-        for (std::size_t j = 0; j < mshr.targets.size(); ++j) {
-            putPacket(out, prefix + strprintf(".t%zu", j),
-                      *mshr.targets[j], reg);
-        }
-    }
-
-    out.putU64("num_sends", _sendQueue.size());
-    for (std::size_t i = 0; i < _sendQueue.size(); ++i)
-        putPacket(out, strprintf("send%zu", i), *_sendQueue[i], reg);
-
-    out.putU64("num_resps", _respQueue.size());
-    std::size_t i = 0;
-    for (const Response &entry : _respQueue) {
-        std::string prefix = strprintf("resp%zu", i++);
-        out.putTick(prefix + ".when", entry.when);
-        putPacket(out, prefix, *entry.pkt, reg);
-    }
-
-    out.putBool("downstream_blocked", _downstreamBlocked);
-    retryList().serialize(out, "retry", reg);
-}
-
-void
-Cache::unserialize(CheckpointIn &in)
-{
-    panic_if(_mshrs.inUse() || !_sendQueue.empty() ||
-             !_respQueue.empty(),
-             "%s: unserialize into a non-empty cache", name().c_str());
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    PacketPool &pool = sim().packetPool();
-
-    auto valid = in.getU64Vec("line.valid");
-    auto dirty = in.getU64Vec("line.dirty");
-    auto tag = in.getU64Vec("line.tag");
-    auto last_use = in.getU64Vec("line.last_use");
-    fatal_if(valid.size() != _tags.size() ||
-                 dirty.size() != _tags.size() ||
-                 tag.size() != _tags.size() ||
-                 last_use.size() != _tags.size(),
-             "%s: checkpoint holds %zu cache lines but this "
-             "configuration has %zu",
-             name().c_str(), valid.size(), _tags.size());
-    for (std::size_t w = 0; w < _tags.size(); ++w) {
+    io.column("line.valid", valid);
+    io.column("line.dirty", _dirty);
+    io.column("line.tag", tag);
+    io.column("line.last_use", _lastUse);
+    for (std::size_t w = 0; w < ways; ++w) {
         fatal_if(valid[w] != 0 && tag[w] != lineAddrOf(tag[w]),
                  "%s: checkpointed line tag 0x%llx is not line-aligned",
                  name().c_str(), (unsigned long long)tag[w]);
         _tags[w] = valid[w] != 0 ? tag[w] : invalidTag;
-        _dirty[w] = dirty[w] != 0;
-        _lastUse[w] = last_use[w];
     }
-    _useCounter = in.getU64("use_counter");
+    io.scalar("use_counter", _useCounter);
 
-    std::uint64_t num_mshrs = in.getU64("num_mshrs");
-    for (std::uint64_t i = 0; i < num_mshrs; ++i) {
-        std::string prefix = strprintf("mshr%llu",
-                                       (unsigned long long)i);
-        Mshr &mshr = _mshrs.allocate(in.getU64(prefix + ".line_addr"));
-        mshr.fillSent = in.getBool(prefix + ".fill_sent");
-        std::uint64_t targets = in.getU64(prefix + ".num_targets");
-        for (std::uint64_t j = 0; j < targets; ++j) {
-            mshr.targets.push_back(
-                getPacket(in, prefix + strprintf(".t%llu",
-                                                 (unsigned long long)j),
-                          pool, reg));
-        }
-    }
+    // Sorted by line address, so the same cache state always produces
+    // byte-identical sections whichever slots the entries occupy.
+    std::vector<Mshr *> mshrs = _mshrs.entries();
+    io.sequence("num_mshrs", "mshr", mshrs,
+                [&](const std::string &key, Mshr *&mshr) {
+                    Addr line = mshr ? mshr->lineAddr : 0;
+                    io.scalar(key + ".line_addr", line);
+                    if (io.loading())
+                        mshr = &_mshrs.allocate(line);
+                    io.scalar(key + ".fill_sent", mshr->fillSent);
+                    io.sequence(key + ".num_targets", key + ".t",
+                                mshr->targets,
+                                [&](const std::string &target,
+                                    MemPacket *&pkt) {
+                                    io.packet(target, pkt);
+                                });
+                });
 
-    std::uint64_t num_sends = in.getU64("num_sends");
-    for (std::uint64_t i = 0; i < num_sends; ++i) {
-        _sendQueue.push_back(
-            getPacket(in, strprintf("send%llu", (unsigned long long)i),
-                      pool, reg));
-    }
+    io.sequence("num_sends", "send", _sendQueue,
+                [&](const std::string &key, MemPacket *&pkt) {
+                    io.packet(key, pkt);
+                });
 
-    std::uint64_t num_resps = in.getU64("num_resps");
-    for (std::uint64_t i = 0; i < num_resps; ++i) {
-        std::string prefix = strprintf("resp%llu",
-                                       (unsigned long long)i);
-        Tick when = in.getTick(prefix + ".when");
-        queueResponse(getPacket(in, prefix, pool, reg), when);
-    }
+    io.sequence(
+        "num_resps", "resp", _respQueue,
+        [&](const std::string &key, Response &entry) {
+            io.scalar(key + ".when", entry.when);
+            io.packet(key, entry.pkt);
+        },
+        [this](Response entry) { queueResponse(entry.pkt, entry.when); });
 
-    _downstreamBlocked = in.getBool("downstream_blocked");
-    retryList().unserialize(in, "retry", reg);
+    io.scalar("downstream_blocked", _downstreamBlocked);
+    retryList().serialize(io, "retry");
 }
 
 } // namespace emerald::cache

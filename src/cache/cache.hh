@@ -70,8 +70,7 @@ class Cache : public SimObject,
 
     void hangDiagnostics(std::ostream &os) const override;
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
 
     const CacheParams &params() const { return _params; }
 

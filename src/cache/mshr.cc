@@ -43,10 +43,10 @@ MshrFile::release(Addr line_addr)
     --_inUse;
 }
 
-std::vector<const Mshr *>
-MshrFile::entries() const
+std::vector<Mshr *>
+MshrFile::entries()
 {
-    std::vector<const Mshr *> live;
+    std::vector<Mshr *> live;
     live.reserve(_inUse);
     for (std::size_t i = 0; i < _slots.size(); ++i) {
         if (_lineOf[i] != freeSlot)

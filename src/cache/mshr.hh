@@ -67,7 +67,7 @@ class MshrFile
     std::size_t inUse() const { return _inUse; }
 
     /** All live entries sorted by line address, for checkpointing. */
-    std::vector<const Mshr *> entries() const;
+    std::vector<Mshr *> entries();
 
   private:
     /** _lineOf value of a free slot; no line address is all ones. */

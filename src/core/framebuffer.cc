@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
+#include "sim/fnv.hh"
 #include "sim/logging.hh"
+#include "sim/serialize/checkpoint_io.hh"
 
 namespace emerald::core
 {
@@ -96,14 +97,8 @@ Framebuffer::storePixel(int x, int y, const float rgba[4], Addr &addr)
 std::uint64_t
 Framebuffer::colorHash() const
 {
-    std::uint64_t hash = 14695981039346656037ULL;
-    for (std::uint32_t px : _color) {
-        for (int i = 0; i < 4; ++i) {
-            hash ^= (px >> (i * 8)) & 0xff;
-            hash *= 1099511628211ULL;
-        }
-    }
-    return hash;
+    return fnv1a(fnvOffsetBasis, _color.data(),
+                 _color.size() * sizeof(_color[0]));
 }
 
 bool
@@ -126,34 +121,13 @@ Framebuffer::writePpm(const std::string &path) const
 }
 
 void
-Framebuffer::serialize(CheckpointOut &out) const
+Framebuffer::serialize(CheckpointIo &io)
 {
-    out.putU64("width", _width);
-    out.putU64("height", _height);
-    out.putBool("depth_write", _depthWrite);
-    out.putBlob("color", _color.data(),
-                _color.size() * sizeof(_color[0]));
-    out.putBlob("depth", _depth.data(),
-                _depth.size() * sizeof(_depth[0]));
-}
-
-void
-Framebuffer::unserialize(CheckpointIn &in)
-{
-    fatal_if(in.getU64("width") != _width ||
-             in.getU64("height") != _height,
-             "framebuffer checkpoint is %llux%llu but this run is "
-             "%ux%u",
-             (unsigned long long)in.getU64("width"),
-             (unsigned long long)in.getU64("height"), _width, _height);
-    _depthWrite = in.getBool("depth_write");
-    const std::string &color = in.getBlob("color");
-    const std::string &depth = in.getBlob("depth");
-    fatal_if(color.size() != _color.size() * sizeof(_color[0]) ||
-             depth.size() != _depth.size() * sizeof(_depth[0]),
-             "framebuffer checkpoint plane size mismatch");
-    std::memcpy(_color.data(), color.data(), color.size());
-    std::memcpy(_depth.data(), depth.data(), depth.size());
+    io.match("width", _width, "the framebuffer width");
+    io.match("height", _height, "the framebuffer height");
+    io.scalar("depth_write", _depthWrite);
+    io.blob("color", _color);
+    io.blob("depth", _depth);
 }
 
 } // namespace emerald::core

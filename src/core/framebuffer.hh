@@ -84,8 +84,7 @@ class Framebuffer : public gpu::isa::RopIface, public Serializable
     /** Pack float RGBA in [0,1] to 8-bit ABGR (R in low byte). */
     static std::uint32_t packRgba(const float rgba[4]);
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
 
   private:
     std::size_t

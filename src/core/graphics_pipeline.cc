@@ -5,8 +5,7 @@
 
 #include "core/clipper.hh"
 #include "sim/logging.hh"
-#include "sim/serialize/packet_serialize.hh"
-#include "sim/serialize/registry.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::core
@@ -64,71 +63,42 @@ GraphicsPipeline::GraphicsPipeline(Simulation &sim,
 }
 
 void
-GraphicsPipeline::serialize(CheckpointOut &out) const
+FrameStats::serialize(CheckpointIo &io, const std::string &prefix)
+{
+    io.scalar(prefix + ".cycles", cycles);
+    io.scalar(prefix + ".start_tick", startTick);
+    io.scalar(prefix + ".end_tick", endTick);
+    io.scalar(prefix + ".vertices", vertices);
+    io.scalar(prefix + ".prims_in", primsIn);
+    io.scalar(prefix + ".prims_culled", primsCulled);
+    io.scalar(prefix + ".raster_tiles", rasterTiles);
+    io.scalar(prefix + ".hiz_rejects", hizRejects);
+    io.scalar(prefix + ".fragments", fragments);
+    io.scalar(prefix + ".frag_warps", fragWarps);
+    io.scalar(prefix + ".wt_size", wtSize);
+}
+
+void
+GraphicsPipeline::serialize(CheckpointIo &io)
 {
     // Only reached between frames (checkpointSafe()), so the draw
     // queue, clusters and warp counters are all empty; Hi-Z and the
     // framebuffer are cleared at the next beginFrame() anyway (the
     // displayed framebuffer is checkpointed separately by SocTop).
-    panic_if(_frameOpen, "%s: serialize with a frame open",
+    panic_if(_frameOpen, "%s: checkpoint with a frame open",
              name().c_str());
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    out.putU64("wt_size", _mapping->wtSize());
-    out.putU64("pending_wt_size", _pendingWtSize);
-    out.putU64("seq_counter", _seqCounter);
-    out.putU64("next_core_rr", _nextCoreRR);
-    out.putBool("l2_blocked", _l2Blocked);
-    out.putU64("num_l2_traffic", _l2Traffic.size());
-    for (std::size_t i = 0; i < _l2Traffic.size(); ++i)
-        putPacket(out, strprintf("l2t%zu", i), *_l2Traffic[i], reg);
-
-    out.putU64("last.cycles", _lastFrame.cycles);
-    out.putTick("last.start_tick", _lastFrame.startTick);
-    out.putTick("last.end_tick", _lastFrame.endTick);
-    out.putU64("last.vertices", _lastFrame.vertices);
-    out.putU64("last.prims_in", _lastFrame.primsIn);
-    out.putU64("last.prims_culled", _lastFrame.primsCulled);
-    out.putU64("last.raster_tiles", _lastFrame.rasterTiles);
-    out.putU64("last.hiz_rejects", _lastFrame.hizRejects);
-    out.putU64("last.fragments", _lastFrame.fragments);
-    out.putU64("last.frag_warps", _lastFrame.fragWarps);
-    out.putU64("last.wt_size", _lastFrame.wtSize);
-}
-
-void
-GraphicsPipeline::unserialize(CheckpointIn &in)
-{
-    panic_if(_frameOpen, "%s: unserialize with a frame open",
-             name().c_str());
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    PacketPool &pool = sim().packetPool();
-
-    _mapping->setWtSize(
-        static_cast<unsigned>(in.getU64("wt_size")));
-    _pendingWtSize =
-        static_cast<unsigned>(in.getU64("pending_wt_size"));
-    _seqCounter = in.getU64("seq_counter");
-    _nextCoreRR = static_cast<unsigned>(in.getU64("next_core_rr"));
-    _l2Blocked = in.getBool("l2_blocked");
-    std::uint64_t num_l2 = in.getU64("num_l2_traffic");
-    for (std::uint64_t i = 0; i < num_l2; ++i) {
-        _l2Traffic.push_back(
-            getPacket(in, strprintf("l2t%llu", (unsigned long long)i),
-                      pool, reg));
-    }
-
-    _lastFrame.cycles = in.getU64("last.cycles");
-    _lastFrame.startTick = in.getTick("last.start_tick");
-    _lastFrame.endTick = in.getTick("last.end_tick");
-    _lastFrame.vertices = in.getU64("last.vertices");
-    _lastFrame.primsIn = in.getU64("last.prims_in");
-    _lastFrame.primsCulled = in.getU64("last.prims_culled");
-    _lastFrame.rasterTiles = in.getU64("last.raster_tiles");
-    _lastFrame.hizRejects = in.getU64("last.hiz_rejects");
-    _lastFrame.fragments = in.getU64("last.fragments");
-    _lastFrame.fragWarps = in.getU64("last.frag_warps");
-    _lastFrame.wtSize =
-        static_cast<unsigned>(in.getU64("last.wt_size"));
+    unsigned wt_size = _mapping->wtSize();
+    io.scalar("wt_size", wt_size);
+    _mapping->setWtSize(wt_size);
+    io.scalar("pending_wt_size", _pendingWtSize);
+    io.scalar("seq_counter", _seqCounter);
+    io.scalar("next_core_rr", _nextCoreRR);
+    io.scalar("l2_blocked", _l2Blocked);
+    io.sequence("num_l2_traffic", "l2t", _l2Traffic,
+                [&](const std::string &key, MemPacket *&pkt) {
+                    io.packet(key, pkt);
+                });
+    _lastFrame.serialize(io, "last");
 }
 
 void

@@ -81,6 +81,9 @@ struct FrameStats
     std::uint64_t fragments = 0;
     std::uint64_t fragWarps = 0;
     unsigned wtSize = 1;
+
+    /** Checkpoint these stats under "<prefix>." keys. */
+    void serialize(CheckpointIo &io, const std::string &prefix);
 };
 
 class GraphicsPipeline : public SimObject,
@@ -135,8 +138,7 @@ class GraphicsPipeline : public SimObject,
         _progressListener = std::move(listener);
     }
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
     /** An open frame's in-flight pipeline state does not round-trip. */
     bool checkpointSafe() const override { return !_frameOpen; }
 

@@ -1,6 +1,7 @@
 #include "gpu/kernel.hh"
 
 #include "sim/logging.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::gpu
@@ -14,19 +15,12 @@ KernelDispatcher::KernelDispatcher(Simulation &sim,
 }
 
 void
-KernelDispatcher::serialize(CheckpointOut &out) const
+KernelDispatcher::serialize(CheckpointIo &io)
 {
-    panic_if(busy(), "%s: serialize with kernels in flight",
+    panic_if(busy(), "%s: checkpoint with kernels in flight",
              name().c_str());
-    out.putU64("next_core", _nextCore);
-    out.putI64("next_cta_key", _nextCtaKey);
-}
-
-void
-KernelDispatcher::unserialize(CheckpointIn &in)
-{
-    _nextCore = static_cast<unsigned>(in.getU64("next_core"));
-    _nextCtaKey = static_cast<int>(in.getI64("next_cta_key"));
+    io.scalar("next_core", _nextCore);
+    io.scalar("next_cta_key", _nextCtaKey);
 }
 
 void

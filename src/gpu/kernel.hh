@@ -56,8 +56,7 @@ class KernelDispatcher : public SimObject, public Clocked
 
     bool busy() const { return _current || !_pending.empty(); }
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
     /**
      * Launch queues hold program pointers and completion lambdas
      * that cannot travel through a checkpoint; only the idle

@@ -3,7 +3,9 @@
 #include <bit>
 
 #include "mem/traffic_trace.hh"
+#include "sim/fnv.hh"
 #include "sim/logging.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::gpu
@@ -80,51 +82,29 @@ SimtCore::SimtCore(Simulation &sim, const std::string &name,
 }
 
 void
-SimtCore::serialize(CheckpointOut &out) const
+SimtCore::serialize(CheckpointIo &io)
 {
     // Checkpoints only happen at quiescent points (checkpointSafe()),
     // so resident warps, LSU state and scoreboard entries are all
     // empty; only the allocation cursors that steer future decisions
     // need to survive.
-    panic_if(!idle(), "%s: serialize while busy", name().c_str());
-    std::vector<std::uint64_t> cursors;
-    for (const auto &sched : _warpScheds)
-        cursors.push_back(sched->cursorState());
-    out.putU64Vec("sched_cursor", cursors);
-    out.putStr("warp_sched", _warpScheds.empty()
-                                 ? ""
-                                 : _warpScheds[0]->policyName());
-    out.putU64("launch_seq", _launchSeq);
-    std::vector<std::uint64_t> free_list(_memInstrFreeList.begin(),
-                                         _memInstrFreeList.end());
-    out.putU64Vec("mem_instr_free_list", free_list);
-    out.putU64("num_mem_instrs", _memInstrs.size());
-}
-
-void
-SimtCore::unserialize(CheckpointIn &in)
-{
-    panic_if(!idle(), "%s: unserialize while busy", name().c_str());
-    auto cursors = in.getU64Vec("sched_cursor");
-    fatal_if(cursors.size() != _warpScheds.size(),
-             "%s: checkpoint holds %zu schedulers but this "
-             "configuration has %zu",
-             name().c_str(), cursors.size(), _warpScheds.size());
-    std::string policy = in.getStr("warp_sched");
-    fatal_if(!_warpScheds.empty() &&
-                 policy != _warpScheds[0]->policyName(),
-             "%s: checkpoint was taken under warp scheduler '%s' but "
-             "this run uses '%s'",
-             name().c_str(), policy.c_str(),
-             _warpScheds[0]->policyName());
-    for (std::size_t s = 0; s < cursors.size(); ++s)
-        _warpScheds[s]->setCursorState(cursors[s]);
-    _launchSeq = in.getU64("launch_seq");
-    _memInstrs.clear();
-    _memInstrs.resize(in.getU64("num_mem_instrs"));
-    _memInstrFreeList.clear();
-    for (std::uint64_t id : in.getU64Vec("mem_instr_free_list"))
-        _memInstrFreeList.push_back(static_cast<unsigned>(id));
+    panic_if(!idle(), "%s: checkpoint while busy", name().c_str());
+    io.column(
+        "sched_cursor", _warpScheds.size(),
+        [this](std::size_t s) { return _warpScheds[s]->cursorState(); },
+        [this](std::size_t s, std::uint64_t cursor) {
+            _warpScheds[s]->setCursorState(cursor);
+        });
+    io.match("warp_sched",
+             std::string(_warpScheds.empty()
+                             ? ""
+                             : _warpScheds[0]->policyName()),
+             "the warp scheduler");
+    io.scalar("launch_seq", _launchSeq);
+    io.vector("mem_instr_free_list", _memInstrFreeList);
+    std::uint64_t num_mem_instrs = _memInstrs.size();
+    io.scalar("num_mem_instrs", num_mem_instrs);
+    _memInstrs.resize(num_mem_instrs);
 }
 
 bool
@@ -269,11 +249,8 @@ SimtCore::chargeInstructionFetch(Warp &warp, unsigned)
     // vary run to run, which would leak host allocator state into L1I
     // conflict patterns and break event-stream determinism (caught by
     // the sim.check.event_hash verifier).
-    std::uint64_t name_hash = 0xcbf29ce484222325ULL;
-    for (char c : warp.task.program->name) {
-        name_hash ^= static_cast<unsigned char>(c);
-        name_hash *= 0x00000100000001b3ULL;
-    }
+    std::uint64_t name_hash =
+        fnv1a(fnvOffsetBasis, warp.task.program->name);
     Addr base = 0x40000000ULL ^ (name_hash & 0x0FFFF000ULL);
     Addr addr = base + static_cast<Addr>(line) * _params.l1i.lineSize;
     _lsuQueue.push_back({addr, false, AccessKind::Inst, -1});

@@ -135,8 +135,7 @@ class SimtCore : public SimObject,
         _traceClient = client;
     }
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
     /** A busy core's in-flight state does not round-trip. */
     bool checkpointSafe() const override;
 

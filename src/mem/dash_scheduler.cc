@@ -5,6 +5,7 @@
 
 #include "mem/frfcfs_scheduler.hh"
 #include "sim/logging.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::mem
@@ -184,78 +185,34 @@ DashCoordinator::shutdown()
 }
 
 void
-DashCoordinator::serialize(CheckpointOut &out) const
-{
-    out.putU64("num_ips", _ips.size());
-    for (std::size_t i = 0; i < _ips.size(); ++i) {
-        const IpState &ip = _ips[i];
-        std::string prefix = strprintf("ip%zu", i);
-        out.putStr(prefix + ".name", ip.name);
-        out.putBool(prefix + ".active", ip.active);
-        out.putTick(prefix + ".period_start", ip.periodStart);
-        out.putTick(prefix + ".period", ip.period);
-        out.putF64(prefix + ".work_total", ip.workTotal);
-        out.putF64(prefix + ".work_done", ip.workDone);
-        out.putU64(prefix + ".bytes_this_quantum",
-                   ip.bytesThisQuantum);
-    }
-
-    out.putU64Vec("cpu_bytes_this_quantum", _cpuBytesThisQuantum);
-    std::vector<std::uint64_t> intensive(_cpuIsIntensive.begin(),
-                                         _cpuIsIntensive.end());
-    out.putU64Vec("cpu_is_intensive", intensive);
-
-    out.putBool("favour_intensive_cpu", _favourIntensiveCpu);
-    out.putF64("p", _p);
-    out.putU64("served_intensive_cpu", _servedIntensiveCpu);
-    out.putU64("served_non_urgent_ip", _servedNonUrgentIp);
-
-    auto rng = _rng.state();
-    out.putU64Vec("rng", {rng[0], rng[1], rng[2], rng[3]});
-}
-
-void
-DashCoordinator::unserialize(CheckpointIn &in)
+DashCoordinator::serialize(CheckpointIo &io)
 {
     // IPs are registered during topology construction; the checkpoint
     // only carries their dynamic progress.
-    std::uint64_t num_ips = in.getU64("num_ips");
-    fatal_if(num_ips != _ips.size(),
-             "%s: checkpoint holds %llu DASH IPs but this "
-             "configuration registered %zu",
-             name().c_str(), (unsigned long long)num_ips, _ips.size());
+    io.match("num_ips", _ips.size(), "the DASH IP count");
     for (std::size_t i = 0; i < _ips.size(); ++i) {
         IpState &ip = _ips[i];
-        std::string prefix = strprintf("ip%zu", i);
-        std::string saved_name = in.getStr(prefix + ".name");
-        fatal_if(saved_name != ip.name,
-                 "%s: checkpoint IP %zu is '%s' but this run "
-                 "registered '%s'", name().c_str(), i,
-                 saved_name.c_str(), ip.name.c_str());
-        ip.active = in.getBool(prefix + ".active");
-        ip.periodStart = in.getTick(prefix + ".period_start");
-        ip.period = in.getTick(prefix + ".period");
-        ip.workTotal = in.getF64(prefix + ".work_total");
-        ip.workDone = in.getF64(prefix + ".work_done");
-        ip.bytesThisQuantum = in.getU64(prefix + ".bytes_this_quantum");
+        std::string prefix = "ip" + std::to_string(i);
+        io.match(prefix + ".name", ip.name, "a DASH IP");
+        io.scalar(prefix + ".active", ip.active);
+        io.scalar(prefix + ".period_start", ip.periodStart);
+        io.scalar(prefix + ".period", ip.period);
+        io.scalar(prefix + ".work_total", ip.workTotal);
+        io.scalar(prefix + ".work_done", ip.workDone);
+        io.scalar(prefix + ".bytes_this_quantum", ip.bytesThisQuantum);
     }
 
-    _cpuBytesThisQuantum = in.getU64Vec("cpu_bytes_this_quantum");
-    auto intensive = in.getU64Vec("cpu_is_intensive");
-    fatal_if(_cpuBytesThisQuantum.size() != _cpuIsIntensive.size() ||
-             intensive.size() != _cpuIsIntensive.size(),
-             "%s: checkpoint CPU core count mismatch", name().c_str());
-    for (std::size_t c = 0; c < intensive.size(); ++c)
-        _cpuIsIntensive[c] = intensive[c] != 0;
+    io.column("cpu_bytes_this_quantum", _cpuBytesThisQuantum);
+    io.column("cpu_is_intensive", _cpuIsIntensive);
 
-    _favourIntensiveCpu = in.getBool("favour_intensive_cpu");
-    _p = in.getF64("p");
-    _servedIntensiveCpu = in.getU64("served_intensive_cpu");
-    _servedNonUrgentIp = in.getU64("served_non_urgent_ip");
+    io.scalar("favour_intensive_cpu", _favourIntensiveCpu);
+    io.scalar("p", _p);
+    io.scalar("served_intensive_cpu", _servedIntensiveCpu);
+    io.scalar("served_non_urgent_ip", _servedNonUrgentIp);
 
-    auto rng = in.getU64Vec("rng");
-    fatal_if(rng.size() != 4, "%s: bad rng state", name().c_str());
-    _rng.setState({rng[0], rng[1], rng[2], rng[3]});
+    auto rng = _rng.state();
+    io.column("rng", rng);
+    _rng.setState(rng);
 }
 
 std::size_t

@@ -151,8 +151,7 @@ class DashCoordinator : public SimObject, public QosProgressPort
     /** Force a clustering pass now (used by unit tests). */
     void recluster();
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
 
   private:
     void switchingTick();
@@ -173,7 +172,7 @@ class DashCoordinator : public SimObject, public QosProgressPort
 
     DashParams _params;
     std::vector<IpState> _ips;
-    int _ipOfClass[4] = {-1, -1, -1, -1};
+    int _ipOfClass[numTrafficClasses] = {-1, -1, -1, -1};
 
     std::vector<std::uint64_t> _cpuBytesThisQuantum;
     std::vector<bool> _cpuIsIntensive;

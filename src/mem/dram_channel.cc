@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/serialize/packet_serialize.hh"
-#include "sim/serialize/registry.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::mem
@@ -251,100 +250,37 @@ DramChannel::hangDiagnostics(std::ostream &os) const
 }
 
 void
-DramChannel::serialize(CheckpointOut &out) const
+DramChannel::serialize(CheckpointIo &io)
 {
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
+    io.sequence("num_queue", "q", _queue,
+                [&](const std::string &key,
+                    DramScheduler::QueueEntry &entry) {
+                    io.packet(key, entry.pkt);
+                    io.scalar(key + ".coord.channel", entry.coord.channel);
+                    io.scalar(key + ".coord.rank", entry.coord.rank);
+                    io.scalar(key + ".coord.bank", entry.coord.bank);
+                    io.scalar(key + ".coord.row", entry.coord.row);
+                    io.scalar(key + ".coord.column", entry.coord.column);
+                    io.scalar(key + ".enqueued", entry.enqueued);
+                });
 
-    out.putU64("num_queue", _queue.size());
-    for (std::size_t i = 0; i < _queue.size(); ++i) {
-        const DramScheduler::QueueEntry &entry = _queue[i];
-        std::string prefix = strprintf("q%zu", i);
-        putPacket(out, prefix, *entry.pkt, reg);
-        out.putU64(prefix + ".coord.channel", entry.coord.channel);
-        out.putU64(prefix + ".coord.rank", entry.coord.rank);
-        out.putU64(prefix + ".coord.bank", entry.coord.bank);
-        out.putU64(prefix + ".coord.row", entry.coord.row);
-        out.putU64(prefix + ".coord.column", entry.coord.column);
-        out.putTick(prefix + ".enqueued", entry.enqueued);
-    }
+    io.column("bank.open", _banks, &BankState::open);
+    io.column("bank.open_row", _banks, &BankState::openRow);
+    io.column("bank.ready_tick", _banks, &BankState::readyTick);
+    io.column("bank.activate_tick", _banks, &BankState::activateTick);
+    io.column("bank.bytes_since_activate", _banks,
+              &BankState::bytesSinceActivate);
+    io.scalar("bus_free_tick", _busFreeTick);
 
-    std::vector<std::uint64_t> open, open_row, ready, activate, bytes;
-    open.reserve(_banks.size());
-    for (const BankState &bank : _banks) {
-        open.push_back(bank.open);
-        open_row.push_back(bank.openRow);
-        ready.push_back(bank.readyTick);
-        activate.push_back(bank.activateTick);
-        bytes.push_back(bank.bytesSinceActivate);
-    }
-    out.putU64Vec("bank.open", open);
-    out.putU64Vec("bank.open_row", open_row);
-    out.putU64Vec("bank.ready_tick", ready);
-    out.putU64Vec("bank.activate_tick", activate);
-    out.putU64Vec("bank.bytes_since_activate", bytes);
-    out.putTick("bus_free_tick", _busFreeTick);
+    io.sequence(
+        "num_inflight", "in", _inflight,
+        [&](const std::string &key, InFlight &entry) {
+            io.scalar(key + ".when", entry.done);
+            io.packet(key, entry.pkt);
+        },
+        [this](InFlight entry) { addInflight(entry.pkt, entry.done); });
 
-    out.putU64("num_inflight", _inflight.size());
-    std::size_t i = 0;
-    for (const InFlight &entry : _inflight) {
-        std::string prefix = strprintf("in%zu", i++);
-        out.putTick(prefix + ".when", entry.done);
-        putPacket(out, prefix, *entry.pkt, reg);
-    }
-
-    _retries.serialize(out, "retry", reg);
-}
-
-void
-DramChannel::unserialize(CheckpointIn &in)
-{
-    panic_if(!_queue.empty() || !_inflight.empty(),
-             "%s: unserialize into a busy channel", name().c_str());
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    PacketPool &pool = sim().packetPool();
-
-    std::uint64_t num_queue = in.getU64("num_queue");
-    for (std::uint64_t i = 0; i < num_queue; ++i) {
-        std::string prefix = strprintf("q%llu", (unsigned long long)i);
-        DramScheduler::QueueEntry entry;
-        entry.pkt = getPacket(in, prefix, pool, reg);
-        entry.coord.channel = static_cast<unsigned>(
-            in.getU64(prefix + ".coord.channel"));
-        entry.coord.rank = static_cast<unsigned>(
-            in.getU64(prefix + ".coord.rank"));
-        entry.coord.bank = static_cast<unsigned>(
-            in.getU64(prefix + ".coord.bank"));
-        entry.coord.row = in.getU64(prefix + ".coord.row");
-        entry.coord.column = in.getU64(prefix + ".coord.column");
-        entry.enqueued = in.getTick(prefix + ".enqueued");
-        _queue.push_back(entry);
-    }
-
-    auto open = in.getU64Vec("bank.open");
-    auto open_row = in.getU64Vec("bank.open_row");
-    auto ready = in.getU64Vec("bank.ready_tick");
-    auto activate = in.getU64Vec("bank.activate_tick");
-    auto bytes = in.getU64Vec("bank.bytes_since_activate");
-    fatal_if(open.size() != _banks.size(),
-             "%s: checkpoint holds %zu banks but this configuration "
-             "has %zu", name().c_str(), open.size(), _banks.size());
-    for (std::size_t b = 0; b < _banks.size(); ++b) {
-        _banks[b].open = open[b] != 0;
-        _banks[b].openRow = open_row[b];
-        _banks[b].readyTick = ready[b];
-        _banks[b].activateTick = activate[b];
-        _banks[b].bytesSinceActivate = bytes[b];
-    }
-    _busFreeTick = in.getTick("bus_free_tick");
-
-    std::uint64_t num_inflight = in.getU64("num_inflight");
-    for (std::uint64_t i = 0; i < num_inflight; ++i) {
-        std::string prefix = strprintf("in%llu", (unsigned long long)i);
-        Tick when = in.getTick(prefix + ".when");
-        addInflight(getPacket(in, prefix, pool, reg), when);
-    }
-
-    _retries.unserialize(in, "retry", reg);
+    _retries.serialize(io, "retry");
 }
 
 void

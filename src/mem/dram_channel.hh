@@ -119,8 +119,7 @@ class DramChannel : public SimObject
 
     void hangDiagnostics(std::ostream &os) const override;
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
 
   private:
     void tryIssue();

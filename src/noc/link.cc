@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/serialize/packet_serialize.hh"
-#include "sim/serialize/registry.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::noc
@@ -89,37 +88,16 @@ Link::retryRequest()
 }
 
 void
-Link::serialize(CheckpointOut &out) const
+Link::serialize(CheckpointIo &io)
 {
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    out.putU64("num_queue", _queue.size());
-    for (std::size_t i = 0; i < _queue.size(); ++i) {
-        std::string prefix = strprintf("q%zu", i);
-        putPacket(out, prefix, *_queue[i].pkt, reg);
-        out.putTick(prefix + ".ready_at", _queue[i].readyAt);
-    }
-    out.putTick("serializer_free", _serializerFree);
-    out.putBool("blocked", _blocked);
-    retryList().serialize(out, "retry", reg);
-}
-
-void
-Link::unserialize(CheckpointIn &in)
-{
-    panic_if(!_queue.empty(), "%s: unserialize into a busy link",
-             name().c_str());
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    PacketPool &pool = sim().packetPool();
-
-    std::uint64_t num_queue = in.getU64("num_queue");
-    for (std::uint64_t i = 0; i < num_queue; ++i) {
-        std::string prefix = strprintf("q%llu", (unsigned long long)i);
-        MemPacket *pkt = getPacket(in, prefix, pool, reg);
-        _queue.push_back({pkt, in.getTick(prefix + ".ready_at")});
-    }
-    _serializerFree = in.getTick("serializer_free");
-    _blocked = in.getBool("blocked");
-    retryList().unserialize(in, "retry", reg);
+    io.sequence("num_queue", "q", _queue,
+                [&](const std::string &key, Item &item) {
+                    io.packet(key, item.pkt);
+                    io.scalar(key + ".ready_at", item.readyAt);
+                });
+    io.scalar("serializer_free", _serializerFree);
+    io.scalar("blocked", _blocked);
+    retryList().serialize(io, "retry");
 }
 
 void

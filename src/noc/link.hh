@@ -53,8 +53,7 @@ class Link : public SimObject, public MemSink, public MemRequestor
 
     void hangDiagnostics(std::ostream &os) const override;
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
 
     /** @{ Statistics. */
     Scalar statPackets;

@@ -1,7 +1,7 @@
 #include "npu/camera_model.hh"
 
 #include "sim/logging.hh"
-#include "sim/serialize/serialize.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::npu
@@ -98,21 +98,12 @@ CameraInferenceModel::npuCommandDone(const NpuCommand &cmd,
 }
 
 void
-CameraInferenceModel::serialize(CheckpointOut &out) const
+CameraInferenceModel::serialize(CheckpointIo &io)
 {
-    out.putBool("running", _running);
-    out.putU64("frame", _frame);
-    out.putU64("next_cmd_id", _nextCmdId);
-    out.putU64("qos_cmd_id", _qosCmdId);
-}
-
-void
-CameraInferenceModel::unserialize(CheckpointIn &in)
-{
-    _running = in.getBool("running");
-    _frame = static_cast<std::uint32_t>(in.getU64("frame"));
-    _nextCmdId = in.getU64("next_cmd_id");
-    _qosCmdId = in.getU64("qos_cmd_id");
+    io.scalar("running", _running);
+    io.scalar("frame", _frame);
+    io.scalar("next_cmd_id", _nextCmdId);
+    io.scalar("qos_cmd_id", _qosCmdId);
 }
 
 } // namespace emerald::npu

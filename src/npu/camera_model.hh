@@ -51,8 +51,7 @@ class CameraInferenceModel : public SimObject, public NpuIntClient
     void npuCommandProgress(const NpuCommand &cmd,
                             double work) override;
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
 
     /** @{ Statistics. */
     Scalar statFrames;

@@ -1,7 +1,7 @@
 #include "npu/command_queue.hh"
 
 #include "sim/logging.hh"
-#include "sim/serialize/serialize.hh"
+#include "sim/serialize/checkpoint_io.hh"
 
 namespace emerald::npu
 {
@@ -25,47 +25,21 @@ NpuCommandQueue::pop()
 }
 
 void
-putNpuCommand(CheckpointOut &out, const std::string &prefix,
-              const NpuCommand &cmd)
+NpuCommand::serialize(CheckpointIo &io, const std::string &prefix)
 {
-    out.putU64(prefix + ".id", cmd.id);
-    out.putU64(prefix + ".frame", cmd.frame);
-    out.putTick(prefix + ".deadline", cmd.deadline);
-    out.putTick(prefix + ".enqueued", cmd.enqueued);
-}
-
-NpuCommand
-getNpuCommand(CheckpointIn &in, const std::string &prefix)
-{
-    NpuCommand cmd;
-    cmd.id = in.getU64(prefix + ".id");
-    cmd.frame = static_cast<std::uint32_t>(
-        in.getU64(prefix + ".frame"));
-    cmd.deadline = in.getTick(prefix + ".deadline");
-    cmd.enqueued = in.getTick(prefix + ".enqueued");
-    return cmd;
+    io.scalar(prefix + ".id", id);
+    io.scalar(prefix + ".frame", frame);
+    io.scalar(prefix + ".deadline", deadline);
+    io.scalar(prefix + ".enqueued", enqueued);
 }
 
 void
-NpuCommandQueue::serialize(CheckpointOut &out,
-                           const std::string &prefix) const
+NpuCommandQueue::serialize(CheckpointIo &io, const std::string &prefix)
 {
-    out.putU64(prefix + ".num", _queue.size());
-    for (std::size_t i = 0; i < _queue.size(); ++i)
-        putNpuCommand(out, strprintf("%s.c%zu", prefix.c_str(), i),
-                      _queue[i]);
-}
-
-void
-NpuCommandQueue::unserialize(CheckpointIn &in,
-                             const std::string &prefix)
-{
-    _queue.clear();
-    std::uint64_t num = in.getU64(prefix + ".num");
-    for (std::uint64_t i = 0; i < num; ++i)
-        _queue.push_back(getNpuCommand(
-            in, strprintf("%s.c%llu", prefix.c_str(),
-                          (unsigned long long)i)));
+    io.sequence(prefix + ".num", prefix + ".c", _queue,
+                [&](const std::string &key, NpuCommand &cmd) {
+                    cmd.serialize(io, key);
+                });
 }
 
 } // namespace emerald::npu

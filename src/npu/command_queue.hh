@@ -23,8 +23,7 @@
 
 namespace emerald
 {
-class CheckpointIn;
-class CheckpointOut;
+class CheckpointIo;
 } // namespace emerald
 
 namespace emerald::npu
@@ -41,6 +40,9 @@ struct NpuCommand
     Tick deadline = 0;
     /** Submission tick (queue-wait accounting). */
     Tick enqueued = 0;
+
+    /** Checkpoint the command under "<prefix>." keys. */
+    void serialize(CheckpointIo &io, const std::string &prefix);
 };
 
 /** Device-side interface the workload model submits into. */
@@ -98,19 +100,13 @@ class NpuCommandQueue
 
     const NpuCommand &front() const { return _queue.front(); }
 
-    void serialize(CheckpointOut &out,
-                   const std::string &prefix) const;
-    void unserialize(CheckpointIn &in, const std::string &prefix);
+    /** Checkpoint the queued commands under "<prefix>." keys. */
+    void serialize(CheckpointIo &io, const std::string &prefix);
 
   private:
     unsigned _capacity;
     std::deque<NpuCommand> _queue;
 };
-
-/** Checkpoint helpers shared by the queue and NpuTop's active slot. */
-void putNpuCommand(CheckpointOut &out, const std::string &prefix,
-                   const NpuCommand &cmd);
-NpuCommand getNpuCommand(CheckpointIn &in, const std::string &prefix);
 
 } // namespace emerald::npu
 

@@ -4,8 +4,7 @@
 
 #include "mem/traffic_trace.hh"
 #include "sim/logging.hh"
-#include "sim/serialize/packet_serialize.hh"
-#include "sim/serialize/registry.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::npu
@@ -219,55 +218,25 @@ NpuDmaEngine::hangDiagnostics(std::ostream &os) const
 }
 
 void
-NpuDmaEngine::serialize(CheckpointOut &out) const
+NpuDmaEngine::serialize(CheckpointIo &io)
 {
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    out.putU64("num_transfers", _transfers.size());
-    for (std::size_t i = 0; i < _transfers.size(); ++i) {
-        const Transfer &t = _transfers[i];
-        std::string prefix = strprintf("t%zu", i);
-        out.putU64(prefix + ".base", t.base);
-        out.putU64(prefix + ".bytes", t.bytes);
-        out.putBool(prefix + ".write", t.write);
-        out.putU64(prefix + ".token", t.token);
-        out.putU64(prefix + ".issued", t.issued);
-        out.putU64(prefix + ".acked", t.acked);
-        out.putTick(prefix + ".start", t.start);
-        out.putU64(prefix + ".id", t.id);
-    }
-    out.putU64("next_id", _nextId);
-    out.putU64("outstanding", _outstanding);
-    out.putBool("has_retry_pkt", _retryPkt != nullptr);
-    if (_retryPkt)
-        putPacket(out, "retry_pkt", *_retryPkt, reg);
-}
-
-void
-NpuDmaEngine::unserialize(CheckpointIn &in)
-{
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    panic_if(!_transfers.empty(), "%s: unserialize into a busy engine",
-             name().c_str());
-    std::uint64_t num = in.getU64("num_transfers");
-    for (std::uint64_t i = 0; i < num; ++i) {
-        std::string prefix =
-            strprintf("t%llu", (unsigned long long)i);
-        Transfer t;
-        t.base = in.getU64(prefix + ".base");
-        t.bytes = in.getU64(prefix + ".bytes");
-        t.write = in.getBool(prefix + ".write");
-        t.token = in.getU64(prefix + ".token");
-        t.issued = in.getU64(prefix + ".issued");
-        t.acked = in.getU64(prefix + ".acked");
-        t.start = in.getTick(prefix + ".start");
-        t.id = in.getU64(prefix + ".id");
-        _transfers.push_back(t);
-    }
-    _nextId = in.getU64("next_id");
-    _outstanding = static_cast<unsigned>(in.getU64("outstanding"));
-    if (in.getBool("has_retry_pkt"))
-        _retryPkt = getPacket(in, "retry_pkt", sim().packetPool(),
-                              reg);
+    io.sequence("num_transfers", "t", _transfers,
+                [&](const std::string &key, Transfer &t) {
+                    io.scalar(key + ".base", t.base);
+                    io.scalar(key + ".bytes", t.bytes);
+                    io.scalar(key + ".write", t.write);
+                    io.scalar(key + ".token", t.token);
+                    io.scalar(key + ".issued", t.issued);
+                    io.scalar(key + ".acked", t.acked);
+                    io.scalar(key + ".start", t.start);
+                    io.scalar(key + ".id", t.id);
+                });
+    io.scalar("next_id", _nextId);
+    io.scalar("outstanding", _outstanding);
+    bool has_retry_pkt = _retryPkt != nullptr;
+    io.scalar("has_retry_pkt", has_retry_pkt);
+    if (has_retry_pkt)
+        io.packet("retry_pkt", _retryPkt);
 }
 
 } // namespace emerald::npu

@@ -1,7 +1,7 @@
 #include "npu/npu_top.hh"
 
 #include "sim/logging.hh"
-#include "sim/serialize/serialize.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::npu
@@ -203,56 +203,28 @@ NpuTop::hangDiagnostics(std::ostream &os) const
 }
 
 void
-NpuTop::serialize(CheckpointOut &out) const
+NpuTop::serialize(CheckpointIo &io)
 {
-    out.putBool("active", _active);
+    panic_if(io.loading() && _active, "%s: restore into a busy device",
+             name().c_str());
+    io.scalar("active", _active);
     if (_active)
-        putNpuCommand(out, "cmd", _cmd);
-    out.putTick("exec_start", _execStart);
-    out.putU64("exec_seq", _execSeq);
-    out.putU64("loads_issued", _loadsIssued);
-    out.putU64("loads_done", _loadsDone);
-    out.putU64("tiles_computed", _tilesComputed);
-    out.putU64("stores_issued", _storesIssued);
-    out.putU64("stores_done", _storesDone);
-    out.putBool("computing", _computing);
-    _queue.serialize(out, "queue");
-    out.putU64("num_irqs", _pendingIrqs.size());
-    for (std::size_t i = 0; i < _pendingIrqs.size(); ++i) {
-        std::string prefix = strprintf("irq%zu", i);
-        putNpuCommand(out, prefix + ".cmd", _pendingIrqs[i].cmd);
-        out.putTick(prefix + ".finished", _pendingIrqs[i].finished);
-        out.putBool(prefix + ".aborted", _pendingIrqs[i].aborted);
-    }
-}
-
-void
-NpuTop::unserialize(CheckpointIn &in)
-{
-    panic_if(_active || !_queue.empty() || !_pendingIrqs.empty(),
-             "%s: unserialize into a busy device", name().c_str());
-    _active = in.getBool("active");
-    if (_active)
-        _cmd = getNpuCommand(in, "cmd");
-    _execStart = in.getTick("exec_start");
-    _execSeq = in.getU64("exec_seq");
-    _loadsIssued = in.getU64("loads_issued");
-    _loadsDone = in.getU64("loads_done");
-    _tilesComputed = in.getU64("tiles_computed");
-    _storesIssued = in.getU64("stores_issued");
-    _storesDone = in.getU64("stores_done");
-    _computing = in.getBool("computing");
-    _queue.unserialize(in, "queue");
-    std::uint64_t num = in.getU64("num_irqs");
-    for (std::uint64_t i = 0; i < num; ++i) {
-        std::string prefix =
-            strprintf("irq%llu", (unsigned long long)i);
-        IrqRecord rec;
-        rec.cmd = getNpuCommand(in, prefix + ".cmd");
-        rec.finished = in.getTick(prefix + ".finished");
-        rec.aborted = in.getBool(prefix + ".aborted");
-        _pendingIrqs.push_back(rec);
-    }
+        _cmd.serialize(io, "cmd");
+    io.scalar("exec_start", _execStart);
+    io.scalar("exec_seq", _execSeq);
+    io.scalar("loads_issued", _loadsIssued);
+    io.scalar("loads_done", _loadsDone);
+    io.scalar("tiles_computed", _tilesComputed);
+    io.scalar("stores_issued", _storesIssued);
+    io.scalar("stores_done", _storesDone);
+    io.scalar("computing", _computing);
+    _queue.serialize(io, "queue");
+    io.sequence("num_irqs", "irq", _pendingIrqs,
+                [&](const std::string &key, IrqRecord &rec) {
+                    rec.cmd.serialize(io, key + ".cmd");
+                    io.scalar(key + ".finished", rec.finished);
+                    io.scalar(key + ".aborted", rec.aborted);
+                });
 }
 
 } // namespace emerald::npu

@@ -85,8 +85,7 @@ class NpuTop : public SimObject,
 
     void hangDiagnostics(std::ostream &os) const override;
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
 
     /** @{ Statistics. */
     Scalar statCmdsCompleted;

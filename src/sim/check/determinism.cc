@@ -1,17 +1,9 @@
 #include "sim/check/determinism.hh"
 
+#include "sim/serialize/checkpoint_io.hh"
+
 namespace emerald::check
 {
-
-void
-DeterminismVerifier::mix(const void *bytes, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(bytes);
-    for (std::size_t i = 0; i < n; ++i) {
-        _hash ^= p[i];
-        _hash *= fnvPrime;
-    }
-}
 
 void
 DeterminismVerifier::onEvent(const std::string &name, Tick when,
@@ -22,12 +14,19 @@ DeterminismVerifier::onEvent(const std::string &name, Tick when,
     (void)wall_ns;
     std::uint64_t tick = when;
     std::int64_t prio = priority;
-    mix(&tick, sizeof(tick));
-    mix(name.data(), name.size());
-    mix(&prio, sizeof(prio));
+    _hash = fnv1a(_hash, &tick, sizeof(tick));
+    _hash = fnv1a(_hash, name);
+    _hash = fnv1a(_hash, &prio, sizeof(prio));
     ++_numEvents;
     // Scalars hold doubles; fold to 53 bits so the stat is exact.
     _hashStat = static_cast<double>(_hash & ((1ULL << 53) - 1));
+}
+
+void
+DeterminismVerifier::serialize(CheckpointIo &io)
+{
+    io.scalar("hash", _hash);
+    io.scalar("num_events", _numEvents);
 }
 
 } // namespace emerald::check

@@ -20,6 +20,7 @@
 #include <string>
 
 #include "sim/event_queue.hh"
+#include "sim/fnv.hh"
 #include "sim/stats.hh"
 
 namespace emerald::check
@@ -44,27 +45,19 @@ class DeterminismVerifier : public EventInstrument
     /** Events folded into the hash so far. */
     std::uint64_t numEvents() const { return _numEvents; }
 
+    /** The hash reads no clock: wall time is not part of it. */
+    bool timed() const override { return false; }
+
     /**
-     * Resume a hash stream captured by a checkpoint: the verifier
-     * continues folding from the cold run's prefix, so the final hash
-     * of a restored run equals the cold run's iff the measured-region
-     * event streams are identical (the warm-start oracle).
+     * Checkpoint the running hash. A restored verifier continues
+     * folding from the cold run's prefix, so the final hash of a
+     * restored run equals the cold run's iff the measured-region
+     * event streams are identical (the warm-start oracle). The hash
+     * stat is restored with the stats tree.
      */
-    void
-    restoreState(std::uint64_t hash, std::uint64_t num_events)
-    {
-        _hash = hash;
-        _numEvents = num_events;
-        _hashStat = static_cast<double>(_hash & ((1ULL << 53) - 1));
-    }
+    void serialize(CheckpointIo &io);
 
   private:
-    static constexpr std::uint64_t fnvOffsetBasis =
-        0xcbf29ce484222325ULL;
-    static constexpr std::uint64_t fnvPrime = 0x00000100000001b3ULL;
-
-    void mix(const void *bytes, std::size_t n);
-
     std::uint64_t _hash = fnvOffsetBasis;
     std::uint64_t _numEvents = 0;
     Scalar &_hashStat;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "sim/fnv.hh"
 #include "sim/logging.hh"
 #include "sim/nearest.hh"
 
@@ -261,12 +262,9 @@ fingerprintParams(
     if (params.empty())
         return 0;
     // FNV-1a over "key=value\n" in sorted-key order.
-    std::uint64_t hash = 1469598103934665603ull;
+    std::uint64_t hash = sweepFnvBasis;
     auto mix = [&hash](const std::string &text) {
-        for (unsigned char c : text) {
-            hash ^= c;
-            hash *= 1099511628211ull;
-        }
+        hash = fnv1a(hash, text);
     };
     for (const auto &[key, value] : params) {
         mix(key);

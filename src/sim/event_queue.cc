@@ -8,6 +8,13 @@
 namespace emerald
 {
 
+const std::string &
+Event::name() const
+{
+    static const std::string anonymous = "anon-event";
+    return anonymous;
+}
+
 EventQueue::Key
 EventQueue::nextKey(const Event &ev, Tick when)
 {
@@ -176,17 +183,22 @@ EventQueue::serviceNext()
     --_liveEvents;
     ++_numProcessed;
     if (_instrument) {
-        // Capture the name first: process() may reschedule or even
-        // destroy state the name is derived from.
-        std::string name = ev->name();
+        // The name stays valid across process(): an Event outlives
+        // its own processing (see Event::name()).
+        const std::string &name = ev->name();
         const int priority = ev->_priority;
-        auto start = std::chrono::steady_clock::now();
-        ev->process();
-        auto wall = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-        _instrument->onEvent(name, when, priority,
-                             static_cast<std::uint64_t>(wall));
+        std::uint64_t wall_ns = 0;
+        if (_timed) {
+            auto start = std::chrono::steady_clock::now();
+            ev->process();
+            wall_ns = static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count());
+        } else {
+            ev->process();
+        }
+        _instrument->onEvent(name, when, priority, wall_ns);
     } else {
         ev->process();
     }

@@ -25,8 +25,9 @@ class EventQueue;
 
 /**
  * Observer hooked into EventQueue::runOne(). When installed, the queue
- * times each Event::process() call and reports it here — the basis of
- * the Chrome-trace EventTracer and the sim.profile.* counters. When no
+ * reports each processed event here, timing its Event::process() call
+ * when the instrument asks for wall time — the basis of the
+ * Chrome-trace EventTracer and the sim.profile.* counters. When no
  * instrument is installed the cost is a single branch per event.
  */
 class EventInstrument
@@ -36,13 +37,17 @@ class EventInstrument
 
     /**
      * One event was processed.
-     * @param name the event's name (captured before process()).
+     * @param name the event's name.
      * @param when the simulated tick the event fired at.
      * @param priority the event's tie-break priority.
-     * @param wall_ns wall-clock nanoseconds spent inside process().
+     * @param wall_ns wall-clock nanoseconds spent inside process(),
+     *        or 0 when the installed instrument is not timed().
      */
     virtual void onEvent(const std::string &name, Tick when,
                          int priority, std::uint64_t wall_ns) = 0;
+
+    /** Whether onEvent() needs wall_ns; asked at setInstrument(). */
+    virtual bool timed() const { return true; }
 };
 
 /**
@@ -75,8 +80,13 @@ class Event
     /** Invoked by the queue when the event fires. */
     virtual void process() = 0;
 
-    /** Name used in error messages. */
-    virtual std::string name() const { return "anon-event"; }
+    /**
+     * Name used in error messages, traces and the event hash. The
+     * queue hands this reference to its instrument after process()
+     * returns: an Event outlives its own process() (the ASan build
+     * checks this), and its name does not change.
+     */
+    virtual const std::string &name() const;
 
     bool scheduled() const { return _slot != idleSlot; }
     Tick when() const { return _when; }
@@ -107,7 +117,7 @@ class EventFunction : public Event
     {}
 
     void process() override { _callback(); }
-    std::string name() const override { return _name; }
+    const std::string &name() const override { return _name; }
 
   private:
     std::function<void()> _callback;
@@ -192,11 +202,13 @@ class EventQueue
 
     /**
      * Install (or with nullptr remove) the observer notified after
-     * every processed event. The queue does not own it.
+     * every processed event. The queue does not own it, and reads
+     * the clock around process() only if it is timed().
      */
     void setInstrument(EventInstrument *instrument)
     {
         _instrument = instrument;
+        _timed = instrument && instrument->timed();
     }
 
     EventInstrument *instrument() const { return _instrument; }
@@ -296,6 +308,8 @@ class EventQueue
     std::uint64_t _numProcessed = 0;
     std::size_t _liveEvents = 0;
     EventInstrument *_instrument = nullptr;
+    /** The installed instrument wants wall time. */
+    bool _timed = false;
 };
 
 } // namespace emerald

@@ -206,6 +206,15 @@ InstrumentChain::remove(EventInstrument *instrument)
     std::erase(_instruments, instrument);
 }
 
+bool
+InstrumentChain::timed() const
+{
+    return std::any_of(_instruments.begin(), _instruments.end(),
+                       [](const EventInstrument *instrument) {
+                           return instrument->timed();
+                       });
+}
+
 void
 InstrumentChain::onEvent(const std::string &name, Tick when,
                          int priority, std::uint64_t wall_ns)

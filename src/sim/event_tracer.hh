@@ -124,6 +124,9 @@ class InstrumentChain : public EventInstrument
     void onEvent(const std::string &name, Tick when, int priority,
                  std::uint64_t wall_ns) override;
 
+    /** Timed when any member is. */
+    bool timed() const override;
+
   private:
     std::vector<EventInstrument *> _instruments;
 };

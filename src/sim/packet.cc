@@ -4,8 +4,8 @@
 
 #include "sim/logging.hh"
 #include "sim/packet_pool.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/serialize/registry.hh"
-#include "sim/serialize/serialize.hh"
 #include "sim/simulation.hh"
 
 namespace emerald
@@ -67,34 +67,23 @@ RetryList::wakeOne(bool force)
 }
 
 void
-RetryList::serialize(CheckpointOut &out, const std::string &prefix,
-                     const CheckpointRegistry &reg) const
+RetryList::serialize(CheckpointIo &io, const std::string &prefix)
 {
-    out.putU64(prefix + ".num_waiters", _waiters.size());
-    std::size_t i = 0;
-    for (const MemRequestor *req : _waiters) {
-        out.putStr(strprintf("%s.waiter%zu", prefix.c_str(), i++),
-                   reg.requestorName(*req));
-    }
-}
-
-void
-RetryList::unserialize(CheckpointIn &in, const std::string &prefix,
-                       const CheckpointRegistry &reg)
-{
-    panic_if(!_waiters.empty(),
-             "RetryList '%s': unserialize onto a non-empty list",
-             _owner.c_str());
-    std::uint64_t n = in.getU64(prefix + ".num_waiters");
-    for (std::uint64_t i = 0; i < n; ++i) {
-        MemRequestor &req = reg.requestor(in.getStr(
-            strprintf("%s.waiter%llu", prefix.c_str(),
-                      (unsigned long long)i)));
-        _waiters.push_back(&req);
-        // Keep the retry-protocol mirror in sync: a restored parked
-        // waiter must look registered or its eventual wake aborts.
-        EMERALD_CHECK_HOOK(retryRegistered(this, &req, false));
-    }
+    const CheckpointRegistry &reg = io.registry();
+    io.sequence(
+        prefix + ".num_waiters", prefix + ".waiter", _waiters,
+        [&](const std::string &key, MemRequestor *&req) {
+            std::string name = req ? reg.requestorName(*req) : "";
+            io.scalar(key, name);
+            if (!req)
+                req = &reg.requestor(name);
+        },
+        [this](MemRequestor *req) {
+            _waiters.push_back(req);
+            // Keep the retry-protocol mirror in sync: a restored parked
+            // waiter must look registered or its eventual wake aborts.
+            EMERALD_CHECK_HOOK(retryRegistered(this, req, false));
+        });
 }
 
 void

@@ -42,6 +42,9 @@ enum class TrafficClass : std::uint8_t
     Npu,
 };
 
+/** How many TrafficClass enumerators there are. */
+constexpr std::uint64_t numTrafficClasses = 4;
+
 /** Fine-grained access type, used for per-stream stats and routing. */
 enum class AccessKind : std::uint8_t
 {
@@ -62,9 +65,7 @@ enum class AccessKind : std::uint8_t
 const char *accessKindName(AccessKind kind);
 const char *trafficClassName(TrafficClass tclass);
 
-class CheckpointIn;
-class CheckpointOut;
-class CheckpointRegistry;
+class CheckpointIo;
 class MemPacket;
 class PacketPool;
 class Simulation;
@@ -175,15 +176,11 @@ class RetryList
 
     /**
      * Checkpoint the parked waiters under "<prefix>." keys as
-     * registry names (fatal for an unregistered waiter: a parked
-     * requestor that cannot be named cannot be restored).
+     * registry names, in FIFO order (fatal for an unregistered
+     * waiter: a parked requestor that cannot be named cannot be
+     * restored).
      */
-    void serialize(CheckpointOut &out, const std::string &prefix,
-                   const CheckpointRegistry &reg) const;
-
-    /** Restore waiters saved by serialize(), in FIFO order. */
-    void unserialize(CheckpointIn &in, const std::string &prefix,
-                     const CheckpointRegistry &reg);
+    void serialize(CheckpointIo &io, const std::string &prefix);
 
   private:
     std::deque<MemRequestor *> _waiters;

@@ -454,7 +454,7 @@ CheckpointWriter::finalize()
     // The index: identity, then the section table in file order.
     CheckpointOut index("index");
     index.putU64("config_fingerprint", _fingerprint);
-    index.putTick("tick", _tick);
+    index.putU64("tick", _tick);
     index.putU64("num_processed", _numProcessed);
     index.putU64("sections", _sections.size());
     for (std::size_t i = 0; i < _sections.size(); ++i) {
@@ -570,7 +570,7 @@ CheckpointReader::load()
 
     CheckpointIn index("index", _data.data() + headerBytes, index_size);
     _fingerprint = probe.fingerprint = index.getU64("config_fingerprint");
-    _tick = probe.tick = index.getTick("tick");
+    _tick = probe.tick = index.getU64("tick");
     _numProcessed = probe.numProcessed = index.getU64("num_processed");
 
     std::size_t offset = headerBytes + index_size;

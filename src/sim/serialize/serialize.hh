@@ -11,12 +11,14 @@
  *             size and CRC-32, in file order)
  *   sections  the sections, back to back
  *
- * Each stateful object writes one section of typed key/value records
- * through CheckpointOut and reads it back through CheckpointIn; the
- * index uses the same record codec. Reads are strict: a missing key or
- * a type mismatch is fatal, never a silently default-initialized
- * member — schema drift between the writer and the reader must fail
- * loudly (see docs/checkpointing.md for the compatibility rules).
+ * Each stateful object lists its state once in
+ * serialize(CheckpointIo &), which writes one section of typed
+ * key/value records through CheckpointOut and reads it back through
+ * CheckpointIn; the index uses the same record codec. Reads are
+ * strict: a missing key or a type mismatch is fatal, never a silently
+ * default-initialized member — schema drift between the writer and
+ * the reader must fail loudly (see docs/checkpointing.md for the
+ * compatibility rules).
  */
 
 #ifndef EMERALD_SIM_SERIALIZE_SERIALIZE_HH
@@ -134,9 +136,6 @@ class CheckpointOut
     void putF64Vec(const std::string &key,
                    const std::vector<double> &v);
 
-    /** Convenience: a Tick is stored as U64. */
-    void putTick(const std::string &key, Tick v) { putU64(key, v); }
-
     /** Raw encoded bytes (CheckpointWriter concatenates these). */
     const std::string &bytes() const { return _buf; }
 
@@ -182,8 +181,6 @@ class CheckpointIn
     std::vector<std::uint64_t> getU64Vec(const std::string &key) const;
     std::vector<double> getF64Vec(const std::string &key) const;
 
-    Tick getTick(const std::string &key) const { return getU64(key); }
-
     std::size_t numRecords() const { return _records.size(); }
 
   private:
@@ -199,9 +196,11 @@ class CheckpointIn
     std::map<std::string, Record> _records;
 };
 
+class CheckpointIo;
+
 /**
  * Interface of every checkpointable object. SimObject derives from
- * this, so all components inherit no-op defaults; the
+ * this, so all components inherit a no-op default; the
  * serializable-coverage rule of tools/emerald_analyze.py flags
  * SimObject subclasses that keep the default without being
  * allowlisted as stateless in tools/analyze_allowlist.txt.
@@ -211,11 +210,12 @@ class Serializable
   public:
     virtual ~Serializable() = default;
 
-    /** Write this object's dynamic state into @p out. */
-    virtual void serialize(CheckpointOut &out) const { (void)out; }
-
-    /** Restore this object's dynamic state from @p in. */
-    virtual void unserialize(CheckpointIn &in) { (void)in; }
+    /**
+     * List this object's dynamic state, each field once: saving
+     * writes it into @p io, loading reads it back
+     * (sim/serialize/checkpoint_io.hh).
+     */
+    virtual void serialize(CheckpointIo &io) { (void)io; }
 
     /**
      * True when the object is at a state it can serialize. Objects

@@ -31,9 +31,9 @@ class Simulation;
  * Base class of every named component in the simulated system.
  *
  * Every SimObject is Serializable: its name() is its checkpoint
- * section name. Stateful subclasses override serialize()/
- * unserialize(); tools/emerald_analyze.py flags ones that forget
- * (the serializable-coverage rule). Cross-object references that must
+ * section name. Stateful subclasses override serialize(CheckpointIo &);
+ * tools/emerald_analyze.py flags ones that forget (the
+ * serializable-coverage rule). Cross-object references that must
  * survive a checkpoint (pending events, response targets, retry
  * waiters) are registered by name in the constructor via the
  * registerCheckpoint*() helpers.

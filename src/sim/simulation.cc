@@ -10,7 +10,7 @@
 #include "sim/fault/fault_injector.hh"
 #include "sim/fault/watchdog.hh"
 #include "sim/logging.hh"
-#include "sim/serialize/serialize.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/sim_object.hh"
 
 namespace emerald
@@ -41,6 +41,9 @@ class CheckpointTrigger : public EventInstrument
         : _sim(sim), _at(every), _dir(std::move(dir)), _every(every),
           _keep(keep)
     {}
+
+    /** The trigger reads ticks, not the clock. */
+    bool timed() const override { return false; }
 
     void
     onEvent(const std::string &name, Tick when, int priority,
@@ -336,6 +339,85 @@ Simulation::saveRotatedCheckpoint(const std::string &base,
 }
 
 void
+Simulation::serializeSections(const std::string &dir, const OpenSection &open)
+{
+    // Kernel state first: the pending-event table, in service order.
+    // Re-scheduling the entries in sequence reproduces the cold run's
+    // same-tick tie-breaks with fresh sequence numbers.
+    {
+        CheckpointIo io = open("sim.events");
+        std::vector<EventQueue::LiveEventRef> live = _eq.liveEventsSorted();
+        io.sequence(
+            "num_events", "e", live,
+            [&](const std::string &key, EventQueue::LiveEventRef &e) {
+                std::string name;
+                if (e.event) {
+                    name = _ckptRegistry.eventName(*e.event);
+                    fatal_if(name.empty(),
+                             "checkpoint: pending event '%s' (tick %llu) "
+                             "is not in the checkpoint registry — its "
+                             "owner must call registerCheckpointEvent(), "
+                             "or (watchdog/fault timers) cannot be armed "
+                             "across a checkpoint",
+                             e.event->name().c_str(),
+                             (unsigned long long)e.when);
+                }
+                io.scalar(key + ".name", name);
+                io.scalar(key + ".when", e.when);
+                if (!e.event) {
+                    e.event = _ckptRegistry.findEvent(name);
+                    fatal_if(!e.event,
+                             "checkpoint restore: no event named '%s' in "
+                             "this topology — the checkpointed "
+                             "configuration does not match",
+                             name.c_str());
+                }
+            },
+            [this](EventQueue::LiveEventRef e) {
+                _eq.schedule(*e.event, e.when);
+            });
+    }
+
+    // ...the packet pool's internal shadow of its high-water stat...
+    {
+        CheckpointIo io = open("sim.pool");
+        std::uint64_t high_water = _packetPool->liveHighWater();
+        io.scalar("live_high_water", high_water);
+        if (io.loading())
+            _packetPool->restoreLiveHighWater(high_water);
+    }
+
+    // ...and the determinism verifier, so a restored run resumes the
+    // cold run's hash stream (the warm-start acceptance oracle).
+    {
+        CheckpointIo io = open("sim.check");
+        bool determinism = _determinism != nullptr;
+        io.scalar("determinism", determinism);
+        fatal_if(_determinism && !determinism,
+                 "--check-determinism is on but checkpoint '%s' was "
+                 "taken without it; the event hash cannot be resumed. "
+                 "Re-take the checkpoint with --check-determinism.",
+                 dir.c_str());
+        if (_determinism)
+            _determinism->serialize(io);
+    }
+
+    // Component restore re-allocates in-flight packets, which inflates
+    // sim.pool.*; the stats tree comes last, so it puts every counter
+    // back to the cold run's boundary state.
+    for (SimObject *obj : _objects) {
+        CheckpointIo io = open(obj->name());
+        obj->serialize(io);
+    }
+    for (const auto &[name, extra] : _extras) {
+        CheckpointIo io = open(name);
+        extra->serialize(io);
+    }
+    CheckpointIo io = open("stats");
+    _statsRoot.serializeStats(io);
+}
+
+void
 Simulation::saveCheckpoint(const std::string &dir)
 {
     fatal_if(!checkpointSafeNow(),
@@ -345,46 +427,9 @@ Simulation::saveCheckpoint(const std::string &dir)
 
     CheckpointWriter w(dir, _configFingerprint, _eq.curTick(),
                        _eq.numProcessed());
-
-    // Kernel state first: the pending-event table...
-    CheckpointOut &events = w.section("sim.events");
-    auto live = _eq.liveEventsSorted();
-    events.putU64("num_events", live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-        const auto &e = live[i];
-        std::string ev_name = _ckptRegistry.eventName(*e.event);
-        fatal_if(ev_name.empty(),
-                 "checkpoint: pending event '%s' (tick %llu) is not "
-                 "in the checkpoint registry — its owner must call "
-                 "registerCheckpointEvent(), or (watchdog/fault "
-                 "timers) cannot be armed across a checkpoint",
-                 e.event->name().c_str(), (unsigned long long)e.when);
-        std::string key = strprintf("e%zu", i);
-        events.putStr(key + ".name", ev_name);
-        events.putTick(key + ".when", e.when);
-    }
-
-    // ...the packet pool's internal shadow of its high-water stat...
-    CheckpointOut &pool = w.section("sim.pool");
-    pool.putU64("live_high_water", _packetPool->liveHighWater());
-
-    // ...and the determinism verifier, so a restored run resumes the
-    // cold run's hash stream (the warm-start acceptance oracle).
-    CheckpointOut &chk = w.section("sim.check");
-    chk.putBool("determinism", _determinism != nullptr);
-    if (_determinism) {
-        chk.putU64("hash", _determinism->hash());
-        chk.putU64("num_events", _determinism->numEvents());
-    }
-
-    for (const SimObject *obj : _objects)
-        obj->serialize(w.section(obj->name()));
-    for (const auto &[name, extra] : _extras)
-        extra->serialize(w.section(name));
-
-    // The whole stats tree in one section, keyed by full stat path.
-    _statsRoot.serializeStats(w.section("stats"));
-
+    serializeSections(dir, [&](const std::string &name) {
+        return CheckpointIo(w.section(name), _ckptRegistry, *_packetPool);
+    });
     w.finalize();
 
     inform("checkpoint written to '%s' at tick %llu (%llu events, "
@@ -472,64 +517,12 @@ Simulation::restoreCheckpoint(const std::string &dir, bool force,
 
     // Topology constructors pre-schedule events (clock ticks, DASH
     // quantum timers); drop them all — the checkpoint's pending set
-    // is re-scheduled below — then jump the clock.
+    // is re-scheduled from sim.events — then jump the clock.
     _eq.clearForRestore();
     _eq.restoreTime(r.tick(), r.numProcessed());
-
-    for (SimObject *obj : _objects) {
-        CheckpointIn in = r.section(obj->name());
-        obj->unserialize(in);
-    }
-    for (const auto &[name, extra] : _extras) {
-        CheckpointIn in = r.section(name);
-        extra->unserialize(in);
-    }
-
-    // Stats after objects: component restore re-allocates in-flight
-    // packets, which inflates sim.pool.* — overwriting the tree with
-    // the checkpoint's values puts every counter back to the cold
-    // run's boundary state.
-    {
-        CheckpointIn in = r.section("stats");
-        _statsRoot.unserializeStats(in);
-    }
-    {
-        CheckpointIn in = r.section("sim.pool");
-        _packetPool->restoreLiveHighWater(
-            in.getU64("live_high_water"));
-    }
-    {
-        CheckpointIn in = r.section("sim.check");
-        if (_determinism) {
-            fatal_if(!in.getBool("determinism"),
-                     "--check-determinism is on but checkpoint '%s' "
-                     "was taken without it; the event hash cannot be "
-                     "resumed. Re-take the checkpoint with "
-                     "--check-determinism.", source.c_str());
-            _determinism->restoreState(in.getU64("hash"),
-                                       in.getU64("num_events"));
-        }
-    }
-
-    // Re-schedule the pending events by registry name. The entries
-    // were saved in service order, so scheduling them in sequence
-    // reproduces the cold run's same-tick tie-breaks with fresh
-    // sequence numbers.
-    {
-        CheckpointIn in = r.section("sim.events");
-        std::uint64_t n = in.getU64("num_events");
-        for (std::uint64_t i = 0; i < n; ++i) {
-            std::string key =
-                strprintf("e%llu", (unsigned long long)i);
-            std::string ev_name = in.getStr(key + ".name");
-            Event *ev = _ckptRegistry.findEvent(ev_name);
-            fatal_if(!ev,
-                     "checkpoint restore: no event named '%s' in this "
-                     "topology — the checkpointed configuration does "
-                     "not match", ev_name.c_str());
-            _eq.schedule(*ev, in.getTick(key + ".when"));
-        }
-    }
+    serializeSections(source, [&](const std::string &name) {
+        return CheckpointIo(r.section(name), _ckptRegistry, *_packetPool);
+    });
 
     // A recurring trigger must not fire (and overwrite the rotation
     // it just read) at the first post-restore event.

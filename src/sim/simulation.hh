@@ -257,8 +257,8 @@ class Simulation
     /**
      * Restore checkpoint @p dir (--restore) onto the constructed
      * topology: validates the fingerprint, rewinds the event queue,
-     * unserializes every object (construction order), overwrites the
-     * stats tree and re-schedules the pending events by name. Rigs
+     * re-schedules the pending events by name, restores every object
+     * (construction order) and overwrites the stats tree. Rigs
      * call this once construction is complete (SocTop does it for
      * its builder's --restore). @p force downgrades the
      * config-fingerprint mismatch from fatal to a warning
@@ -284,6 +284,19 @@ class Simulation
     void unregisterObject(SimObject *obj);
 
     void attachInstrument(EventInstrument *instrument);
+
+    /** The io of checkpoint section @p name (saving or loading). */
+    using OpenSection = std::function<CheckpointIo(const std::string &)>;
+
+    /**
+     * Every checkpoint section, in file order: the kernel's
+     * sim.events, sim.pool and sim.check, one per object, one per
+     * registerSerializable() participant, then the stats tree. Saving
+     * and restoring both run this list; @p dir names the checkpoint
+     * in diagnostics.
+     */
+    void serializeSections(const std::string &dir,
+                           const OpenSection &open);
 
     EventQueue _eq;
     /**

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "sim/logging.hh"
-#include "sim/serialize/serialize.hh"
+#include "sim/serialize/checkpoint_io.hh"
 
 namespace emerald
 {
@@ -54,15 +54,9 @@ Scalar::flatten(const StatValueVisitor &emit) const
 }
 
 void
-Scalar::serialize(CheckpointOut &out, const std::string &key) const
+Scalar::serialize(CheckpointIo &io, const std::string &key)
 {
-    out.putF64(key, _value);
-}
-
-void
-Scalar::unserialize(CheckpointIn &in, const std::string &key)
-{
-    _value = in.getF64(key);
+    io.scalar(key, _value);
 }
 
 void
@@ -110,22 +104,12 @@ Distribution::flatten(const StatValueVisitor &emit) const
 }
 
 void
-Distribution::serialize(CheckpointOut &out,
-                        const std::string &key) const
+Distribution::serialize(CheckpointIo &io, const std::string &key)
 {
-    out.putU64(key + ".count", _count);
-    out.putF64(key + ".sum", _sum);
-    out.putF64(key + ".min", _min);
-    out.putF64(key + ".max", _max);
-}
-
-void
-Distribution::unserialize(CheckpointIn &in, const std::string &key)
-{
-    _count = in.getU64(key + ".count");
-    _sum = in.getF64(key + ".sum");
-    _min = in.getF64(key + ".min");
-    _max = in.getF64(key + ".max");
+    io.scalar(key + ".count", _count);
+    io.scalar(key + ".sum", _sum);
+    io.scalar(key + ".min", _min);
+    io.scalar(key + ".max", _max);
 }
 
 TimeSeries::TimeSeries(StatGroup &parent, std::string name,
@@ -174,24 +158,13 @@ TimeSeries::flatten(const StatValueVisitor &emit) const
 }
 
 void
-TimeSeries::serialize(CheckpointOut &out, const std::string &key) const
+TimeSeries::serialize(CheckpointIo &io, const std::string &key)
 {
-    out.putU64(key + ".bucket_width", _bucketWidth);
-    out.putF64Vec(key + ".buckets", _buckets);
-    out.putU64(key + ".clamped", _clampedSamples);
-}
-
-void
-TimeSeries::unserialize(CheckpointIn &in, const std::string &key)
-{
-    Tick width = in.getU64(key + ".bucket_width");
-    fatal_if(width != _bucketWidth,
-             "checkpoint: TimeSeries '%s' was saved with bucket width "
-             "%llu but this run uses %llu — stats buckets would not "
-             "line up", key.c_str(), (unsigned long long)width,
-             (unsigned long long)_bucketWidth);
-    _buckets = in.getF64Vec(key + ".buckets");
-    _clampedSamples = in.getU64(key + ".clamped");
+    // Buckets of another width would not line up.
+    io.match(key + ".bucket_width", _bucketWidth,
+             "the TimeSeries bucket width");
+    io.vector(key + ".buckets", _buckets);
+    io.scalar(key + ".clamped", _clampedSamples);
 }
 
 StatGroup::StatGroup(std::string name)
@@ -280,27 +253,15 @@ StatGroup::resetStats()
 }
 
 void
-StatGroup::serializeStats(CheckpointOut &out) const
-{
-    std::string prefix = fullStatName();
-    if (!prefix.empty())
-        prefix += ".";
-    for (const Stat *stat : _stats)
-        stat->serialize(out, prefix + stat->name());
-    for (const StatGroup *child : _children)
-        child->serializeStats(out);
-}
-
-void
-StatGroup::unserializeStats(CheckpointIn &in)
+StatGroup::serializeStats(CheckpointIo &io)
 {
     std::string prefix = fullStatName();
     if (!prefix.empty())
         prefix += ".";
     for (Stat *stat : _stats)
-        stat->unserialize(in, prefix + stat->name());
+        stat->serialize(io, prefix + stat->name());
     for (StatGroup *child : _children)
-        child->unserializeStats(in);
+        child->serializeStats(io);
 }
 
 } // namespace emerald

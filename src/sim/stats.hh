@@ -23,8 +23,7 @@
 namespace emerald
 {
 
-class CheckpointIn;
-class CheckpointOut;
+class CheckpointIo;
 class StatGroup;
 
 /**
@@ -65,14 +64,9 @@ class Stat
     /** Reset to the just-constructed state. */
     virtual void reset() = 0;
 
-    /** Write this stat's state under @p key (checkpointing). */
-    virtual void serialize(CheckpointOut &out,
-                           const std::string &key) const = 0;
-
-    /** Restore state written by serialize() (strict: fatal when the
-     *  checkpoint lacks @p key — see docs/checkpointing.md). */
-    virtual void unserialize(CheckpointIn &in,
-                             const std::string &key) = 0;
+    /** Checkpoint this stat's state under @p key (strict on load:
+     *  fatal when the checkpoint lacks it — docs/checkpointing.md). */
+    virtual void serialize(CheckpointIo &io, const std::string &key) = 0;
 
   private:
     std::string _name;
@@ -94,10 +88,7 @@ class Scalar : public Stat
     void dumpJson(std::ostream &os) const override;
     void flatten(const StatValueVisitor &emit) const override;
     void reset() override { _value = 0.0; }
-    void serialize(CheckpointOut &out,
-                   const std::string &key) const override;
-    void unserialize(CheckpointIn &in,
-                     const std::string &key) override;
+    void serialize(CheckpointIo &io, const std::string &key) override;
 
   private:
     double _value = 0.0;
@@ -124,10 +115,7 @@ class Distribution : public Stat
     void dumpJson(std::ostream &os) const override;
     void flatten(const StatValueVisitor &emit) const override;
     void reset() override;
-    void serialize(CheckpointOut &out,
-                   const std::string &key) const override;
-    void unserialize(CheckpointIn &in,
-                     const std::string &key) override;
+    void serialize(CheckpointIo &io, const std::string &key) override;
 
   private:
     std::uint64_t _count = 0;
@@ -165,10 +153,7 @@ class TimeSeries : public Stat
     void dumpJson(std::ostream &os) const override;
     void flatten(const StatValueVisitor &emit) const override;
     void reset() override { _buckets.clear(); _clampedSamples = 0; }
-    void serialize(CheckpointOut &out,
-                   const std::string &key) const override;
-    void unserialize(CheckpointIn &in,
-                     const std::string &key) override;
+    void serialize(CheckpointIo &io, const std::string &key) override;
 
   private:
     Tick _bucketWidth;
@@ -217,20 +202,15 @@ class StatGroup
     void resetStats();
 
     /**
-     * Checkpoint this subtree: every stat is written under its full
-     * dotted path. The whole stats tree lands in one "stats" section,
-     * so restore overwrites counters after components have re-created
-     * in-flight state (fixing up e.g. pool alloc counts).
+     * Checkpoint this subtree: every stat under its full dotted path.
+     * The whole stats tree lands in one "stats" section, so restore
+     * overwrites counters after components have re-created in-flight
+     * state (fixing up e.g. pool alloc counts). Strict by design: a
+     * stat present in the binary but absent from the checkpoint is
+     * fatal (adding stats is a checkpoint-breaking change; see
+     * docs/checkpointing.md).
      */
-    void serializeStats(CheckpointOut &out) const;
-
-    /**
-     * Restore a subtree written by serializeStats(). Strict by
-     * design: a stat present in the binary but absent from the
-     * checkpoint is fatal (adding stats is a checkpoint-breaking
-     * change; see docs/checkpointing.md).
-     */
-    void unserializeStats(CheckpointIn &in);
+    void serializeStats(CheckpointIo &io);
 
   private:
     friend class Stat;

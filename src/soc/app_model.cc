@@ -4,6 +4,7 @@
 
 #include "mem/traffic_trace.hh"
 #include "sim/logging.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::soc
@@ -32,93 +33,40 @@ AppModel::AppModel(Simulation &sim, const std::string &name,
     registerCheckpointEvent(_pollEvent);
 }
 
-namespace
-{
-
 void
-putFrameRecord(CheckpointOut &out, const std::string &prefix,
-               const AppModel::FrameRecord &rec)
+AppModel::FrameRecord::serialize(CheckpointIo &io,
+                                 const std::string &prefix)
 {
-    out.putTick(prefix + ".prep_start", rec.prepStart);
-    out.putTick(prefix + ".render_start", rec.renderStart);
-    out.putTick(prefix + ".render_end", rec.renderEnd);
-    out.putU64(prefix + ".gpu.cycles", rec.gpu.cycles);
-    out.putTick(prefix + ".gpu.start_tick", rec.gpu.startTick);
-    out.putTick(prefix + ".gpu.end_tick", rec.gpu.endTick);
-    out.putU64(prefix + ".gpu.vertices", rec.gpu.vertices);
-    out.putU64(prefix + ".gpu.prims_in", rec.gpu.primsIn);
-    out.putU64(prefix + ".gpu.prims_culled", rec.gpu.primsCulled);
-    out.putU64(prefix + ".gpu.raster_tiles", rec.gpu.rasterTiles);
-    out.putU64(prefix + ".gpu.hiz_rejects", rec.gpu.hizRejects);
-    out.putU64(prefix + ".gpu.fragments", rec.gpu.fragments);
-    out.putU64(prefix + ".gpu.frag_warps", rec.gpu.fragWarps);
-    out.putU64(prefix + ".gpu.wt_size", rec.gpu.wtSize);
+    io.scalar(prefix + ".prep_start", prepStart);
+    io.scalar(prefix + ".render_start", renderStart);
+    io.scalar(prefix + ".render_end", renderEnd);
+    gpu.serialize(io, prefix + ".gpu");
 }
 
-AppModel::FrameRecord
-getFrameRecord(CheckpointIn &in, const std::string &prefix)
-{
-    AppModel::FrameRecord rec;
-    rec.prepStart = in.getTick(prefix + ".prep_start");
-    rec.renderStart = in.getTick(prefix + ".render_start");
-    rec.renderEnd = in.getTick(prefix + ".render_end");
-    rec.gpu.cycles = in.getU64(prefix + ".gpu.cycles");
-    rec.gpu.startTick = in.getTick(prefix + ".gpu.start_tick");
-    rec.gpu.endTick = in.getTick(prefix + ".gpu.end_tick");
-    rec.gpu.vertices = in.getU64(prefix + ".gpu.vertices");
-    rec.gpu.primsIn = in.getU64(prefix + ".gpu.prims_in");
-    rec.gpu.primsCulled = in.getU64(prefix + ".gpu.prims_culled");
-    rec.gpu.rasterTiles = in.getU64(prefix + ".gpu.raster_tiles");
-    rec.gpu.hizRejects = in.getU64(prefix + ".gpu.hiz_rejects");
-    rec.gpu.fragments = in.getU64(prefix + ".gpu.fragments");
-    rec.gpu.fragWarps = in.getU64(prefix + ".gpu.frag_warps");
-    rec.gpu.wtSize =
-        static_cast<unsigned>(in.getU64(prefix + ".gpu.wt_size"));
-    return rec;
-}
-
-} // namespace
-
 void
-AppModel::serialize(CheckpointOut &out) const
+AppModel::serialize(CheckpointIo &io)
 {
-    panic_if(_rendering, "%s: serialize while rendering",
+    panic_if(_rendering, "%s: checkpoint while rendering",
              name().c_str());
-    out.putU64("frames_done", _framesDone);
-    out.putU64("cores_pending", _coresPending);
-    out.putTick("frame_slot_start", _frameSlotStart);
-    out.putF64("frag_estimate", _workEstimate);
+    io.scalar("frames_done", _framesDone);
+    io.scalar("cores_pending", _coresPending);
+    io.scalar("frame_slot_start", _frameSlotStart);
+    io.scalar("frag_estimate", _workEstimate);
     // Execution-driven progress counts whole fragments.
-    out.putU64("progress_reported",
-               static_cast<std::uint64_t>(_progressReported));
-    putFrameRecord(out, "current", _current);
-    out.putU64("num_records", _records.size());
-    for (std::size_t i = 0; i < _records.size(); ++i)
-        putFrameRecord(out, strprintf("r%zu", i), _records[i]);
-}
-
-void
-AppModel::unserialize(CheckpointIn &in)
-{
-    _framesDone = static_cast<unsigned>(in.getU64("frames_done"));
-    _coresPending = static_cast<unsigned>(in.getU64("cores_pending"));
-    _frameSlotStart = in.getTick("frame_slot_start");
-    _workEstimate = in.getF64("frag_estimate");
-    _progressReported =
-        static_cast<double>(in.getU64("progress_reported"));
-    _current = getFrameRecord(in, "current");
-    std::uint64_t num_records = in.getU64("num_records");
-    _records.clear();
-    for (std::uint64_t i = 0; i < num_records; ++i) {
-        _records.push_back(getFrameRecord(
-            in, strprintf("r%llu", (unsigned long long)i)));
-    }
+    io.scalar<std::uint64_t>("progress_reported", _progressReported);
+    _current.serialize(io, "current");
+    io.sequence("num_records", "r", _records,
+                [&](const std::string &key, FrameRecord &rec) {
+                    rec.serialize(io, key);
+                });
 
     // Mid-prep checkpoints leave cores holding a quota-done fence
     // that cannot travel as data; re-install it.
-    for (CpuCoreModel *core : _cores) {
-        if (core->needsQuotaCallbackRebind())
-            core->rebindQuotaCallback([this] { corePrepDone(); });
+    if (io.loading()) {
+        for (CpuCoreModel *core : _cores) {
+            if (core->needsQuotaCallbackRebind())
+                core->rebindQuotaCallback([this] { corePrepDone(); });
+        }
     }
 }
 

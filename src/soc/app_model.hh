@@ -64,6 +64,9 @@ class AppModel : public SimObject
 
         Tick gpuTime() const { return renderEnd - renderStart; }
         Tick totalTime() const { return renderEnd - prepStart; }
+
+        /** Checkpoint the record under "<prefix>." keys. */
+        void serialize(CheckpointIo &io, const std::string &prefix);
     };
 
     AppModel(Simulation &sim, const std::string &name,
@@ -87,8 +90,7 @@ class AppModel : public SimObject
         _traceWriter = writer;
     }
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
     /**
      * The render phase holds lambdas (frame-done fence, progress
      * listener) that cannot round-trip; prep and vsync pacing can.

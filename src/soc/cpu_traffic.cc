@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/serialize/packet_serialize.hh"
-#include "sim/serialize/registry.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::soc
@@ -29,41 +28,28 @@ CpuCoreModel::CpuCoreModel(Simulation &sim, const std::string &name,
 }
 
 void
-CpuCoreModel::serialize(CheckpointOut &out) const
+CpuCoreModel::serialize(CheckpointIo &io)
 {
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    out.putU64("quota_remaining", _quotaRemaining);
-    out.putBool("has_quota_done", static_cast<bool>(_quotaDone));
-    out.putBool("background", _background);
-    out.putU64("outstanding", _outstanding);
-    out.putBool("has_retry_pkt", _retryPkt != nullptr);
-    if (_retryPkt) {
-        putPacket(out, "retry_pkt", *_retryPkt, reg);
-        out.putBool("retry_quota", _retryQuota);
+    io.scalar("quota_remaining", _quotaRemaining);
+    // The callback itself is a lambda owned by the AppModel: a core
+    // restored mid-quota gets only the flag, and AppModel::serialize
+    // re-installs the callback (see rebindQuotaCallback).
+    bool has_quota_done = static_cast<bool>(_quotaDone);
+    io.scalar("has_quota_done", has_quota_done);
+    if (has_quota_done && !_quotaDone)
+        _quotaDonePending = true;
+    io.scalar("background", _background);
+    io.scalar("outstanding", _outstanding);
+    bool has_retry_pkt = _retryPkt != nullptr;
+    io.scalar("has_retry_pkt", has_retry_pkt);
+    if (has_retry_pkt) {
+        io.packet("retry_pkt", _retryPkt);
+        io.scalar("retry_quota", _retryQuota);
     }
-    out.putU64("cursor", _cursor);
+    io.scalar("cursor", _cursor);
     auto rng = _rng.state();
-    out.putU64Vec("rng", {rng[0], rng[1], rng[2], rng[3]});
-}
-
-void
-CpuCoreModel::unserialize(CheckpointIn &in)
-{
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    _quotaRemaining = in.getU64("quota_remaining");
-    // The callback itself is a lambda owned by the AppModel; it is
-    // re-installed by AppModel::unserialize (see rebindQuotaCallback).
-    _quotaDonePending = in.getBool("has_quota_done");
-    _background = in.getBool("background");
-    _outstanding = static_cast<unsigned>(in.getU64("outstanding"));
-    if (in.getBool("has_retry_pkt")) {
-        _retryPkt = getPacket(in, "retry_pkt", sim().packetPool(), reg);
-        _retryQuota = in.getBool("retry_quota");
-    }
-    _cursor = in.getU64("cursor");
-    auto rng = in.getU64Vec("rng");
-    fatal_if(rng.size() != 4, "%s: bad rng state", name().c_str());
-    _rng.setState({rng[0], rng[1], rng[2], rng[3]});
+    io.column("rng", rng);
+    _rng.setState(rng);
 }
 
 void

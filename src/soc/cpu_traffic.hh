@@ -68,8 +68,7 @@ class CpuCoreModel : public SimObject,
     void retryRequest() override;
     std::string requestorName() const override { return name(); }
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
 
     /**
      * True after a restore when the checkpoint was taken mid-quota:

@@ -1,8 +1,7 @@
 #include "soc/display_controller.hh"
 
 #include "sim/logging.hh"
-#include "sim/serialize/packet_serialize.hh"
-#include "sim/serialize/registry.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 namespace emerald::soc
@@ -39,41 +38,21 @@ DisplayController::DisplayController(Simulation &sim,
 }
 
 void
-DisplayController::serialize(CheckpointOut &out) const
+DisplayController::serialize(CheckpointIo &io)
 {
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    out.putBool("running", _running);
-    out.putBool("frame_aborted", _frameAborted);
-    out.putU64("scan_line", _scanLine);
-    out.putU64("fetch_line", _fetchLine);
-    out.putU64("fetch_packet", _fetchPacket);
-    out.putU64("lines_done", _linesDone);
-    out.putU64("line_resp_remaining", _lineRespRemaining);
-    out.putU64("outstanding", _outstanding);
-    out.putU64("underruns_this_frame", _underrunsThisFrame);
-    out.putBool("has_retry_pkt", _retryPkt != nullptr);
-    if (_retryPkt)
-        putPacket(out, "retry_pkt", *_retryPkt, reg);
-}
-
-void
-DisplayController::unserialize(CheckpointIn &in)
-{
-    const CheckpointRegistry &reg = sim().checkpointRegistry();
-    _running = in.getBool("running");
-    _frameAborted = in.getBool("frame_aborted");
-    _scanLine = static_cast<unsigned>(in.getU64("scan_line"));
-    _fetchLine = static_cast<unsigned>(in.getU64("fetch_line"));
-    _fetchPacket = static_cast<unsigned>(in.getU64("fetch_packet"));
-    _linesDone = static_cast<unsigned>(in.getU64("lines_done"));
-    _lineRespRemaining =
-        static_cast<unsigned>(in.getU64("line_resp_remaining"));
-    _outstanding = static_cast<unsigned>(in.getU64("outstanding"));
-    _underrunsThisFrame =
-        static_cast<unsigned>(in.getU64("underruns_this_frame"));
-    if (in.getBool("has_retry_pkt")) {
-        _retryPkt = getPacket(in, "retry_pkt", sim().packetPool(), reg);
-    }
+    io.scalar("running", _running);
+    io.scalar("frame_aborted", _frameAborted);
+    io.scalar("scan_line", _scanLine);
+    io.scalar("fetch_line", _fetchLine);
+    io.scalar("fetch_packet", _fetchPacket);
+    io.scalar("lines_done", _linesDone);
+    io.scalar("line_resp_remaining", _lineRespRemaining);
+    io.scalar("outstanding", _outstanding);
+    io.scalar("underruns_this_frame", _underrunsThisFrame);
+    bool has_retry_pkt = _retryPkt != nullptr;
+    io.scalar("has_retry_pkt", has_retry_pkt);
+    if (has_retry_pkt)
+        io.packet("retry_pkt", _retryPkt);
 }
 
 unsigned

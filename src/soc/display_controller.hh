@@ -65,8 +65,7 @@ class DisplayController : public SimObject,
 
     void hangDiagnostics(std::ostream &os) const override;
 
-    void serialize(CheckpointOut &out) const override;
-    void unserialize(CheckpointIn &in) override;
+    void serialize(CheckpointIo &io) override;
 
     /** @{ Statistics. */
     Scalar statFramesCompleted;

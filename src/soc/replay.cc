@@ -105,9 +105,9 @@ class ReplayPort : public SimObject,
 
     /** See TraceReplayDriver::serialize(). */
     void
-    serialize(CheckpointOut &out) const override
+    serialize(CheckpointIo &io) override
     {
-        (void)out;
+        (void)io;
         panic("%s: replay ports cannot be checkpointed",
               name().c_str());
     }
@@ -243,9 +243,9 @@ TraceReplayDriver::TraceReplayDriver(
 TraceReplayDriver::~TraceReplayDriver() = default;
 
 void
-TraceReplayDriver::serialize(CheckpointOut &out) const
+TraceReplayDriver::serialize(CheckpointIo &io)
 {
-    (void)out;
+    (void)io;
     panic("%s: replay runs cannot be checkpointed (the builder "
           "rejects --replay-trace with --checkpoint-at/--restore)",
           name().c_str());

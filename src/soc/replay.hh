@@ -69,7 +69,7 @@ class TraceReplayDriver : public AppModel
      * not round-trip; SimulationBuilder refuses --replay-trace with
      * checkpoint/restore, so reaching this is a logic error.
      */
-    void serialize(CheckpointOut &out) const override;
+    void serialize(CheckpointIo &io) override;
 
     /** @{ Statistics. */
     Scalar statReplayedTxns;

@@ -4,6 +4,7 @@
 #include "gpu/warp_sched.hh"
 #include "mem/sched_factory.hh"
 #include "mem/traffic_trace.hh"
+#include "sim/fnv.hh"
 #include "sim/logging.hh"
 #include "soc/configs.hh"
 #include "soc/replay.hh"
@@ -45,13 +46,8 @@ std::uint64_t
 fingerprintOf(const SocParams &p, const std::string &warp_policy,
               const std::string &mem_policy)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x00000100000001b3ULL;
-        }
-    };
+    std::uint64_t h = fnvOffsetBasis;
+    auto mix = [&h](std::uint64_t v) { h = fnv1a(h, &v, sizeof(v)); };
     // Scheduling policies shape simulated state just like topology
     // parameters do; a checkpoint is only valid under the same pair.
     for (char c : warp_policy)

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "sim/config.hh"
+#include "sim/fnv.hh"
 #include "sim/logging.hh"
 
 namespace emerald
@@ -237,12 +238,9 @@ specHash(const SweepSpec &spec)
 {
     // FNV-1a over a canonical rendering of the grid definition —
     // the same scheme sweepPointFingerprint uses for point identity.
-    std::uint64_t hash = 1469598103934665603ull;
+    std::uint64_t hash = sweepFnvBasis;
     auto mix = [&hash](const std::string &text) {
-        for (unsigned char c : text) {
-            hash ^= c;
-            hash *= 1099511628211ull;
-        }
+        hash = fnv1a(hash, text);
     };
     mix("scenario=" + spec.scenario + "\n");
     for (const auto &[key, value] : spec.fixed)

@@ -1,24 +1,24 @@
 // Fixture for tools/emerald_analyze.py: serializable-coverage.
 //
 // A header, because the rule reads only headers: that is where a
-// SimObject subclass declares its serialize(CheckpointOut&) override.
+// SimObject subclass declares its serialize(CheckpointIo&) override.
 
 #ifndef EMERALD_FIXTURE_SERIALIZABLE_COVERAGE_HH
 #define EMERALD_FIXTURE_SERIALIZABLE_COVERAGE_HH
 
-class CheckpointOut;
+class CheckpointIo;
 
 class SimObject
 {
   public:
     virtual ~SimObject() = default;
-    virtual void serialize(CheckpointOut &cp) const { (void)cp; }
+    virtual void serialize(CheckpointIo &io) { (void)io; }
 };
 
 class DramQueue : public SimObject
 {
   public:
-    void serialize(CheckpointOut &cp) const override; // clean
+    void serialize(CheckpointIo &io) override; // clean
 };
 
 class Forgetful : public SimObject // EXPECT: serializable-coverage

@@ -6,6 +6,7 @@
 
 #include "cache/cache.hh"
 #include "sim/random.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 
 using namespace emerald;
@@ -240,7 +241,9 @@ TEST(Cache, CheckpointSectionsMatchRecordedLayout)
     EXPECT_EQ(rig.cache.statWritebacks.value(), 2.0);
 
     CheckpointOut out("l1");
-    rig.cache.serialize(out);
+    CheckpointIo save(out, rig.sim.checkpointRegistry(),
+                      rig.sim.packetPool());
+    rig.cache.serialize(save);
     CheckpointIn in("l1", out.bytes().data(), out.bytes().size());
     using V = std::vector<std::uint64_t>;
     EXPECT_EQ(in.getU64Vec("line.valid"), (V{1, 1, 1, 1, 1, 0, 0, 0}));
@@ -253,9 +256,13 @@ TEST(Cache, CheckpointSectionsMatchRecordedLayout)
 
     // A restored cache holds the same lines and writes the same bytes.
     Rig restored(smallCache());
-    restored.cache.unserialize(in);
+    CheckpointIo load(in, restored.sim.checkpointRegistry(),
+                      restored.sim.packetPool());
+    restored.cache.serialize(load);
     CheckpointOut again("l1");
-    restored.cache.serialize(again);
+    CheckpointIo resave(again, restored.sim.checkpointRegistry(),
+                        restored.sim.packetPool());
+    restored.cache.serialize(resave);
     EXPECT_EQ(again.bytes(), out.bytes());
     EXPECT_TRUE(restored.cache.isCached(0xa80));
     EXPECT_TRUE(restored.cache.isCached(0x304));
@@ -375,7 +382,7 @@ TEST(MshrFile, MatchesUnorderedMapReference)
             for (const auto &kv : ref)
                 lines.push_back(kv.first);
             std::sort(lines.begin(), lines.end());
-            std::vector<const Mshr *> live = file.entries();
+            std::vector<Mshr *> live = file.entries();
             ASSERT_EQ(live.size(), lines.size());
             for (std::size_t i = 0; i < live.size(); ++i) {
                 const RefEntry &want = ref.at(lines[i]);

@@ -16,7 +16,7 @@
 #include "npu/dma.hh"
 #include "npu/npu_top.hh"
 #include "npu/systolic.hh"
-#include "sim/serialize/serialize.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/simulation.hh"
 #include "sim/simulation_builder.hh"
 #include "soc/soc_top.hh"
@@ -343,7 +343,9 @@ TEST(NpuTop, MidInferenceStateRoundTripsThroughCheckpoint)
     ASSERT_EQ(a.queueDepth(), 1u);
 
     CheckpointOut out_a("npu");
-    a.serialize(out_a);
+    CheckpointIo save(out_a, sim_a.checkpointRegistry(),
+                      sim_a.packetPool());
+    a.serialize(save);
 
     // A fresh device restored from that section must serialize back
     // byte-identically — every execution cursor survived the trip.
@@ -351,12 +353,16 @@ TEST(NpuTop, MidInferenceStateRoundTripsThroughCheckpoint)
     ClockDomain &clock_b = sim_b.createClockDomain(800.0, "npu_clk");
     InstantSink sink_b(sim_b);
     npu::NpuTop b(sim_b, "npu", np, clock_b, sink_b);
-    CheckpointIn in(out_a.sectionName(), out_a.bytes().data(),
-                    out_a.bytes().size());
-    b.unserialize(in);
+    CheckpointIo load(CheckpointIn(out_a.sectionName(),
+                                   out_a.bytes().data(),
+                                   out_a.bytes().size()),
+                      sim_b.checkpointRegistry(), sim_b.packetPool());
+    b.serialize(load);
 
     CheckpointOut out_b("npu");
-    b.serialize(out_b);
+    CheckpointIo resave(out_b, sim_b.checkpointRegistry(),
+                        sim_b.packetPool());
+    b.serialize(resave);
     EXPECT_EQ(out_a.bytes(), out_b.bytes());
     EXPECT_EQ(b.queueDepth(), 1u);
 }

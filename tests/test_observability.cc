@@ -285,7 +285,7 @@ class NamedEvent : public Event
     explicit NamedEvent(std::string name) : _name(std::move(name)) {}
 
     void process() override { ++fired; }
-    std::string name() const override { return _name; }
+    const std::string &name() const override { return _name; }
 
     int fired = 0;
 

@@ -17,10 +17,12 @@
 #include <sstream>
 #include <vector>
 
+#include "mem/frfcfs_scheduler.hh"
+#include "mem/memory_system.hh"
 #include "sim/event_queue.hh"
 #include "sim/packet.hh"
 #include "sim/random.hh"
-#include "sim/serialize/packet_serialize.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/serialize/registry.hh"
 #include "sim/serialize/serialize.hh"
 #include "sim/simulation.hh"
@@ -48,6 +50,21 @@ roundTrip(const CheckpointOut &out)
     return CheckpointIn(out.sectionName(), bytes.data(), bytes.size());
 }
 
+/** An io saving into @p out, resolving names against @p sim. */
+CheckpointIo
+saving(CheckpointOut &out, Simulation &sim)
+{
+    return CheckpointIo(out, sim.checkpointRegistry(), sim.packetPool());
+}
+
+/** An io loading what @p out holds into @p sim's objects. */
+CheckpointIo
+loading(const CheckpointOut &out, Simulation &sim)
+{
+    return CheckpointIo(roundTrip(out), sim.checkpointRegistry(),
+                        sim.packetPool());
+}
+
 // Record codec ---------------------------------------------------------
 
 TEST(CheckpointCodec, RoundTripsEveryRecordType)
@@ -63,7 +80,6 @@ TEST(CheckpointCodec, RoundTripsEveryRecordType)
     out.putBlob("blob", blob, sizeof(blob));
     out.putU64Vec("uv", {1, 2, 3});
     out.putF64Vec("fv", {0.5, -1.5});
-    out.putTick("t", 12345);
 
     CheckpointIn in = roundTrip(out);
     EXPECT_EQ(in.getU64("u"), 0xdeadbeefcafef00dULL);
@@ -75,7 +91,6 @@ TEST(CheckpointCodec, RoundTripsEveryRecordType)
     EXPECT_EQ(in.getBlob("blob"), std::string(blob, sizeof(blob)));
     EXPECT_EQ(in.getU64Vec("uv"), (std::vector<std::uint64_t>{1, 2, 3}));
     EXPECT_EQ(in.getF64Vec("fv"), (std::vector<double>{0.5, -1.5}));
-    EXPECT_EQ(in.getTick("t"), 12345u);
     EXPECT_TRUE(in.has("u"));
     EXPECT_FALSE(in.has("nope"));
 }
@@ -197,16 +212,18 @@ TEST(CheckpointStats, TreeRoundTripsScalarDistributionTimeSeries)
     ts.add(50, 2.0);
     ts.add(250, 5.0);
 
+    Simulation sim;
     CheckpointOut out("stats");
-    root.serializeStats(out);
-    CheckpointIn in = roundTrip(out);
+    CheckpointIo save = saving(out, sim);
+    root.serializeStats(save);
 
     StatGroup root2("");
     StatGroup node2(root2, "node");
     Scalar sc2(node2, "sc", "scalar");
     Distribution di2(node2, "di", "distribution");
     TimeSeries ts2(node2, "ts", "timeseries", 100);
-    root2.unserializeStats(in);
+    CheckpointIo load = loading(out, sim);
+    root2.serializeStats(load);
 
     EXPECT_DOUBLE_EQ(sc2.value(), 42.5);
     EXPECT_EQ(di2.count(), 4u);
@@ -222,29 +239,33 @@ TEST(CheckpointStats, StatAbsentFromCheckpointIsFatal)
 {
     StatGroup root("");
     Scalar sc(root, "present", "x");
+    Simulation sim;
     CheckpointOut out("stats");
-    root.serializeStats(out);
-    CheckpointIn in = roundTrip(out);
+    CheckpointIo save = saving(out, sim);
+    root.serializeStats(save);
+    CheckpointIo load = loading(out, sim);
 
     // The reader binary grew a stat the checkpoint does not carry:
     // strict restore must refuse, not zero-fill.
     StatGroup root2("");
     Scalar sc2(root2, "present", "x");
     Scalar added(root2, "added_later", "x");
-    EXPECT_DEATH(root2.unserializeStats(in), "missing key");
+    EXPECT_DEATH(root2.serializeStats(load), "missing key");
 }
 
 TEST(CheckpointStats, TimeSeriesBucketWidthMismatchIsFatal)
 {
     StatGroup root("");
     TimeSeries ts(root, "ts", "x", 100);
+    Simulation sim;
     CheckpointOut out("stats");
-    root.serializeStats(out);
-    CheckpointIn in = roundTrip(out);
+    CheckpointIo save = saving(out, sim);
+    root.serializeStats(save);
+    CheckpointIo load = loading(out, sim);
 
     StatGroup root2("");
     TimeSeries ts2(root2, "ts", "x", 200);
-    EXPECT_DEATH(root2.unserializeStats(in), "bucket width");
+    EXPECT_DEATH(root2.serializeStats(load), "bucket width");
 }
 
 // Packets and retry lists ----------------------------------------------
@@ -278,13 +299,14 @@ TEST(CheckpointPacket, LivePacketRoundTripsThroughThePool)
     pkt->issued = 900;
 
     CheckpointOut out("pkt");
-    putPacket(out, "p", *pkt, sim.checkpointRegistry());
+    CheckpointIo save = saving(out, sim);
+    save.packet("p", pkt);
     freePacket(pkt);
     EXPECT_EQ(sim.packetPool().live(), 0u);
 
-    CheckpointIn in = roundTrip(out);
-    MemPacket *back = getPacket(in, "p", sim.packetPool(),
-                                sim.checkpointRegistry());
+    CheckpointIo load = loading(out, sim);
+    MemPacket *back = nullptr;
+    load.packet("p", back);
     EXPECT_EQ(sim.packetPool().live(), 1u);
     EXPECT_EQ(back->addr, 0x1234u);
     EXPECT_EQ(back->size, 64u);
@@ -305,15 +327,35 @@ TEST(CheckpointPacket, PostedWriteRestoresNullClient)
         0x40u, 32u, true, TrafficClass::Display, AccessKind::Writeback,
         2, nullptr, 0u);
     CheckpointOut out("pkt");
-    putPacket(out, "p", *pkt, sim.checkpointRegistry());
+    CheckpointIo save = saving(out, sim);
+    save.packet("p", pkt);
     freePacket(pkt);
 
-    CheckpointIn in = roundTrip(out);
-    MemPacket *back = getPacket(in, "p", sim.packetPool(),
-                                sim.checkpointRegistry());
+    CheckpointIo load = loading(out, sim);
+    MemPacket *back = nullptr;
+    load.packet("p", back);
     EXPECT_EQ(back->client, nullptr);
     EXPECT_TRUE(back->posted());
     freePacket(back);
+}
+
+TEST(CheckpointPacketDeathTest, TrafficClassPastTheEnumIsFatal)
+{
+    // TrafficClass has four enumerators; DASH indexes a four-entry
+    // table by it, so a restored class 4 must be refused.
+    Simulation sim;
+    MemPacket *pkt = sim.packetPool().alloc(
+        0x40u, 32u, false, TrafficClass::Npu, AccessKind::NpuData, 2,
+        nullptr, 0u);
+    pkt->tclass = static_cast<TrafficClass>(numTrafficClasses);
+    CheckpointOut out("pkt");
+    CheckpointIo save = saving(out, sim);
+    save.packet("p", pkt);
+    freePacket(pkt);
+
+    CheckpointIo load = loading(out, sim);
+    MemPacket *back = nullptr;
+    EXPECT_DEATH(load.packet("p", back), "'p.tclass' is 4");
 }
 
 TEST(CheckpointPacket, PoolHighWaterRestores)
@@ -338,15 +380,58 @@ TEST(CheckpointRetryList, ParkedWaitersRestoreInFifoOrder)
     list.add(c);
 
     CheckpointOut out("rl");
-    list.serialize(out, "retry", sim.checkpointRegistry());
-    CheckpointIn in = roundTrip(out);
+    CheckpointIo save = saving(out, sim);
+    list.serialize(save, "retry");
 
     RetryList other;
-    other.unserialize(in, "retry", sim.checkpointRegistry());
+    CheckpointIo load = loading(out, sim);
+    other.serialize(load, "retry");
     ASSERT_EQ(other.size(), 3u);
     EXPECT_EQ(other.waiters()[0], &b);
     EXPECT_EQ(other.waiters()[1], &a);
     EXPECT_EQ(other.waiters()[2], &c);
+}
+
+TEST(CheckpointDramDeathTest, ShortBankColumnIsFatal)
+{
+    mem::MemorySystemParams mp;
+    mp.geom.channels = 1;
+    mp.timing = mem::lpddr3Timing(1333.0, 32, 128);
+    mp.statsBucket = ticksFromUs(10.0);
+    Simulation sim;
+    mem::FrfcfsScheduler sched;
+    mem::MemorySystem memory(sim, "mem", mp, sched);
+    mem::DramChannel &channel = memory.channel(0);
+
+    CheckpointOut saved("ch");
+    CheckpointIo save = saving(saved, sim);
+    channel.serialize(save);
+    const std::size_t banks =
+        roundTrip(saved).getU64Vec("bank.open").size();
+
+    // An idle channel's section, with @p ready_banks ready ticks.
+    auto section = [banks](std::size_t ready_banks) {
+        const std::vector<std::uint64_t> zeros(banks, 0);
+        CheckpointOut out("ch");
+        out.putU64("num_queue", 0);
+        out.putU64Vec("bank.open", zeros);
+        out.putU64Vec("bank.open_row", zeros);
+        out.putU64Vec("bank.ready_tick",
+                      std::vector<std::uint64_t>(ready_banks, 0));
+        out.putU64Vec("bank.activate_tick", zeros);
+        out.putU64Vec("bank.bytes_since_activate", zeros);
+        out.putU64("bus_free_tick", 0);
+        out.putU64("num_inflight", 0);
+        out.putU64("retry.num_waiters", 0);
+        return out;
+    };
+    ASSERT_EQ(section(banks).bytes(), saved.bytes());
+
+    CheckpointOut short_column = section(banks - 1);
+    CheckpointIo load = loading(short_column, sim);
+    EXPECT_DEATH(channel.serialize(load),
+                 "'bank.ready_tick' holds " + std::to_string(banks - 1) +
+                     " entries");
 }
 
 TEST(CheckpointRegistryDeathTest, DuplicatesPanicAndUnknownsAreFatal)
@@ -787,6 +872,58 @@ TEST(CheckpointSoc, WarmStartReproducesColdEventHash)
         EXPECT_EQ(soc.sim().eventQueue().numProcessed(), cold_events);
         EXPECT_EQ(soc.app().frames().size(), 2u);
     }
+}
+
+TEST(CheckpointSoc, ResaveAfterRestoreIsByteIdentical)
+{
+    // Saved again at the restored tick, a restored run must write the
+    // checkpoint it read: a field that is saved but not restored
+    // shows up as a byte that differs.
+    struct Case
+    {
+        const char *name;
+        soc::SocParams params;
+        double atMs;
+    };
+    soc::SocParams dtb = smallSocParams();
+    dtb.memConfig = soc::MemConfig::DTB;
+    dtb.highLoad = true;
+    soc::SocParams hmc = smallSocParams();
+    hmc.memConfig = soc::MemConfig::HMC;
+    soc::SocParams npu = smallSocParams();
+    npu.model = scenes::WorkloadId::M2_Cube;
+    npu.fbWidth = 256;
+    npu.fbHeight = 192;
+    npu.highLoad = true;
+    npu.npuEnabled = true;
+    const Case cases[] = {{"bas", smallSocParams(), 10.0},
+                          {"dtb_high", dtb, 10.0},
+                          {"hmc", hmc, 10.0},
+                          {"bas_high_npu", npu, 7.0}};
+
+    std::size_t live_packets = 0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string dir = tempDir(std::string("ckpt_resave_") +
+                                        c.name);
+        {
+            soc::SocTop soc(c.params,
+                            SimulationBuilder().checkDeterminism()
+                                .checkpointAt(ticksFromMs(c.atMs), dir));
+            soc.run(ticksFromMs(500.0));
+        }
+        soc::SocTop soc(c.params,
+                        SimulationBuilder().checkDeterminism().restoreFrom(
+                            dir));
+        ASSERT_TRUE(soc.sim().restored());
+        live_packets += soc.sim().packetPool().live();
+        soc.sim().saveCheckpoint(dir + "_again");
+        const std::string bytes = fileBytes(dir + "/data.bin");
+        ASSERT_FALSE(bytes.empty());
+        EXPECT_TRUE(bytes == fileBytes(dir + "_again/data.bin"));
+    }
+    // At least one checkpoint holds packets in flight.
+    EXPECT_GT(live_packets, 0u);
 }
 
 TEST(CheckpointSoc, RestoreIntoDifferentConfigIsFatal)

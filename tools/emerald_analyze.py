@@ -599,7 +599,7 @@ def check_fatal_exit(src, _derived):
 
 SIMOBJECT_CLASS_RE = re.compile(
     r"\bclass\s+(\w+)\s*(?:final\s*)?:[^;{]*\bpublic\s+SimObject\b")
-SERIALIZE_DECL_RE = re.compile(r"\bserialize\s*\(\s*CheckpointOut\b")
+SERIALIZE_DECL_RE = re.compile(r"\bserialize\s*\(\s*CheckpointIo\b")
 CLASS_DECL_RE = re.compile(r"\bclass\s+\w+\s*(?:final\s*)?[:{]")
 
 
@@ -618,7 +618,7 @@ def check_serializable_coverage(src, _derived):
         cls = match.group(1)
         yield (text.count("\n", 0, match.start()) + 1, cls,
                f"SimObject subclass {cls} does not override "
-               "serialize(CheckpointOut&) — its state silently "
+               "serialize(CheckpointIo&) — its state silently "
                "vanishes from checkpoints. Implement it "
                "(docs/checkpointing.md) or allowlist the class as "
                "stateless in tools/analyze_allowlist.txt")
@@ -667,7 +667,7 @@ RULES = {
         "panic()/fatal()", check_fatal_exit, False),
     "serializable-coverage": Rule(
         "SimObject subclass (in a header) without "
-        "serialize(CheckpointOut&)", check_serializable_coverage,
+        "serialize(CheckpointIo&)", check_serializable_coverage,
         False),
 }
 
