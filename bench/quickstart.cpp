@@ -1,30 +1,30 @@
 /**
  * @file
- * Quickstart: render one frame of the teapot workload on the
- * standalone Emerald GPU (paper Table 7 configuration), print the
- * frame statistics, and write the image to teapot.ppm.
+ * quickstart: render frames of the teapot workload on the standalone
+ * Emerald GPU (paper Table 7 configuration), print the frame
+ * statistics, and write the image to a PPM file.
  *
- * Usage: quickstart [--width=256] [--height=192] [--wt=1]
- *                   [--frames=1] [--out=teapot.ppm]
- *                   [--trace-file=trace.json] [--profile] [--stats]
+ *   emerald_bench --run=quickstart [--width=256] [--height=192]
+ *       [--wt=1] [--frames=1] [--out=teapot.ppm]
  *
- * --stats prints the whole stats tree as JSON.
+ * The one simulation has the empty label: --trace-file is written as
+ * given and --stats-out files its stats tree as sim.sim.
  */
 
-#include <cstdio>
-#include <sstream>
-
-#include "sim/config.hh"
-#include "scenes/workloads.hh"
-#include "soc/configs.hh"
+#include "harness.hh"
+#include "registry.hh"
 
 using namespace emerald;
+using namespace emerald::bench;
+
+namespace
+{
 
 int
-main(int argc, char **argv)
+runScenario(int argc, char **argv)
 {
-    Config cfg;
-    cfg.parseArgs(argc, argv);
+    BenchHarness harness(argc, argv, "quickstart");
+    const Config &cfg = harness.cfg;
     unsigned width = static_cast<unsigned>(cfg.getU64("width", 256));
     unsigned height = static_cast<unsigned>(cfg.getU64("height", 192));
     unsigned wt = static_cast<unsigned>(cfg.getU64("wt", 1));
@@ -34,25 +34,15 @@ main(int argc, char **argv)
     // Standalone GPU: 6 SIMT clusters + 2 MB L2 + 4-channel LPDDR3.
     soc::StandaloneGpu rig(width, height, soc::caseStudy2GpuParams(),
                            soc::caseStudy2MemParams(),
-                           SimulationBuilder().observability(cfg));
+                           harness.builderFor(""));
     rig.pipeline().setWtSize(wt);
-
-    mem::FunctionalMemory &fmem = rig.functionalMemory();
     scenes::SceneRenderer scene(
         rig.pipeline(),
-        scenes::makeWorkload(scenes::WorkloadId::W6_Teapot), fmem);
+        scenes::makeWorkload(scenes::WorkloadId::W6_Teapot),
+        rig.functionalMemory());
 
     for (unsigned f = 0; f < frames; ++f) {
-        bool done = false;
-        core::FrameStats stats;
-        scene.renderFrame(f, [&](const core::FrameStats &s) {
-            stats = s;
-            done = true;
-        });
-        if (!rig.runUntil([&] { return done; })) {
-            std::fprintf(stderr, "frame %u did not finish\n", f);
-            return 1;
-        }
+        core::FrameStats stats = renderFrame(rig, scene, f);
         std::printf("frame %u: %llu GPU cycles, %llu vertices, "
                     "%llu prims (%llu culled), %llu raster tiles, "
                     "%llu Hi-Z rejects, %llu fragments in %llu warps "
@@ -73,13 +63,6 @@ main(int argc, char **argv)
                 rig.gpu().core(0).l1t().missRate(),
                 rig.gpu().l2().missRate(), rig.memory().rowHitRate());
 
-    if (cfg.getBool("stats", false)) {
-        std::printf("--- full stats dump ---\n");
-        std::ostringstream os;
-        rig.sim().statsRoot().dumpJson(os);
-        std::printf("%s\n", os.str().c_str());
-    }
-
     if (EventTracer *tracer = rig.sim().tracer()) {
         tracer->close();
         std::printf("wrote %s (%llu trace records)\n",
@@ -93,3 +76,12 @@ main(int argc, char **argv)
                         .colorHash());
     return 0;
 }
+
+const RegisterScenario reg{{
+    .name = "quickstart",
+    .desc = "render the teapot on the standalone GPU, write a PPM",
+    .run = runScenario,
+    .kind = ScenarioKind::Aux,
+}};
+
+} // namespace

@@ -3,11 +3,13 @@
  * soc_point: the sweep unit. Runs exactly one SocTop whose every
  * parameter comes from the command line (one point of a sweep grid)
  * and records absolute frame times, event counts, the event-stream
- * hash and the full stats tree. emerald_sweep expands a grid spec
- * into one soc_point invocation per point (docs/sweeps.md); it is
- * not a paper figure, so run_benches.sh skips it (kind = Aux).
+ * hash and the full stats tree. It prints the per-frame prep/render
+ * timeline and the DRAM and display summary. emerald_sweep expands a
+ * grid spec into one soc_point invocation per point (docs/sweeps.md);
+ * it is not a paper figure, so run_benches.sh skips it (kind = Aux).
  *
- * Axes: --model, --config, --highload, --frames, --prep, --width,
+ * Axes: --model (a workloadName such as M3-mask), --config
+ * (BAS|DCB|DTB|HMC), --highload, --frames, --prep, --width,
  * --height, --fps (GPU frame period), --channels (DRAM channels),
  * the --npu-* accelerator axes (soc/configs.hh applyNpuConfig),
  * plus the shared --warp-sched/--mem-sched/--fault-plan/... keys the
@@ -25,27 +27,6 @@ using namespace emerald::bench;
 namespace
 {
 
-scenes::WorkloadId
-workloadFromName(const std::string &name)
-{
-    for (auto list : {caseStudy1Models(), caseStudy2Workloads()})
-        for (scenes::WorkloadId id : list)
-            if (name == scenes::workloadName(id))
-                return id;
-    fatal("soc_point: unknown --model '%s' (use a workloadName like "
-          "M2-cube)", name.c_str());
-}
-
-soc::MemConfig
-memConfigFromName(const std::string &name)
-{
-    for (soc::MemConfig config : allMemConfigs())
-        if (name == soc::memConfigName(config))
-            return config;
-    fatal("soc_point: unknown --config '%s' (BAS|DCB|DTB|HMC)",
-          name.c_str());
-}
-
 int
 runScenario(int argc, char **argv)
 {
@@ -53,8 +34,8 @@ runScenario(int argc, char **argv)
     const Config &cfg = harness.cfg;
 
     soc::SocParams p = caseStudy1Params(
-        workloadFromName(cfg.getString("model", "M2-cube")),
-        memConfigFromName(cfg.getString("config", "BAS")),
+        scenes::workloadFromName(cfg.getString("model", "M2-cube")),
+        soc::memConfigFromName(cfg.getString("config", "BAS")),
         cfg.getBool("highload", true));
     p.frames = static_cast<unsigned>(
         cfg.getU64("frames", harness.quick ? 3 : p.frames));
@@ -112,6 +93,30 @@ runScenario(int argc, char **argv)
                 scenes::workloadName(p.model),
                 soc::memConfigName(p.memConfig), soc.meanGpuFrameMs(),
                 soc.meanTotalFrameMs(), wall_ms);
+
+    std::printf("\n%-6s %12s %12s %12s\n", "frame", "prep(ms)",
+                "render(ms)", "total(ms)");
+    for (std::size_t i = 0; i < soc.app().frames().size(); ++i) {
+        const auto &f = soc.app().frames()[i];
+        std::printf("%-6zu %12.3f %12.3f %12.3f\n", i,
+                    msFromTicks(f.renderStart - f.prepStart),
+                    msFromTicks(f.gpuTime()), msFromTicks(f.totalTime()));
+    }
+    mem::MemorySystem &dram = soc.memory();
+    auto mb = [](std::uint64_t bytes) {
+        return static_cast<double>(bytes) / 1e6;
+    };
+    std::printf("\nDRAM: %.2f MB total (CPU %.2f, GPU %.2f, display "
+                "%.2f), row-hit rate %.3f, %.1f bytes/activation\n",
+                mb(dram.totalBytes()), mb(dram.bytesFor(TrafficClass::Cpu)),
+                mb(dram.bytesFor(TrafficClass::Gpu)),
+                mb(dram.bytesFor(TrafficClass::Display)),
+                dram.rowHitRate(), dram.meanBytesPerActivation());
+    std::printf("display: %.0f frames completed, %.0f aborted, %.0f "
+                "underruns\n",
+                soc.display().statFramesCompleted.value(),
+                soc.display().statFramesAborted.value(),
+                soc.display().statUnderruns.value());
     return 0;
 }
 

@@ -1,67 +1,41 @@
 /**
  * @file
- * Trace capture and replay (the paper's standalone-mode workflow:
- * APITrace captures played through the simulator; full-system
- * checkpointing records and replays draw calls the same way).
+ * trace_replay: trace capture and replay (the paper's standalone-mode
+ * workflow: APITrace captures played through the simulator;
+ * full-system checkpointing records and replays draw calls the same
+ * way).
  *
  * Records a few frames of a workload into a trace directory (the
- * checkpoint codec's data.bin), reloads it, replays through a fresh
- * simulator instance, and verifies the replayed images hash-match a
- * live render. Exits 1 on any mismatch.
+ * checkpoint codec's data.bin), reloads it, replays it on one rig
+ * while a second rig renders the same frames live, and checks that
+ * the images hash-match. Exits 1 on any mismatch.
  *
- * Usage: trace_replay [--workload=W3] [--frames=3]
- *                     [--out=draw_trace] [--check-determinism]
- *                     [--profile]
+ *   emerald_bench --run=trace_replay [--workload=W3-cube] [--frames=3]
+ *       [--out=draw_trace]
  *
- * The simulation flags apply to both rigs.
+ * The two rigs are labelled "live" and "replay", so
+ * --trace-file=t.json writes t.live.json and t.replay.json.
  */
 
-#include <cstdio>
-#include <string>
-
 #include "core/trace.hh"
+#include "harness.hh"
+#include "registry.hh"
 #include "scenes/shaders.hh"
-#include "scenes/workloads.hh"
-#include "sim/config.hh"
-#include "soc/configs.hh"
 
 using namespace emerald;
+using namespace emerald::bench;
 
 namespace
 {
 
-scenes::WorkloadId
-workloadFromName(const std::string &name)
+/**
+ * @p frames frames of @p workload as a driver shim would record them:
+ * one draw per frame with the animated view-projection constants.
+ */
+core::Trace
+recordTrace(const scenes::Workload &workload, unsigned frames,
+            unsigned w, unsigned h)
 {
-    using scenes::WorkloadId;
-    if (name == "W1")
-        return WorkloadId::W1_Sibenik;
-    if (name == "W2")
-        return WorkloadId::W2_Spot;
-    if (name == "W4")
-        return WorkloadId::W4_Suzanne;
-    if (name == "W6")
-        return WorkloadId::W6_Teapot;
-    return WorkloadId::W3_Cube;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    Config cfg;
-    cfg.parseArgs(argc, argv);
-    unsigned frames = static_cast<unsigned>(cfg.getU64("frames", 3));
-    std::string out = cfg.getString("out", "draw_trace");
-    unsigned w = 192, h = 144;
-
-    scenes::Workload workload =
-        scenes::makeWorkload(workloadFromName(
-            cfg.getString("workload", "W3")));
-
-    // 1. Record: build the trace the way a driver shim would - one
-    // draw per frame with the animated view-projection constants.
     core::Trace trace;
     trace.fbWidth = w;
     trace.fbHeight = h;
@@ -105,53 +79,74 @@ main(int argc, char **argv)
         draw.textures.push_back(std::move(tex));
         trace.recordDraw(std::move(draw));
     }
+    return trace;
+}
 
+int
+runScenario(int argc, char **argv)
+{
+    BenchHarness harness(argc, argv, "trace_replay");
+    const Config &cfg = harness.cfg;
+    unsigned frames = static_cast<unsigned>(cfg.getU64("frames", 3));
+    std::string out = cfg.getString("out", "draw_trace");
+    unsigned w = 192, h = 144;
+
+    core::Trace trace = recordTrace(
+        scenes::makeWorkload(scenes::workloadFromName(
+            cfg.getString("workload", "W3-cube"))),
+        frames, w, h);
     core::saveTrace(out, trace);
     std::printf("recorded %u frames (%u draws, %u verts/frame) to "
                 "%s\n",
                 frames, 1u, trace.frames[0][0].vertexCount(),
                 out.c_str());
 
-    // 2. Replay in a fresh simulator and render the same frames
-    // live in another; images must hash-match.
     auto loaded = core::loadTrace(out);
     if (!loaded) {
         std::fprintf(stderr, "cannot reload %s\n", out.c_str());
         return 1;
     }
-
-    SimulationBuilder builder = SimulationBuilder().observability(cfg);
     soc::StandaloneGpu live_rig(w, h, soc::caseStudy2GpuParams(),
-                                soc::caseStudy2MemParams(), builder);
+                                soc::caseStudy2MemParams(),
+                                harness.builderFor("live"));
     core::TracePlayer live(live_rig.pipeline(), trace,
                            live_rig.functionalMemory());
     soc::StandaloneGpu replay_rig(w, h, soc::caseStudy2GpuParams(),
-                                  soc::caseStudy2MemParams(), builder);
+                                  soc::caseStudy2MemParams(),
+                                  harness.builderFor("replay"));
     core::TracePlayer replay(replay_rig.pipeline(), *loaded,
                              replay_rig.functionalMemory());
 
+    auto render = [](soc::StandaloneGpu &rig, core::TracePlayer &player,
+                     unsigned idx) {
+        bool done = false;
+        player.playFrame(idx, [&](const core::FrameStats &) {
+            done = true;
+        });
+        rig.runUntil([&] { return done; });
+        return player.framebuffer().colorHash();
+    };
     std::printf("%-6s %18s %18s %7s\n", "frame", "live hash",
                 "replay hash", "match");
     bool all_match = true;
     for (unsigned f = 0; f < frames; ++f) {
-        auto render = [](soc::StandaloneGpu &rig,
-                         core::TracePlayer &player, unsigned idx) {
-            bool done = false;
-            player.playFrame(idx, [&](const core::FrameStats &) {
-                done = true;
-            });
-            rig.runUntil([&] { return done; });
-            return player.framebuffer().colorHash();
-        };
         std::uint64_t h1 = render(live_rig, live, f);
         std::uint64_t h2 = render(replay_rig, replay, f);
-        bool match = h1 == h2;
-        all_match &= match;
+        all_match &= h1 == h2;
         std::printf("%-6u %018llx %018llx %7s\n", f,
                     (unsigned long long)h1, (unsigned long long)h2,
-                    match ? "yes" : "NO");
+                    h1 == h2 ? "yes" : "NO");
     }
     std::printf(all_match ? "replay is bit-identical\n"
                           : "REPLAY MISMATCH\n");
     return all_match ? 0 : 1;
 }
+
+const RegisterScenario reg{{
+    .name = "trace_replay",
+    .desc = "record a draw-call trace, replay it bit-identically",
+    .run = runScenario,
+    .kind = ScenarioKind::Aux,
+}};
+
+} // namespace

@@ -50,7 +50,6 @@ class DfslController
     bool evaluating() const;
 
     unsigned bestWT() const { return _wtBest; }
-    std::uint64_t framesSeen() const { return _currFrame; }
 
   private:
     unsigned evalFrames() const { return _params.maxWT - _params.minWT

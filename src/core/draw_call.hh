@@ -71,28 +71,6 @@ struct DrawCall
             return vertexCount / 3;
         return vertexCount < 3 ? 0 : vertexCount - 2;
     }
-
-    /** Vertex indices of base primitive @p prim. */
-    void
-    primitiveIndices(unsigned prim, unsigned idx[3]) const
-    {
-        if (primType == PrimitiveType::Triangles) {
-            idx[0] = prim * 3;
-            idx[1] = prim * 3 + 1;
-            idx[2] = prim * 3 + 2;
-        } else {
-            // Strip winding alternates; swap to keep it consistent.
-            if (prim & 1) {
-                idx[0] = prim + 1;
-                idx[1] = prim;
-                idx[2] = prim + 2;
-            } else {
-                idx[0] = prim;
-                idx[1] = prim + 1;
-                idx[2] = prim + 2;
-            }
-        }
-    }
 };
 
 } // namespace emerald::core

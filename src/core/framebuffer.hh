@@ -39,10 +39,6 @@ class Framebuffer : public gpu::isa::RopIface, public Serializable
     unsigned height() const { return _height; }
     Addr colorBase() const { return _colorBase; }
     Addr depthBase() const { return _depthBase; }
-    std::uint64_t colorBytes() const
-    {
-        return std::uint64_t(_width) * _height * 4;
-    }
 
     /** Clear color to packed RGBA @p rgba and depth to @p depth. */
     void clear(std::uint32_t rgba = 0xff000000u, float depth = 1.0f);

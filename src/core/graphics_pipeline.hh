@@ -110,7 +110,6 @@ class GraphicsPipeline : public SimObject,
      */
     void endFrame(std::function<void(const FrameStats &)> on_done);
 
-    bool frameOpen() const { return _frameOpen; }
     const FrameStats &lastFrame() const { return _lastFrame; }
 
     /** The L2 link has room again; resume draining fixed-function

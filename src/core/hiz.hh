@@ -39,9 +39,6 @@ class HiZBuffer
 
     float bound(int tx, int ty) const;
 
-    unsigned tilesX() const { return _tilesX; }
-    unsigned tilesY() const { return _tilesY; }
-
     /** Tiles rejected so far (stats). */
     std::uint64_t rejected() const { return _rejected; }
     void noteRejected() { ++_rejected; }

@@ -33,7 +33,6 @@ class Texture
 
     unsigned width() const { return _width; }
     unsigned height() const { return _height; }
-    Addr baseAddr() const { return _base; }
 
     void setTexel(unsigned x, unsigned y, std::uint32_t rgba);
     std::uint32_t texel(unsigned x, unsigned y) const;

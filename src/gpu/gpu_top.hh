@@ -49,12 +49,6 @@ class GpuTop : public SimObject
     unsigned numClusters() const { return _params.numClusters; }
     unsigned coresPerCluster() const { return _params.coresPerCluster; }
 
-    unsigned
-    clusterOf(unsigned core) const
-    {
-        return core / _params.coresPerCluster;
-    }
-
     SimtCore &core(unsigned idx) { return *_cores[idx]; }
     cache::Cache &l2() { return *_l2; }
     ClockDomain &coreClock() { return _coreClock; }

@@ -69,9 +69,6 @@ class WarpScheduler
     virtual std::uint64_t cursorState() const { return 0; }
     virtual void setCursorState(std::uint64_t state) { (void)state; }
 
-    const std::vector<unsigned> &ownedSlots() const { return _owned; }
-    unsigned schedulerId() const { return _id; }
-
   protected:
     /** Owned warp slots, ascending. */
     std::vector<unsigned> _owned;

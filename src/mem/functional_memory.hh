@@ -67,12 +67,6 @@ class FunctionalMemory
         write(addr, &value, sizeof(value));
     }
 
-    /** Number of materialized pages (for tests). */
-    std::size_t numPages() const { return _pages.size(); }
-
-    /** Top of the allocator, i.e. first unallocated address. */
-    Addr allocationTop() const { return _nextAlloc; }
-
   private:
     std::uint8_t *pageFor(Addr addr, bool create) const;
 

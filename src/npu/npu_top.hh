@@ -67,7 +67,6 @@ class NpuTop : public SimObject,
 
     NpuDmaEngine &dma() { return _dma; }
     const SystolicTiming &timing() const { return _timing; }
-    std::size_t tilesPerInference() const { return _tiles.size(); }
 
     bool submit(const NpuCommand &cmd) override;
     std::size_t queueDepth() const override { return _queue.size(); }

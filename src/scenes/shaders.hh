@@ -2,7 +2,7 @@
  * @file
  * The shader library: Emerald-ISA sources for the standard workload
  * shaders (the TGSItoPTX outputs of the paper's flow, hand-written
- * here) plus GPGPU kernels used by the unified-model examples/tests.
+ * here) plus the GPGPU kernels gpgpu_compute and the tests run.
  *
  * Conventions (see core/draw_call.hh):
  *   vertex inputs   a[0..2] position, a[3..5] normal, a[6..7] uv

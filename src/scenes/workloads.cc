@@ -27,6 +27,20 @@ workloadName(WorkloadId id)
     }
 }
 
+WorkloadId
+workloadFromName(const std::string &name)
+{
+    std::string valid;
+    for (int i = 0; i <= static_cast<int>(WorkloadId::M4_Triangles); ++i) {
+        auto id = static_cast<WorkloadId>(i);
+        if (name == workloadName(id))
+            return id;
+        valid += std::string(i ? ", " : "") + workloadName(id);
+    }
+    fatal("unknown workload '%s' (valid: %s)", name.c_str(),
+          valid.c_str());
+}
+
 Workload
 makeWorkload(WorkloadId id)
 {

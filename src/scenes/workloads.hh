@@ -41,6 +41,12 @@ enum class WorkloadId
 
 const char *workloadName(WorkloadId id);
 
+/**
+ * The workload workloadName() spells @p name ("W5-suzanne-alpha",
+ * "M3-mask"); any other spelling is fatal, naming the valid ones.
+ */
+WorkloadId workloadFromName(const std::string &name);
+
 /** A renderable workload: geometry, material, camera. */
 struct Workload
 {

@@ -42,9 +42,6 @@ class DeterminismVerifier : public EventInstrument
     /** Full 64-bit stream hash (the stat holds a 53-bit fold). */
     std::uint64_t hash() const { return _hash; }
 
-    /** Events folded into the hash so far. */
-    std::uint64_t numEvents() const { return _numEvents; }
-
     /** The hash reads no clock: wall time is not part of it. */
     bool timed() const override { return false; }
 

@@ -89,7 +89,6 @@ RetryProtocolChecker::onRegistered(RetryList *list, MemRequestor *req,
         // Benign: the requestor abandoned its parked packet and
         // re-offered while still queued (display frame restart). Its
         // FIFO position — and therefore its original `since` — stand.
-        ++_dedups;
         return;
     }
     if (tracked_here) {

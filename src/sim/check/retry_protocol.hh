@@ -100,9 +100,6 @@ class RetryProtocolChecker
 
     std::size_t numWaiting() const { return _waiting.size(); }
 
-    /** Benign re-offers while already registered (dedup'd adds). */
-    std::uint64_t numDedupedRegistrations() const { return _dedups; }
-
   private:
     struct WaitInfo
     {
@@ -129,7 +126,6 @@ class RetryProtocolChecker
     MemRequestor *_lastWakeReq = nullptr;
     Tick _lastWakeTick = 0;
     unsigned _wakeRepeat = 0;
-    std::uint64_t _dedups = 0;
 
     Tick _lostWakeTicks = defaultLostWakeTicks;
     EventQueue &_eq;

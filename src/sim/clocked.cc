@@ -4,8 +4,8 @@ namespace emerald
 {
 
 Clocked::Clocked(ClockDomain &domain, std::string name)
-    : _domain(domain), _clockedName(std::move(name)),
-      _tickEvent([this] { processTick(); }, _clockedName + ".tick",
+    : _domain(domain),
+      _tickEvent([this] { processTick(); }, std::move(name) + ".tick",
                  Event::clockPriority)
 {
 }

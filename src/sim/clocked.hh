@@ -87,7 +87,6 @@ class Clocked
     bool active() const { return _tickEvent.scheduled(); }
 
     ClockDomain &clockDomain() { return _domain; }
-    const std::string &clockedName() const { return _clockedName; }
 
     /** Current cycle in this component's domain. */
     Cycle curCycle() const { return _domain.curCycle(); }
@@ -111,7 +110,6 @@ class Clocked
     void processTick();
 
     ClockDomain &_domain;
-    std::string _clockedName;
     EventFunction _tickEvent;
 };
 

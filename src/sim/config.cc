@@ -16,66 +16,80 @@ namespace
 {
 
 /**
- * Every --key some bench, example or the simulation kernel reads.
- * parseArgs rejects anything else (with a near-miss suggestion);
- * keeping the table here, next to the parser, makes "add a flag" a
- * one-line change.
+ * What a key changes. An Axis shapes the simulated machine or
+ * workload and enters the sweep point's fingerprint; a Run key steers
+ * where output goes or how the run is driven, so two runs that differ
+ * only in Run keys are the same design point.
  */
-const char *const knownKeys[] = {
-    // Simulation kernel (SimulationBuilder::observability).
-    "capture-trace", "check-determinism", "checkpoint-at",
-    "checkpoint-dir", "checkpoint-every", "checkpoint-keep",
-    "fault-plan", "fault-seed", "hang-report-path", "mem-sched",
-    "profile", "replay-trace", "restore", "restore-force",
-    "trace-file", "warp-sched", "watchdog-mode", "watchdog-ticks",
-    // Run supervisor (bench_main --supervise).
-    "supervise", "supervise-backoff-ms", "supervise-dir",
-    "supervise-kill-after-ms", "supervise-retries",
-    // Benches and examples.
-    "alpha", "beta", "channels", "config", "fps", "frames", "gamma",
-    "height", "highload", "maxwt", "model", "n", "name", "npu",
-    "npu-dma-outstanding", "npu-fps", "npu-frames", "npu-model",
-    "npu-queue-depth", "npu-scratch-kb", "npu-tile", "out", "outdir",
-    "prep", "quick", "run_frames", "stats", "stats-out", "width",
-    "workload", "wt",
-    // Bench registry front end (bench_main) and sweep driver.
-    "bench-bin", "ckpt-share-keys", "db", "dry-run", "git-sha",
-    "jobs", "list", "retries", "retry-backoff-ms", "run", "spec",
+enum class KeyRole { Axis, Run };
+
+struct KnownKey
+{
+    const char *name;
+    KeyRole role;
 };
+
+constexpr KeyRole axis = KeyRole::Axis;
+constexpr KeyRole run = KeyRole::Run;
 
 /**
- * Keys that never contribute to a sweep point's fingerprint: they
- * steer where results/logs go or how the host-side tooling behaves,
- * not what machine or workload is simulated. Two runs differing only
- * in these keys are the same design point.
+ * Every --key some bench scenario, tool or the simulation kernel
+ * reads, with its role. parseArgs rejects anything else (with a
+ * near-miss suggestion); adding a flag is one entry here.
  */
-const char *const fingerprintExcludedKeys[] = {
-    "bench-bin", "capture-trace", "check-determinism",
-    "checkpoint-at", "checkpoint-dir", "checkpoint-every",
-    "checkpoint-keep", "ckpt-share-keys", "db", "dry-run", "git-sha",
-    "hang-report-path", "jobs", "list", "name", "out", "outdir",
-    "profile", "replay-trace", "restore", "restore-force", "retries",
-    "retry-backoff-ms", "run", "spec", "stats", "stats-out", "supervise",
-    "supervise-backoff-ms", "supervise-dir",
-    "supervise-kill-after-ms", "supervise-retries", "trace-file",
-    "watchdog-mode", "watchdog-ticks",
+const KnownKey knownKeys[] = {
+    // Simulation kernel (SimulationBuilder::observability).
+    {"capture-trace", run}, {"check-determinism", run}, {"checkpoint-at", run},
+    {"checkpoint-dir", run}, {"checkpoint-every", run},
+    {"checkpoint-keep", run}, {"fault-plan", axis}, {"fault-seed", axis},
+    {"hang-report-path", run}, {"mem-sched", axis}, {"profile", run},
+    {"replay-trace", run}, {"restore", run}, {"restore-force", run},
+    {"trace-file", run}, {"warp-sched", axis}, {"watchdog-mode", run},
+    {"watchdog-ticks", run},
+    // Run supervisor (bench_main --supervise).
+    {"supervise", run}, {"supervise-backoff-ms", run}, {"supervise-dir", run},
+    {"supervise-kill-after-ms", run}, {"supervise-retries", run},
+    // Bench scenarios.
+    {"alpha", axis}, {"beta", axis}, {"channels", axis}, {"config", axis},
+    {"fps", axis}, {"frames", axis}, {"gamma", axis}, {"height", axis},
+    {"highload", axis}, {"maxwt", axis}, {"model", axis}, {"n", axis},
+    {"name", run}, {"npu", axis}, {"npu-dma-outstanding", axis},
+    {"npu-fps", axis}, {"npu-frames", axis}, {"npu-model", axis},
+    {"npu-queue-depth", axis}, {"npu-scratch-kb", axis}, {"npu-tile", axis},
+    {"out", run}, {"outdir", run}, {"prep", axis}, {"quick", axis},
+    {"run_frames", axis}, {"stats-out", run}, {"width", axis},
+    {"workload", axis}, {"wt", axis},
+    // Bench registry front end (bench_main) and sweep driver.
+    {"bench-bin", run}, {"ckpt-share-keys", run}, {"db", run},
+    {"dry-run", run}, {"git-sha", run}, {"jobs", run}, {"list", run},
+    {"retries", run}, {"retry-backoff-ms", run}, {"run", run}, {"spec", run},
 };
 
-bool
-isKnownKey(const std::string &key)
+const KnownKey *
+findKey(const std::string &key)
 {
-    for (const char *known : knownKeys)
-        if (key == known)
-            return true;
-    return false;
+    for (const KnownKey &known : knownKeys)
+        if (key == known.name)
+            return &known;
+    return nullptr;
 }
 
+/**
+ * Fatal for a key the table lacks, suggesting a near-miss spelling
+ * or the one known key that extends it ("stats" -> "stats-out").
+ */
 void
 rejectUnknownKey(const std::string &key)
 {
-    std::vector<std::string> known(std::begin(knownKeys),
-                                   std::end(knownKeys));
-    std::string suggestion = nearestMatch(key, known);
+    std::vector<std::string> names, extensions;
+    for (const KnownKey &known : knownKeys) {
+        names.emplace_back(known.name);
+        if (names.back().rfind(key + "-", 0) == 0)
+            extensions.push_back(names.back());
+    }
+    std::string suggestion = nearestMatch(key, names);
+    if (suggestion.empty() && extensions.size() == 1)
+        suggestion = extensions[0];
     if (!suggestion.empty()) {
         fatal("unknown option '--%s' — did you mean '--%s'?",
               key.c_str(), suggestion.c_str());
@@ -96,7 +110,7 @@ Config::parseArgs(int argc, char **argv)
         std::string key = eq != std::string::npos
                               ? arg.substr(2, eq - 2)
                               : arg.substr(2);
-        if (!isKnownKey(key))
+        if (!findKey(key))
             rejectUnknownKey(key);
         if (eq != std::string::npos) {
             set(key, arg.substr(eq + 1));
@@ -209,13 +223,14 @@ Config::getBool(const std::string &key, bool dflt) const
 namespace
 {
 
+/** True for a Run key of the table, or one of @p shared. */
 bool
 fingerprintExcluded(const std::string &key,
                     const std::vector<std::string> &shared)
 {
-    for (const char *excluded : fingerprintExcludedKeys)
-        if (key == excluded)
-            return true;
+    const KnownKey *known = findKey(key);
+    if (known && known->role == KeyRole::Run)
+        return true;
     for (const std::string &s : shared)
         if (key == s)
             return true;

@@ -1,8 +1,8 @@
 /**
  * @file
- * A minimal key=value configuration store used by examples and
- * benchmark harnesses to override experiment parameters from the
- * command line (--key=value).
+ * A minimal key=value configuration store the bench scenarios and
+ * tools use to override experiment parameters from the command line
+ * (--key=value).
  */
 
 #ifndef EMERALD_SIM_CONFIG_HH

@@ -90,9 +90,6 @@ class ProgressWatchdog
     WatchdogMode mode() const { return _mode; }
     Tick budget() const { return _budget; }
 
-    /** The report the last detected hang produced (tests). */
-    const std::string &lastReport() const { return _lastReport; }
-
   private:
     /** Declared before the Scalars so it is constructed first. */
     StatGroup _group;

@@ -207,22 +207,14 @@ Simulation::createClockDomain(double mhz, const std::string &name)
     return *_domains.back();
 }
 
-ClockDomain *
-Simulation::findClockDomain(const std::string &name)
-{
-    for (const auto &domain : _domains) {
-        if (domain->name() == name)
-            return domain.get();
-    }
-    return nullptr;
-}
-
 ClockDomain &
 Simulation::clockDomain(const std::string &name)
 {
-    ClockDomain *domain = findClockDomain(name);
-    fatal_if(!domain, "no clock domain named '%s'", name.c_str());
-    return *domain;
+    for (const auto &domain : _domains) {
+        if (domain->name() == name)
+            return *domain;
+    }
+    fatal("no clock domain named '%s'", name.c_str());
 }
 
 void

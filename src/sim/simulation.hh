@@ -71,14 +71,8 @@ class Simulation
      */
     ClockDomain &createClockDomain(double mhz, const std::string &name);
 
-    /**
-     * Look up a clock domain by name (e.g. one declared through
-     * SimulationBuilder::clockDomain); fatal when absent.
-     */
+    /** The domain named @p name (e.g. "gpu_clk"); fatal when absent. */
     ClockDomain &clockDomain(const std::string &name);
-
-    /** The named domain, or nullptr when absent. */
-    ClockDomain *findClockDomain(const std::string &name);
 
     /** Run until the event queue drains or @p limit is reached. */
     std::uint64_t run(Tick limit = maxTick) { return _eq.runUntil(limit); }
@@ -208,8 +202,6 @@ class Simulation
     {
         _configFingerprint = fp;
     }
-
-    std::uint64_t configFingerprint() const { return _configFingerprint; }
 
     /**
      * Checkpoint a stateful object that is not a SimObject (e.g. the

@@ -10,13 +10,6 @@ namespace emerald
 {
 
 SimulationBuilder &
-SimulationBuilder::clockDomain(const std::string &name, double mhz)
-{
-    _domains.push_back({name, mhz});
-    return *this;
-}
-
-SimulationBuilder &
 SimulationBuilder::traceFile(const std::string &path)
 {
     _traceFile = path;
@@ -181,8 +174,6 @@ SimulationBuilder::build() const
 void
 SimulationBuilder::applyTo(Simulation &sim) const
 {
-    for (const DomainSpec &spec : _domains)
-        sim.createClockDomain(spec.mhz, spec.name);
     if (!_traceFile.empty())
         sim.enableTracing(_traceFile);
     if (_profiling)

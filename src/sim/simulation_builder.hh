@@ -1,8 +1,8 @@
 /**
  * @file
- * Fluent construction recipe for a Simulation: clock domains and
- * observability (tracing / profiling). Replaces the copy-pasted
- * "parse config, wire tracer" prologue of the benches and examples.
+ * Fluent construction recipe for a Simulation: observability
+ * (tracing / profiling), robustness and checkpoint options. Replaces
+ * the copy-pasted "parse config, wire tracer" prologue of the benches.
  */
 
 #ifndef EMERALD_SIM_SIMULATION_BUILDER_HH
@@ -55,17 +55,14 @@ struct RigOptions
  * can be copied, passed across APIs (e.g. into SocTop), and reused.
  *
  *   auto sim = SimulationBuilder()
- *                  .clockDomain("gpu_clk", 1000.0)
  *                  .traceFile("trace.json")
  *                  .profiling()
+ *                  .checkDeterminism()
  *                  .build();
  */
 class SimulationBuilder
 {
   public:
-    /** Add a clock domain; retrieve it via Simulation::clockDomain. */
-    SimulationBuilder &clockDomain(const std::string &name, double mhz);
-
     /** Stream a Chrome-trace event log to @p path. */
     SimulationBuilder &traceFile(const std::string &path);
 
@@ -199,13 +196,6 @@ class SimulationBuilder
     const std::string &checkpointDir() const { return _checkpointDir; }
 
   private:
-    struct DomainSpec
-    {
-        std::string name;
-        double mhz;
-    };
-
-    std::vector<DomainSpec> _domains;
     std::string _traceFile;
     bool _profiling = false;
     bool _checkDeterminism = false;

@@ -144,7 +144,6 @@ class TimeSeries : public Stat
     /** Accumulate @p value into the bucket containing @p when. */
     void add(Tick when, double value);
 
-    Tick bucketWidth() const { return _bucketWidth; }
     const std::vector<double> &buckets() const { return _buckets; }
 
     /** Samples clamped into the last bucket by the maxBuckets cap. */

@@ -54,11 +54,9 @@ class StandaloneGpu
      * --checkpoint-every need SocTop and are fatal here.
      */
     StandaloneGpu(unsigned fb_width, unsigned fb_height,
-                  const gpu::GpuTopParams &gpu_params =
-                      caseStudy2GpuParams(),
-                  const mem::MemorySystemParams &mem_params =
-                      caseStudy2MemParams(),
-                  const SimulationBuilder &builder = {});
+                  const gpu::GpuTopParams &gpu_params,
+                  const mem::MemorySystemParams &mem_params,
+                  const SimulationBuilder &builder);
     ~StandaloneGpu();
 
     Simulation &sim() { return _sim; }

@@ -62,8 +62,6 @@ class CpuCoreModel : public SimObject,
     /** Enable sparse background traffic while no quota is active. */
     void setBackground(bool enabled);
 
-    bool quotaActive() const { return _quotaRemaining > 0; }
-
     void memResponse(MemPacket *pkt) override;
     void retryRequest() override;
     std::string requestorName() const override { return name(); }

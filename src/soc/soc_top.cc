@@ -24,6 +24,17 @@ memConfigName(MemConfig config)
     }
 }
 
+MemConfig
+memConfigFromName(const std::string &name)
+{
+    for (MemConfig config :
+         {MemConfig::BAS, MemConfig::DCB, MemConfig::DTB, MemConfig::HMC})
+        if (name == memConfigName(config))
+            return config;
+    fatal("unknown memory configuration '%s' (valid: BAS, DCB, DTB, "
+          "HMC)", name.c_str());
+}
+
 /** One CPU core with its private L1/L2 chain into the memory. */
 struct SocTop::CpuNode
 {

@@ -44,6 +44,12 @@ enum class MemConfig { BAS, DCB, DTB, HMC };
 
 const char *memConfigName(MemConfig config);
 
+/**
+ * The configuration memConfigName() spells @p name ("DTB"); any
+ * other spelling is fatal, naming the valid ones.
+ */
+MemConfig memConfigFromName(const std::string &name);
+
 struct SocParams
 {
     MemConfig memConfig = MemConfig::BAS;
@@ -96,13 +102,12 @@ class SocTop
 {
   public:
     /**
-     * @param builder optional recipe applied to the SoC's Simulation
-     *        before construction (observability, extra clock domains,
-     *        stats sinks); its RigOptions pick the scheduler policies,
-     *        trace capture/replay and the checkpoint to restore.
+     * @param builder recipe applied to the SoC's Simulation before
+     *        construction (observability, checkpoints, faults); its
+     *        RigOptions pick the scheduler policies, trace
+     *        capture/replay and the checkpoint to restore.
      */
-    explicit SocTop(const SocParams &params,
-                    const SimulationBuilder &builder = {});
+    SocTop(const SocParams &params, const SimulationBuilder &builder);
     ~SocTop();
 
     /** Run until the app completes its frames (with a safety cap). */
@@ -128,8 +133,6 @@ class SocTop
     bool replayMode() const { return _replay != nullptr; }
     /** The replay driver, or null in execution-driven runs. */
     TraceReplayDriver *replayDriver() { return _replay; }
-    /** The capture writer, or null without --capture-trace. */
-    mem::TrafficTraceWriter *traceWriter() { return _traceWriter.get(); }
 
     /** Mean GPU render time over profiled (non-warm-up) frames. */
     double meanGpuFrameMs() const;

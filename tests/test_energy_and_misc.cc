@@ -32,7 +32,8 @@ render(soc::StandaloneGpu &rig, scenes::SceneRenderer &scene,
 
 TEST(EnergyModel, ZeroWindowZeroDynamicEnergy)
 {
-    soc::StandaloneGpu rig(64, 64);
+    soc::StandaloneGpu rig(64, 64, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     core::EnergyModel energy(rig.gpu(), rig.pipeline(), rig.memory());
     energy.snapshot();
     core::EnergyReport report = energy.report(0);
@@ -43,7 +44,8 @@ TEST(EnergyModel, ZeroWindowZeroDynamicEnergy)
 
 TEST(EnergyModel, FrameEnergyPositiveAndDecomposed)
 {
-    soc::StandaloneGpu rig(128, 96);
+    soc::StandaloneGpu rig(128, 96, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     scenes::SceneRenderer scene(
         rig.pipeline(),
         scenes::makeWorkload(scenes::WorkloadId::W3_Cube),
@@ -69,7 +71,8 @@ TEST(EnergyModel, FrameEnergyPositiveAndDecomposed)
 
 TEST(EnergyModel, MoreWorkMoreEnergy)
 {
-    soc::StandaloneGpu rig(128, 96);
+    soc::StandaloneGpu rig(128, 96, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     scenes::SceneRenderer small(
         rig.pipeline(),
         scenes::makeWorkload(scenes::WorkloadId::W3_Cube),
@@ -79,7 +82,8 @@ TEST(EnergyModel, MoreWorkMoreEnergy)
     core::FrameStats s1 = render(rig, small, 0);
     double cube = energy.report(s1.endTick - s1.startTick).total_uj();
 
-    soc::StandaloneGpu rig2(128, 96);
+    soc::StandaloneGpu rig2(128, 96, soc::caseStudy2GpuParams(),
+                            soc::caseStudy2MemParams(), SimulationBuilder());
     scenes::SceneRenderer big(
         rig2.pipeline(),
         scenes::makeWorkload(scenes::WorkloadId::W1_Sibenik),
@@ -97,7 +101,8 @@ TEST(TriangleStrips, RenderAndMatchTriangleList)
 {
     // The same quad as a strip and as a triangle list must rasterize
     // the same pixels (overlapped vertex warps, Section 3.3.3).
-    soc::StandaloneGpu rig(64, 64);
+    soc::StandaloneGpu rig(64, 64, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     mem::FunctionalMemory &fmem = rig.functionalMemory();
     core::ShaderBuilder builder;
     const auto *vs =
@@ -185,7 +190,8 @@ TEST(TriangleStrips, LongStripUsesOverlappedWarps)
 {
     // A strip longer than one warp exercises the vertex overlap
     // logic: every primitive must still appear.
-    soc::StandaloneGpu rig(96, 64);
+    soc::StandaloneGpu rig(96, 64, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     mem::FunctionalMemory &fmem = rig.functionalMemory();
     core::ShaderBuilder builder;
     const auto *vs =

@@ -14,7 +14,9 @@ namespace
 
 struct KernelRig
 {
-    soc::StandaloneGpu rig{64, 64};
+    soc::StandaloneGpu rig{64, 64, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(),
+                           SimulationBuilder()};
     core::ShaderBuilder builder;
 
     std::uint64_t

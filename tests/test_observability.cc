@@ -831,6 +831,16 @@ TEST(ConfigParse, RetiredAllowUnknownArgsIsUnknown)
                  "unknown option '--allow-unknown-args'");
 }
 
+TEST(ConfigParse, RetiredStatsIsUnknown)
+{
+    // --stats-out files the tree that --stats printed.
+    const char *argv[] = {"prog", "--stats"};
+    Config cfg;
+    EXPECT_DEATH(cfg.parseArgs(2, const_cast<char **>(argv)),
+                 "unknown option '--stats' .* did you mean "
+                 "'--stats-out'\\?");
+}
+
 TEST(ConfigParse, AcceptsFullNumericRange)
 {
     Config cfg;

@@ -52,7 +52,9 @@ TEST(PipelineCorrectness, ImageIdenticalAcrossWtSizes)
     // order-independent).
     std::uint64_t reference = 0;
     for (unsigned wt : {1u, 3u, 10u}) {
-        soc::StandaloneGpu rig(128, 96);
+        soc::StandaloneGpu rig(128, 96, soc::caseStudy2GpuParams(),
+                               soc::caseStudy2MemParams(),
+                               SimulationBuilder());
         scenes::SceneRenderer scene(
             rig.pipeline(),
             scenes::makeWorkload(scenes::WorkloadId::W4_Suzanne),
@@ -75,7 +77,9 @@ TEST(PipelineCorrectness, ImageIdenticalWithHiZDisabled)
         (void)sim_keep;
         core::GfxParams gfx;
         gfx.hizEnabled = enabled != 0;
-        soc::StandaloneGpu rig(128, 96);
+        soc::StandaloneGpu rig(128, 96, soc::caseStudy2GpuParams(),
+                               soc::caseStudy2MemParams(),
+                               SimulationBuilder());
         // Rebuild the pipeline with the chosen Hi-Z setting.
         core::GraphicsPipeline pipe(rig.sim(), "gfx2", rig.gpu(), 128,
                                     96, gfx);
@@ -95,7 +99,8 @@ TEST(PipelineCorrectness, NearTriangleOccludesFar)
 {
     // Two overlapping full-screen-ish triangles: the nearer one must
     // win everywhere they overlap, regardless of submission order.
-    soc::StandaloneGpu rig(64, 64);
+    soc::StandaloneGpu rig(64, 64, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     mem::FunctionalMemory &fmem = rig.functionalMemory();
     core::ShaderBuilder builder;
 
@@ -194,7 +199,8 @@ TEST(PipelineCorrectness, NearClippedPiecesShareATile)
         }
     }
 
-    soc::StandaloneGpu rig(64, 64);
+    soc::StandaloneGpu rig(64, 64, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     mem::FunctionalMemory &fmem = rig.functionalMemory();
     core::ShaderBuilder builder;
     core::RenderState state;
@@ -242,7 +248,8 @@ TEST(PipelineCorrectness, NearClippedPiecesShareATile)
 
 TEST(PipelineCorrectness, TranslucencyBlendsOverOpaque)
 {
-    soc::StandaloneGpu rig(128, 96);
+    soc::StandaloneGpu rig(128, 96, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     scenes::SceneRenderer scene(
         rig.pipeline(),
         scenes::makeWorkload(scenes::WorkloadId::W5_SuzanneAlpha),
@@ -283,7 +290,9 @@ TEST(PipelineCorrectness, GoldenHashesStable)
     for (const Golden &golden : goldens) {
         core::GfxParams gfx;
         gfx.fineQueueDepth = golden.fineQueueDepth;
-        soc::StandaloneGpu rig(128, 96);
+        soc::StandaloneGpu rig(128, 96, soc::caseStudy2GpuParams(),
+                               soc::caseStudy2MemParams(),
+                               SimulationBuilder());
         core::GraphicsPipeline pipe(rig.sim(), "gfx2", rig.gpu(), 128,
                                     96, gfx);
         scenes::SceneRenderer scene(pipe, scenes::makeWorkload(golden.id),
@@ -310,7 +319,8 @@ TEST(PipelineCorrectness, TemporalCoherenceSmallDeltas)
 {
     // Consecutive frames differ only slightly (the property DFSL
     // exploits): fragment counts move by far less than the total.
-    soc::StandaloneGpu rig(128, 96);
+    soc::StandaloneGpu rig(128, 96, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     scenes::SceneRenderer scene(
         rig.pipeline(),
         scenes::makeWorkload(scenes::WorkloadId::W2_Spot),
@@ -325,7 +335,8 @@ TEST(PipelineCorrectness, TemporalCoherenceSmallDeltas)
 TEST(PipelineCorrectness, MultiDrawFramesDrain)
 {
     // Several draws in one frame, sequential draining.
-    soc::StandaloneGpu rig(96, 96);
+    soc::StandaloneGpu rig(96, 96, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     mem::FunctionalMemory &fmem = rig.functionalMemory();
     scenes::Workload w = scenes::makeWorkload(
         scenes::WorkloadId::W3_Cube);
@@ -340,7 +351,8 @@ TEST(PipelineCorrectness, MultiDrawFramesDrain)
 
 TEST(PipelineCorrectness, EmptyFrameCompletes)
 {
-    soc::StandaloneGpu rig(64, 64);
+    soc::StandaloneGpu rig(64, 64, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     core::Framebuffer fb(64, 64);
     rig.pipeline().beginFrame(&fb);
     bool done = false;
@@ -356,7 +368,8 @@ TEST(PipelineCorrectness, HiZCullsOccludedWork)
 {
     // Draw a big near quad first, then geometry behind it: Hi-Z must
     // reject a meaningful share of the occluded tiles.
-    soc::StandaloneGpu rig(128, 96);
+    soc::StandaloneGpu rig(128, 96, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     mem::FunctionalMemory &fmem = rig.functionalMemory();
     core::ShaderBuilder builder;
     const auto *vs = builder.buildVertex(
@@ -418,7 +431,9 @@ TEST(PipelineCorrectness, OutOfOrderPrimitivesImageMatches)
     for (int ooo = 0; ooo < 2; ++ooo) {
         core::GfxParams gfx;
         gfx.oooPrimitives = ooo != 0;
-        soc::StandaloneGpu rig(128, 96);
+        soc::StandaloneGpu rig(128, 96, soc::caseStudy2GpuParams(),
+                               soc::caseStudy2MemParams(),
+                               SimulationBuilder());
         core::GraphicsPipeline pipe(rig.sim(), "gfx_ooo", rig.gpu(),
                                     128, 96, gfx);
         scenes::SceneRenderer scene(

@@ -280,7 +280,8 @@ TEST(SimtCoreTiming, CyclesActiveIsTheUnionOfWarpLifetimes)
     // only inside the core's own tick, so between two observations it
     // held for every cycle in between, whether the core ticked or
     // slept through them.
-    soc::StandaloneGpu rig(128, 96);
+    soc::StandaloneGpu rig(128, 96, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     bool done = false;
     scenes::SceneRenderer scene(
         rig.pipeline(), scenes::makeWorkload(scenes::WorkloadId::W3_Cube),

@@ -10,7 +10,7 @@ TEST(SocSmoke, TwoFramesBaseline) {
     p.fbWidth = 192;
     p.fbHeight = 144;
     p.cpuPrepRequests = 300;
-    soc::SocTop soc(p);
+    soc::SocTop soc(p, SimulationBuilder());
     soc.run(ticksFromMs(500.0));
     ASSERT_EQ(soc.app().frames().size(), 2u);
     EXPECT_GT(soc.app().frames()[1].gpuTime(), 0u);
@@ -28,7 +28,7 @@ TEST(SocSmoke, DashAndHmcRun) {
         p.fbWidth = 192;
         p.fbHeight = 144;
         p.cpuPrepRequests = 300;
-        soc::SocTop soc(p);
+        soc::SocTop soc(p, SimulationBuilder());
         soc.run(ticksFromMs(500.0));
         EXPECT_EQ(soc.app().frames().size(), 2u) << soc::memConfigName(cfg);
     }

@@ -147,7 +147,9 @@ TEST(Trace, ReplayIsDeterministic)
     Trace trace = makeCubeTrace(96, 64, 2);
 
     auto run = [&](const Trace &t) {
-        soc::StandaloneGpu rig(96, 64);
+        soc::StandaloneGpu rig(96, 64, soc::caseStudy2GpuParams(),
+                               soc::caseStudy2MemParams(),
+                               SimulationBuilder());
         TracePlayer player(rig.pipeline(), t,
                            rig.functionalMemory());
         std::vector<std::uint64_t> hashes;
@@ -187,7 +189,8 @@ TEST(Trace, MultiDrawFramesReplay)
     overlay.constants[20] = 0.5f;
     trace.frames[0].push_back(std::move(overlay));
 
-    soc::StandaloneGpu rig(64, 48);
+    soc::StandaloneGpu rig(64, 48, soc::caseStudy2GpuParams(),
+                           soc::caseStudy2MemParams(), SimulationBuilder());
     TracePlayer player(rig.pipeline(), trace, rig.functionalMemory());
     bool done = false;
     FrameStats stats;
