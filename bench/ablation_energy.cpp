@@ -116,6 +116,7 @@ const RegisterScenario reg{{
     .desc = "Ablation: per-frame GPU energy vs work distribution",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
+    .quick = true,
 }};
 
 } // namespace

@@ -4,6 +4,8 @@
  * registered scenario.
  *
  *   emerald_bench --list               name<TAB>kind<TAB>description
+ *                                      <TAB>quick|full (whether --quick
+ *                                      selects a smaller run)
  *   emerald_bench --run=<name> [...]   run one scenario; remaining
  *                                      flags go to the scenario
  *
@@ -88,10 +90,10 @@ main(int argc, char **argv)
     const ScenarioRegistry &registry = ScenarioRegistry::instance();
     if (cfg.getBool("list", false)) {
         for (const Scenario &s : registry.scenarios()) {
-            std::printf("%s\t%s\t%s\n", s.name.c_str(),
+            std::printf("%s\t%s\t%s\t%s\n", s.name.c_str(),
                         s.kind == ScenarioKind::Figure ? "figure"
                                                        : "aux",
-                        s.desc.c_str());
+                        s.desc.c_str(), s.quick ? "quick" : "full");
         }
         return 0;
     }

@@ -71,6 +71,7 @@ const RegisterScenario reg{{
     .desc = "Fig. 9: GPU frame time under regular load, normalized to BAS",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
+    .quick = true,
 }};
 
 } // namespace

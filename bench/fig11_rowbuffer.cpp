@@ -78,6 +78,7 @@ const RegisterScenario reg{{
     .desc = "Fig. 11: HMC row-buffer hit rate and bytes/activation vs BAS",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
+    .quick = true,
 }};
 
 } // namespace

@@ -105,6 +105,7 @@ const RegisterScenario reg{{
     .desc = "Fig. 12: high-load total/GPU frame time normalized to BAS",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
+    .quick = true,
 }};
 
 } // namespace

@@ -69,6 +69,7 @@ const RegisterScenario reg{{
     .desc = "Fig. 13: display requests serviced relative to BAS, high load",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
+    .quick = true,
 }};
 
 } // namespace

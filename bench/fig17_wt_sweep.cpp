@@ -69,6 +69,7 @@ const RegisterScenario reg{{
     .desc = "Fig. 17: frame time vs WT size, normalized to WT=1",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
+    .quick = true,
 }};
 
 } // namespace

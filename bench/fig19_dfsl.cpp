@@ -168,6 +168,7 @@ const RegisterScenario reg{{
     .desc = "Fig. 19: DFSL vs static work distributions (speedup over MLB)",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
+    .quick = true,
 }};
 
 } // namespace

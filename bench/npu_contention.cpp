@@ -115,6 +115,7 @@ const RegisterScenario reg{{
             "memory client",
     .run = runScenario,
     .kind = ScenarioKind::Figure,
+    .quick = true,
 }};
 
 } // namespace

@@ -38,6 +38,9 @@ struct Scenario
     std::string desc;
     ScenarioFn run = nullptr;
     ScenarioKind kind = ScenarioKind::Figure;
+    /** It reads harness.quick: --quick selects a smaller run. Every
+     *  other scenario accepts --quick and runs in full. */
+    bool quick = false;
 };
 
 class ScenarioRegistry

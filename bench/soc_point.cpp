@@ -125,6 +125,7 @@ const RegisterScenario reg{{
     .desc = "one SocTop run, fully parameterized — the sweep unit",
     .run = runScenario,
     .kind = ScenarioKind::Aux,
+    .quick = true,
 }};
 
 } // namespace

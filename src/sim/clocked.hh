@@ -107,10 +107,27 @@ class Clocked
     virtual bool tick() = 0;
 
   private:
+    /** The tick event: calls processTick() with no std::function. */
+    class TickEvent final : public Event
+    {
+      public:
+        TickEvent(Clocked &owner, std::string name)
+            : Event(clockPriority), _owner(owner), _name(std::move(name))
+        {}
+
+        void process() override;
+        const std::string &name() const override { return _name; }
+
+      private:
+        Clocked &_owner;
+        std::string _name;
+    };
+
+    /** tick(), then re-arm one period after this edge. */
     void processTick();
 
     ClockDomain &_domain;
-    EventFunction _tickEvent;
+    TickEvent _tickEvent;
 };
 
 } // namespace emerald

@@ -1,6 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include <algorithm>
 #include <chrono>
 
 #include "sim/logging.hh"
@@ -15,9 +14,10 @@ Event::name() const
     return anonymous;
 }
 
-EventQueue::Key
-EventQueue::nextKey(const Event &ev, Tick when)
+void
+EventQueue::refuse(const Event &ev, Tick when, bool twice) const
 {
+    panic_if(twice, "event %s scheduled twice", ev.name().c_str());
     panic_if(when < _curTick,
              "event %s scheduled in the past (%llu < %llu)",
              ev.name().c_str(), (unsigned long long)when,
@@ -25,128 +25,73 @@ EventQueue::nextKey(const Event &ev, Tick when)
     panic_if(ev._priority < -priorityBias || ev._priority >= priorityBias,
              "event %s priority %d outside [%d, %d]", ev.name().c_str(),
              ev._priority, -priorityBias, priorityBias - 1);
-    panic_if(_nextSeq >> seqBits, "event sequence numbers exhausted");
-    const std::uint64_t rank =
-        (static_cast<std::uint64_t>(ev._priority + priorityBias)
-         << seqBits) |
-        _nextSeq++;
-    return (Key(when) << 64) | rank;
-}
-
-void
-EventQueue::schedule(Event &ev, Tick when)
-{
-    panic_if(ev.scheduled(), "event %s scheduled twice",
-             ev.name().c_str());
-    const Key key = nextKey(ev, when);
-    ev._when = when;
-    insert(Node{key, &ev});
-    ++_liveEvents;
+    panic("event sequence numbers exhausted");
 }
 
 void
 EventQueue::reschedule(Event &ev, Tick when)
 {
-    if (!ev.scheduled()) {
+    if (!ev._scheduled) {
         schedule(ev, when);
         return;
     }
-    const Key key = nextKey(ev, when);
+    const Key key = nextKey(ev, when, false);
     unlink(ev);
     ev._when = when;
-    insert(Node{key, &ev});
+    insert(key, ev);
 }
 
 void
 EventQueue::deschedule(Event &ev)
 {
-    panic_if(!ev.scheduled(), "descheduling idle event %s",
+    panic_if(!ev._scheduled, "descheduling idle event %s",
              ev.name().c_str());
     unlink(ev);
-    ev._slot = Event::idleSlot;
-    --_liveEvents;
+    ev._scheduled = false;
 }
 
 void
-EventQueue::insert(Node node)
+EventQueue::insert(Key key, Event &ev)
 {
-    const bool earliest = _front.event
-                              ? node.key < _front.key
-                              : _heap.empty() || node.key < _heap[0].key;
-    if (!earliest) {
-        heapPush(node);
-        return;
-    }
-    // A displaced front node is still earlier than every heap node,
-    // so it sifts to the root.
-    if (_front.event)
-        heapPush(_front);
-    _front = node;
-    node.event->_slot = Event::frontSlot;
+    // Walk from the back (the earliest) past every earlier node.
+    auto pos = _run.end();
+    while (pos != _run.begin() && (pos - 1)->key < key)
+        --pos;
+    _run.insert(pos, Node{key, &ev});
 }
 
 void
-EventQueue::unlink(Event &ev)
+EventQueue::unlink(const Event &ev)
 {
-    if (ev._slot == Event::frontSlot)
-        _front.event = nullptr;
-    else
-        heapErase(ev._slot);
-}
-
-void
-EventQueue::heapPush(Node node)
-{
-    _heap.push_back(node);
-    siftUp(_heap.size() - 1, node);
-}
-
-void
-EventQueue::heapErase(std::size_t i)
-{
-    const Node last = _heap.back();
-    _heap.pop_back();
-    if (i == _heap.size())
-        return;
-    if (i > 0 && last.key < _heap[(i - 1) / arity].key)
-        siftUp(i, last);
-    else
-        siftDown(i, last);
-}
-
-void
-EventQueue::siftUp(std::size_t i, Node node)
-{
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / arity;
-        if (!(node.key < _heap[parent].key))
-            break;
-        place(i, _heap[parent]);
-        i = parent;
-    }
-    place(i, node);
-}
-
-void
-EventQueue::siftDown(std::size_t i, Node node)
-{
-    const std::size_t n = _heap.size();
-    while (true) {
-        const std::size_t first = arity * i + 1;
-        if (first >= n)
-            break;
-        const std::size_t end = std::min(first + arity, n);
-        std::size_t best = first;
-        for (std::size_t c = first + 1; c < end; ++c) {
-            if (_heap[c].key < _heap[best].key)
-                best = c;
+    for (auto pos = _run.end(); pos != _run.begin();) {
+        if ((--pos)->event == &ev) {
+            _run.erase(pos);
+            return;
         }
-        if (!(_heap[best].key < node.key))
-            break;
-        place(i, _heap[best]);
-        i = best;
     }
-    place(i, node);
+    panic("event %s is scheduled but not queued", ev.name().c_str());
+}
+
+void
+EventQueue::processInstrumented(Event &ev)
+{
+    // The name stays valid across process(): an Event outlives its own
+    // processing (see Event::name()).
+    const std::string &name = ev.name();
+    const Tick when = _curTick;
+    const int priority = ev._priority;
+    std::uint64_t wall_ns = 0;
+    if (_timed) {
+        auto start = std::chrono::steady_clock::now();
+        ev.process();
+        wall_ns = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+    } else {
+        ev.process();
+    }
+    _instrument->onEvent(name, when, priority, wall_ns);
 }
 
 std::string
@@ -154,7 +99,7 @@ EventQueue::headSummary() const
 {
     if (empty())
         return "(empty)";
-    const Node &head = _front.event ? _front : _heap[0];
+    const Node &head = _run.back();
     return strprintf("%s @ %llu", head.event->name().c_str(),
                      (unsigned long long)whenOf(head.key));
 }
@@ -163,71 +108,19 @@ Tick
 EventQueue::nextTick() const
 {
     panic_if(empty(), "nextTick on empty event queue");
-    return whenOf(_front.event ? _front.key : _heap[0].key);
-}
-
-void
-EventQueue::serviceNext()
-{
-    Event *ev = _front.event;
-    if (ev) {
-        _front.event = nullptr;
-    } else {
-        ev = _heap[0].event;
-        heapErase(0);
-    }
-    const Tick when = ev->_when;
-    panic_if(when < _curTick, "event queue went backwards");
-    _curTick = when;
-    ev->_slot = Event::idleSlot;
-    --_liveEvents;
-    ++_numProcessed;
-    if (_instrument) {
-        // The name stays valid across process(): an Event outlives
-        // its own processing (see Event::name()).
-        const std::string &name = ev->name();
-        const int priority = ev->_priority;
-        std::uint64_t wall_ns = 0;
-        if (_timed) {
-            auto start = std::chrono::steady_clock::now();
-            ev->process();
-            wall_ns = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start)
-                    .count());
-        } else {
-            ev->process();
-        }
-        _instrument->onEvent(name, when, priority, wall_ns);
-    } else {
-        ev->process();
-    }
-}
-
-bool
-EventQueue::runOne()
-{
-    if (empty())
-        return false;
-    serviceNext();
-    return true;
+    return whenOf(_run.back().key);
 }
 
 std::vector<EventQueue::LiveEventRef>
 EventQueue::liveEventsSorted() const
 {
-    std::vector<Node> nodes;
-    nodes.reserve(_liveEvents);
-    forEachNode([&nodes](const Node &node) { nodes.push_back(node); });
-    std::sort(nodes.begin(), nodes.end(),
-              [](const Node &a, const Node &b) { return a.key < b.key; });
     std::vector<LiveEventRef> out;
-    out.reserve(nodes.size());
+    out.reserve(_run.size());
     const std::uint64_t seq_mask = (std::uint64_t(1) << seqBits) - 1;
-    for (const Node &node : nodes) {
-        out.push_back({whenOf(node.key), node.event->_priority,
-                       static_cast<std::uint64_t>(node.key) & seq_mask,
-                       node.event});
+    for (auto node = _run.rbegin(); node != _run.rend(); ++node) {
+        out.push_back({whenOf(node->key), node->event->_priority,
+                       static_cast<std::uint64_t>(node->key) & seq_mask,
+                       node->event});
     }
     return out;
 }
@@ -235,24 +128,22 @@ EventQueue::liveEventsSorted() const
 void
 EventQueue::clearForRestore()
 {
-    forEachNode([](const Node &node) {
-        node.event->_slot = Event::idleSlot;
-    });
-    _front.event = nullptr;
-    _heap.clear();
-    _liveEvents = 0;
+    for (const Node &node : _run)
+        node.event->_scheduled = false;
+    _run.clear();
 }
 
 void
 EventQueue::restoreTime(Tick tick, std::uint64_t num_processed)
 {
     panic_if(tick < _curTick, "restoreTime would move time backwards");
-    forEachNode([tick](const Node &node) {
-        panic_if(whenOf(node.key) < tick,
+    if (!empty()) {
+        const Node &head = _run.back();
+        panic_if(whenOf(head.key) < tick,
                  "restoreTime(%llu) with event %s pending at %llu",
-                 (unsigned long long)tick, node.event->name().c_str(),
-                 (unsigned long long)whenOf(node.key));
-    });
+                 (unsigned long long)tick, head.event->name().c_str(),
+                 (unsigned long long)whenOf(head.key));
+    }
     _curTick = tick;
     _numProcessed = num_processed;
 }
@@ -261,8 +152,8 @@ std::uint64_t
 EventQueue::runUntil(Tick limit)
 {
     std::uint64_t processed = 0;
-    while (!empty() && nextTick() <= limit) {
-        serviceNext();
+    while (!empty() && whenOf(_run.back().key) <= limit) {
+        runOne();
         ++processed;
     }
     return processed;

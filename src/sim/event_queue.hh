@@ -88,22 +88,16 @@ class Event
      */
     virtual const std::string &name() const;
 
-    bool scheduled() const { return _slot != idleSlot; }
+    bool scheduled() const { return _scheduled; }
     Tick when() const { return _when; }
     int priority() const { return _priority; }
 
   private:
     friend class EventQueue;
 
-    /** _slot values that are not heap indices. */
-    static constexpr std::uint32_t idleSlot = ~std::uint32_t(0);
-    static constexpr std::uint32_t frontSlot = idleSlot - 1;
-
     Tick _when = 0;
-    /** Where the queue holds the event: a heap index, or one of the
-     *  two sentinels above. */
-    std::uint32_t _slot = idleSlot;
     int _priority;
+    bool _scheduled = false;
 };
 
 /** An Event that invokes a bound std::function. */
@@ -125,17 +119,17 @@ class EventFunction : public Event
 };
 
 /**
- * The event queue: a 4-ary min-heap plus a front slot, with a
+ * The event queue: one run of nodes kept sorted latest-first, with a
  * monotonically advancing current tick.
  *
  * Service order is (when, priority, schedule order): every schedule()
  * or reschedule() takes the next sequence number, and one 128-bit key
  * packs all three, with when above a rank of the biased priority over
- * a 56-bit sequence number. Each scheduled Event records where the
- * queue holds it, so deschedule() and reschedule() remove it in place.
- * The front slot holds a scheduling that is earlier than every heap
- * node, so an event that re-arms itself as the next to fire is stored
- * and popped without a sift.
+ * a 56-bit sequence number. The next event to fire is the run's back:
+ * runOne() pops it, schedule() walks from the back to the new node's
+ * place, and deschedule() and reschedule() find the node by its Event
+ * and erase it. Rigs hold tens of live events, and most schedulings
+ * land at or near the back (docs/scheduling.md, "Event queue").
  */
 class EventQueue
 {
@@ -149,7 +143,17 @@ class EventQueue
      * Schedule @p ev to fire at @p when.
      * @pre when >= curTick() and ev is not already scheduled.
      */
-    void schedule(Event &ev, Tick when);
+    void
+    schedule(Event &ev, Tick when)
+    {
+        const Key key = nextKey(ev, when, ev._scheduled);
+        ev._when = when;
+        ev._scheduled = true;
+        if (_run.empty() || key < _run.back().key)
+            _run.push_back(Node{key, &ev});
+        else
+            insert(key, ev);
+    }
 
     /** Move an event: deschedule if needed, then schedule at @p when. */
     void reschedule(Event &ev, Tick when);
@@ -158,10 +162,10 @@ class EventQueue
     void deschedule(Event &ev);
 
     /** True when no live events remain. */
-    bool empty() const { return _liveEvents == 0; }
+    bool empty() const { return _run.empty(); }
 
     /** Number of live (scheduled) events. */
-    std::size_t size() const { return _liveEvents; }
+    std::size_t size() const { return _run.size(); }
 
     /** Tick of the next live event. @pre !empty(). */
     Tick nextTick() const;
@@ -170,7 +174,22 @@ class EventQueue
      * Pop and process the next event.
      * @return false when the queue was empty.
      */
-    bool runOne();
+    bool
+    runOne()
+    {
+        if (_run.empty())
+            return false;
+        Event &ev = *_run.back().event;
+        _run.pop_back();
+        _curTick = ev._when;
+        ev._scheduled = false;
+        ++_numProcessed;
+        if (_instrument)
+            processInstrumented(ev);
+        else
+            ev.process();
+        return true;
+    }
 
     /**
      * Run events until the queue drains or the next event would fire
@@ -182,17 +201,6 @@ class EventQueue
 
     /** Total events processed over the queue's lifetime. */
     std::uint64_t numProcessed() const { return _numProcessed; }
-
-    /**
-     * Nodes the queue holds: the heap plus an occupied front slot.
-     * Descheduling removes a node in place, so this equals size();
-     * exposed so tests can check that no stale node is left behind.
-     */
-    std::size_t
-    heapSize() const
-    {
-        return _heap.size() + (_front.event != nullptr);
-    }
 
     /**
      * "name @ tick" of the next live event, or "(empty)"; used by the
@@ -258,55 +266,45 @@ class EventQueue
 
     static constexpr int priorityBias = 128;
     static constexpr unsigned seqBits = 56;
-    static constexpr std::size_t arity = 4;
 
     static Tick whenOf(Key key) { return static_cast<Tick>(key >> 64); }
 
-    /** The key of a new scheduling of @p ev at @p when. Takes the
-     *  next sequence number. */
-    Key nextKey(const Event &ev, Tick when);
-
-    /** Hold @p node in the front slot or the heap. @pre the node's
-     *  event is not held anywhere. */
-    void insert(Node node);
-
-    /** Remove a scheduled event's node from wherever it is held. */
-    void unlink(Event &ev);
-
-    /** Pop and process the earliest node. @pre !empty(). */
-    void serviceNext();
-
-    void heapPush(Node node);
-    void heapErase(std::size_t i);
-    void siftUp(std::size_t i, Node node);
-    void siftDown(std::size_t i, Node node);
-
-    void
-    place(std::size_t i, Node node)
+    /**
+     * The key of a new scheduling of @p ev at @p when; takes the next
+     * sequence number. Panics when @p twice (schedule() of a scheduled
+     * event), for a past tick, a priority outside -128..127 or an
+     * exhausted sequence.
+     */
+    Key
+    nextKey(const Event &ev, Tick when, bool twice)
     {
-        _heap[i] = node;
-        node.event->_slot = static_cast<std::uint32_t>(i);
+        const auto rank =
+            static_cast<std::uint64_t>(ev._priority + priorityBias);
+        if (twice || when < _curTick || (rank >> 8) != 0 ||
+            (_nextSeq >> seqBits) != 0) [[unlikely]]
+            refuse(ev, when, twice);
+        return (Key(when) << 64) | (rank << seqBits) | _nextSeq++;
     }
 
-    /** Calls @p fn on every node the queue holds, in no order. */
-    template <typename Fn>
-    void
-    forEachNode(Fn fn) const
-    {
-        if (_front.event)
-            fn(_front);
-        for (const Node &node : _heap)
-            fn(node);
-    }
+    [[noreturn]] void refuse(const Event &ev, Tick when,
+                             bool twice) const;
 
-    /** Earlier than every heap node when occupied (event != nullptr). */
-    Node _front{0, nullptr};
-    /** 4-ary min-heap on Node::key; each event records its index. */
-    std::vector<Node> _heap;
+    /** Put @p ev's node in its place in the run. The key and event
+     *  travel in registers: a Node built on the caller's stack and
+     *  reloaded here stalls store forwarding on every call. */
+    void insert(Key key, Event &ev);
+
+    /** Erase a scheduled event's node from the run. */
+    void unlink(const Event &ev);
+
+    /** process() with the instrument notified (and timed). */
+    void processInstrumented(Event &ev);
+
+    /** Sorted by key, latest first: the back fires next. */
+    std::vector<Node> _run;
     Tick _curTick = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _numProcessed = 0;
-    std::size_t _liveEvents = 0;
     EventInstrument *_instrument = nullptr;
     /** The installed instrument wants wall time. */
     bool _timed = false;

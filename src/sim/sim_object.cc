@@ -7,13 +7,14 @@ namespace emerald
 {
 
 SimObject::SimObject(Simulation &sim, const std::string &name)
-    : StatGroup(sim.statsRoot(), name), _sim(sim), _name(name)
+    : StatGroup(sim.statsRoot(), name), _sim(sim), _eq(sim.eventQueue()),
+      _name(name)
 {
     _sim.registerObject(this);
 }
 
 SimObject::SimObject(SimObject &parent, const std::string &name)
-    : StatGroup(parent, name), _sim(parent._sim),
+    : StatGroup(parent, name), _sim(parent._sim), _eq(parent._eq),
       _name(parent.name() + "." + name)
 {
     _sim.registerObject(this);
@@ -50,37 +51,6 @@ SimObject::registerCheckpointRequestor(MemRequestor &req)
 {
     _sim.checkpointRegistry().registerRequestor(_name, req);
     _ckptRequestor = &req;
-}
-
-Tick
-SimObject::curTick() const
-{
-    return _sim.curTick();
-}
-
-void
-SimObject::schedule(Event &ev, Tick when)
-{
-    _sim.eventQueue().schedule(ev, when);
-}
-
-void
-SimObject::scheduleIn(Event &ev, Tick delta)
-{
-    _sim.eventQueue().schedule(ev, curTick() + delta);
-}
-
-void
-SimObject::reschedule(Event &ev, Tick when)
-{
-    _sim.eventQueue().reschedule(ev, when);
-}
-
-void
-SimObject::descheduleIfPending(Event &ev)
-{
-    if (ev.scheduled())
-        _sim.eventQueue().deschedule(ev);
 }
 
 void

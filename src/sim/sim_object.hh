@@ -53,19 +53,28 @@ class SimObject : public StatGroup, public Serializable
     const Simulation &sim() const { return _sim; }
 
     /** Current simulated time. */
-    Tick curTick() const;
+    Tick curTick() const { return _eq.curTick(); }
 
     /** Schedule @p ev at absolute tick @p when. */
-    void schedule(Event &ev, Tick when);
+    void schedule(Event &ev, Tick when) { _eq.schedule(ev, when); }
 
     /** Schedule @p ev @p delta ticks from now. */
-    void scheduleIn(Event &ev, Tick delta);
+    void
+    scheduleIn(Event &ev, Tick delta)
+    {
+        _eq.schedule(ev, _eq.curTick() + delta);
+    }
 
     /** Reschedule @p ev to absolute tick @p when. */
-    void reschedule(Event &ev, Tick when);
+    void reschedule(Event &ev, Tick when) { _eq.reschedule(ev, when); }
 
     /** Deschedule @p ev if it is pending. */
-    void descheduleIfPending(Event &ev);
+    void
+    descheduleIfPending(Event &ev)
+    {
+        if (ev.scheduled())
+            _eq.deschedule(ev);
+    }
 
     /**
      * Create sim.profile.<name()>.* counters that accumulate the
@@ -110,6 +119,8 @@ class SimObject : public StatGroup, public Serializable
 
   private:
     Simulation &_sim;
+    /** _sim's queue, so the shortcuts above inline. */
+    EventQueue &_eq;
     std::string _name;
     /** Registrations to undo in the destructor. */
     std::vector<Event *> _ckptEvents;

@@ -9,6 +9,10 @@
       and s.json one stats tree per label (check_stats_trees.py).
   check_bench_run.py --fatal REGEX -- BENCH ARGS...
       The command must exit nonzero, printing a match for REGEX.
+  check_bench_run.py --listed NAME=MODE... -- BENCH --list
+      Every row of the listing must have four tab-separated columns
+      (name, kind, description, quick or full), and each NAME's last
+      column must be MODE.
 """
 
 import json
@@ -26,6 +30,22 @@ def main(mode, args, cmd):
         print(output, end="")
         if run.returncode == 0 or not re.search(args[0], output):
             sys.exit(f"check_bench_run: no fatal exit matching {args[0]}")
+        return
+    if mode == "--listed":
+        rows = subprocess.run(cmd, capture_output=True, text=True,
+                              check=True).stdout.splitlines()
+        modes = {}
+        for row in rows:
+            cols = row.split("\t")
+            if len(cols) != 4 or cols[3] not in ("quick", "full"):
+                sys.exit(f"check_bench_run: bad --list row {row!r}")
+            modes[cols[0]] = cols[3]
+        for want in args:
+            name, mode_want = want.split("=")
+            if modes.get(name) != mode_want:
+                sys.exit(f"check_bench_run: {name} listed "
+                         f"{modes.get(name)}, expected {mode_want}")
+            print(f"OK   {name} {mode_want}")
         return
     out_dir, labels = args[0], args[1:]
     shutil.rmtree(out_dir, ignore_errors=True)
@@ -49,7 +69,7 @@ def main(mode, args, cmd):
 
 if __name__ == "__main__":
     if len(sys.argv) < 5 or "--" not in sys.argv or \
-            sys.argv[1] not in ("--fatal", "--traces"):
+            sys.argv[1] not in ("--fatal", "--traces", "--listed"):
         sys.exit(__doc__)
     split = sys.argv.index("--")
     try:

@@ -92,6 +92,26 @@ TEST(EventQueue, RunUntilStopsAtLimit)
 namespace
 {
 
+/** The event mixes QueueDiff drives. */
+enum class Mix
+{
+    /** Mixed priorities, mostly zero-delay or near ties. */
+    Random,
+    /**
+     * Every event at clockPriority re-arms one period on inside its
+     * own process(), so each tick holds one same-(tick, priority) run
+     * of them, as ticking components do; ops land in the middle of
+     * the run being fired or on the next edge.
+     */
+    Lockstep,
+    /** Mixed priorities at ticks far apart, with about deepLive
+     *  events live: long walks and long erases. */
+    Deep,
+};
+
+constexpr Tick lockstepPeriod = 10;
+constexpr int deepLive = 2048;
+
 /**
  * Drives one EventQueue and a reference model through the same
  * operations. The model is a sorted set of (when, priority, seq), and
@@ -103,7 +123,8 @@ namespace
 class QueueDiff
 {
   public:
-    QueueDiff(std::uint64_t seed, int num_events) : _rng(seed)
+    QueueDiff(std::uint64_t seed, int num_events, Mix mix = Mix::Random)
+        : _rng(seed), _mix(mix)
     {
         const int priorities[] = {Event::clockPriority,
                                   Event::defaultPriority,
@@ -112,9 +133,25 @@ class QueueDiff
             std::string name = "e";
             name += std::to_string(id);
             _events.push_back(std::make_unique<EventFunction>(
-                [this, id] { fired(id); }, name, priorities[id % 3]));
+                [this, id] { fired(id); }, name,
+                mix == Mix::Lockstep ? Event::clockPriority
+                                     : priorities[id % 3]));
         }
         _keys.resize(static_cast<std::size_t>(num_events));
+    }
+
+    /** The mix's starting set: every lockstep event on this edge, or
+     *  deepLive events at random ticks. */
+    void
+    fill()
+    {
+        if (_mix == Mix::Lockstep) {
+            for (std::size_t id = 0; id < _events.size(); ++id)
+                schedule(static_cast<int>(id), eq.curTick());
+        } else if (_mix == Mix::Deep) {
+            for (int id = 0; id < deepLive; ++id)
+                schedule(id, eq.curTick() + delay());
+        }
     }
 
     EventQueue eq;
@@ -162,15 +199,17 @@ class QueueDiff
     void
     randomStep()
     {
-        if (_rng.chance(0.4))
+        if (_rng.chance(_mix == Mix::Lockstep ? 0.75 : 0.4))
             eq.runOne();
         else
             randomOp();
     }
 
+    /** Run to empty; events stop re-arming on every firing. */
     void
     runAll()
     {
+        _draining = true;
         while (eq.runOne())
             ASSERT_NO_FATAL_FAILURE(check());
     }
@@ -181,7 +220,6 @@ class QueueDiff
     {
         ASSERT_EQ(_fired, _expected);
         ASSERT_EQ(eq.size(), _model.size());
-        ASSERT_EQ(eq.heapSize(), eq.size());
         ASSERT_EQ(eq.empty(), _model.empty());
         if (!_model.empty()) {
             ASSERT_EQ(eq.nextTick(), std::get<0>(_model.begin()->first));
@@ -228,10 +266,19 @@ class QueueDiff
         }
     }
 
-    /** Mostly zero-delay or near ties, sometimes further out. */
+    /** Random: mostly zero-delay or near ties, sometimes further out.
+     *  Lockstep: this edge or the next. Deep: anywhere far out. */
     Tick
     delay()
     {
+        switch (_mix) {
+        case Mix::Lockstep:
+            return lockstepPeriod * _rng.below(2);
+        case Mix::Deep:
+            return _rng.below(50000);
+        case Mix::Random:
+            break;
+        }
         return _rng.chance(0.3) ? 0 : _rng.below(_rng.chance(0.8) ? 4 : 40);
     }
 
@@ -264,13 +311,21 @@ class QueueDiff
         _expected.emplace_back(head->second, std::get<0>(head->first));
         _keys[static_cast<std::size_t>(head->second)].reset();
         _model.erase(head);
-        if (_rng.chance(0.5))
-            schedule(id, eq.curTick() + delay());
+        if (_mix == Mix::Random) {
+            if (_rng.chance(0.5))
+                schedule(id, eq.curTick() + delay());
+        } else if (!_draining) {
+            schedule(id, eq.curTick() + (_mix == Mix::Lockstep
+                                             ? lockstepPeriod
+                                             : delay()));
+        }
         if (_rng.chance(0.2))
             randomOp();
     }
 
     Random _rng;
+    Mix _mix;
+    bool _draining = false;
     std::vector<std::unique_ptr<EventFunction>> _events;
     std::map<Key, int> _model;
     std::vector<std::optional<Key>> _keys;
@@ -280,10 +335,13 @@ class QueueDiff
 };
 
 void
-runRandomDiff(std::uint64_t seed)
+runDiff(std::uint64_t seed, Mix mix = Mix::Random, int num_events = 12,
+        int steps = 20000)
 {
-    QueueDiff diff(seed, 12);
-    for (int step = 0; step < 20000; ++step) {
+    QueueDiff diff(seed, num_events, mix);
+    diff.fill();
+    ASSERT_NO_FATAL_FAILURE(diff.check());
+    for (int step = 0; step < steps; ++step) {
         diff.randomStep();
         ASSERT_NO_FATAL_FAILURE(diff.check()) << "step " << step;
         if (step % 5000 == 4999) {
@@ -297,35 +355,60 @@ runRandomDiff(std::uint64_t seed)
 
 } // namespace
 
-TEST(EventQueueDifferential, RandomOpsSeed1) { runRandomDiff(1); }
-TEST(EventQueueDifferential, RandomOpsSeed2) { runRandomDiff(2); }
-TEST(EventQueueDifferential, RandomOpsSeed3) { runRandomDiff(3); }
+TEST(EventQueueDifferential, RandomOpsSeed1) { runDiff(1); }
+TEST(EventQueueDifferential, RandomOpsSeed2) { runDiff(2); }
+TEST(EventQueueDifferential, RandomOpsSeed3) { runDiff(3); }
 
+TEST(EventQueueDifferential, LockstepClockRunSeed1)
+{
+    runDiff(1, Mix::Lockstep, 16);
+}
+
+TEST(EventQueueDifferential, LockstepClockRunSeed2)
+{
+    runDiff(2, Mix::Lockstep, 16);
+}
+
+// Half again as many events as are live, so deschedules and schedules
+// balance at about deepLive; check() walks the whole queue each step.
+TEST(EventQueueDifferential, DeepQueueSeed1)
+{
+    runDiff(1, Mix::Deep, deepLive * 3 / 2, 3000);
+}
+
+TEST(EventQueueDifferential, DeepQueueSeed2)
+{
+    runDiff(2, Mix::Deep, deepLive * 3 / 2, 3000);
+}
+
+// The heap this queue replaced kept its earliest node in a front slot;
+// the same script covers the back of the sorted run, where the next
+// event to fire sits.
 TEST(EventQueueDifferential, FrontSlotDescheduledRescheduledDisplaced)
 {
     // Priorities by id: e0/e3 clock, e1/e4 default, e2/e5 stats.
     QueueDiff diff(7, 6);
-    // e0 into an empty queue takes the front slot; e1 goes behind it.
+    // e0 into an empty queue is next to fire; e1 goes behind it.
     diff.schedule(0, 10);
     diff.schedule(1, 20);
     ASSERT_NO_FATAL_FAILURE(diff.check());
-    // An earlier tick displaces the front node into the heap.
+    // An earlier tick goes ahead of e0.
     diff.schedule(2, 5);
     ASSERT_NO_FATAL_FAILURE(diff.check());
-    // Descheduling the front node leaves the heap's root next.
+    // Descheduling the next to fire leaves e0 next.
     diff.deschedule(2);
     ASSERT_NO_FATAL_FAILURE(diff.check());
-    // A heap node rescheduled earliest takes the front slot,
+    // A node rescheduled earliest stays next,
     diff.reschedule(0, 3);
     ASSERT_NO_FATAL_FAILURE(diff.check());
-    // keeps it when moved within its lead,
+    // keeps its place when moved within its lead,
     diff.reschedule(0, 4);
     ASSERT_NO_FATAL_FAILURE(diff.check());
-    // and goes back into the heap when moved behind the root.
+    // and goes behind e1 when moved past it.
     diff.reschedule(0, 30);
     ASSERT_NO_FATAL_FAILURE(diff.check());
-    // e4 takes the empty front slot; e3, same tick but clock priority,
-    // displaces it; e5, same tick but stats priority, goes behind.
+    // e4 is next; e3, same tick but clock priority, goes ahead of it;
+    // e5, same tick but stats priority, goes behind.
     diff.schedule(4, 10);
     ASSERT_NO_FATAL_FAILURE(diff.check());
     diff.schedule(3, 10);
@@ -398,6 +481,100 @@ TEST(Clocked, TicksUntilIdleThenReactivates)
     eq.runUntil();
     EXPECT_EQ(ticker.ticks, 5);
 }
+
+namespace
+{
+
+/**
+ * A Clocked component that checks every one of its ticks against the
+ * edge ClockDomain::clockEdge() gives: the first edge at or after its
+ * wake-up, or one cycle after its previous tick.
+ */
+struct EdgeChecker : public Clocked
+{
+    ClockDomain &domain;
+    Random &rng;
+    Tick expected = 0;
+    int ticks = 0;
+
+    EdgeChecker(ClockDomain &clk, const char *name, Random &r)
+        : Clocked(clk, name), domain(clk), rng(r)
+    {}
+
+    void
+    wake()
+    {
+        if (!active())
+            expected = domain.clockEdge(0);
+        activate();
+    }
+
+    bool
+    tick() override
+    {
+        const Tick now = domain.eventQueue().curTick();
+        EXPECT_EQ(now, expected) << tickEvent().name();
+        EXPECT_EQ(now % domain.period(), 0u) << tickEvent().name();
+        ++ticks;
+        // Busy for a while, then asleep until the next wake().
+        const bool more = rng.chance(0.95);
+        if (more)
+            expected = domain.clockEdge(1);
+        return more;
+    }
+};
+
+} // namespace
+
+TEST(Clocked, RearmKeepsEdgesOfTwoCoprimeDomains)
+{
+    EventQueue eq;
+    ClockDomain fast(eq, 1000, "fast");
+    ClockDomain slow(eq, 1333, "slow");
+    Random rng(5);
+    EdgeChecker a(fast, "a", rng);
+    EdgeChecker b(slow, "b", rng);
+    EdgeChecker *parts[] = {&a, &b};
+
+    // Wakes a component at random ticks, half of them on an edge of
+    // one of the domains, the rest wherever they fall.
+    EventFunction *self = nullptr;
+    EventFunction waker(
+        [&] {
+            parts[rng.below(2)]->wake();
+            Tick next = eq.curTick() + 1 + rng.below(5000);
+            if (rng.chance(0.5)) {
+                const Tick period =
+                    rng.chance(0.5) ? fast.period() : slow.period();
+                next = divCeil(next, period) * period;
+            }
+            eq.schedule(*self, next);
+        },
+        "waker");
+    self = &waker;
+    eq.schedule(waker, 0);
+    while (a.ticks + b.ticks < 20000)
+        ASSERT_TRUE(eq.runOne());
+    EXPECT_GT(a.ticks, 5000);
+    EXPECT_GT(b.ticks, 5000);
+}
+
+#ifdef EMERALD_CHECKS
+TEST(ClockedDeathTest, TickOffItsEdgePanics)
+{
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            ClockDomain clk(eq, 1000, "clk");
+            Ticker ticker(clk, 3);
+            // A restore schedules a saved tick at its saved tick; one
+            // that is off the edge is refused when it fires.
+            eq.schedule(ticker.tickEvent(), 1500);
+            eq.runUntil();
+        },
+        "off its 1000-tick clock edge");
+}
+#endif
 
 namespace
 {
