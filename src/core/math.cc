@@ -46,18 +46,6 @@ Mat4::rotateX(float a)
 }
 
 Mat4
-Mat4::rotateY(float a)
-{
-    Mat4 r = identity();
-    float c = std::cos(a), s = std::sin(a);
-    r.m[0][0] = c;
-    r.m[2][0] = s;
-    r.m[0][2] = -s;
-    r.m[2][2] = c;
-    return r;
-}
-
-Mat4
 Mat4::rotateZ(float a)
 {
     Mat4 r = identity();

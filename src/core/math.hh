@@ -69,7 +69,6 @@ struct Mat4
     static Mat4 translate(const Vec3 &t);
     static Mat4 scale(const Vec3 &s);
     static Mat4 rotateX(float radians);
-    static Mat4 rotateY(float radians);
     static Mat4 rotateZ(float radians);
     /** Right-handed perspective projection (GL convention). */
     static Mat4 perspective(float fovy_radians, float aspect,

@@ -1,9 +1,7 @@
 #include "core/trace.hh"
 
-#include <cstring>
-
 #include "sim/logging.hh"
-#include "sim/serialize/serialize.hh"
+#include "sim/serialize/checkpoint_io.hh"
 
 namespace emerald::core
 {
@@ -14,29 +12,68 @@ namespace
 /** Bump on any incompatible change to the sections below. */
 constexpr std::uint64_t traceFormatVersion = 2;
 
-std::string
-drawSectionName(std::size_t idx)
-{
-    return strprintf("draw%zu", idx);
-}
-
-template <typename T>
+/** One draw's section: sources, render state, buffers, textures. */
 void
-putArray(CheckpointOut &out, const std::string &key,
-         const std::vector<T> &v)
+listDraw(CheckpointIo &io, TraceDraw &draw)
 {
-    out.putBlob(key, v.data(), v.size() * sizeof(T));
+    io.scalar("vs", draw.vsSource);
+    io.scalar("fs", draw.fsSource);
+    io.scalar<std::uint64_t>("prim_type", draw.primType);
+    io.scalar("depth_test", draw.state.depthTest);
+    io.scalar("depth_write", draw.state.depthWrite);
+    io.scalar("blend", draw.state.blend);
+    io.scalar("cull_backface", draw.state.cullBackface);
+    io.scalar("floats_per_vertex", draw.floatsPerVertex);
+    io.scalar("num_varyings", draw.numVaryings);
+    io.blob("vertex_data", draw.vertexData);
+    io.blob("constants", draw.constants);
+    io.sequence("num_textures", "tex", draw.textures,
+                [&io](const std::string &key, TraceTexture &tex) {
+                    io.scalar(key + ".unit", tex.unit);
+                    io.scalar(key + ".width", tex.width);
+                    io.scalar(key + ".height", tex.height);
+                    io.blob(key + ".texels", tex.texels);
+                });
 }
 
-template <typename T>
-std::vector<T>
-getArray(const CheckpointIn &in, const std::string &key)
+/**
+ * The whole trace, listed once: the "trace" section (format version,
+ * framebuffer size, draws per frame), then a "draw<i>" section per
+ * draw in submission order. False when loading another format
+ * version.
+ */
+bool
+listTrace(const std::string &dir, Trace &trace, const OpenSection &open)
 {
-    const std::string &bytes = in.getBlob(key);
-    std::vector<T> v(bytes.size() / sizeof(T));
-    if (!v.empty())
-        std::memcpy(v.data(), bytes.data(), v.size() * sizeof(T));
-    return v;
+    CheckpointIo meta = open("trace");
+    std::uint64_t version = traceFormatVersion;
+    meta.scalar("trace_version", version);
+    if (version != traceFormatVersion) {
+        warn("draw-call trace '%s' has format version %llu, this build "
+             "reads %llu", dir.c_str(), (unsigned long long)version,
+             (unsigned long long)traceFormatVersion);
+        return false;
+    }
+    meta.scalar("fb_width", trace.fbWidth);
+    meta.scalar("fb_height", trace.fbHeight);
+    std::vector<std::uint64_t> frame_draws;
+    for (const auto &frame : trace.frames)
+        frame_draws.push_back(frame.size());
+    meta.vector("frame_draws", frame_draws);
+    trace.frames.resize(frame_draws.size());
+
+    std::size_t idx = 0;
+    for (std::size_t f = 0; f < frame_draws.size(); ++f) {
+        for (std::size_t d = 0; d < frame_draws[f]; ++d) {
+            // A count past the recorded draws fails on the missing
+            // section, before anything is allocated for it.
+            CheckpointIo sec = open(strprintf("draw%zu", idx++));
+            if (sec.loading())
+                trace.frames[f].emplace_back();
+            listDraw(sec, trace.frames[f][d]);
+        }
+    }
+    return true;
 }
 
 } // namespace
@@ -47,42 +84,11 @@ saveTrace(const std::string &dir, const Trace &trace)
     // Fingerprint 0: a draw-call trace replays under any
     // configuration whose framebuffer matches.
     CheckpointWriter writer(dir, 0, 0, 0);
-    CheckpointOut &meta = writer.section("trace");
-    meta.putU64("trace_version", traceFormatVersion);
-    meta.putU64("fb_width", trace.fbWidth);
-    meta.putU64("fb_height", trace.fbHeight);
-    std::vector<std::uint64_t> frame_draws;
-    std::size_t idx = 0;
-    for (const auto &frame : trace.frames) {
-        frame_draws.push_back(frame.size());
-        for (const TraceDraw &draw : frame) {
-            CheckpointOut &sec = writer.section(drawSectionName(idx++));
-            sec.putStr("vs", draw.vsSource);
-            sec.putStr("fs", draw.fsSource);
-            sec.putU64("prim_type",
-                       static_cast<std::uint64_t>(draw.primType));
-            sec.putBool("depth_test", draw.state.depthTest);
-            sec.putBool("depth_write", draw.state.depthWrite);
-            sec.putBool("blend", draw.state.blend);
-            sec.putBool("cull_backface", draw.state.cullBackface);
-            sec.putU64("floats_per_vertex", draw.floatsPerVertex);
-            sec.putU64("num_varyings", draw.numVaryings);
-            putArray(sec, "vertex_data", draw.vertexData);
-            putArray(sec, "constants", draw.constants);
-            sec.putU64("num_textures", draw.textures.size());
-            for (std::size_t t = 0; t < draw.textures.size(); ++t) {
-                const TraceTexture &tex = draw.textures[t];
-                std::string key = strprintf("tex%zu.", t);
-                sec.putI64(key + "unit", tex.unit);
-                sec.putU64(key + "width", tex.width);
-                sec.putU64(key + "height", tex.height);
-                putArray(sec, key + "texels", tex.texels);
-            }
-        }
-    }
-    // Sections stay put as later ones open, so the header can take
-    // the frame table last.
-    meta.putU64Vec("frame_draws", frame_draws);
+    // Saving, the listing only reads the trace.
+    listTrace(dir, const_cast<Trace &>(trace),
+              [&writer](const std::string &name) {
+                  return CheckpointIo(writer.section(name));
+              });
     writer.finalize();
 }
 
@@ -101,56 +107,11 @@ loadTrace(const std::string &dir)
         warn("'%s' is not a draw-call trace", dir.c_str());
         return std::nullopt;
     }
-    CheckpointIn meta = reader->section("trace");
-    std::uint64_t version = meta.getU64("trace_version");
-    if (version != traceFormatVersion) {
-        warn("draw-call trace '%s' has format version %llu, this build "
-             "reads %llu", dir.c_str(), (unsigned long long)version,
-             (unsigned long long)traceFormatVersion);
-        return std::nullopt;
-    }
     Trace trace;
-    trace.fbWidth = static_cast<unsigned>(meta.getU64("fb_width"));
-    trace.fbHeight = static_cast<unsigned>(meta.getU64("fb_height"));
-    std::size_t idx = 0;
-    for (std::uint64_t n_draws : meta.getU64Vec("frame_draws")) {
-        trace.beginFrame();
-        for (std::uint64_t d = 0; d < n_draws; ++d) {
-            CheckpointIn sec = reader->section(drawSectionName(idx++));
-            TraceDraw draw;
-            draw.vsSource = sec.getStr("vs");
-            draw.fsSource = sec.getStr("fs");
-            draw.primType =
-                static_cast<PrimitiveType>(sec.getU64("prim_type"));
-            draw.state.depthTest = sec.getBool("depth_test");
-            draw.state.depthWrite = sec.getBool("depth_write");
-            draw.state.blend = sec.getBool("blend");
-            draw.state.cullBackface = sec.getBool("cull_backface");
-            draw.floatsPerVertex =
-                static_cast<unsigned>(sec.getU64("floats_per_vertex"));
-            draw.numVaryings =
-                static_cast<unsigned>(sec.getU64("num_varyings"));
-            draw.vertexData = getArray<float>(sec, "vertex_data");
-            draw.constants = getArray<float>(sec, "constants");
-            // A count past the recorded textures fails on the first
-            // missing key, before anything is allocated for it.
-            std::uint64_t n_tex = sec.getU64("num_textures");
-            for (std::uint64_t t = 0; t < n_tex; ++t) {
-                TraceTexture tex;
-                std::string key =
-                    strprintf("tex%llu.", (unsigned long long)t);
-                tex.unit = static_cast<int>(sec.getI64(key + "unit"));
-                tex.width = static_cast<unsigned>(
-                    sec.getU64(key + "width"));
-                tex.height = static_cast<unsigned>(
-                    sec.getU64(key + "height"));
-                tex.texels =
-                    getArray<std::uint32_t>(sec, key + "texels");
-                draw.textures.push_back(std::move(tex));
-            }
-            trace.recordDraw(std::move(draw));
-        }
-    }
+    if (!listTrace(dir, trace, [&reader](const std::string &name) {
+            return CheckpointIo(reader->section(name));
+        }))
+        return std::nullopt;
     return trace;
 }
 

@@ -61,16 +61,6 @@ GpuTop::GpuTop(Simulation &sim, const std::string &name,
     }
 }
 
-bool
-GpuTop::allCoresIdle() const
-{
-    for (const auto &core : _cores) {
-        if (!core->idle())
-            return false;
-    }
-    return true;
-}
-
 void
 GpuTop::setTrafficCapture(mem::TrafficTraceWriter *writer)
 {

@@ -54,9 +54,6 @@ class GpuTop : public SimObject
     ClockDomain &coreClock() { return _coreClock; }
     const GpuTopParams &params() const { return _params; }
 
-    /** True when every core has fully drained. */
-    bool allCoresIdle() const;
-
     /** Aggregate L1 misses of one kind across all cores. */
     std::uint64_t l1Misses(AccessKind kind);
 

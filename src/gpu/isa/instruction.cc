@@ -92,43 +92,6 @@ Instruction::latencyClass() const
     }
 }
 
-bool
-Instruction::isMemory() const
-{
-    switch (latencyClass()) {
-      case LatencyClass::MemGlobal:
-      case LatencyClass::MemShared:
-      case LatencyClass::Tex:
-      case LatencyClass::Rop:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Instruction::writesRegister() const
-{
-    switch (op) {
-      case Opcode::STG:
-      case Opcode::STS:
-      case Opcode::STO:
-      case Opcode::ZTEST:
-      case Opcode::BLEND:
-      case Opcode::STFB:
-      case Opcode::DISCARD:
-      case Opcode::BRA:
-      case Opcode::BAR:
-      case Opcode::EXIT:
-      case Opcode::NOP:
-        return false;
-      case Opcode::SETP:
-        return true; // Predicate write, tracked like a register.
-      default:
-        return dst.kind == Operand::Kind::Reg;
-    }
-}
-
 std::string
 Instruction::toString() const
 {

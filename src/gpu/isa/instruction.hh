@@ -136,8 +136,6 @@ struct Instruction
 
     LatencyClass latencyClass() const;
     bool isBranch() const { return op == Opcode::BRA; }
-    bool isMemory() const;
-    bool writesRegister() const;
     std::string toString() const;
 };
 

@@ -190,42 +190,28 @@ class WaspScheduler final : public WarpScheduler
 
 using Registry = std::map<std::string, WarpSchedulerFactory>;
 
-/**
- * Function-local registry, populated on first use. Self-registration
- * through global constructors would be stripped by the linker when
- * this object file sits unreferenced in libemerald_gpu.a.
- */
-Registry &
+/** Every policy by name: a constant table, built on first use. */
+const Registry &
 registry()
 {
-    static Registry reg = [] {
-        Registry builtins;
-        builtins["lrr"] = [](std::vector<unsigned> owned, unsigned id) {
-            return std::make_unique<LrrScheduler>(std::move(owned), id);
-        };
-        builtins["gto"] = [](std::vector<unsigned> owned, unsigned id) {
-            return std::make_unique<GtoScheduler>(std::move(owned), id);
-        };
-        builtins["wasp"] = [](std::vector<unsigned> owned, unsigned id) {
-            return std::make_unique<WaspScheduler>(std::move(owned),
-                                                   id);
-        };
-        return builtins;
-    }();
+    static const Registry reg = {
+        {"lrr",
+         [](std::vector<unsigned> owned, unsigned id) {
+             return std::make_unique<LrrScheduler>(std::move(owned), id);
+         }},
+        {"gto",
+         [](std::vector<unsigned> owned, unsigned id) {
+             return std::make_unique<GtoScheduler>(std::move(owned), id);
+         }},
+        {"wasp",
+         [](std::vector<unsigned> owned, unsigned id) {
+             return std::make_unique<WaspScheduler>(std::move(owned), id);
+         }},
+    };
     return reg;
 }
 
 } // namespace
-
-void
-registerWarpScheduler(const std::string &policy,
-                      WarpSchedulerFactory factory)
-{
-    auto [it, inserted] = registry().emplace(policy, std::move(factory));
-    (void)it;
-    fatal_if(!inserted, "warp scheduler policy '%s' registered twice",
-             policy.c_str());
-}
 
 std::unique_ptr<WarpScheduler>
 createWarpScheduler(const std::string &policy,

@@ -8,9 +8,10 @@
  * first warp that passes the eligibility and scoreboard checks, then
  * reports the choice back through issued().
  *
- * Policies register by name in a factory registry (--warp-sched picks
- * one at run time); createWarpScheduler() is the only construction
- * path, so adding a policy never touches the core. Built in:
+ * Policies are listed by name in a constant factory table
+ * (warp_sched.cc; --warp-sched picks one at run time);
+ * createWarpScheduler() is the only construction path, so adding a
+ * policy is one table entry and never touches the core. Built in:
  *
  *   lrr   Loose round-robin over the owned slots — the default, and
  *         bit-identical in issue order to the core's original scan.
@@ -80,15 +81,6 @@ using WarpSchedulerFactory =
         std::vector<unsigned> owned, unsigned scheduler_id)>;
 
 /**
- * Register a policy under @p policy (fatal on duplicates). Policies
- * self-register lazily inside the registry accessor, never through
- * static initializers — those are linker-stripped from static
- * libraries.
- */
-void registerWarpScheduler(const std::string &policy,
-                           WarpSchedulerFactory factory);
-
-/**
  * Construct the named policy for one scheduler lane. An empty
  * @p policy selects defaultWarpSchedPolicy; an unknown name is fatal
  * with a near-miss suggestion.
@@ -97,7 +89,7 @@ std::unique_ptr<WarpScheduler>
 createWarpScheduler(const std::string &policy,
                     std::vector<unsigned> owned, unsigned scheduler_id);
 
-/** All registered policy names, sorted. */
+/** Every policy name, sorted. */
 std::vector<std::string> warpSchedulerPolicies();
 
 } // namespace emerald::gpu

@@ -79,14 +79,6 @@ DramChannel::enqueue(MemPacket *pkt, const DecodedAddr &coord,
     return true;
 }
 
-double
-DramChannel::rowHitRate() const
-{
-    double total = statRowHits.value() + statRowClosedMisses.value() +
-                   statRowConflicts.value();
-    return total > 0.0 ? statRowHits.value() / total : 0.0;
-}
-
 void
 DramChannel::scheduleIssue(Tick when)
 {

@@ -114,9 +114,6 @@ class DramChannel : public SimObject
     TimeSeries statBwNpu;
     /** @} */
 
-    /** Row-buffer hit rate over the channel's lifetime. */
-    double rowHitRate() const;
-
     void hangDiagnostics(std::ostream &os) const override;
 
     void serialize(CheckpointIo &io) override;

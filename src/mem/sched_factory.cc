@@ -14,41 +14,31 @@ namespace
 
 using Registry = std::map<std::string, MemSchedulerFactory>;
 
-/** Function-local registry, populated on first use (see header). */
-Registry &
+/** Every policy by name: a constant table, built on first use. */
+const Registry &
 registry()
 {
-    static Registry reg = [] {
-        Registry builtins;
-        builtins["frfcfs"] = [](const MemSchedContext &) {
-            MemSchedBundle bundle;
-            bundle.scheduler = std::make_unique<FrfcfsScheduler>();
-            return bundle;
-        };
-        builtins["dash"] = [](const MemSchedContext &ctx) {
-            MemSchedBundle bundle;
-            bundle.coordinator = std::make_unique<DashCoordinator>(
-                ctx.sim, ctx.coordinatorName, ctx.dashParams);
-            bundle.scheduler =
-                std::make_unique<DashScheduler>(*bundle.coordinator);
-            return bundle;
-        };
-        return builtins;
-    }();
+    static const Registry reg = {
+        {"frfcfs",
+         [](const MemSchedContext &) {
+             MemSchedBundle bundle;
+             bundle.scheduler = std::make_unique<FrfcfsScheduler>();
+             return bundle;
+         }},
+        {"dash",
+         [](const MemSchedContext &ctx) {
+             MemSchedBundle bundle;
+             bundle.coordinator = std::make_unique<DashCoordinator>(
+                 ctx.sim, ctx.coordinatorName, ctx.dashParams);
+             bundle.scheduler =
+                 std::make_unique<DashScheduler>(*bundle.coordinator);
+             return bundle;
+         }},
+    };
     return reg;
 }
 
 } // namespace
-
-void
-registerMemScheduler(const std::string &policy,
-                     MemSchedulerFactory factory)
-{
-    auto [it, inserted] = registry().emplace(policy, std::move(factory));
-    (void)it;
-    fatal_if(!inserted, "memory scheduler policy '%s' registered twice",
-             policy.c_str());
-}
 
 MemSchedBundle
 createMemScheduler(const std::string &policy, const MemSchedContext &ctx)

@@ -49,15 +49,6 @@ using MemSchedulerFactory =
     std::function<MemSchedBundle(const MemSchedContext &)>;
 
 /**
- * Register a policy under @p policy (fatal on duplicates). Like the
- * warp-scheduler registry, registration happens lazily inside the
- * registry accessor — never via static initializers, which the linker
- * strips from static libraries.
- */
-void registerMemScheduler(const std::string &policy,
-                          MemSchedulerFactory factory);
-
-/**
  * Construct the named policy. An empty @p policy selects
  * defaultMemSchedPolicy; an unknown name is fatal with a near-miss
  * suggestion.
@@ -65,7 +56,7 @@ void registerMemScheduler(const std::string &policy,
 MemSchedBundle createMemScheduler(const std::string &policy,
                                   const MemSchedContext &ctx);
 
-/** All registered policy names, sorted. */
+/** Every policy name, sorted. */
 std::vector<std::string> memSchedulerPolicies();
 
 } // namespace emerald::mem

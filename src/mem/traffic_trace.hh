@@ -19,10 +19,12 @@
  *
  * On disk a trace is a src/sim/serialize/ checkpoint directory
  * (one CRC-checked data.bin) whose sections hold typed-record
- * vectors: a "meta" section (format version, frame table, framebuffer
- * base) plus one "client<i>" section per client. The config
- * fingerprint field is left 0 — a trace is deliberately replayable
- * under a different scheduler policy, which changes the fingerprint.
+ * vectors: a "meta" section (format version, label, framebuffer
+ * base, frame table, client count) plus one "client<i>" section per
+ * client, one U64Vec column per TraceTxn field. The writer and the
+ * reader share one listing of it. The config fingerprint field is
+ * left 0 — a trace is deliberately replayable under a different
+ * scheduler policy, which changes the fingerprint.
  */
 
 #ifndef EMERALD_MEM_TRAFFIC_TRACE_HH
@@ -41,16 +43,40 @@ namespace emerald::mem
 /** Bump on any incompatible change to the trace schema. */
 constexpr std::uint64_t trafficTraceFormatVersion = 1;
 
-/** One recorded transaction, decoded. */
+/** One recorded transaction, decoded (24 bytes). */
 struct TraceTxn
 {
-    /** Frame the transaction belongs to. */
-    std::uint32_t frame;
-    /** Tick offset from that frame's render start. */
+    /** Tick offset from its frame's render start. */
     Tick offset;
     Addr addr;
+    /** Frame the transaction belongs to. */
+    std::uint32_t frame;
     AccessKind kind;
     bool write;
+};
+
+/**
+ * What a trace file holds, as the writer builds it and the reader
+ * loads it: one listing (traffic_trace.cc) writes and reads it all.
+ */
+struct TrafficTraceData
+{
+    std::string label;
+    Addr fbBase = 0;
+    /** The frame table: render start and end, and shaded work. */
+    std::vector<Tick> frameStart;
+    std::vector<Tick> frameEnd;
+    std::vector<double> frameWork;
+    /** Records dropped before the first frame began. */
+    std::uint64_t dropped = 0;
+
+    struct Client
+    {
+        std::string name;
+        /** Transactions in recorded (issue) order. */
+        std::vector<TraceTxn> txns;
+    };
+    std::vector<Client> clients;
 };
 
 /**
@@ -102,31 +128,16 @@ class TrafficTraceWriter
 
     const std::string &dir() const { return _dir; }
     std::uint64_t numRecords() const { return _numRecords; }
-    std::uint64_t droppedRecords() const { return _dropped; }
+    std::uint64_t droppedRecords() const { return _trace.dropped; }
     unsigned numFrames() const
     {
-        return static_cast<unsigned>(_frameStart.size());
+        return static_cast<unsigned>(_trace.frameStart.size());
     }
 
   private:
-    struct ClientStream
-    {
-        std::string name;
-        std::vector<std::uint64_t> offsets;
-        std::vector<std::uint64_t> addrs;
-        /** Packed (frame << 32) | (kind << 8) | write. */
-        std::vector<std::uint64_t> meta;
-    };
-
     std::string _dir;
-    std::string _label;
-    Addr _fbBase;
-    std::vector<ClientStream> _clients;
-    std::vector<std::uint64_t> _frameStart;
-    std::vector<std::uint64_t> _frameEnd;
-    std::vector<double> _frameWork;
+    TrafficTraceData _trace;
     std::uint64_t _numRecords = 0;
-    std::uint64_t _dropped = 0;
     Tick _lastTick = 0;
     bool _finalized = false;
 };
@@ -141,53 +152,42 @@ class TrafficTraceReader
     explicit TrafficTraceReader(const std::string &dir);
 
     const std::string &dir() const { return _dir; }
-    const std::string &label() const { return _label; }
-    Addr fbBase() const { return _fbBase; }
+    const std::string &label() const { return _trace.label; }
+    Addr fbBase() const { return _trace.fbBase; }
 
     unsigned numFrames() const
     {
-        return static_cast<unsigned>(_frameWork.size());
+        return static_cast<unsigned>(_trace.frameWork.size());
     }
 
     /** Total work (shaded fragments) of frame @p f in the capture. */
-    double frameWork(unsigned f) const { return _frameWork.at(f); }
+    double frameWork(unsigned f) const { return _trace.frameWork.at(f); }
 
     /** Captured render start/end ticks of frame @p f. */
-    Tick frameStart(unsigned f) const { return _frameStart.at(f); }
-    Tick frameEnd(unsigned f) const { return _frameEnd.at(f); }
+    Tick frameStart(unsigned f) const { return _trace.frameStart.at(f); }
+    Tick frameEnd(unsigned f) const { return _trace.frameEnd.at(f); }
 
     unsigned numClients() const
     {
-        return static_cast<unsigned>(_clients.size());
+        return static_cast<unsigned>(_trace.clients.size());
     }
 
     const std::string &clientName(unsigned c) const
     {
-        return _clients.at(c).name;
+        return _trace.clients.at(c).name;
     }
 
     /** Client @p c's transactions, in recorded (issue) order. */
     const std::vector<TraceTxn> &clientTxns(unsigned c) const
     {
-        return _clients.at(c).txns;
+        return _trace.clients.at(c).txns;
     }
 
     std::uint64_t numRecords() const;
 
   private:
-    struct ClientData
-    {
-        std::string name;
-        std::vector<TraceTxn> txns;
-    };
-
     std::string _dir;
-    std::string _label;
-    Addr _fbBase = 0;
-    std::vector<Tick> _frameStart;
-    std::vector<Tick> _frameEnd;
-    std::vector<double> _frameWork;
-    std::vector<ClientData> _clients;
+    TrafficTraceData _trace;
 };
 
 } // namespace emerald::mem

@@ -36,12 +36,6 @@ npuModelLayers(const std::string &name)
           name.c_str());
 }
 
-std::vector<std::string>
-npuModelNames()
-{
-    return {"tiny-cnn", "mobile"};
-}
-
 SystolicTiming::SystolicTiming(const SystolicParams &params)
     : _params(params)
 {

@@ -75,9 +75,6 @@ struct TileWork
 /** Named inference workloads (camera CNNs); fatal on unknown name. */
 std::vector<NpuLayer> npuModelLayers(const std::string &name);
 
-/** The model names npuModelLayers() accepts. */
-std::vector<std::string> npuModelNames();
-
 /** Timing calculator for one PE-grid configuration. */
 class SystolicTiming
 {

@@ -50,9 +50,9 @@ const KnownKey knownKeys[] = {
     {"supervise", run}, {"supervise-backoff-ms", run}, {"supervise-dir", run},
     {"supervise-kill-after-ms", run}, {"supervise-retries", run},
     // Bench scenarios.
-    {"alpha", axis}, {"beta", axis}, {"channels", axis}, {"config", axis},
-    {"fps", axis}, {"frames", axis}, {"gamma", axis}, {"height", axis},
-    {"highload", axis}, {"maxwt", axis}, {"model", axis}, {"n", axis},
+    {"channels", axis}, {"config", axis}, {"fps", axis}, {"frames", axis},
+    {"height", axis}, {"highload", axis}, {"maxwt", axis}, {"model", axis},
+    {"n", axis},
     {"name", run}, {"npu", axis}, {"npu-dma-outstanding", axis},
     {"npu-fps", axis}, {"npu-frames", axis}, {"npu-model", axis},
     {"npu-queue-depth", axis}, {"npu-scratch-kb", axis}, {"npu-tile", axis},

@@ -179,15 +179,6 @@ EventProfiler::eventsFor(const std::string &component) const
     return static_cast<std::uint64_t>(it->second->numProcessed.value());
 }
 
-std::uint64_t
-EventProfiler::wallNsFor(const std::string &component) const
-{
-    auto it = _channels.find(component);
-    if (it == _channels.end())
-        return 0;
-    return static_cast<std::uint64_t>(it->second->wallNs.value());
-}
-
 // ---------------------------------------------------------------------
 // InstrumentChain
 // ---------------------------------------------------------------------
@@ -198,12 +189,6 @@ InstrumentChain::add(EventInstrument *instrument)
     if (std::find(_instruments.begin(), _instruments.end(), instrument) ==
         _instruments.end())
         _instruments.push_back(instrument);
-}
-
-void
-InstrumentChain::remove(EventInstrument *instrument)
-{
-    std::erase(_instruments, instrument);
 }
 
 bool

@@ -98,9 +98,6 @@ class EventProfiler : public EventInstrument
     /** Events attributed to @p component so far (0 if unknown). */
     std::uint64_t eventsFor(const std::string &component) const;
 
-    /** Wall-clock ns attributed to @p component so far. */
-    std::uint64_t wallNsFor(const std::string &component) const;
-
   private:
     struct Channel;
 
@@ -118,7 +115,6 @@ class InstrumentChain : public EventInstrument
 {
   public:
     void add(EventInstrument *instrument);
-    void remove(EventInstrument *instrument);
     bool empty() const { return _instruments.empty(); }
 
     void onEvent(const std::string &name, Tick when, int priority,

@@ -7,11 +7,6 @@
 namespace emerald
 {
 
-namespace
-{
-bool quietLogging = false;
-} // namespace
-
 std::string
 vstrprintf(const char *fmt, va_list args)
 {
@@ -90,8 +85,6 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
 void
 warnImpl(const char *fmt, ...)
 {
-    if (quietLogging)
-        return;
     va_list args;
     va_start(args, fmt);
     std::string msg = vstrprintf(fmt, args);
@@ -102,19 +95,11 @@ warnImpl(const char *fmt, ...)
 void
 informImpl(const char *fmt, ...)
 {
-    if (quietLogging)
-        return;
     va_list args;
     va_start(args, fmt);
     std::string msg = vstrprintf(fmt, args);
     va_end(args);
     std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-setQuietLogging(bool quiet)
-{
-    quietLogging = quiet;
 }
 
 } // namespace emerald

@@ -46,9 +46,6 @@ void warnImpl(const char *fmt, ...)
 void informImpl(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Silence warn()/inform() output (used by tests and benches). */
-void setQuietLogging(bool quiet);
-
 } // namespace emerald
 
 #define panic(...) ::emerald::panicImpl(__FILE__, __LINE__, __VA_ARGS__)

@@ -1,5 +1,7 @@
 #include "sim/serialize/checkpoint_io.hh"
 
+#include <bit>
+
 #include "sim/packet.hh"
 #include "sim/packet_pool.hh"
 #include "sim/serialize/registry.hh"
@@ -7,27 +9,140 @@
 namespace emerald
 {
 
+namespace
+{
+
+/** The record type a value of type @p S is stored as. */
+template <class S>
+constexpr RecordType recordType =
+    std::is_same_v<S, bool> ? RecordType::Bool
+    : std::is_same_v<S, std::int64_t> ? RecordType::I64
+    : std::is_same_v<S, double> ? RecordType::F64
+    : std::is_same_v<S, std::string> ? RecordType::Str
+    : std::is_same_v<S, std::vector<std::uint64_t>> ? RecordType::U64Vec
+    : std::is_same_v<S, std::vector<double>> ? RecordType::F64Vec
+    : RecordType::U64;
+
+/** A number's eight on-disk bytes, as one little-endian word. */
+template <class T>
+std::uint64_t
+toWord(T v)
+{
+    if constexpr (std::is_same_v<T, double>)
+        return std::bit_cast<std::uint64_t>(v);
+    else
+        return static_cast<std::uint64_t>(v);
+}
+
+template <class T>
+T
+fromWord(std::uint64_t word)
+{
+    if constexpr (std::is_same_v<T, double>)
+        return std::bit_cast<double>(word);
+    else
+        return static_cast<T>(word);
+}
+
+} // namespace
+
 CheckpointIo::CheckpointIo(CheckpointOut &out,
-                           const CheckpointRegistry &registry,
-                           PacketPool &pool)
+                           const CheckpointRegistry *registry,
+                           PacketPool *pool)
     : _out(&out), _registry(registry), _pool(pool)
 {
 }
 
 CheckpointIo::CheckpointIo(CheckpointIn in,
-                           const CheckpointRegistry &registry,
-                           PacketPool &pool)
+                           const CheckpointRegistry *registry,
+                           PacketPool *pool)
     : _in(std::move(in)), _registry(registry), _pool(pool)
 {
+}
+
+template <class S>
+void
+CheckpointIo::record(const std::string &key, S &v)
+{
+    // Bool: one byte. Str and the lists: a u32 length, then the bytes
+    // or eight-byte words. Every other type: one eight-byte word.
+    constexpr RecordType type = recordType<S>;
+    if (!loading()) {
+        std::string &buf = _out->record(key, type);
+        if constexpr (type == RecordType::Bool) {
+            buf.push_back(v ? 1 : 0);
+        } else if constexpr (type == RecordType::Str) {
+            appendLE(buf, v.size(), 4);
+            buf.append(v);
+        } else if constexpr (type == RecordType::U64Vec ||
+                             type == RecordType::F64Vec) {
+            appendLE(buf, v.size(), 4);
+            for (auto x : v)
+                appendLE(buf, toWord(x), 8);
+        } else {
+            appendLE(buf, toWord(v), 8);
+        }
+        return;
+    }
+    const std::string &p = _in->record(key, type);
+    if constexpr (type == RecordType::Bool) {
+        v = p[0] != 0;
+    } else if constexpr (type == RecordType::Str) {
+        v = p;
+    } else if constexpr (type == RecordType::U64Vec ||
+                         type == RecordType::F64Vec) {
+        v.resize(p.size() / 8);
+        for (std::size_t i = 0; i < v.size(); ++i)
+            v[i] = fromWord<typename S::value_type>(readLE(&p[i * 8], 8));
+    } else {
+        v = fromWord<S>(readLE(p.data(), 8));
+    }
+}
+
+template void CheckpointIo::record(const std::string &, std::uint64_t &);
+template void CheckpointIo::record(const std::string &, std::int64_t &);
+template void CheckpointIo::record(const std::string &, double &);
+template void CheckpointIo::record(const std::string &, bool &);
+template void CheckpointIo::record(const std::string &, std::string &);
+template void CheckpointIo::record(const std::string &,
+                                   std::vector<std::uint64_t> &);
+template void CheckpointIo::record(const std::string &,
+                                   std::vector<double> &);
+
+void
+CheckpointIo::bytes(const std::string &key, const void *data,
+                    std::size_t n)
+{
+    std::string &buf = _out->record(key, RecordType::Blob);
+    appendLE(buf, n, 4);
+    buf.append(static_cast<const char *>(data), n);
+}
+
+const std::string &
+CheckpointIo::bytes(const std::string &key) const
+{
+    return _in->record(key, RecordType::Blob);
+}
+
+const CheckpointRegistry &
+CheckpointIo::registry() const
+{
+    panic_if(!_registry,
+             "checkpoint section '%s' names objects but its io has no "
+             "registry", sectionName().c_str());
+    return *_registry;
 }
 
 void
 CheckpointIo::packet(const std::string &prefix, MemPacket *&pkt)
 {
+    panic_if(!_pool,
+             "checkpoint section '%s' holds a packet but its io has no "
+             "packet pool", sectionName().c_str());
     // Loading allocates the packet first and fills it in place.
     if (loading()) {
-        pkt = _pool.alloc(Addr(0), 0u, false, TrafficClass::Cpu,
-                          AccessKind::CpuData, 0);
+        pkt = _pool->alloc(Addr(0), 0u, false, TrafficClass::Cpu,
+                           AccessKind::CpuData, 0);
     }
     scalar(prefix + ".addr", pkt->addr);
     scalar(prefix + ".size", pkt->size);
@@ -37,10 +152,10 @@ CheckpointIo::packet(const std::string &prefix, MemPacket *&pkt)
                 static_cast<std::uint64_t>(AccessKind::NumKinds));
     scalar(prefix + ".requestor_id", pkt->requestorId);
     std::string client =
-        pkt->client ? _registry.clientName(*pkt->client) : std::string();
+        pkt->client ? registry().clientName(*pkt->client) : std::string();
     scalar(prefix + ".client", client);
     if (loading())
-        pkt->client = client.empty() ? nullptr : &_registry.client(client);
+        pkt->client = client.empty() ? nullptr : &registry().client(client);
     scalar(prefix + ".token", pkt->token);
     scalar(prefix + ".issued", pkt->issued);
 }

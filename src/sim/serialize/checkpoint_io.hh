@@ -3,12 +3,14 @@
  * One checkpoint section being written or read.
  *
  * Every stateful object lists its fields once, in
- * serialize(CheckpointIo &). Saving, each call writes its field as one
- * typed record (CheckpointOut); loading, the same call reads the
+ * serialize(CheckpointIo &), and so do the checkpoint index and the
+ * draw-call and traffic traces. Saving, each call encodes its field as
+ * one typed record (CheckpointOut); loading, the same call decodes the
  * record back into the field (CheckpointIn) with the check its kind of
  * field needs. So a section's writer and reader are the same code and
- * cannot drift. The io carries what cross-object references resolve
- * against: the Simulation's CheckpointRegistry and its PacketPool.
+ * cannot drift, and this is the only record codec. An io that holds
+ * packets or names retry waiters carries what those references
+ * resolve against: the Simulation's CheckpointRegistry and PacketPool.
  */
 
 #ifndef EMERALD_SIM_SERIALIZE_CHECKPOINT_IO_HH
@@ -16,6 +18,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -35,17 +38,24 @@ class PacketPool;
 class CheckpointIo
 {
   public:
-    /** Saving: every call appends its records to @p out. */
-    CheckpointIo(CheckpointOut &out, const CheckpointRegistry &registry,
-                 PacketPool &pool);
+    /**
+     * Saving: every call appends its records to @p out. A section
+     * that names packets or retry waiters needs @p registry and
+     * @p pool (a Simulation's); any other can leave them out.
+     */
+    explicit CheckpointIo(CheckpointOut &out,
+                          const CheckpointRegistry *registry = nullptr,
+                          PacketPool *pool = nullptr);
 
     /** Loading: every call reads its records from @p in. */
-    CheckpointIo(CheckpointIn in, const CheckpointRegistry &registry,
-                 PacketPool &pool);
+    explicit CheckpointIo(CheckpointIn in,
+                          const CheckpointRegistry *registry = nullptr,
+                          PacketPool *pool = nullptr);
 
     bool loading() const { return !_out; }
 
-    const CheckpointRegistry &registry() const { return _registry; }
+    /** The name tables references resolve against (panics if none). */
+    const CheckpointRegistry &registry() const;
 
     /**
      * One record holding @p v: a bool as Bool, a signed integer as
@@ -103,13 +113,31 @@ class CheckpointIo
     void
     vector(const std::string &key, Seq &seq)
     {
-        using T = typename Seq::value_type;
-        std::vector<std::conditional_t<std::is_floating_point_v<T>, double,
-                                       std::uint64_t>>
-            stored(seq.begin(), seq.end());
+        std::vector<Number<typename Seq::value_type>> stored(seq.begin(),
+                                                             seq.end());
         record(key, stored);
         if (loading())
             seq.assign(stored.begin(), stored.end());
+    }
+
+    /**
+     * The list of one @p field of each of @p rows, as long as @p rows
+     * is; loading sets how many rows there are.
+     */
+    template <class Rows, class Row, class T>
+    void
+    vector(const std::string &key, Rows &rows, T Row::*field)
+    {
+        std::vector<Number<T>> stored;
+        stored.reserve(rows.size());
+        for (const Row &row : rows)
+            stored.push_back(static_cast<Number<T>>(row.*field));
+        record(key, stored);
+        if (!loading())
+            return;
+        rows.resize(stored.size());
+        for (std::size_t i = 0; i < stored.size(); ++i)
+            rows[i].*field = static_cast<T>(stored[i]);
     }
 
     /**
@@ -158,20 +186,25 @@ class CheckpointIo
             });
     }
 
-    /** @p plane's bytes as a Blob; loading another size is fatal. */
+    /**
+     * @p plane's bytes as a Blob. Loading into an empty @p plane sizes
+     * it to the record; into a sized one, another size is fatal.
+     */
     template <class T>
     void
     blob(const std::string &key, std::vector<T> &plane)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        const std::size_t bytes = plane.size() * sizeof(T);
-        if (loading()) {
-            const std::string &stored = _in->getBlob(key);
-            checkLength(key, stored.size(), bytes);
-            std::memcpy(plane.data(), stored.data(), bytes);
-        } else {
-            _out->putBlob(key, plane.data(), bytes);
+        if (!loading()) {
+            bytes(key, plane.data(), plane.size() * sizeof(T));
+            return;
         }
+        const std::string &stored = bytes(key);
+        if (plane.empty())
+            plane.resize(stored.size() / sizeof(T));
+        checkLength(key, stored.size(), plane.size() * sizeof(T));
+        if (!stored.empty())
+            std::memcpy(plane.data(), stored.data(), stored.size());
     }
 
     /**
@@ -235,37 +268,23 @@ class CheckpointIo
                 std::is_signed_v<T>, std::int64_t,
                 std::conditional_t<std::is_unsigned_v<T>, std::uint64_t,
                                    std::string>>>>;
-    using U64s = std::vector<std::uint64_t>;
-    using F64s = std::vector<double>;
+    /** The list type a number is stored in: F64Vec or U64Vec. */
+    template <class T>
+    using Number = std::conditional_t<std::is_floating_point_v<T>, double,
+                                      std::uint64_t>;
 
-    /** Write @p v under @p key, or read the record into @p v. */
+    /**
+     * The record codec: write @p v under @p key, or read the record
+     * into @p v. Defined for every Stored type and for U64Vec and
+     * F64Vec lists.
+     */
     template <class S>
-    void
-    record(const std::string &key, S &v)
-    {
-        if (loading())
-            get(key, v);
-        else
-            put(key, v);
-    }
+    void record(const std::string &key, S &v);
 
-    void put(const std::string &k, std::uint64_t v) { _out->putU64(k, v); }
-    void put(const std::string &k, std::int64_t v) { _out->putI64(k, v); }
-    void put(const std::string &k, double v) { _out->putF64(k, v); }
-    void put(const std::string &k, bool v) { _out->putBool(k, v); }
-    void put(const std::string &k, const std::string &v)
-    {
-        _out->putStr(k, v);
-    }
-    void put(const std::string &k, const U64s &v) { _out->putU64Vec(k, v); }
-    void put(const std::string &k, const F64s &v) { _out->putF64Vec(k, v); }
-    void get(const std::string &k, std::uint64_t &v) { v = _in->getU64(k); }
-    void get(const std::string &k, std::int64_t &v) { v = _in->getI64(k); }
-    void get(const std::string &k, double &v) { v = _in->getF64(k); }
-    void get(const std::string &k, bool &v) { v = _in->getBool(k); }
-    void get(const std::string &k, std::string &v) { v = _in->getStr(k); }
-    void get(const std::string &k, U64s &v) { v = _in->getU64Vec(k); }
-    void get(const std::string &k, F64s &v) { v = _in->getF64Vec(k); }
+    /** @{ A Blob: write @p n bytes at @p data, or read the record. */
+    void bytes(const std::string &key, const void *data, std::size_t n);
+    const std::string &bytes(const std::string &key) const;
+    /** @} */
 
     template <class S>
     static std::string
@@ -283,9 +302,12 @@ class CheckpointIo
 
     CheckpointOut *_out = nullptr;
     std::optional<CheckpointIn> _in;
-    const CheckpointRegistry &_registry;
-    PacketPool &_pool;
+    const CheckpointRegistry *_registry;
+    PacketPool *_pool;
 };
+
+/** The io of section @p name of a file being saved or loaded. */
+using OpenSection = std::function<CheckpointIo(const std::string &name)>;
 
 } // namespace emerald
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "sim/logging.hh"
+#include "sim/serialize/checkpoint_io.hh"
 
 namespace emerald
 {
@@ -30,27 +30,42 @@ recordTypeName(RecordType t)
     return "?";
 }
 
-void
-appendLE(std::string &buf, std::uint64_t v, unsigned bytes)
-{
-    for (unsigned i = 0; i < bytes; ++i)
-        buf.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint64_t
-readLE(const char *p, unsigned bytes)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < bytes; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(p[i]))
-             << (8 * i);
-    return v;
-}
-
 /** data.bin's header: magic, format version, index size, index CRC. */
 constexpr char headerMagic[4] = {'E', 'M', 'C', 'K'};
 constexpr std::size_t headerBytes = 16;
+
+/**
+ * data.bin's index, listed once: the identity, then the section
+ * table in file order.
+ */
+struct Index
+{
+    std::uint64_t fingerprint = 0;
+    Tick tick = 0;
+    std::uint64_t numProcessed = 0;
+
+    struct Section
+    {
+        std::string name;
+        std::uint64_t size = 0;
+        std::uint64_t crc = 0;
+    };
+    std::vector<Section> sections;
+
+    void
+    serialize(CheckpointIo &io)
+    {
+        io.scalar("config_fingerprint", fingerprint);
+        io.scalar("tick", tick);
+        io.scalar("num_processed", numProcessed);
+        io.sequence("sections", "section", sections,
+                    [&io](const std::string &key, Section &s) {
+                        io.scalar(key + ".name", s.name);
+                        io.scalar(key + ".size", s.size);
+                        io.scalar(key + ".crc", s.crc);
+                    });
+    }
+};
 
 /** Read a whole binary file into @p out; false when it cannot. */
 bool
@@ -175,95 +190,19 @@ listRotations(const std::string &base, bool recursive)
 // CheckpointOut
 //
 
-void
-CheckpointOut::header(const std::string &key, RecordType type)
+std::string &
+CheckpointOut::record(const std::string &key, RecordType type)
 {
     panic_if(key.empty() || key.size() > 0xffff,
              "checkpoint section '%s': bad key length %zu",
              _section.c_str(), key.size());
-    auto [it, inserted] = _seen.emplace(key, type);
-    panic_if(!inserted, "checkpoint section '%s': duplicate key '%s'",
+    panic_if(!_seen.insert(key).second,
+             "checkpoint section '%s': duplicate key '%s'",
              _section.c_str(), key.c_str());
     _buf.push_back(static_cast<char>(type));
     appendLE(_buf, key.size(), 2);
     _buf.append(key);
-    ++_numRecords;
-}
-
-void
-CheckpointOut::raw(const void *bytes, std::size_t n)
-{
-    _buf.append(static_cast<const char *>(bytes), n);
-}
-
-void
-CheckpointOut::putU64(const std::string &key, std::uint64_t v)
-{
-    header(key, RecordType::U64);
-    appendLE(_buf, v, 8);
-}
-
-void
-CheckpointOut::putI64(const std::string &key, std::int64_t v)
-{
-    header(key, RecordType::I64);
-    appendLE(_buf, static_cast<std::uint64_t>(v), 8);
-}
-
-void
-CheckpointOut::putF64(const std::string &key, double v)
-{
-    header(key, RecordType::F64);
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    appendLE(_buf, bits, 8);
-}
-
-void
-CheckpointOut::putBool(const std::string &key, bool v)
-{
-    header(key, RecordType::Bool);
-    _buf.push_back(v ? 1 : 0);
-}
-
-void
-CheckpointOut::putStr(const std::string &key, const std::string &v)
-{
-    header(key, RecordType::Str);
-    appendLE(_buf, v.size(), 4);
-    _buf.append(v);
-}
-
-void
-CheckpointOut::putBlob(const std::string &key, const void *bytes,
-                       std::size_t n)
-{
-    header(key, RecordType::Blob);
-    appendLE(_buf, n, 4);
-    raw(bytes, n);
-}
-
-void
-CheckpointOut::putU64Vec(const std::string &key,
-                         const std::vector<std::uint64_t> &v)
-{
-    header(key, RecordType::U64Vec);
-    appendLE(_buf, v.size(), 4);
-    for (std::uint64_t x : v)
-        appendLE(_buf, x, 8);
-}
-
-void
-CheckpointOut::putF64Vec(const std::string &key,
-                         const std::vector<double> &v)
-{
-    header(key, RecordType::F64Vec);
-    appendLE(_buf, v.size(), 4);
-    for (double x : v) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &x, 8);
-        appendLE(_buf, bits, 8);
-    }
+    return _buf;
 }
 
 //
@@ -329,82 +268,19 @@ CheckpointIn::CheckpointIn(std::string section_name, const char *bytes,
     }
 }
 
-const CheckpointIn::Record &
-CheckpointIn::fetch(const std::string &key, RecordType want) const
+const std::string &
+CheckpointIn::record(const std::string &key, RecordType type) const
 {
     auto it = _records.find(key);
     fatal_if(it == _records.end(),
              "checkpoint section '%s': missing key '%s' — the "
              "checkpoint does not match this binary's schema",
              _section.c_str(), key.c_str());
-    fatal_if(it->second.type != want,
+    fatal_if(it->second.type != type,
              "checkpoint section '%s': key '%s' is %s, expected %s",
              _section.c_str(), key.c_str(),
-             recordTypeName(it->second.type), recordTypeName(want));
-    return it->second;
-}
-
-std::uint64_t
-CheckpointIn::getU64(const std::string &key) const
-{
-    return readLE(fetch(key, RecordType::U64).payload.data(), 8);
-}
-
-std::int64_t
-CheckpointIn::getI64(const std::string &key) const
-{
-    return static_cast<std::int64_t>(
-        readLE(fetch(key, RecordType::I64).payload.data(), 8));
-}
-
-double
-CheckpointIn::getF64(const std::string &key) const
-{
-    std::uint64_t bits =
-        readLE(fetch(key, RecordType::F64).payload.data(), 8);
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-}
-
-bool
-CheckpointIn::getBool(const std::string &key) const
-{
-    return fetch(key, RecordType::Bool).payload[0] != 0;
-}
-
-std::string
-CheckpointIn::getStr(const std::string &key) const
-{
-    return fetch(key, RecordType::Str).payload;
-}
-
-const std::string &
-CheckpointIn::getBlob(const std::string &key) const
-{
-    return fetch(key, RecordType::Blob).payload;
-}
-
-std::vector<std::uint64_t>
-CheckpointIn::getU64Vec(const std::string &key) const
-{
-    const std::string &p = fetch(key, RecordType::U64Vec).payload;
-    std::vector<std::uint64_t> out(p.size() / 8);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = readLE(p.data() + i * 8, 8);
-    return out;
-}
-
-std::vector<double>
-CheckpointIn::getF64Vec(const std::string &key) const
-{
-    const std::string &p = fetch(key, RecordType::F64Vec).payload;
-    std::vector<double> out(p.size() / 8);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        std::uint64_t bits = readLE(p.data() + i * 8, 8);
-        std::memcpy(&out[i], &bits, 8);
-    }
-    return out;
+             recordTypeName(it->second.type), recordTypeName(type));
+    return it->second.payload;
 }
 
 //
@@ -451,19 +327,15 @@ CheckpointWriter::finalize()
         return;
     _finalized = true;
 
-    // The index: identity, then the section table in file order.
-    CheckpointOut index("index");
-    index.putU64("config_fingerprint", _fingerprint);
-    index.putU64("tick", _tick);
-    index.putU64("num_processed", _numProcessed);
-    index.putU64("sections", _sections.size());
-    for (std::size_t i = 0; i < _sections.size(); ++i) {
-        const std::string &bytes = _sections[i].bytes();
-        std::string key = strprintf("section%zu", i);
-        index.putStr(key + ".name", _sections[i].sectionName());
-        index.putU64(key + ".size", bytes.size());
-        index.putU64(key + ".crc", crc32(bytes.data(), bytes.size()));
+    Index table{_fingerprint, _tick, _numProcessed, {}};
+    for (const CheckpointOut &s : _sections) {
+        const std::string &bytes = s.bytes();
+        table.sections.push_back({s.sectionName(), bytes.size(),
+                                  crc32(bytes.data(), bytes.size())});
     }
+    CheckpointOut index("index");
+    CheckpointIo io(index);
+    table.serialize(io);
 
     std::string header(headerMagic, sizeof(headerMagic));
     appendLE(header, checkpointFormatVersion, 4);
@@ -568,25 +440,24 @@ CheckpointReader::load()
     if (actual != index_crc)
         return crcMismatch("the index", actual, index_crc);
 
-    CheckpointIn index("index", _data.data() + headerBytes, index_size);
-    _fingerprint = probe.fingerprint = index.getU64("config_fingerprint");
-    _tick = probe.tick = index.getU64("tick");
-    _numProcessed = probe.numProcessed = index.getU64("num_processed");
+    Index table;
+    CheckpointIo io(
+        CheckpointIn("index", _data.data() + headerBytes, index_size));
+    table.serialize(io);
+    _fingerprint = probe.fingerprint = table.fingerprint;
+    _tick = probe.tick = table.tick;
+    _numProcessed = probe.numProcessed = table.numProcessed;
 
     std::size_t offset = headerBytes + index_size;
-    for (std::uint64_t i = 0; i < index.getU64("sections"); ++i) {
-        std::string key = strprintf("section%llu", (unsigned long long)i);
-        std::string name = index.getStr(key + ".name");
-        std::size_t bytes = index.getU64(key + ".size");
-        std::uint64_t crc = index.getU64(key + ".crc");
-        std::string what = "section '" + name + "'";
-        if (bytes > size - offset)
-            return pastEnd(what, offset, bytes);
-        actual = crc32(_data.data() + offset, bytes);
-        if (actual != crc)
-            return crcMismatch(what, actual, crc);
-        _sections.emplace(std::move(name), SectionRef{offset, bytes});
-        offset += bytes;
+    for (const Index::Section &s : table.sections) {
+        std::string what = "section '" + s.name + "'";
+        if (s.size > size - offset)
+            return pastEnd(what, offset, s.size);
+        actual = crc32(_data.data() + offset, s.size);
+        if (actual != s.crc)
+            return crcMismatch(what, actual, s.crc);
+        _sections.emplace(s.name, SectionRef{offset, s.size});
+        offset += s.size;
     }
     if (offset != size) {
         return damaged(CkptIntegrity::TrailingBytes,

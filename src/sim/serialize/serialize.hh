@@ -13,8 +13,9 @@
  *
  * Each stateful object lists its state once in
  * serialize(CheckpointIo &), which writes one section of typed
- * key/value records through CheckpointOut and reads it back through
- * CheckpointIn; the index uses the same record codec. Reads are
+ * key/value records into a CheckpointOut and reads it back from a
+ * CheckpointIn; the index, and the draw-call and traffic traces that
+ * share this container, list theirs through CheckpointIo too. Reads are
  * strict: a missing key or a type mismatch is fatal, never a silently
  * default-initialized member — schema drift between the writer and
  * the reader must fail loudly (see docs/checkpointing.md for the
@@ -28,6 +29,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -110,10 +112,30 @@ CkptProbe probeCheckpoint(const std::string &dir);
 std::vector<std::string> listRotations(const std::string &base,
                                        bool recursive = false);
 
+/** @{ The format's little-endian integer fields, @p bytes wide. */
+inline void
+appendLE(std::string &buf, std::uint64_t v, unsigned bytes)
+{
+    for (unsigned i = 0; i < bytes; ++i)
+        buf.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+inline std::uint64_t
+readLE(const char *p, unsigned bytes)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < bytes; ++i)
+        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+             << (8 * i);
+    return v;
+}
+/** @} */
+
 /**
  * One section being written: an append-only stream of typed key/value
- * records. Keys must be unique within a section (fatal otherwise) so a
- * checkpoint can never carry two conflicting values for one field.
+ * records, which CheckpointIo encodes. Keys must be unique within a
+ * section (fatal otherwise) so a checkpoint can never carry two
+ * conflicting values for one field.
  */
 class CheckpointOut
 {
@@ -124,38 +146,22 @@ class CheckpointOut
 
     const std::string &sectionName() const { return _section; }
 
-    void putU64(const std::string &key, std::uint64_t v);
-    void putI64(const std::string &key, std::int64_t v);
-    void putF64(const std::string &key, double v);
-    void putBool(const std::string &key, bool v);
-    void putStr(const std::string &key, const std::string &v);
-    void putBlob(const std::string &key, const void *bytes,
-                 std::size_t n);
-    void putU64Vec(const std::string &key,
-                   const std::vector<std::uint64_t> &v);
-    void putF64Vec(const std::string &key,
-                   const std::vector<double> &v);
+    /** Start record @p key of @p type; its payload goes on the end. */
+    std::string &record(const std::string &key, RecordType type);
 
     /** Raw encoded bytes (CheckpointWriter concatenates these). */
     const std::string &bytes() const { return _buf; }
 
-    /** Records written so far. */
-    std::size_t numRecords() const { return _numRecords; }
-
   private:
-    void header(const std::string &key, RecordType type);
-    void raw(const void *bytes, std::size_t n);
-
     std::string _section;
     std::string _buf;
-    std::map<std::string, RecordType> _seen;
-    std::size_t _numRecords = 0;
+    std::set<std::string> _seen;
 };
 
 /**
- * One parsed section. Every accessor is schema-checked: asking for a
- * key that is absent, or with the wrong type, is fatal and names the
- * section and key. Restore paths therefore never limp along with
+ * One parsed section, which CheckpointIo decodes. Asking for a key
+ * that is absent, or with the wrong type, is fatal and names the
+ * section and key, so restore paths never limp along with
  * half-initialized state.
  */
 class CheckpointIn
@@ -172,16 +178,9 @@ class CheckpointIn
         return _records.count(key) != 0;
     }
 
-    std::uint64_t getU64(const std::string &key) const;
-    std::int64_t getI64(const std::string &key) const;
-    double getF64(const std::string &key) const;
-    bool getBool(const std::string &key) const;
-    std::string getStr(const std::string &key) const;
-    const std::string &getBlob(const std::string &key) const;
-    std::vector<std::uint64_t> getU64Vec(const std::string &key) const;
-    std::vector<double> getF64Vec(const std::string &key) const;
-
-    std::size_t numRecords() const { return _records.size(); }
+    /** Record @p key's payload, which must be of @p type. */
+    const std::string &record(const std::string &key,
+                              RecordType type) const;
 
   private:
     struct Record
@@ -189,8 +188,6 @@ class CheckpointIn
         RecordType type;
         std::string payload;
     };
-
-    const Record &fetch(const std::string &key, RecordType want) const;
 
     std::string _section;
     std::map<std::string, Record> _records;

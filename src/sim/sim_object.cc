@@ -13,13 +13,6 @@ SimObject::SimObject(Simulation &sim, const std::string &name)
     _sim.registerObject(this);
 }
 
-SimObject::SimObject(SimObject &parent, const std::string &name)
-    : StatGroup(parent, name), _sim(parent._sim), _eq(parent._eq),
-      _name(parent.name() + "." + name)
-{
-    _sim.registerObject(this);
-}
-
 SimObject::~SimObject()
 {
     CheckpointRegistry &reg = _sim.checkpointRegistry();

@@ -42,7 +42,6 @@ class SimObject : public StatGroup, public Serializable
 {
   public:
     SimObject(Simulation &sim, const std::string &name);
-    SimObject(SimObject &parent, const std::string &name);
     ~SimObject() override;
 
     SimObject(const SimObject &) = delete;

@@ -420,7 +420,8 @@ Simulation::saveCheckpoint(const std::string &dir)
     CheckpointWriter w(dir, _configFingerprint, _eq.curTick(),
                        _eq.numProcessed());
     serializeSections(dir, [&](const std::string &name) {
-        return CheckpointIo(w.section(name), _ckptRegistry, *_packetPool);
+        return CheckpointIo(w.section(name), &_ckptRegistry,
+                            _packetPool.get());
     });
     w.finalize();
 
@@ -513,7 +514,8 @@ Simulation::restoreCheckpoint(const std::string &dir, bool force,
     _eq.clearForRestore();
     _eq.restoreTime(r.tick(), r.numProcessed());
     serializeSections(source, [&](const std::string &name) {
-        return CheckpointIo(r.section(name), _ckptRegistry, *_packetPool);
+        return CheckpointIo(r.section(name), &_ckptRegistry,
+                            _packetPool.get());
     });
 
     // A recurring trigger must not fire (and overwrite the rotation

@@ -17,6 +17,7 @@
 #include "sim/event_tracer.hh"
 #include "sim/fault/domain.hh"
 #include "sim/packet_pool.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sim/serialize/registry.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -276,9 +277,6 @@ class Simulation
     void unregisterObject(SimObject *obj);
 
     void attachInstrument(EventInstrument *instrument);
-
-    /** The io of checkpoint section @p name (saving or loading). */
-    using OpenSection = std::function<CheckpointIo(const std::string &)>;
 
     /**
      * Every checkpoint section, in file order: the kernel's

@@ -218,8 +218,7 @@ runSweep(const SweepSpec &spec,
             opts.db->recordFailure(
                 spec.scenario, point.fingerprintHex, opts.gitSha,
                 failure->attempt, cls, failure->signal,
-                failure->exitCode, failure->recoveredFromTick,
-                failure->detail);
+                failure->exitCode, /*recoveredTick=*/0, failure->detail);
         }
 
         if (st.failures > opts.maxRetries) {

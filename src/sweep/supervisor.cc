@@ -133,6 +133,24 @@ probeRotations(const std::string &ckptDir)
     return probes;
 }
 
+/**
+ * Per label directory (a rotation's parent, relative to @p ckptDir):
+ * the tick of its newest usable rotation, 0 when none is usable.
+ */
+std::map<std::string, Tick>
+resumeTicks(const std::string &ckptDir, const RotationProbes &probes)
+{
+    std::map<std::string, Tick> ticks;
+    for (const auto &[path, probe] : probes) {
+        std::string label =
+            fs::path(path).parent_path().lexically_relative(ckptDir);
+        Tick &tick = ticks[label];
+        if (probe.ok())
+            tick = std::max(tick, probe.tick);
+    }
+    return ticks;
+}
+
 /** newestUsableCheckpoint() over one scan's probes. */
 std::string
 newestUsable(const RotationProbes &probes,
@@ -186,8 +204,13 @@ writeSummary(const SupervisorOptions &opts,
            << "\", \"signal\": " << f.signal
            << ", \"exit_code\": " << f.exitCode
            << ", \"attempt\": " << f.attempt
-           << ", \"recovered_from_tick\": " << f.recoveredFromTick
-           << ", \"detail\": \"" << jsonEscape(f.detail) << "\"}";
+           << ", \"recovered_from_ticks\": {";
+        const char *sep = "";
+        for (const auto &[label, tick] : f.recoveredFromTicks) {
+            os << sep << "\"" << jsonEscape(label) << "\": " << tick;
+            sep = ", ";
+        }
+        os << "}, \"detail\": \"" << jsonEscape(f.detail) << "\"}";
     }
     os << (result.failures.empty() ? "]" : "\n  ]") << "\n}\n";
 }
@@ -370,16 +393,17 @@ superviseRun(const SupervisorOptions &opts,
         rec->attempt = attempt;
         result.finalExitCode = rec->exitCode;
 
-        // One scan per failure. The next attempt restores from the
-        // newest usable rotation, and its tick is the
+        // One scan per failure. Each simulation of the next attempt
+        // restores from the newest usable rotation in its own label
+        // directory; those per-label ticks are the
         // deterministic-failure fingerprint: the same class dying
-        // with the same resume point twice in a row means a retry
+        // with the same resume points twice in a row means a retry
         // replays the identical path. An empty restoreDir means a
         // cold rerun — still better than giving up.
         RotationProbes probes = probeRotations(opts.ckptDir);
         std::vector<std::string> corrupt;
-        spec.restoreDir =
-            newestUsable(probes, &corrupt, &rec->recoveredFromTick);
+        spec.restoreDir = newestUsable(probes, &corrupt, nullptr);
+        rec->recoveredFromTicks = resumeTicks(opts.ckptDir, probes);
         result.failures.push_back(*rec);
         warn("supervisor: attempt %u failed: %s (%s); tail:\n%s",
              attempt, failureClassName(rec->cls), rec->detail.c_str(),
@@ -387,15 +411,13 @@ superviseRun(const SupervisorOptions &opts,
 
         bool deterministic =
             prev && prev->cls == rec->cls &&
-            prev->recoveredFromTick == rec->recoveredFromTick;
+            prev->recoveredFromTicks == rec->recoveredFromTicks;
         if (deterministic || attempt == opts.maxRetries) {
             if (deterministic) {
-                warn("supervisor: deterministic failure (%s from tick "
-                     "%llu twice in a row) — giving up, triage bundle "
-                     "in %s/triage",
-                     failureClassName(rec->cls),
-                     (unsigned long long)rec->recoveredFromTick,
-                     opts.runDir.c_str());
+                warn("supervisor: deterministic failure (%s from the "
+                     "same checkpoints twice in a row) — giving up, "
+                     "triage bundle in %s/triage",
+                     failureClassName(rec->cls), opts.runDir.c_str());
             } else {
                 warn("supervisor: retry budget exhausted after %u "
                      "attempt(s) — triage bundle in %s/triage",

@@ -12,15 +12,16 @@
  *   2. on failure, classify it (crash / hang / oom-killed /
  *      spurious-exit / ckpt-corrupt) from the wait status plus the
  *      watchdog's --hang-report-path JSON file;
- *   3. locate the newest integrity-passing rotated checkpoint
- *      (serialize/probeCheckpoint) under the run's checkpoint
- *      directory so the next attempt warm-starts instead of redoing
+ *   3. locate, in each label's directory under the run's checkpoint
+ *      directory, the newest integrity-passing rotated checkpoint
+ *      (serialize/probeCheckpoint), so each simulation of the next
+ *      attempt warm-starts from its own rotation instead of redoing
  *      the whole run;
  *   4. retry with exponential backoff, up to a bounded budget;
  *   5. refuse to loop on a deterministic failure: the same failure
- *      class recovering from the same tick twice in a row means
- *      retrying cannot help, so give up and write a triage bundle
- *      (hang report, log tail, checkpoint lineage) instead.
+ *      class recovering from the same per-label ticks twice in a row
+ *      means retrying cannot help, so give up and write a triage
+ *      bundle (hang report, log tail, checkpoint lineage) instead.
  *
  * The child runs a caller-provided callback (bench_main re-enters the
  * scenario with a rewritten argv) rather than exec'ing a binary, so
@@ -39,6 +40,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -81,9 +83,11 @@ struct FailureRecord
     int exitCode = -1;
     /** Attempt number (0-based) this failure ended. */
     unsigned attempt = 0;
-    /** Tick of the checkpoint the *next* attempt resumes from
-     *  (0 = cold start: no usable rotation existed). */
-    Tick recoveredFromTick = 0;
+    /** Per label directory of the checkpoint base (its path relative
+     *  to the base): the tick of the checkpoint the *next* attempt
+     *  resumes from there, 0 for a cold start (no usable rotation).
+     *  Labels with no directory yet start cold and are not listed. */
+    std::map<std::string, Tick> recoveredFromTicks;
     /** Human-readable detail (signal name, probe status, ...). */
     std::string detail;
 };
@@ -154,7 +158,7 @@ pid_t reapChild(pid_t pid, bool block, int &status);
  * Classify a reaped child from its wait @p status. A child that
  * exited 0 and @p completed (its completion marker exists) succeeded:
  * std::nullopt. Otherwise the failure, with attempt and
- * recoveredFromTick left for the caller: a report at
+ * recoveredFromTicks left for the caller: a report at
  * @p hangReportPath makes it a hang whatever the status says (abort
  * mode ends in panic(), which looks like a plain crash from out here).
  */

@@ -241,27 +241,33 @@ TEST(Cache, CheckpointSectionsMatchRecordedLayout)
     EXPECT_EQ(rig.cache.statWritebacks.value(), 2.0);
 
     CheckpointOut out("l1");
-    CheckpointIo save(out, rig.sim.checkpointRegistry(),
-                      rig.sim.packetPool());
+    CheckpointIo save(out, &rig.sim.checkpointRegistry(),
+                      &rig.sim.packetPool());
     rig.cache.serialize(save);
     CheckpointIn in("l1", out.bytes().data(), out.bytes().size());
     using V = std::vector<std::uint64_t>;
-    EXPECT_EQ(in.getU64Vec("line.valid"), (V{1, 1, 1, 1, 1, 0, 0, 0}));
-    EXPECT_EQ(in.getU64Vec("line.dirty"), (V{0, 0, 0, 0, 1, 0, 0, 0}));
-    EXPECT_EQ(in.getU64Vec("line.tag"),
-              (V{0x400, 0x200, 0xa80, 0x680, 0x300, 0, 0, 0}));
-    EXPECT_EQ(in.getU64Vec("line.last_use"),
-              (V{3, 2, 9, 8, 7, 0, 0, 0}));
-    EXPECT_EQ(in.getU64("use_counter"), 9u);
+    V valid, dirty, tag, last_use;
+    std::uint64_t use_counter = 0;
+    CheckpointIo read(in);
+    read.vector("line.valid", valid);
+    read.vector("line.dirty", dirty);
+    read.vector("line.tag", tag);
+    read.vector("line.last_use", last_use);
+    read.scalar("use_counter", use_counter);
+    EXPECT_EQ(valid, (V{1, 1, 1, 1, 1, 0, 0, 0}));
+    EXPECT_EQ(dirty, (V{0, 0, 0, 0, 1, 0, 0, 0}));
+    EXPECT_EQ(tag, (V{0x400, 0x200, 0xa80, 0x680, 0x300, 0, 0, 0}));
+    EXPECT_EQ(last_use, (V{3, 2, 9, 8, 7, 0, 0, 0}));
+    EXPECT_EQ(use_counter, 9u);
 
     // A restored cache holds the same lines and writes the same bytes.
     Rig restored(smallCache());
-    CheckpointIo load(in, restored.sim.checkpointRegistry(),
-                      restored.sim.packetPool());
+    CheckpointIo load(in, &restored.sim.checkpointRegistry(),
+                      &restored.sim.packetPool());
     restored.cache.serialize(load);
     CheckpointOut again("l1");
-    CheckpointIo resave(again, restored.sim.checkpointRegistry(),
-                        restored.sim.packetPool());
+    CheckpointIo resave(again, &restored.sim.checkpointRegistry(),
+                        &restored.sim.packetPool());
     restored.cache.serialize(resave);
     EXPECT_EQ(again.bytes(), out.bytes());
     EXPECT_TRUE(restored.cache.isCached(0xa80));

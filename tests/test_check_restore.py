@@ -70,13 +70,16 @@ class CheckRestoreTest(unittest.TestCase):
         self.assertEqual(self.run_tool(ref, dict(ref)), 0)
         self.assertEqual(self.run_tool(ref, {"event_hash": 43.0}), 1)
 
-    def supervised(self, attempts):
-        """Exit status for a warm recovery over `attempts` attempts."""
+    def supervised(self, attempts, ticks=None):
+        """Exit status for a recovery over `attempts` attempts whose
+        labels resumed from `ticks` (warm in BAS by default)."""
+        if ticks is None:
+            ticks = {"BAS-abc": 5000, "HMC-abc": 0}
         sup = self.write("supervisor.json", {
             "succeeded": True, "attempts": attempts,
             "failures": [{"attempt": 0, "class": "oom-killed",
                           "detail": "SIGKILL",
-                          "recovered_from_tick": 5000}]})
+                          "recovered_from_ticks": ticks}]})
         return self.run_tool(HASHES, dict(HASHES), f"--supervisor={sup}")
 
     def test_supervisor_with_one_attempt_is_rejected(self):
@@ -84,6 +87,10 @@ class CheckRestoreTest(unittest.TestCase):
 
     def test_supervisor_with_warm_recovery_passes(self):
         self.assertEqual(self.supervised(2), 0)
+
+    def test_supervisor_with_every_label_cold_is_rejected(self):
+        self.assertEqual(self.supervised(2, {"BAS-abc": 0}), 1)
+        self.assertEqual(self.supervised(2, {}), 1)
 
     # -- replay mode ---------------------------------------------------
 

@@ -821,6 +821,18 @@ TEST(ConfigParse, RetiredSimStatsOutIsUnknown)
                  "unknown option '--sim-stats-out'");
 }
 
+TEST(ConfigParse, RetiredAlphaBetaGammaAreUnknown)
+{
+    // No scenario read them, so they only split sweep fingerprints.
+    for (const char *key : {"alpha", "beta", "gamma"}) {
+        std::string arg = std::string("--") + key + "=3";
+        const char *argv[] = {"prog", arg.c_str()};
+        Config cfg;
+        EXPECT_DEATH(cfg.parseArgs(2, const_cast<char **>(argv)),
+                     "unknown option '--" + std::string(key) + "'");
+    }
+}
+
 TEST(ConfigParse, RetiredAllowUnknownArgsIsUnknown)
 {
     const char *argv[] = {"prog", "--allow-unknown-args",
@@ -851,11 +863,11 @@ TEST(ConfigParse, AcceptsFullNumericRange)
     EXPECT_EQ(cfg.getInt("n", 0), INT64_MAX);
     cfg.set("n", "18446744073709551615");
     EXPECT_EQ(cfg.getU64("n", 0), UINT64_MAX);
-    cfg.set("alpha", "2.5e-3");
-    EXPECT_DOUBLE_EQ(cfg.getDouble("alpha", 0.0), 2.5e-3);
+    cfg.set("fps", "2.5e-3");
+    EXPECT_DOUBLE_EQ(cfg.getDouble("fps", 0.0), 2.5e-3);
     // Denormal underflow is tiny-but-valid, not an error.
-    cfg.set("alpha", "1e-320");
-    EXPECT_GT(cfg.getDouble("alpha", 0.0), 0.0);
+    cfg.set("fps", "1e-320");
+    EXPECT_GT(cfg.getDouble("fps", 0.0), 0.0);
 }
 
 TEST(ConfigParse, TrailingGarbageOnIntIsFatal)
@@ -908,10 +920,10 @@ TEST(ConfigParse, MalformedBoolIsFatal)
 TEST(ConfigParse, MalformedOrOverflowingDoubleIsFatal)
 {
     Config cfg;
-    cfg.set("alpha", "1.5pt");
-    EXPECT_DEATH(cfg.getDouble("alpha", 0.0), "is not a number");
-    cfg.set("alpha", "");
-    EXPECT_DEATH(cfg.getDouble("alpha", 0.0), "is not a number");
-    cfg.set("alpha", "1e999");
-    EXPECT_DEATH(cfg.getDouble("alpha", 0.0), "overflows a double");
+    cfg.set("fps", "1.5pt");
+    EXPECT_DEATH(cfg.getDouble("fps", 0.0), "is not a number");
+    cfg.set("fps", "");
+    EXPECT_DEATH(cfg.getDouble("fps", 0.0), "is not a number");
+    cfg.set("fps", "1e999");
+    EXPECT_DEATH(cfg.getDouble("fps", 0.0), "overflows a double");
 }

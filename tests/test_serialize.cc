@@ -54,43 +54,88 @@ roundTrip(const CheckpointOut &out)
 CheckpointIo
 saving(CheckpointOut &out, Simulation &sim)
 {
-    return CheckpointIo(out, sim.checkpointRegistry(), sim.packetPool());
+    return CheckpointIo(out, &sim.checkpointRegistry(), &sim.packetPool());
 }
 
 /** An io loading what @p out holds into @p sim's objects. */
 CheckpointIo
 loading(const CheckpointOut &out, Simulation &sim)
 {
-    return CheckpointIo(roundTrip(out), sim.checkpointRegistry(),
-                        sim.packetPool());
+    return CheckpointIo(roundTrip(out), &sim.checkpointRegistry(),
+                        &sim.packetPool());
+}
+
+/** Save @p v as record @p key of @p out. */
+template <class T>
+void
+put(CheckpointOut &out, const std::string &key, T v)
+{
+    CheckpointIo io(out);
+    io.scalar(key, v);
+}
+
+/** Record @p key of @p in, loaded as a @p T. */
+template <class T>
+T
+get(const CheckpointIn &in, const std::string &key)
+{
+    T v{};
+    CheckpointIo io(in);
+    io.scalar(key, v);
+    return v;
 }
 
 // Record codec ---------------------------------------------------------
 
 TEST(CheckpointCodec, RoundTripsEveryRecordType)
 {
+    // One field of each record type, listed once.
+    struct Fields
+    {
+        std::uint64_t u = 0;
+        std::int64_t i = 0;
+        double f = 0.0;
+        bool b0 = true;
+        bool b1 = false;
+        std::string s;
+        std::vector<char> blob;
+        std::vector<std::uint64_t> uv;
+        std::vector<double> fv;
+
+        void
+        list(CheckpointIo &io)
+        {
+            io.scalar("u", u);
+            io.scalar("i", i);
+            io.scalar("f", f);
+            io.scalar("b0", b0);
+            io.scalar("b1", b1);
+            io.scalar("s", s);
+            io.blob("blob", blob);
+            io.vector("uv", uv);
+            io.vector("fv", fv);
+        }
+    };
+    const std::vector<char> blob = {0x00, 0x01, 0x7f, (char)0xff};
+    Fields saved{0xdeadbeefcafef00dULL, -42, 3.25, false, true,
+                 "hello checkpoint", blob, {1, 2, 3}, {0.5, -1.5}};
     CheckpointOut out("test");
-    out.putU64("u", 0xdeadbeefcafef00dULL);
-    out.putI64("i", -42);
-    out.putF64("f", 3.25);
-    out.putBool("b0", false);
-    out.putBool("b1", true);
-    out.putStr("s", "hello checkpoint");
-    const char blob[] = {0x00, 0x01, 0x7f, (char)0xff};
-    out.putBlob("blob", blob, sizeof(blob));
-    out.putU64Vec("uv", {1, 2, 3});
-    out.putF64Vec("fv", {0.5, -1.5});
+    CheckpointIo save(out);
+    saved.list(save);
 
     CheckpointIn in = roundTrip(out);
-    EXPECT_EQ(in.getU64("u"), 0xdeadbeefcafef00dULL);
-    EXPECT_EQ(in.getI64("i"), -42);
-    EXPECT_DOUBLE_EQ(in.getF64("f"), 3.25);
-    EXPECT_FALSE(in.getBool("b0"));
-    EXPECT_TRUE(in.getBool("b1"));
-    EXPECT_EQ(in.getStr("s"), "hello checkpoint");
-    EXPECT_EQ(in.getBlob("blob"), std::string(blob, sizeof(blob)));
-    EXPECT_EQ(in.getU64Vec("uv"), (std::vector<std::uint64_t>{1, 2, 3}));
-    EXPECT_EQ(in.getF64Vec("fv"), (std::vector<double>{0.5, -1.5}));
+    Fields back;
+    CheckpointIo load(in);
+    back.list(load);
+    EXPECT_EQ(back.u, 0xdeadbeefcafef00dULL);
+    EXPECT_EQ(back.i, -42);
+    EXPECT_DOUBLE_EQ(back.f, 3.25);
+    EXPECT_FALSE(back.b0);
+    EXPECT_TRUE(back.b1);
+    EXPECT_EQ(back.s, "hello checkpoint");
+    EXPECT_EQ(back.blob, blob);
+    EXPECT_EQ(back.uv, (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_EQ(back.fv, (std::vector<double>{0.5, -1.5}));
     EXPECT_TRUE(in.has("u"));
     EXPECT_FALSE(in.has("nope"));
 }
@@ -98,24 +143,24 @@ TEST(CheckpointCodec, RoundTripsEveryRecordType)
 TEST(CheckpointCodec, MissingKeyIsFatal)
 {
     CheckpointOut out("test");
-    out.putU64("present", 1);
+    put<std::uint64_t>(out, "present", 1);
     CheckpointIn in = roundTrip(out);
-    EXPECT_DEATH(in.getU64("absent"), "missing key");
+    EXPECT_DEATH(get<std::uint64_t>(in, "absent"), "missing key");
 }
 
 TEST(CheckpointCodec, TypeMismatchIsFatal)
 {
     CheckpointOut out("test");
-    out.putF64("f", 1.0);
+    put(out, "f", 1.0);
     CheckpointIn in = roundTrip(out);
-    EXPECT_DEATH(in.getU64("f"), "expected");
+    EXPECT_DEATH(get<std::uint64_t>(in, "f"), "expected");
 }
 
 TEST(CheckpointCodec, DuplicateKeyIsFatal)
 {
     CheckpointOut out("test");
-    out.putU64("k", 1);
-    EXPECT_DEATH(out.putU64("k", 2), "duplicate key");
+    put<std::uint64_t>(out, "k", 1);
+    EXPECT_DEATH(put<std::uint64_t>(out, "k", 2), "duplicate key");
 }
 
 // Writer / reader directory format -------------------------------------
@@ -125,8 +170,8 @@ TEST(CheckpointDir, WriterReaderRoundTrip)
     std::string dir = tempDir("ckpt_dir");
     {
         CheckpointWriter w(dir, 0xabcdULL, 777, 99);
-        w.section("alpha").putU64("x", 11);
-        w.section("beta").putStr("y", "z");
+        put<std::uint64_t>(w.section("alpha"), "x", 11);
+        put<std::string>(w.section("beta"), "y", "z");
         w.finalize();
     }
     CheckpointReader r(dir);
@@ -136,8 +181,8 @@ TEST(CheckpointDir, WriterReaderRoundTrip)
     EXPECT_TRUE(r.hasSection("alpha"));
     EXPECT_TRUE(r.hasSection("beta"));
     EXPECT_FALSE(r.hasSection("gamma"));
-    EXPECT_EQ(r.section("alpha").getU64("x"), 11u);
-    EXPECT_EQ(r.section("beta").getStr("y"), "z");
+    EXPECT_EQ(get<std::uint64_t>(r.section("alpha"), "x"), 11u);
+    EXPECT_EQ(get<std::string>(r.section("beta"), "y"), "z");
 }
 
 TEST(CheckpointDir, HeldSectionSurvivesLaterSections)
@@ -148,17 +193,17 @@ TEST(CheckpointDir, HeldSectionSurvivesLaterSections)
     {
         CheckpointWriter w(dir, 0, 0, 0);
         CheckpointOut &head = w.section("head");
-        head.putU64("first", 1);
+        put<std::uint64_t>(head, "first", 1);
         for (int i = 0; i < 64; ++i)
-            w.section("s" + std::to_string(i)).putU64("i", i);
-        head.putU64("last", 2);
+            put<std::uint64_t>(w.section("s" + std::to_string(i)), "i", i);
+        put<std::uint64_t>(head, "last", 2);
         w.finalize();
     }
     CheckpointReader r(dir);
     CheckpointIn head = r.section("head");
-    EXPECT_EQ(head.getU64("first"), 1u);
-    EXPECT_EQ(head.getU64("last"), 2u);
-    EXPECT_EQ(r.section("s63").getU64("i"), 63u);
+    EXPECT_EQ(get<std::uint64_t>(head, "first"), 1u);
+    EXPECT_EQ(get<std::uint64_t>(head, "last"), 2u);
+    EXPECT_EQ(get<std::uint64_t>(r.section("s63"), "i"), 63u);
 }
 
 TEST(CheckpointDir, MissingSectionIsFatal)
@@ -166,7 +211,7 @@ TEST(CheckpointDir, MissingSectionIsFatal)
     std::string dir = tempDir("ckpt_missing_section");
     {
         CheckpointWriter w(dir, 1, 0, 0);
-        w.section("only").putU64("x", 1);
+        put<std::uint64_t>(w.section("only"), "x", 1);
         w.finalize();
     }
     CheckpointReader r(dir);
@@ -406,23 +451,25 @@ TEST(CheckpointDramDeathTest, ShortBankColumnIsFatal)
     CheckpointOut saved("ch");
     CheckpointIo save = saving(saved, sim);
     channel.serialize(save);
-    const std::size_t banks =
-        roundTrip(saved).getU64Vec("bank.open").size();
+    std::vector<std::uint64_t> open;
+    CheckpointIo(roundTrip(saved)).vector("bank.open", open);
+    const std::size_t banks = open.size();
 
     // An idle channel's section, with @p ready_banks ready ticks.
     auto section = [banks](std::size_t ready_banks) {
-        const std::vector<std::uint64_t> zeros(banks, 0);
+        std::vector<std::uint64_t> zeros(banks, 0);
+        std::vector<std::uint64_t> ready(ready_banks, 0);
         CheckpointOut out("ch");
-        out.putU64("num_queue", 0);
-        out.putU64Vec("bank.open", zeros);
-        out.putU64Vec("bank.open_row", zeros);
-        out.putU64Vec("bank.ready_tick",
-                      std::vector<std::uint64_t>(ready_banks, 0));
-        out.putU64Vec("bank.activate_tick", zeros);
-        out.putU64Vec("bank.bytes_since_activate", zeros);
-        out.putU64("bus_free_tick", 0);
-        out.putU64("num_inflight", 0);
-        out.putU64("retry.num_waiters", 0);
+        CheckpointIo io(out);
+        put<std::uint64_t>(out, "num_queue", 0);
+        io.vector("bank.open", zeros);
+        io.vector("bank.open_row", zeros);
+        io.vector("bank.ready_tick", ready);
+        io.vector("bank.activate_tick", zeros);
+        io.vector("bank.bytes_since_activate", zeros);
+        put<std::uint64_t>(out, "bus_free_tick", 0);
+        put<std::uint64_t>(out, "num_inflight", 0);
+        put<std::uint64_t>(out, "retry.num_waiters", 0);
         return out;
     };
     ASSERT_EQ(section(banks).bytes(), saved.bytes());
@@ -524,8 +571,9 @@ probeFixture(const std::string &leaf)
     std::string dir = tempDir(leaf);
     std::filesystem::remove_all(dir);
     CheckpointWriter w(dir, 0xfeedULL, 777, 99);
-    w.section("alpha").putU64("x", 11);
-    w.section("beta").putStr("y", "payload bytes the crc covers");
+    put<std::uint64_t>(w.section("alpha"), "x", 11);
+    put<std::string>(w.section("beta"), "y",
+                     "payload bytes the crc covers");
     w.finalize();
     return dir;
 }
@@ -626,7 +674,7 @@ TEST(CheckpointProbe, OpenServesWhatItValidated)
     ASSERT_TRUE(reader.has_value());
     EXPECT_TRUE(probe.ok());
     EXPECT_EQ(reader->tick(), 777u);
-    EXPECT_EQ(reader->section("alpha").getU64("x"), 11u);
+    EXPECT_EQ(get<std::uint64_t>(reader->section("alpha"), "x"), 11u);
 
     std::string dir = probeFixture("probe_open_flip");
     auto size = std::filesystem::file_size(dir + "/data.bin");
@@ -686,9 +734,9 @@ TEST(CheckpointProbe, FormatTwoDirectoryIsUnsupported)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     CheckpointOut alpha("alpha");
-    alpha.putU64("x", 11);
+    put<std::uint64_t>(alpha, "x", 11);
     CheckpointOut beta("beta");
-    beta.putStr("y", "payload bytes the crc covers");
+    put<std::string>(beta, "y", "payload bytes the crc covers");
     {
         std::ofstream data(dir + "/data.bin", std::ios::binary);
         data << alpha.bytes() << beta.bytes();

@@ -657,15 +657,15 @@ TEST(Random, DeterministicAndBounded)
 TEST(Config, ParseAndTypedAccess)
 {
     Config cfg;
-    const char *argv[] = {"prog", "--alpha=3", "--beta=2.5",
-                          "--gamma=yes", "--name=hello"};
+    const char *argv[] = {"prog", "--n=3", "--fps=2.5", "--quick=yes",
+                          "--name=hello"};
     cfg.parseArgs(5, const_cast<char **>(argv));
-    EXPECT_EQ(cfg.getInt("alpha", 0), 3);
-    EXPECT_DOUBLE_EQ(cfg.getDouble("beta", 0.0), 2.5);
-    EXPECT_TRUE(cfg.getBool("gamma", false));
+    EXPECT_EQ(cfg.getInt("n", 0), 3);
+    EXPECT_DOUBLE_EQ(cfg.getDouble("fps", 0.0), 2.5);
+    EXPECT_TRUE(cfg.getBool("quick", false));
     EXPECT_EQ(cfg.getString("name", ""), "hello");
     EXPECT_EQ(cfg.getInt("missing", 7), 7);
-    EXPECT_TRUE(cfg.has("alpha"));
+    EXPECT_TRUE(cfg.has("n"));
     EXPECT_FALSE(cfg.has("missing"));
 }
 

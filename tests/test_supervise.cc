@@ -15,10 +15,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
-#include "sim/serialize/serialize.hh"
+#include "sim/serialize/checkpoint_io.hh"
 #include "sweep/supervisor.hh"
 
 namespace emerald
@@ -68,7 +69,8 @@ writeRotation(const std::string &base, Tick tick)
                   static_cast<unsigned long long>(tick));
     std::string dir = base + "/" + leaf;
     CheckpointWriter w(dir, 0xfeedULL, tick, tick / 10);
-    w.section("s").putU64("x", tick);
+    CheckpointIo io(w.section("s"));
+    io.scalar("x", tick);
     w.finalize();
     return dir;
 }
@@ -133,7 +135,7 @@ TEST(Supervise, SigkillClassifiedOomKilledThenRecovers)
     EXPECT_EQ(res.failures[0].cls, FailureClass::OomKilled);
     EXPECT_EQ(res.failures[0].signal, SIGKILL);
     // No checkpoint dir configured: the retry was a cold start.
-    EXPECT_EQ(res.failures[0].recoveredFromTick, 0u);
+    EXPECT_TRUE(res.failures[0].recoveredFromTicks.empty());
 
     std::string summary = readFile(opts.runDir + "/supervisor.json");
     EXPECT_NE(summary.find("\"oom-killed\""), std::string::npos);
@@ -182,7 +184,7 @@ TEST(Supervise, DeterministicFailureGivesUpWithTriageBundle)
         opts, [](const ChildSpec &) { return 3; });
     EXPECT_FALSE(res.succeeded);
     EXPECT_TRUE(res.gaveUp);
-    // Same class, same recovery tick, twice in a row: stop at two
+    // Same class, same recovery ticks, twice in a row: stop at two
     // attempts even though the budget would allow four.
     EXPECT_EQ(res.attempts, 2u);
     ASSERT_EQ(res.failures.size(), 2u);
@@ -275,7 +277,60 @@ TEST(Supervise, RetryRestoresFromNewestCheckpointAndRecordsTick)
         });
     EXPECT_TRUE(res.succeeded) << "retry saw the wrong restoreDir";
     ASSERT_EQ(res.failures.size(), 1u);
-    EXPECT_EQ(res.failures[0].recoveredFromTick, 600u);
+    EXPECT_EQ(res.failures[0].recoveredFromTicks,
+              (std::map<std::string, Tick>{{".", 600}}));
+}
+
+TEST(Supervise, EachLabelRecordsItsOwnResumeTick)
+{
+    // A bench with one simulation per label rotates each under its
+    // own <label>-<scope> directory and restores from the newest
+    // usable rotation there: each label resumes from its own tick, and
+    // one whose rotations are all damaged starts cold (0).
+    SupervisorOptions opts = quickOpts("labels");
+    opts.ckptDir = tempDir("labels_ckpt");
+    writeRotation(opts.ckptDir + "/BAS-abc", 100);
+    writeRotation(opts.ckptDir + "/BAS-abc", 500);
+    writeRotation(opts.ckptDir + "/DCB-abc", 300);
+    fs::remove(writeRotation(opts.ckptDir + "/HMC-abc", 200) +
+               "/data.bin");
+
+    SupervisorResult res = superviseRun(
+        opts,
+        [](const ChildSpec &spec) { return spec.attempt == 0 ? 11 : 0; });
+    EXPECT_TRUE(res.succeeded);
+    ASSERT_FALSE(res.failures.empty());
+    EXPECT_EQ(res.failures[0].recoveredFromTicks,
+              (std::map<std::string, Tick>{
+                  {"BAS-abc", 500}, {"DCB-abc", 300}, {"HMC-abc", 0}}));
+    std::string summary = readFile(opts.runDir + "/supervisor.json");
+    EXPECT_NE(summary.find("\"recovered_from_ticks\": {\"BAS-abc\": 500, "
+                           "\"DCB-abc\": 300, \"HMC-abc\": 0}"),
+              std::string::npos)
+        << summary;
+}
+
+TEST(Supervise, NewResumeTickInOneLabelIsNotDeterministic)
+{
+    // Each attempt crashes the same way, but one label checkpointed
+    // further every time: that is progress, so only the retry budget
+    // stops the run.
+    SupervisorOptions opts = quickOpts("progress");
+    opts.ckptDir = tempDir("progress_ckpt");
+    opts.maxRetries = 2;
+    writeRotation(opts.ckptDir + "/BAS-abc", 100);
+    SupervisorResult res = superviseRun(
+        opts, [&opts](const ChildSpec &spec) {
+            writeRotation(opts.ckptDir + "/DCB-abc",
+                          200 + 100 * spec.attempt);
+            return 3;
+        });
+    EXPECT_TRUE(res.gaveUp);
+    EXPECT_EQ(res.attempts, 3u);
+    ASSERT_EQ(res.failures.size(), 3u);
+    EXPECT_EQ(res.failures[2].recoveredFromTicks,
+              (std::map<std::string, Tick>{{"BAS-abc", 100},
+                                           {"DCB-abc", 400}}));
 }
 
 TEST(Supervise, CorruptRotationRecordedAndOlderOneUsed)

@@ -20,11 +20,12 @@ Modes:
   --supervisor=<supervisor.json>
               supervised recovery (docs/resilience.md): the second run
               was supervised, its first attempt was killed mid-flight
-              (or hung) and a retry resumed from the newest rotated
-              checkpoint. Hashes must match as above, and the
-              supervisor's summary must also prove a recovery
-              happened: success with >= 2 attempts, at least one
-              classified failure, and at least one restart from a
+              (or hung) and a retry resumed each simulation from the
+              newest rotated checkpoint in its label's directory.
+              Hashes must match as above, and the supervisor's
+              summary must also prove a recovery happened: success
+              with >= 2 attempts, at least one classified failure,
+              and at least one label that restarted from a
               checkpoint (--allow-cold-recovery accepts a recovery
               that restarted cold because no rotation existed yet). A
               kill that landed after the run finished would otherwise
@@ -127,12 +128,16 @@ def check_supervisor(path, allow_cold, report):
         report.fail("supervisor", "no classified failures on record")
     for rec in recs:
         cls = rec.get("class", "?")
-        tick = rec.get("recovered_from_tick", 0)
-        origin = f"checkpoint tick {tick}" if tick else "cold start"
+        ticks = rec.get("recovered_from_ticks", {})
+        origin = ", ".join(
+            f"{label} from checkpoint tick {tick}" if tick else
+            f"{label} cold" for label, tick in sorted(ticks.items()))
         print(f"info supervisor: attempt {rec.get('attempt')} "
               f"failed as '{cls}' ({rec.get('detail', '')}); "
-              f"next attempt from {origin}")
-    warm = any(rec.get("recovered_from_tick", 0) > 0 for rec in recs)
+              f"next attempt: {origin or 'cold start'}")
+    # Warm when any label's simulation resumed from a checkpoint.
+    warm = any(tick > 0 for rec in recs
+               for tick in rec.get("recovered_from_ticks", {}).values())
     if not warm and not allow_cold:
         report.fail("supervisor", "every retry was a cold restart — "
                     "no checkpoint recovery was exercised (pass "

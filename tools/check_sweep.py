@@ -31,6 +31,8 @@ import json
 import sqlite3
 import sys
 
+from sweep_query import load_runs, shape_of
+
 EXPECTED_TABLES = {"sweep_meta", "runs", "run_params", "stats",
                    "run_failures"}
 
@@ -119,41 +121,6 @@ def check_complete(con, manifest_path, git_sha=None,
     return failures
 
 
-def db_shape(con, model, where, stat="results.gpu_ms",
-             axis="config", git_sha=None):
-    """axis value -> stat for the selected runs."""
-    where = dict(where, model=model)
-    allowed = None
-    if git_sha:
-        allowed = {run_id for (run_id,) in con.execute(
-            "SELECT run_id FROM runs WHERE git_sha=?", (git_sha,))}
-    runs = {}
-    for run_id, key, value in con.execute(
-            "SELECT run_id, key, value FROM run_params"):
-        if allowed is not None and run_id not in allowed:
-            continue
-        runs.setdefault(run_id, {})[key] = value
-    shape = {}
-    for run_id, params in runs.items():
-        if any(params.get(k) != v for k, v in where.items()):
-            continue
-        key = params.get(axis)
-        if key is None:
-            continue
-        if key in shape:
-            sys.exit(f"check_sweep: several runs share {axis}={key}; "
-                     "narrow with --where")
-        row = con.execute(
-            "SELECT value FROM stats WHERE run_id=? AND name=?",
-            (run_id, stat)).fetchone()
-        if row is None or row[0] is None:
-            sys.exit(f"check_sweep: run {run_id} has no '{stat}'")
-        shape[key] = row[0]
-    if not shape:
-        sys.exit(f"check_sweep: no runs match {where}")
-    return shape
-
-
 def check_shape(con, reference_path, model, where, tolerance,
                 git_sha=None):
     failures = 0
@@ -164,7 +131,8 @@ def check_shape(con, reference_path, model, where, tolerance,
         sys.exit(f"check_sweep: cannot read '{reference_path}': "
                  f"{err}")
 
-    shape = db_shape(con, model, where, git_sha=git_sha)
+    runs = load_runs(con, dict(where, model=model), git_sha)
+    shape = shape_of(con, runs, "results.gpu_ms", "config")
     if "BAS" not in shape or shape["BAS"] == 0:
         sys.exit("check_sweep: no BAS run to normalize to")
     base = shape["BAS"]
