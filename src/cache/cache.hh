@@ -66,7 +66,6 @@ class Cache : public SimObject,
     bool tryAccept(MemPacket *pkt) override;
     void memResponse(MemPacket *pkt) override;
     void retryRequest() override;
-    std::string requestorName() const override { return name(); }
 
     void hangDiagnostics(std::ostream &os) const override;
 

@@ -115,7 +115,6 @@ class GraphicsPipeline : public SimObject,
     /** The L2 link has room again; resume draining fixed-function
      * traffic. */
     void retryRequest() override;
-    std::string requestorName() const override { return name(); }
     WtMapping &mapping() { return *_mapping; }
     unsigned fbWidth() const { return _fbWidth; }
     unsigned fbHeight() const { return _fbHeight; }

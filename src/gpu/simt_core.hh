@@ -121,7 +121,6 @@ class SimtCore : public SimObject,
 
     void memResponse(MemPacket *pkt) override;
     void retryRequest() override;
-    std::string requestorName() const override { return name(); }
 
     /**
      * Mirror every transaction the LSU successfully hands to an L1

@@ -220,20 +220,9 @@ createWarpScheduler(const std::string &policy,
     const std::string &name =
         policy.empty() ? defaultWarpSchedPolicy : policy;
     auto it = registry().find(name);
-    if (it == registry().end()) {
-        std::string suggestion =
-            nearestMatch(name, warpSchedulerPolicies());
-        std::string known;
-        for (const std::string &p : warpSchedulerPolicies())
-            known += (known.empty() ? "" : ", ") + p;
-        if (!suggestion.empty()) {
-            fatal("unknown warp scheduler policy '%s' — did you mean "
-                  "'%s'? (known: %s)",
-                  name.c_str(), suggestion.c_str(), known.c_str());
-        }
-        fatal("unknown warp scheduler policy '%s' (known: %s)",
-              name.c_str(), known.c_str());
-    }
+    if (it == registry().end())
+        fatalUnknownName("warp scheduler policy", name,
+                         warpSchedulerPolicies());
     return it->second(std::move(owned), scheduler_id);
 }
 

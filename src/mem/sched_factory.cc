@@ -46,20 +46,9 @@ createMemScheduler(const std::string &policy, const MemSchedContext &ctx)
     const std::string &name =
         policy.empty() ? defaultMemSchedPolicy : policy;
     auto it = registry().find(name);
-    if (it == registry().end()) {
-        std::string suggestion =
-            nearestMatch(name, memSchedulerPolicies());
-        std::string known;
-        for (const std::string &p : memSchedulerPolicies())
-            known += (known.empty() ? "" : ", ") + p;
-        if (!suggestion.empty()) {
-            fatal("unknown memory scheduler policy '%s' — did you "
-                  "mean '%s'? (known: %s)",
-                  name.c_str(), suggestion.c_str(), known.c_str());
-        }
-        fatal("unknown memory scheduler policy '%s' (known: %s)",
-              name.c_str(), known.c_str());
-    }
+    if (it == registry().end())
+        fatalUnknownName("memory scheduler policy", name,
+                         memSchedulerPolicies());
     MemSchedBundle bundle = it->second(ctx);
     fatal_if(!bundle.scheduler,
              "memory scheduler policy '%s' built no scheduler",

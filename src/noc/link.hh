@@ -44,7 +44,6 @@ class Link : public SimObject, public MemSink, public MemRequestor
 
     bool tryAccept(MemPacket *pkt) override;
     void retryRequest() override;
-    std::string requestorName() const override { return name(); }
 
     std::size_t queueDepth() const { return _queue.size(); }
 

@@ -95,7 +95,6 @@ class NpuDmaEngine : public SimObject,
 
     void memResponse(MemPacket *pkt) override;
     void retryRequest() override;
-    std::string requestorName() const override { return name(); }
 
     /**
      * Watchdog degrade recovery: a stuck burst (held rejected packet

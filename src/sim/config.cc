@@ -120,6 +120,7 @@ Config::parseArgs(int argc, char **argv)
         } else {
             // Bare "--flag" is a boolean switch.
             set(key, "1");
+            _bare.insert(key);
         }
     }
 }
@@ -128,6 +129,7 @@ void
 Config::set(const std::string &key, const std::string &value)
 {
     _values[key] = value;
+    _bare.erase(key);
 }
 
 bool
@@ -136,24 +138,35 @@ Config::has(const std::string &key) const
     return _values.count(key) != 0;
 }
 
+const std::string *
+Config::lookup(const std::string &key) const
+{
+    auto it = _values.find(key);
+    if (it == _values.end())
+        return nullptr;
+    fatal_if(_bare.count(key) != 0, "option --%s needs a value",
+             key.c_str());
+    return &it->second;
+}
+
 std::string
 Config::getString(const std::string &key, const std::string &dflt) const
 {
-    auto it = _values.find(key);
-    return it == _values.end() ? dflt : it->second;
+    const std::string *v = lookup(key);
+    return v ? *v : dflt;
 }
 
 std::int64_t
 Config::getInt(const std::string &key, std::int64_t dflt) const
 {
-    auto it = _values.find(key);
-    if (it == _values.end())
+    const std::string *v = lookup(key);
+    if (!v)
         return dflt;
-    const char *text = it->second.c_str();
+    const char *text = v->c_str();
     char *end = nullptr;
     errno = 0;
     std::int64_t value = std::strtoll(text, &end, 0);
-    fatal_if(it->second.empty() || end == text || *end != '\0',
+    fatal_if(v->empty() || end == text || *end != '\0',
              "config key '%s': '%s' is not an integer",
              key.c_str(), text);
     fatal_if(errno == ERANGE,
@@ -165,12 +178,12 @@ Config::getInt(const std::string &key, std::int64_t dflt) const
 std::uint64_t
 Config::getU64(const std::string &key, std::uint64_t dflt) const
 {
-    auto it = _values.find(key);
-    if (it == _values.end())
+    const std::string *v = lookup(key);
+    if (!v)
         return dflt;
-    const char *text = it->second.c_str();
+    const char *text = v->c_str();
     char *end = nullptr;
-    fatal_if(it->second.empty() || text[0] == '-',
+    fatal_if(v->empty() || text[0] == '-',
              "config key '%s': '%s' is not a non-negative integer",
              key.c_str(), text);
     errno = 0;
@@ -187,14 +200,14 @@ Config::getU64(const std::string &key, std::uint64_t dflt) const
 double
 Config::getDouble(const std::string &key, double dflt) const
 {
-    auto it = _values.find(key);
-    if (it == _values.end())
+    const std::string *v = lookup(key);
+    if (!v)
         return dflt;
-    const char *text = it->second.c_str();
+    const char *text = v->c_str();
     char *end = nullptr;
     errno = 0;
     double value = std::strtod(text, &end);
-    fatal_if(it->second.empty() || end == text || *end != '\0',
+    fatal_if(v->empty() || end == text || *end != '\0',
              "config key '%s': '%s' is not a number",
              key.c_str(), text);
     // Overflow to +/-HUGE_VAL is a malformed input; denormal

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,7 +60,10 @@ class Config
 
     /**
      * Parse "--key=value", "--key value" and bare boolean "--flag"
-     * arguments; anything not starting with "--" is fatal.
+     * arguments; anything not starting with "--" is fatal. A bare key
+     * reads as true through getBool(), and every other accessor
+     * refuses it ("option --frames needs a value"); items() lists it
+     * as "1".
      *
      * Keys are validated against the table of options the tools
      * actually read, so a typo like --fault-sed fails loudly (with a
@@ -89,7 +93,12 @@ class Config
     }
 
   private:
+    /** @p key's value, or nullptr when unset; fatal for a bare key. */
+    const std::string *lookup(const std::string &key) const;
+
     std::map<std::string, std::string> _values;
+    /** Keys given as a bare "--flag" and not set since. */
+    std::set<std::string> _bare;
 };
 
 } // namespace emerald

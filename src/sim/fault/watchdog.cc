@@ -25,6 +25,14 @@ constexpr Tick backoffCap = 8;
  *  escalates to abort-with-report. */
 constexpr unsigned degradeWakeCap = 16;
 
+/** A parked waiter, named by the SimObject that recorded it. */
+std::string
+waiterName(const Simulation &sim, const MemRequestor &req)
+{
+    const SimObject *obj = sim.recorderOf(req);
+    return obj ? obj->name() : "unnamed requestor";
+}
+
 } // namespace
 
 WatchdogMode
@@ -142,7 +150,7 @@ ProgressWatchdog::buildReport()
         any = true;
         os << "\n    " << list->owner() << " <-";
         for (const MemRequestor *req : list->waiters())
-            os << " " << req->requestorName();
+            os << " " << waiterName(_sim, *req);
     }
     if (!any)
         os << " (none)";
@@ -197,7 +205,7 @@ ProgressWatchdog::chargeForcedWake(const RetryList *list)
     _lastReport += strprintf(
         "\n  DEGRADE ESCALATION: waiter '%s' absorbed %u force-wakes "
         "on list '%s' without recovering (cap %u)",
-        head->requestorName().c_str(), count, list->owner().c_str(),
+        waiterName(_sim, *head).c_str(), count, list->owner().c_str(),
         degradeWakeCap);
     abortWithReport("degrade-escalation");
 }
@@ -241,7 +249,7 @@ ProgressWatchdog::abortWithReport(const char *kind)
                 bool firstReq = true;
                 for (const MemRequestor *req : list->waiters()) {
                     os << (firstReq ? "" : ", ") << "\""
-                       << jsonEscape(req->requestorName()) << "\"";
+                       << jsonEscape(waiterName(_sim, *req)) << "\"";
                     firstReq = false;
                 }
                 os << "]}";

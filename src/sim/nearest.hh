@@ -3,7 +3,8 @@
  * Near-miss suggestion helper shared by the CLI parser and the
  * scheduler-policy registries: given a user-typed name and the set of
  * valid names, find the closest candidate worth suggesting in a
- * "did you mean ...?" diagnostic.
+ * "did you mean ...?" diagnostic, and the registries' one diagnostic
+ * for an unknown name.
  */
 
 #ifndef EMERALD_SIM_NEAREST_HH
@@ -13,6 +14,8 @@
 #include <cstddef>
 #include <string>
 #include <vector>
+
+#include "sim/logging.hh"
 
 namespace emerald
 {
@@ -55,6 +58,27 @@ nearestMatch(const std::string &name,
         }
     }
     return best;
+}
+
+/**
+ * Refuse @p name, which is not one of the @p known names of @p kind
+ * ("warp scheduler policy"): the message suggests the nearest match,
+ * if any, and lists every known name.
+ */
+[[noreturn]] inline void
+fatalUnknownName(const char *kind, const std::string &name,
+                 const std::vector<std::string> &known)
+{
+    std::string suggestion = nearestMatch(name, known);
+    std::string list;
+    for (const std::string &k : known)
+        list += (list.empty() ? "" : ", ") + k;
+    if (!suggestion.empty()) {
+        fatal("unknown %s '%s' — did you mean '%s'? (known: %s)", kind,
+              name.c_str(), suggestion.c_str(), list.c_str());
+    }
+    fatal("unknown %s '%s' (known: %s)", kind, name.c_str(),
+          list.c_str());
 }
 
 } // namespace emerald

@@ -5,7 +5,6 @@
 #include "sim/logging.hh"
 #include "sim/packet_pool.hh"
 #include "sim/serialize/checkpoint_io.hh"
-#include "sim/serialize/registry.hh"
 #include "sim/simulation.hh"
 
 namespace emerald
@@ -69,14 +68,10 @@ RetryList::wakeOne(bool force)
 void
 RetryList::serialize(CheckpointIo &io, const std::string &prefix)
 {
-    const CheckpointRegistry &reg = io.registry();
     io.sequence(
         prefix + ".num_waiters", prefix + ".waiter", _waiters,
-        [&](const std::string &key, MemRequestor *&req) {
-            std::string name = req ? reg.requestorName(*req) : "";
-            io.scalar(key, name);
-            if (!req)
-                req = &reg.requestor(name);
+        [&io](const std::string &key, MemRequestor *&req) {
+            io.reference(key, req);
         },
         [this](MemRequestor *req) {
             _waiters.push_back(req);

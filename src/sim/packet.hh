@@ -96,16 +96,6 @@ class MemRequestor
      * so implementations must tolerate having nothing to send.
      */
     virtual void retryRequest() = 0;
-
-    /**
-     * Who this requestor is, for the watchdog's hang report ("who is
-     * parked on which RetryList"). Components that are SimObjects
-     * return their instance name.
-     */
-    virtual std::string requestorName() const
-    {
-        return "unnamed requestor";
-    }
 };
 
 /**
@@ -176,9 +166,9 @@ class RetryList
 
     /**
      * Checkpoint the parked waiters under "<prefix>." keys as
-     * registry names, in FIFO order (fatal for an unregistered
-     * waiter: a parked requestor that cannot be named cannot be
-     * restored).
+     * references (CheckpointIo::reference), in FIFO order: a parked
+     * requestor that no SimObject recorded cannot be named, so it
+     * cannot be saved.
      */
     void serialize(CheckpointIo &io, const std::string &prefix);
 

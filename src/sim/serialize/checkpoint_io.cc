@@ -4,7 +4,8 @@
 
 #include "sim/packet.hh"
 #include "sim/packet_pool.hh"
-#include "sim/serialize/registry.hh"
+#include "sim/sim_object.hh"
+#include "sim/simulation.hh"
 
 namespace emerald
 {
@@ -46,17 +47,13 @@ fromWord(std::uint64_t word)
 
 } // namespace
 
-CheckpointIo::CheckpointIo(CheckpointOut &out,
-                           const CheckpointRegistry *registry,
-                           PacketPool *pool)
-    : _out(&out), _registry(registry), _pool(pool)
+CheckpointIo::CheckpointIo(CheckpointOut &out, Simulation *sim)
+    : _out(&out), _sim(sim)
 {
 }
 
-CheckpointIo::CheckpointIo(CheckpointIn in,
-                           const CheckpointRegistry *registry,
-                           PacketPool *pool)
-    : _in(std::move(in)), _registry(registry), _pool(pool)
+CheckpointIo::CheckpointIo(CheckpointIn in, Simulation *sim)
+    : _in(std::move(in)), _sim(sim)
 {
 }
 
@@ -124,25 +121,23 @@ CheckpointIo::bytes(const std::string &key) const
     return _in->record(key, RecordType::Blob);
 }
 
-const CheckpointRegistry &
-CheckpointIo::registry() const
+Simulation &
+CheckpointIo::sim() const
 {
-    panic_if(!_registry,
-             "checkpoint section '%s' names objects but its io has no "
-             "registry", sectionName().c_str());
-    return *_registry;
+    panic_if(!_sim,
+             "checkpoint section '%s' holds a packet or names an object "
+             "but its io has no simulation", sectionName().c_str());
+    return *_sim;
 }
 
 void
 CheckpointIo::packet(const std::string &prefix, MemPacket *&pkt)
 {
-    panic_if(!_pool,
-             "checkpoint section '%s' holds a packet but its io has no "
-             "packet pool", sectionName().c_str());
     // Loading allocates the packet first and fills it in place.
     if (loading()) {
-        pkt = _pool->alloc(Addr(0), 0u, false, TrafficClass::Cpu,
-                           AccessKind::CpuData, 0);
+        pkt = sim().packetPool().alloc(Addr(0), 0u, false,
+                                       TrafficClass::Cpu,
+                                       AccessKind::CpuData, 0);
     }
     scalar(prefix + ".addr", pkt->addr);
     scalar(prefix + ".size", pkt->size);
@@ -151,13 +146,53 @@ CheckpointIo::packet(const std::string &prefix, MemPacket *&pkt)
     enumeration(prefix + ".kind", pkt->kind,
                 static_cast<std::uint64_t>(AccessKind::NumKinds));
     scalar(prefix + ".requestor_id", pkt->requestorId);
-    std::string client =
-        pkt->client ? registry().clientName(*pkt->client) : std::string();
-    scalar(prefix + ".client", client);
-    if (loading())
-        pkt->client = client.empty() ? nullptr : &registry().client(client);
+    reference(prefix + ".client", pkt->client);
     scalar(prefix + ".token", pkt->token);
     scalar(prefix + ".issued", pkt->issued);
+}
+
+void
+CheckpointIo::reference(const std::string &key, MemClient *&client)
+{
+    std::string name;
+    if (!loading() && client) {
+        const SimObject *obj = sim().recorderOf(*client);
+        fatal_if(!obj,
+                 "checkpoint: in-flight packet references an "
+                 "unregistered MemClient — every response target must "
+                 "call registerCheckpointClient()");
+        name = obj->name();
+    }
+    scalar(key, name);
+    if (!loading())
+        return;
+    const SimObject *obj = name.empty() ? nullptr : sim().findObject(name);
+    client = obj ? obj->checkpointClient() : nullptr;
+    fatal_if(!name.empty() && !client,
+             "checkpoint restore: no MemClient named '%s' in this "
+             "topology", name.c_str());
+}
+
+void
+CheckpointIo::reference(const std::string &key, MemRequestor *&req)
+{
+    std::string name;
+    if (!loading()) {
+        const SimObject *obj = sim().recorderOf(*req);
+        fatal_if(!obj,
+                 "checkpoint: parked retry waiter is an unregistered "
+                 "MemRequestor — every requestor that can block must "
+                 "call registerCheckpointRequestor()");
+        name = obj->name();
+    }
+    scalar(key, name);
+    if (!loading())
+        return;
+    const SimObject *obj = sim().findObject(name);
+    req = obj ? obj->checkpointRequestor() : nullptr;
+    fatal_if(!req,
+             "checkpoint restore: no MemRequestor named '%s' in this "
+             "topology", name.c_str());
 }
 
 const std::string &

@@ -9,8 +9,8 @@
  * record back into the field (CheckpointIn) with the check its kind of
  * field needs. So a section's writer and reader are the same code and
  * cannot drift, and this is the only record codec. An io that holds
- * packets or names retry waiters carries what those references
- * resolve against: the Simulation's CheckpointRegistry and PacketPool.
+ * packets or names retry waiters carries the Simulation those
+ * references resolve against: its SimObjects and its PacketPool.
  */
 
 #ifndef EMERALD_SIM_SERIALIZE_CHECKPOINT_IO_HH
@@ -31,31 +31,25 @@
 namespace emerald
 {
 
-class CheckpointRegistry;
+class MemClient;
 class MemPacket;
-class PacketPool;
+class MemRequestor;
+class Simulation;
 
 class CheckpointIo
 {
   public:
     /**
      * Saving: every call appends its records to @p out. A section
-     * that names packets or retry waiters needs @p registry and
-     * @p pool (a Simulation's); any other can leave them out.
+     * that holds packets or names retry waiters needs @p sim; any
+     * other can leave it out.
      */
-    explicit CheckpointIo(CheckpointOut &out,
-                          const CheckpointRegistry *registry = nullptr,
-                          PacketPool *pool = nullptr);
+    explicit CheckpointIo(CheckpointOut &out, Simulation *sim = nullptr);
 
     /** Loading: every call reads its records from @p in. */
-    explicit CheckpointIo(CheckpointIn in,
-                          const CheckpointRegistry *registry = nullptr,
-                          PacketPool *pool = nullptr);
+    explicit CheckpointIo(CheckpointIn in, Simulation *sim = nullptr);
 
     bool loading() const { return !_out; }
-
-    /** The name tables references resolve against (panics if none). */
-    const CheckpointRegistry &registry() const;
 
     /**
      * One record holding @p v: a bool as Bool, a signed integer as
@@ -251,12 +245,23 @@ class CheckpointIo
     }
 
     /**
-     * A held packet under "<prefix>." keys, its response target by
-     * registry name ("" for a posted write). Loading allocates @p pkt
-     * from the pool; an unknown client, access kind or traffic class
-     * is fatal.
+     * A held packet under "<prefix>." keys, its response target as a
+     * reference ("" for a posted write). Loading allocates @p pkt
+     * from the Simulation's pool; an unknown client, access kind or
+     * traffic class is fatal.
      */
     void packet(const std::string &prefix, MemPacket *&pkt);
+
+    /**
+     * @{ A response target or retry waiter, saved as the name of the
+     * SimObject that recorded it (SimObject::registerCheckpoint*())
+     * and loaded as what the object of that name recorded. Saving an
+     * unrecorded one, or loading a name no object recorded one
+     * under, is fatal. A null client is saved as "".
+     */
+    void reference(const std::string &key, MemClient *&client);
+    void reference(const std::string &key, MemRequestor *&req);
+    /** @} */
 
   private:
     template <class T>
@@ -296,14 +301,15 @@ class CheckpointIo
             return std::to_string(v);
     }
 
+    /** The Simulation references resolve against (panics if none). */
+    Simulation &sim() const;
     const std::string &sectionName() const;
     void checkLength(const std::string &key, std::size_t stored,
                      std::size_t live) const;
 
     CheckpointOut *_out = nullptr;
     std::optional<CheckpointIn> _in;
-    const CheckpointRegistry *_registry;
-    PacketPool *_pool;
+    Simulation *_sim;
 };
 
 /** The io of section @p name of a file being saved or loaded. */

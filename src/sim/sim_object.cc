@@ -1,6 +1,6 @@
 #include "sim/sim_object.hh"
 
-#include "sim/serialize/registry.hh"
+#include "sim/logging.hh"
 #include "sim/simulation.hh"
 
 namespace emerald
@@ -15,35 +15,16 @@ SimObject::SimObject(Simulation &sim, const std::string &name)
 
 SimObject::~SimObject()
 {
-    CheckpointRegistry &reg = _sim.checkpointRegistry();
-    for (Event *ev : _ckptEvents)
-        reg.unregisterEvent(*ev);
-    if (_ckptClient)
-        reg.unregisterClient(*_ckptClient);
-    if (_ckptRequestor)
-        reg.unregisterRequestor(*_ckptRequestor);
     _sim.unregisterObject(this);
 }
 
 void
 SimObject::registerCheckpointEvent(Event &ev)
 {
-    _sim.checkpointRegistry().registerEvent(ev.name(), ev);
+    panic_if(_sim.checkpointEvent(ev.name()),
+             "checkpoint registry: duplicate event name '%s'",
+             ev.name().c_str());
     _ckptEvents.push_back(&ev);
-}
-
-void
-SimObject::registerCheckpointClient(MemClient &client)
-{
-    _sim.checkpointRegistry().registerClient(_name, client);
-    _ckptClient = &client;
-}
-
-void
-SimObject::registerCheckpointRequestor(MemRequestor &req)
-{
-    _sim.checkpointRegistry().registerRequestor(_name, req);
-    _ckptRequestor = &req;
 }
 
 void

@@ -33,10 +33,12 @@ class Simulation;
  * Every SimObject is Serializable: its name() is its checkpoint
  * section name. Stateful subclasses override serialize(CheckpointIo &);
  * tools/emerald_analyze.py flags ones that forget (the
- * serializable-coverage rule). Cross-object references that must
- * survive a checkpoint (pending events, response targets, retry
- * waiters) are registered by name in the constructor via the
- * registerCheckpoint*() helpers.
+ * serializable-coverage rule). Its name is unique within its
+ * Simulation. Cross-object references that must survive a checkpoint
+ * (pending events, response targets, retry waiters) are recorded in
+ * the constructor via the registerCheckpoint*() helpers; a checkpoint
+ * saves each as a name and resolves it against the recording objects
+ * (Simulation::recorderOf, findObject, checkpointEvent).
  */
 class SimObject : public StatGroup, public Serializable
 {
@@ -101,27 +103,46 @@ class SimObject : public StatGroup, public Serializable
      */
     virtual void onWatchdogDegrade() {}
 
+    /** @{ The references this object recorded (see below). */
+    const std::vector<Event *> &checkpointEvents() const
+    {
+        return _ckptEvents;
+    }
+    MemClient *checkpointClient() const { return _ckptClient; }
+    MemRequestor *checkpointRequestor() const { return _ckptRequestor; }
+    /** @} */
+
   protected:
     /**
-     * Register @p ev in the Simulation's checkpoint registry under
-     * ev.name() so a checkpoint can re-schedule it by name. Every
-     * Event that may be pending at a checkpoint must be registered
-     * (saving with an unregistered pending event is fatal).
+     * Record @p ev so a checkpoint can re-schedule it by ev.name(),
+     * which must be unique among recorded events. Every Event that
+     * may be pending at a checkpoint must be recorded (saving with an
+     * unrecorded pending event is fatal).
      */
     void registerCheckpointEvent(Event &ev);
 
-    /** Register @p client under this object's name(). */
-    void registerCheckpointClient(MemClient &client);
+    /** Record @p client; a checkpoint names it by this object. */
+    void
+    registerCheckpointClient(MemClient &client)
+    {
+        _ckptClient = &client;
+    }
 
-    /** Register @p req under this object's name(). */
-    void registerCheckpointRequestor(MemRequestor &req);
+    /**
+     * Record @p req; a checkpoint and the watchdog's hang report name
+     * it by this object.
+     */
+    void
+    registerCheckpointRequestor(MemRequestor &req)
+    {
+        _ckptRequestor = &req;
+    }
 
   private:
     Simulation &_sim;
     /** _sim's queue, so the shortcuts above inline. */
     EventQueue &_eq;
     std::string _name;
-    /** Registrations to undo in the destructor. */
     std::vector<Event *> _ckptEvents;
     MemClient *_ckptClient = nullptr;
     MemRequestor *_ckptRequestor = nullptr;

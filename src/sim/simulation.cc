@@ -149,6 +149,52 @@ Simulation::flushStatsSink()
 }
 
 void
+Simulation::registerObject(SimObject *obj)
+{
+    panic_if(findObject(obj->name()),
+             "two SimObjects named '%s' in one Simulation: checkpoint "
+             "references resolve by name", obj->name().c_str());
+    _objects.push_back(obj);
+}
+
+SimObject *
+Simulation::findObject(const std::string &name) const
+{
+    for (SimObject *obj : _objects)
+        if (obj->name() == name)
+            return obj;
+    return nullptr;
+}
+
+const SimObject *
+Simulation::recorderOf(const MemClient &client) const
+{
+    for (const SimObject *obj : _objects)
+        if (obj->checkpointClient() == &client)
+            return obj;
+    return nullptr;
+}
+
+const SimObject *
+Simulation::recorderOf(const MemRequestor &req) const
+{
+    for (const SimObject *obj : _objects)
+        if (obj->checkpointRequestor() == &req)
+            return obj;
+    return nullptr;
+}
+
+Event *
+Simulation::checkpointEvent(const std::string &name) const
+{
+    for (const SimObject *obj : _objects)
+        for (Event *ev : obj->checkpointEvents())
+            if (ev->name() == name)
+                return ev;
+    return nullptr;
+}
+
+void
 Simulation::unregisterObject(SimObject *obj)
 {
     auto it = std::find(_objects.begin(), _objects.end(), obj);
@@ -344,8 +390,7 @@ Simulation::serializeSections(const std::string &dir, const OpenSection &open)
             [&](const std::string &key, EventQueue::LiveEventRef &e) {
                 std::string name;
                 if (e.event) {
-                    name = _ckptRegistry.eventName(*e.event);
-                    fatal_if(name.empty(),
+                    fatal_if(checkpointEvent(e.event->name()) != e.event,
                              "checkpoint: pending event '%s' (tick %llu) "
                              "is not in the checkpoint registry — its "
                              "owner must call registerCheckpointEvent(), "
@@ -353,11 +398,12 @@ Simulation::serializeSections(const std::string &dir, const OpenSection &open)
                              "across a checkpoint",
                              e.event->name().c_str(),
                              (unsigned long long)e.when);
+                    name = e.event->name();
                 }
                 io.scalar(key + ".name", name);
                 io.scalar(key + ".when", e.when);
                 if (!e.event) {
-                    e.event = _ckptRegistry.findEvent(name);
+                    e.event = checkpointEvent(name);
                     fatal_if(!e.event,
                              "checkpoint restore: no event named '%s' in "
                              "this topology — the checkpointed "
@@ -420,8 +466,7 @@ Simulation::saveCheckpoint(const std::string &dir)
     CheckpointWriter w(dir, _configFingerprint, _eq.curTick(),
                        _eq.numProcessed());
     serializeSections(dir, [&](const std::string &name) {
-        return CheckpointIo(w.section(name), &_ckptRegistry,
-                            _packetPool.get());
+        return CheckpointIo(w.section(name), this);
     });
     w.finalize();
 
@@ -514,8 +559,7 @@ Simulation::restoreCheckpoint(const std::string &dir, bool force,
     _eq.clearForRestore();
     _eq.restoreTime(r.tick(), r.numProcessed());
     serializeSections(source, [&](const std::string &name) {
-        return CheckpointIo(r.section(name), &_ckptRegistry,
-                            _packetPool.get());
+        return CheckpointIo(r.section(name), this);
     });
 
     // A recurring trigger must not fire (and overwrite the rotation

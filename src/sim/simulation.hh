@@ -18,7 +18,6 @@
 #include "sim/fault/domain.hh"
 #include "sim/packet_pool.hh"
 #include "sim/serialize/checkpoint_io.hh"
-#include "sim/serialize/registry.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -26,6 +25,8 @@ namespace emerald
 {
 
 class CheckpointTrigger;
+class MemClient;
+class MemRequestor;
 class Serializable;
 class SimObject;
 
@@ -180,16 +181,22 @@ class Simulation
     /** Every live SimObject, in construction order. */
     const std::vector<SimObject *> &objects() const { return _objects; }
 
+    /** The live SimObject named @p name, or nullptr. */
+    SimObject *findObject(const std::string &name) const;
+
     /**
-     * Name tables for checkpointable cross-object references (events,
-     * response targets, retry waiters). See sim/serialize/registry.hh.
+     * @{ The live SimObject that recorded @p client or @p req
+     * (SimObject::registerCheckpoint*()), or nullptr. A checkpoint
+     * saves the reference as that object's name, and the watchdog
+     * names a parked waiter by it.
      */
-    CheckpointRegistry &checkpointRegistry() { return _ckptRegistry; }
-    const CheckpointRegistry &
-    checkpointRegistry() const
-    {
-        return _ckptRegistry;
-    }
+    const SimObject *recorderOf(const MemClient &client) const;
+    const SimObject *recorderOf(const MemRequestor &req) const;
+    /** @} */
+
+    /** The event named @p name that a live SimObject recorded, or
+     *  nullptr: a checkpoint re-schedules pending events by name. */
+    Event *checkpointEvent(const std::string &name) const;
 
     /**
      * Record the hash of the construction-time configuration. A
@@ -273,7 +280,8 @@ class Simulation
   private:
     friend class SimObject;
 
-    void registerObject(SimObject *obj) { _objects.push_back(obj); }
+    /** Panics when @p obj's name is taken. */
+    void registerObject(SimObject *obj);
     void unregisterObject(SimObject *obj);
 
     void attachInstrument(EventInstrument *instrument);
@@ -317,7 +325,6 @@ class Simulation
     std::vector<std::function<void()>> _exitActions;
     std::unique_ptr<fault::FaultInjector> _faultInjector;
     std::unique_ptr<fault::ProgressWatchdog> _watchdog;
-    CheckpointRegistry _ckptRegistry;
     std::uint64_t _configFingerprint = 0;
     /** Extra (non-SimObject) checkpoint participants, in order. */
     std::vector<std::pair<std::string, Serializable *>> _extras;

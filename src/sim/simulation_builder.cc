@@ -128,6 +128,20 @@ SimulationBuilder::replayTrace(const std::string &dir)
 SimulationBuilder &
 SimulationBuilder::observability(const Config &cfg)
 {
+    // A modifier of an option the run does not set would do nothing.
+    auto needs = [&cfg](const char *modifier, const char *option,
+                        bool present) {
+        fatal_if(cfg.has(modifier) && !present,
+                 "--%s does nothing without %s", modifier, option);
+    };
+    needs("checkpoint-dir", "--checkpoint-at or --checkpoint-every",
+          cfg.has("checkpoint-at") || cfg.has("checkpoint-every"));
+    needs("checkpoint-keep", "--checkpoint-every",
+          cfg.has("checkpoint-every"));
+    needs("restore-force", "--restore", cfg.has("restore"));
+    needs("watchdog-mode", "--watchdog-ticks", cfg.has("watchdog-ticks"));
+    needs("fault-seed", "--fault-plan", cfg.has("fault-plan"));
+
     traceFile(cfg.getString("trace-file", _traceFile));
     profiling(cfg.getBool("profile", _profiling));
     checkDeterminism(cfg.getBool("check-determinism", _checkDeterminism));

@@ -175,7 +175,12 @@ class SimulationBuilder
      * 3), "checkpoint-dir" (path, default "ckpt"), "restore" (path)
      * and "restore-force" (bool), the scheduler-policy keys "warp-sched"
      * and "mem-sched", and the trace keys "capture-trace" and
-     * "replay-trace" (directories).
+     * "replay-trace" (directories). A modifier without the option it
+     * modifies is fatal: "checkpoint-dir" without "checkpoint-at" or
+     * "checkpoint-every", "checkpoint-keep" without
+     * "checkpoint-every", "restore-force" without "restore",
+     * "watchdog-mode" without "watchdog-ticks" and "fault-seed"
+     * without "fault-plan".
      */
     SimulationBuilder &observability(const Config &cfg);
 

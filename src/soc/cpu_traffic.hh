@@ -64,7 +64,6 @@ class CpuCoreModel : public SimObject,
 
     void memResponse(MemPacket *pkt) override;
     void retryRequest() override;
-    std::string requestorName() const override { return name(); }
 
     void serialize(CheckpointIo &io) override;
 

@@ -53,7 +53,6 @@ class DisplayController : public SimObject,
 
     void memResponse(MemPacket *pkt) override;
     void retryRequest() override;
-    std::string requestorName() const override { return name(); }
 
     /**
      * Watchdog degrade recovery: if a fetch is stuck (a held rejected

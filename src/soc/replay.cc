@@ -33,6 +33,8 @@ class ReplayPort : public SimObject,
           _txns(txns),
           _issueEvent([this] { issueReady(); }, name + ".issue")
     {
+        // Never checkpointed; recorded so hang reports name the port.
+        registerCheckpointRequestor(*this);
         // Per-frame [begin, end) ranges. Records are chronological
         // within a client and frames begin in order, so frame ids are
         // non-decreasing; anything else is a corrupt trace.
@@ -100,8 +102,6 @@ class ReplayPort : public SimObject,
         accepted(txn);
         issueReady();
     }
-
-    std::string requestorName() const override { return name(); }
 
     /** See TraceReplayDriver::serialize(). */
     void

@@ -126,9 +126,11 @@ SocTop::SocTop(const SocParams &params,
     _cpuClock = &_sim.createClockDomain(params.cpuClockMHz, "cpu_clk");
     _gpuClock = &_sim.createClockDomain(params.gpuClockMHz, "gpu_clk");
 
-    // Profile buckets for the SoC-level components that are not
-    // SimObjects themselves (the SimObject ones register in their
-    // own constructors).
+    // Profile buckets registered here, not in the components'
+    // constructors: app, dash and the CPU cores never register their
+    // own, and dash and gfx need one even when no DASH coordinator
+    // (BAS, HMC) or no pipeline (--replay-trace) is built. This order
+    // is the sim.profile.* order in every dump and every checkpoint.
     _sim.profiler().registerComponent("gfx");
     _sim.profiler().registerComponent("app");
     _sim.profiler().registerComponent("dash");

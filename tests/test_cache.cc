@@ -241,8 +241,7 @@ TEST(Cache, CheckpointSectionsMatchRecordedLayout)
     EXPECT_EQ(rig.cache.statWritebacks.value(), 2.0);
 
     CheckpointOut out("l1");
-    CheckpointIo save(out, &rig.sim.checkpointRegistry(),
-                      &rig.sim.packetPool());
+    CheckpointIo save(out, &rig.sim);
     rig.cache.serialize(save);
     CheckpointIn in("l1", out.bytes().data(), out.bytes().size());
     using V = std::vector<std::uint64_t>;
@@ -262,12 +261,10 @@ TEST(Cache, CheckpointSectionsMatchRecordedLayout)
 
     // A restored cache holds the same lines and writes the same bytes.
     Rig restored(smallCache());
-    CheckpointIo load(in, &restored.sim.checkpointRegistry(),
-                      &restored.sim.packetPool());
+    CheckpointIo load(in, &restored.sim);
     restored.cache.serialize(load);
     CheckpointOut again("l1");
-    CheckpointIo resave(again, &restored.sim.checkpointRegistry(),
-                        &restored.sim.packetPool());
+    CheckpointIo resave(again, &restored.sim);
     restored.cache.serialize(resave);
     EXPECT_EQ(again.bytes(), out.bytes());
     EXPECT_TRUE(restored.cache.isCached(0xa80));

@@ -24,6 +24,7 @@
 #include "sim/fault/fault_plan.hh"
 #include "sim/fault/watchdog.hh"
 #include "sim/packet.hh"
+#include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 #include "sim/simulation_builder.hh"
 #include "soc/soc_top.hh"
@@ -197,12 +198,17 @@ class FullSink : public MemSink
     void drainWaiters() { while (wakeOneRetry()) {} }
 };
 
-class NamedRequestor : public MemRequestor
+/** A requestor the hang report names "starved_cpu". */
+class NamedRequestor : public SimObject, public MemRequestor
 {
   public:
-    void retryRequest() override {}
+    explicit NamedRequestor(Simulation &sim)
+        : SimObject(sim, "starved_cpu")
+    {
+        registerCheckpointRequestor(*this);
+    }
 
-    std::string requestorName() const override { return "starved_cpu"; }
+    void retryRequest() override {}
 };
 
 TEST(WatchdogTest, CleanRunNoFalsePositive)
@@ -244,7 +250,7 @@ TEST(WatchdogDeathTest, HangReportNamesParkedWaiter)
 {
     Simulation sim;
     FullSink sink(sim);
-    NamedRequestor req;
+    NamedRequestor req(sim);
     MemPacket *pkt = allocPacket(sim);
     ASSERT_FALSE(sink.offer(pkt, req)); // Parks req on test_sink.
 
@@ -325,8 +331,6 @@ class RetryingRequestor : public MemRequestor
         if (_pkt)
             send();
     }
-
-    std::string requestorName() const override { return "retry_cpu"; }
 
     bool delivered() const { return _pkt == nullptr; }
 
@@ -429,17 +433,17 @@ TEST(WatchdogTest, StaleFrontSweepRecoversPartialStarvation)
  * straight back onto the retry list. The degrade watchdog's per-waiter
  * cap exists exactly for this shape of deterministic hang.
  */
-class StubbornRequestor : public MemRequestor
+class StubbornRequestor : public SimObject, public MemRequestor
 {
   public:
-    StubbornRequestor(FullSink &sink, MemPacket *pkt)
-        : _sink(sink), _pkt(pkt)
+    StubbornRequestor(Simulation &sim, FullSink &sink, MemPacket *pkt)
+        : SimObject(sim, "stubborn_cpu"), _sink(sink), _pkt(pkt)
     {
+        registerCheckpointRequestor(*this);
     }
 
     void send() { _sink.offer(_pkt, *this); }
     void retryRequest() override { send(); }
-    std::string requestorName() const override { return "stubborn_cpu"; }
 
     MemPacket *packet() { return _pkt; }
 
@@ -458,7 +462,7 @@ TEST(WatchdogDeathTest, DegradeEscalatesAfterForcedWakeCapAndWritesReport)
                        report);
 
     FullSink sink(sim);
-    StubbornRequestor req(sink, allocPacket(sim));
+    StubbornRequestor req(sim, sink, allocPacket(sim));
 
     // No completions ever: each heartbeat force-wakes the lone parked
     // waiter, which re-parks immediately. Keep the queue alive long

@@ -343,8 +343,7 @@ TEST(NpuTop, MidInferenceStateRoundTripsThroughCheckpoint)
     ASSERT_EQ(a.queueDepth(), 1u);
 
     CheckpointOut out_a("npu");
-    CheckpointIo save(out_a, &sim_a.checkpointRegistry(),
-                      &sim_a.packetPool());
+    CheckpointIo save(out_a, &sim_a);
     a.serialize(save);
 
     // A fresh device restored from that section must serialize back
@@ -356,12 +355,11 @@ TEST(NpuTop, MidInferenceStateRoundTripsThroughCheckpoint)
     CheckpointIo load(CheckpointIn(out_a.sectionName(),
                                    out_a.bytes().data(),
                                    out_a.bytes().size()),
-                      &sim_b.checkpointRegistry(), &sim_b.packetPool());
+                      &sim_b);
     b.serialize(load);
 
     CheckpointOut out_b("npu");
-    CheckpointIo resave(out_b, &sim_b.checkpointRegistry(),
-                        &sim_b.packetPool());
+    CheckpointIo resave(out_b, &sim_b);
     b.serialize(resave);
     EXPECT_EQ(out_a.bytes(), out_b.bytes());
     EXPECT_EQ(b.queueDepth(), 1u);

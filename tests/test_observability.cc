@@ -545,6 +545,67 @@ TEST(BenchHarnessDeathTest, LabelReachingSecondSimulationIsFatal)
         "bench label 'reused' reaches a second simulation");
 }
 
+TEST(BenchHarnessDeathTest, BareValueOptionsAreFatal)
+{
+    // A bare key reads "1": --frames alone ran one frame, a trailing
+    // --stats-out wrote a file named 1, and --checkpoint-at alone
+    // checkpointed at tick 15000. Only getBool may read a bare key.
+    auto harness = makeHarness({"--quick", "--frames", "--checkpoint-at"});
+    EXPECT_TRUE(harness->quick);
+    EXPECT_EQ(harness->cfg.items().at("frames"), "1");
+    EXPECT_EXIT(harness->cfg.getU64("frames", 3),
+                ::testing::ExitedWithCode(1),
+                "option --frames needs a value");
+    EXPECT_EXIT(harness->builderFor(""), ::testing::ExitedWithCode(1),
+                "option --checkpoint-at needs a value");
+    EXPECT_EXIT(makeHarness({"--quick", "--stats-out"}),
+                ::testing::ExitedWithCode(1),
+                "option --stats-out needs a value");
+
+    // A value given after the bare form wins, and reads as one.
+    auto later = makeHarness({"--frames", "--frames=4"});
+    EXPECT_EQ(later->cfg.getU64("frames", 3), 4u);
+}
+
+TEST(BenchHarnessDeathTest, ModifierWithoutItsOptionIsFatal)
+{
+    // Each modifier alone would do nothing; with the option it
+    // modifies it is accepted.
+    struct Case
+    {
+        const char *modifier;
+        const char *option;
+        const char *missing;
+    };
+    const Case cases[] = {
+        {"--checkpoint-dir=ck", "--checkpoint-at=1ms",
+         "--checkpoint-at or --checkpoint-every"},
+        {"--checkpoint-dir=ck", "--checkpoint-every=1ms",
+         "--checkpoint-at or --checkpoint-every"},
+        {"--checkpoint-keep=2", "--checkpoint-every=1ms",
+         "--checkpoint-every"},
+        {"--restore-force", "--restore=ck", "--restore"},
+        {"--watchdog-mode=degrade", "--watchdog-ticks=1ms",
+         "--watchdog-ticks"},
+        {"--fault-seed=7", "--fault-plan=dup-wake", "--fault-plan"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.modifier);
+        auto alone = makeHarness({c.modifier});
+        std::string flag = c.modifier;
+        flag = flag.substr(0, flag.find('='));
+        EXPECT_EXIT(alone->builderFor(""), ::testing::ExitedWithCode(1),
+                    flag + " does nothing without " + c.missing);
+        makeHarness({c.modifier, c.option})->builderFor("");
+    }
+    // --checkpoint-keep sizes the --checkpoint-every rotation only.
+    EXPECT_EXIT(makeHarness({"--checkpoint-keep=2", "--checkpoint-at=1ms"})
+                    ->builderFor(""),
+                ::testing::ExitedWithCode(1),
+                "--checkpoint-keep does nothing without "
+                "--checkpoint-every");
+}
+
 // ------------------------------------------------------------------
 // Event tracing
 // ------------------------------------------------------------------

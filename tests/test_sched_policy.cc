@@ -219,6 +219,15 @@ TEST(MemSchedRegistry, UnknownPolicySuggestsNearMiss)
                  "mean 'frfcfs'");
 }
 
+TEST(MemSchedRegistry, UnknownPolicyWithoutNearMissListsKnown)
+{
+    Simulation sim;
+    mem::MemSchedContext ctx{sim};
+    EXPECT_DEATH(mem::createMemScheduler("zzzz", ctx),
+                 "fatal: unknown memory scheduler policy 'zzzz' "
+                 "\\(known: dash, frfcfs\\) \\(");
+}
+
 // Ordering behavior ------------------------------------------------------
 
 TEST(WarpSchedPolicies, LrrMatchesOriginalRoundRobinScan)

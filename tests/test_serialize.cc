@@ -3,7 +3,8 @@
  * Tests for the checkpoint/restore subsystem (src/sim/serialize/):
  * the typed record codec and its strict schema checking, the
  * writer/reader directory format, Random state round-trips, stats
- * round-trips, in-flight packet and RetryList serialization, event
+ * round-trips, in-flight packet and RetryList serialization, the
+ * cross-object references that resolve through SimObjects, event
  * queue re-scheduling, the config-fingerprint refusal, and the
  * end-to-end warm-start oracle — a restored SoC run must finish with
  * exactly the cold run's event-stream hash.
@@ -23,8 +24,8 @@
 #include "sim/packet.hh"
 #include "sim/random.hh"
 #include "sim/serialize/checkpoint_io.hh"
-#include "sim/serialize/registry.hh"
 #include "sim/serialize/serialize.hh"
+#include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 #include "sim/simulation_builder.hh"
 #include "sim/stats.hh"
@@ -54,15 +55,14 @@ roundTrip(const CheckpointOut &out)
 CheckpointIo
 saving(CheckpointOut &out, Simulation &sim)
 {
-    return CheckpointIo(out, &sim.checkpointRegistry(), &sim.packetPool());
+    return CheckpointIo(out, &sim);
 }
 
 /** An io loading what @p out holds into @p sim's objects. */
 CheckpointIo
 loading(const CheckpointOut &out, Simulation &sim)
 {
-    return CheckpointIo(roundTrip(out), &sim.checkpointRegistry(),
-                        &sim.packetPool());
+    return CheckpointIo(roundTrip(out), &sim);
 }
 
 /** Save @p v as record @p key of @p out. */
@@ -315,28 +315,57 @@ TEST(CheckpointStats, TimeSeriesBucketWidthMismatchIsFatal)
 
 // Packets and retry lists ----------------------------------------------
 
-class RecordingClient : public MemClient
+/** A response target and retry waiter with one checkpointable event. */
+class RefRequestor : public SimObject,
+                     public MemClient,
+                     public MemRequestor
 {
   public:
+    RefRequestor(Simulation &sim, const std::string &name)
+        : SimObject(sim, name), wake([] {}, name + ".wake")
+    {
+        registerCheckpointEvent(wake);
+        registerCheckpointClient(*this);
+        registerCheckpointRequestor(*this);
+    }
+
     void memResponse(MemPacket *pkt) override { freePacket(pkt); }
+    void retryRequest() override {}
+
+    EventFunction wake;
 };
 
-class NamedRequestor : public MemRequestor
+/** A sink that rejects every offer and holds one packet in flight. */
+class RefSink : public SimObject, public MemSink
 {
   public:
-    explicit NamedRequestor(std::string name) : _name(std::move(name)) {}
-    void retryRequest() override {}
-    std::string requestorName() const override { return _name; }
+    RefSink(Simulation &sim, const std::string &name)
+        : SimObject(sim, name), MemSink(sim)
+    {
+        setSinkName(name);
+    }
 
-  private:
-    std::string _name;
+    bool tryAccept(MemPacket *) override { return false; }
+
+    void
+    serialize(CheckpointIo &io) override
+    {
+        bool holding = held != nullptr;
+        io.scalar("holding", holding);
+        if (holding)
+            io.packet("held", held);
+        retryList().serialize(io, "retry");
+    }
+
+    const RetryList &parked() const { return retryList(); }
+
+    MemPacket *held = nullptr;
 };
 
 TEST(CheckpointPacket, LivePacketRoundTripsThroughThePool)
 {
     Simulation sim;
-    RecordingClient client;
-    sim.checkpointRegistry().registerClient("cl", client);
+    RefRequestor client(sim, "cl");
 
     MemPacket *pkt = sim.packetPool().alloc(
         0x1234u, 64u, true, TrafficClass::Gpu, AccessKind::Texture, 7,
@@ -414,10 +443,7 @@ TEST(CheckpointPacket, PoolHighWaterRestores)
 TEST(CheckpointRetryList, ParkedWaitersRestoreInFifoOrder)
 {
     Simulation sim;
-    NamedRequestor a("req.a"), b("req.b"), c("req.c");
-    sim.checkpointRegistry().registerRequestor("req.a", a);
-    sim.checkpointRegistry().registerRequestor("req.b", b);
-    sim.checkpointRegistry().registerRequestor("req.c", c);
+    RefRequestor a(sim, "req.a"), b(sim, "req.b"), c(sim, "req.c");
 
     RetryList list;
     list.add(b);
@@ -481,45 +507,106 @@ TEST(CheckpointDramDeathTest, ShortBankColumnIsFatal)
                      " entries");
 }
 
-TEST(CheckpointRegistryDeathTest, DuplicatesPanicAndUnknownsAreFatal)
+/** Records one event named @p event. */
+class EventOwner : public SimObject
 {
-    CheckpointRegistry reg;
-    EventFunction ev([] {}, "ev");
-    RecordingClient client;
-    NamedRequestor req("req");
-    reg.registerEvent("ev", ev);
-    reg.registerClient("cl", client);
-    reg.registerRequestor("req", req);
-    EXPECT_EQ(reg.findEvent("ev"), &ev);
-    EXPECT_EQ(reg.eventName(ev), "ev");
-    EXPECT_EQ(&reg.client("cl"), &client);
-    EXPECT_EQ(reg.clientName(client), "cl");
-    EXPECT_EQ(&reg.requestor("req"), &req);
-    EXPECT_EQ(reg.requestorName(req), "req");
+  public:
+    EventOwner(Simulation &sim, const std::string &name,
+               const std::string &event)
+        : SimObject(sim, name), ev([] {}, event)
+    {
+        registerCheckpointEvent(ev);
+    }
 
-    EXPECT_DEATH(reg.registerEvent("ev", ev),
-                 "checkpoint registry: duplicate event name 'ev'");
-    EXPECT_DEATH(reg.registerClient("cl", client),
-                 "checkpoint registry: duplicate client name 'cl'");
-    EXPECT_DEATH(reg.registerRequestor("req", req),
-                 "checkpoint registry: duplicate requestor name 'req'");
-    EXPECT_DEATH(reg.client("x"), "checkpoint restore: no MemClient "
-                                  "named 'x' in this topology");
-    EXPECT_DEATH(reg.requestor("x"), "checkpoint restore: no "
-                                     "MemRequestor named 'x' in this "
-                                     "topology");
+    EventFunction ev;
+};
 
-    reg.unregisterEvent(ev);
-    reg.unregisterClient(client);
-    reg.unregisterRequestor(req);
-    EXPECT_EQ(reg.findEvent("ev"), nullptr);
-    EXPECT_EQ(reg.eventName(ev), "");
-    EXPECT_DEATH(reg.clientName(client),
+/** A response target and retry waiter that no SimObject recorded. */
+class Unrecorded : public MemClient, public MemRequestor
+{
+  public:
+    void memResponse(MemPacket *pkt) override { freePacket(pkt); }
+    void retryRequest() override {}
+};
+
+TEST(CheckpointRefsDeathTest, DuplicatesPanicAndUnknownsAreFatal)
+{
+    Simulation sim;
+    {
+        RefRequestor gone(sim, "gone");
+    }
+    EXPECT_EQ(sim.findObject("gone"), nullptr);
+    EXPECT_EQ(sim.checkpointEvent("gone.wake"), nullptr);
+
+    RefRequestor cpu(sim, "cpu");
+    EventOwner owner(sim, "owner", "owner.ev");
+    EXPECT_EQ(sim.findObject("cpu"), &cpu);
+    EXPECT_EQ(sim.recorderOf(static_cast<MemClient &>(cpu)), &cpu);
+    EXPECT_EQ(sim.recorderOf(static_cast<MemRequestor &>(cpu)), &cpu);
+    EXPECT_EQ(sim.checkpointEvent("cpu.wake"), &cpu.wake);
+
+    EXPECT_DEATH(RefRequestor again(sim, "cpu"),
+                 "two SimObjects named 'cpu' in one Simulation");
+    EXPECT_DEATH(EventOwner dup(sim, "dup", "cpu.wake"),
+                 "checkpoint registry: duplicate event name 'cpu.wake'");
+
+    // Saving a reference that no object recorded.
+    Unrecorded stray;
+    EventFunction timer([] {}, "timer");
+    sim.eventQueue().schedule(timer, 10);
+    EXPECT_DEATH(sim.saveCheckpoint(tempDir("ckpt_unrecorded")),
+                 "checkpoint: pending event 'timer' .* is not in the "
+                 "checkpoint registry");
+    sim.eventQueue().deschedule(timer);
+    MemPacket *pkt = sim.packetPool().alloc(
+        0x40u, 32u, false, TrafficClass::Cpu, AccessKind::CpuData, 0,
+        &stray, 0u);
+    CheckpointOut out("refs");
+    CheckpointIo save = saving(out, sim);
+    EXPECT_DEATH(save.packet("p", pkt),
                  "checkpoint: in-flight packet references an "
                  "unregistered MemClient");
-    EXPECT_DEATH(reg.requestorName(req),
+    freePacket(pkt);
+    RetryList list;
+    list.add(stray);
+    EXPECT_DEATH(list.serialize(save, "retry"),
                  "checkpoint: parked retry waiter is an unregistered "
                  "MemRequestor");
+
+    // Loading a name that no object recorded a reference under: "x"
+    // names no object, and "owner" recorded neither role.
+    for (std::string name : {"x", "owner"}) {
+        CheckpointOut names("refs");
+        put(names, "client", name);
+        put(names, "req", name);
+        CheckpointIo load = loading(names, sim);
+        MemClient *client = nullptr;
+        MemRequestor *req = nullptr;
+        EXPECT_DEATH(load.reference("client", client),
+                     "checkpoint restore: no MemClient named '" + name +
+                         "' in this topology");
+        EXPECT_DEATH(load.reference("req", req),
+                     "checkpoint restore: no MemRequestor named '" +
+                         name + "' in this topology");
+    }
+}
+
+TEST(CheckpointRefsDeathTest, UnknownEventAtRestoreIsFatal)
+{
+    const std::string dir = tempDir("ckpt_unknown_event");
+    std::filesystem::remove_all(dir);
+    {
+        Simulation sim;
+        RefRequestor cpu(sim, "cpu");
+        cpu.schedule(cpu.wake, 100);
+        sim.saveCheckpoint(dir);
+    }
+    Simulation sim;
+    RefRequestor gpu(sim, "gpu");
+    EXPECT_DEATH(sim.restoreCheckpoint(dir, false),
+                 "checkpoint restore: no event named 'cpu.wake' in this "
+                 "topology");
+    std::filesystem::remove_all(dir);
 }
 
 // Event queue ----------------------------------------------------------
@@ -1026,6 +1113,58 @@ TEST(CheckpointStandalone, CheckpointFlagsAreFatal)
             },
             "cannot restore checkpoint");
     }
+}
+
+TEST(CheckpointRefs, FormatPinAndResaveIsByteIdentical)
+{
+    // A pending event, an in-flight packet's response target and a
+    // parked retry waiter, each saved as a name: a change in how a
+    // reference is named moves this CRC. Restoring the checkpoint and
+    // saving it again writes the same bytes.
+    const std::string dir = tempDir("ckpt_refs_pin");
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(dir + "_again");
+    {
+        Simulation sim;
+        RefRequestor req(sim, "cpu");
+        RefSink sink(sim, "l2");
+        EventFunction boot([] {}, "boot");
+        sim.eventQueue().schedule(boot, 250);
+        req.schedule(req.wake, 400);
+        sim.run(300);
+
+        sink.held = sim.packetPool().alloc(
+            0x80u, 64u, false, TrafficClass::Cpu, AccessKind::CpuData, 3,
+            &req, 9u);
+        sink.held->issued = 120;
+        MemPacket *blocked = sim.packetPool().alloc(
+            0xc0u, 64u, false, TrafficClass::Cpu, AccessKind::CpuData, 3,
+            &req, 10u);
+        ASSERT_FALSE(sink.offer(blocked, req));
+        freePacket(blocked);
+
+        sim.saveCheckpoint(dir);
+        freePacket(sink.held);
+    }
+    const std::string bytes = fileBytes(dir + "/data.bin");
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), 0x428b48d7u);
+
+    Simulation sim;
+    RefRequestor req(sim, "cpu");
+    RefSink sink(sim, "l2");
+    sim.restoreCheckpoint(dir, false);
+    EXPECT_TRUE(req.wake.scheduled());
+    EXPECT_EQ(req.wake.when(), 400u);
+    ASSERT_NE(sink.held, nullptr);
+    EXPECT_EQ(sink.held->client, &req);
+    ASSERT_EQ(sink.parked().size(), 1u);
+    EXPECT_EQ(sink.parked().waiters().front(), &req);
+
+    sim.saveCheckpoint(dir + "_again");
+    EXPECT_TRUE(bytes == fileBytes(dir + "_again/data.bin"));
+    freePacket(sink.held);
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(dir + "_again");
 }
 
 } // namespace

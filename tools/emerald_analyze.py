@@ -55,7 +55,7 @@ INTERFACE_TYPES = {
     "SimObject", "Simulation", "SimulationBuilder", "EventQueue",
     "Event", "EventFunction", "MemSink", "MemClient", "StatGroup",
     "FaultDomain", "FaultInjector", "CheckContext", "ClockDomain",
-    "TraceSink", "StatsSink",
+    "StatsSink",
 }
 
 ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
