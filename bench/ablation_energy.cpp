@@ -71,8 +71,7 @@ int
 runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "ablation_energy");
-    const Config &cfg = harness.cfg;
-    unsigned frames = static_cast<unsigned>(cfg.getU64("frames", 4));
+    unsigned frames = harness.count("frames", 4);
     bool quick = harness.quick;
 
     auto workloads = caseStudy2Workloads();

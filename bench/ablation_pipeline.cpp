@@ -116,8 +116,7 @@ int
 runScenario(int argc, char **argv)
 {
     BenchHarness harness(argc, argv, "ablation_pipeline");
-    const Config &cfg = harness.cfg;
-    unsigned frames = static_cast<unsigned>(cfg.getU64("frames", 2));
+    unsigned frames = harness.count("frames", 2);
 
     std::printf("=== Ablation: pipeline design choices ===\n\n");
 

@@ -30,40 +30,7 @@ runScenario(int argc, char **argv)
     soc.run();
 
     Tick bucket = p.statsBucket;
-    // Merge the per-channel series.
-    std::size_t buckets = 0;
-    for (unsigned ch = 0; ch < soc.memory().numChannels(); ++ch) {
-        buckets = std::max(buckets,
-                           soc.memory()
-                               .channel(ch)
-                               .statBwCpu.buckets()
-                               .size());
-        buckets = std::max(buckets,
-                           soc.memory()
-                               .channel(ch)
-                               .statBwGpu.buckets()
-                               .size());
-    }
-
-    std::printf("%10s %12s %12s %12s   (GB/s per %.0f us bucket)\n",
-                "t(ms)", "cpu", "gpu", "display",
-                static_cast<double>(bucket) / 1e6);
-    double scale = 1e9 * secondsFromTicks(bucket); // bytes -> GB/s.
-    for (std::size_t i = 0; i < buckets; ++i) {
-        double cpu = 0, gpu = 0, disp = 0;
-        for (unsigned ch = 0; ch < soc.memory().numChannels(); ++ch) {
-            const auto &mc = soc.memory().channel(ch);
-            if (i < mc.statBwCpu.buckets().size())
-                cpu += mc.statBwCpu.buckets()[i];
-            if (i < mc.statBwGpu.buckets().size())
-                gpu += mc.statBwGpu.buckets()[i];
-            if (i < mc.statBwDisplay.buckets().size())
-                disp += mc.statBwDisplay.buckets()[i];
-        }
-        std::printf("%10.2f %12.3f %12.3f %12.3f\n",
-                    msFromTicks(Tick(i) * bucket), cpu / scale,
-                    gpu / scale, disp / scale);
-    }
+    std::size_t buckets = printBandwidthTimeline(soc.memory(), bucket);
     harness.record("buckets", static_cast<double>(buckets));
     harness.record("bucket_us", static_cast<double>(bucket) / 1e6);
     harness.record("total_bytes",

@@ -39,32 +39,7 @@ runAndPrint(soc::MemConfig config, BenchHarness &harness)
                 soc.display().statRequests.value(),
                 soc.display().statFramesAborted.value());
 
-    Tick bucket = p.statsBucket;
-    std::size_t buckets = 0;
-    for (unsigned ch = 0; ch < soc.memory().numChannels(); ++ch)
-        buckets = std::max(
-            buckets,
-            soc.memory().channel(ch).statBwGpu.buckets().size());
-    buckets = std::min<std::size_t>(buckets, 600);
-
-    double scale = 1e9 * secondsFromTicks(bucket);
-    std::printf("%10s %10s %10s %10s\n", "t(ms)", "cpu", "gpu",
-                "display");
-    for (std::size_t i = 0; i < buckets; ++i) {
-        double cpu = 0, gpu = 0, disp = 0;
-        for (unsigned ch = 0; ch < soc.memory().numChannels(); ++ch) {
-            const auto &mc = soc.memory().channel(ch);
-            if (i < mc.statBwCpu.buckets().size())
-                cpu += mc.statBwCpu.buckets()[i];
-            if (i < mc.statBwGpu.buckets().size())
-                gpu += mc.statBwGpu.buckets()[i];
-            if (i < mc.statBwDisplay.buckets().size())
-                disp += mc.statBwDisplay.buckets()[i];
-        }
-        std::printf("%10.2f %10.3f %10.3f %10.3f\n",
-                    msFromTicks(Tick(i) * bucket), cpu / scale,
-                    gpu / scale, disp / scale);
-    }
+    printBandwidthTimeline(soc.memory(), p.statsBucket, 600);
 }
 
 } // namespace

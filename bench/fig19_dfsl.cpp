@@ -71,9 +71,8 @@ runScenario(int argc, char **argv)
     const Config &cfg = harness.cfg;
     unsigned fbw = static_cast<unsigned>(cfg.getU64("width", 256));
     unsigned fbh = static_cast<unsigned>(cfg.getU64("height", 192));
-    unsigned frames = static_cast<unsigned>(cfg.getU64("frames", 6));
-    unsigned run_frames =
-        static_cast<unsigned>(cfg.getU64("run_frames", 24));
+    unsigned frames = harness.count("frames", 6);
+    unsigned run_frames = harness.count("run_frames", 24);
     // The DFSL evaluation range scales with the TC grid: the paper's
     // WT 1-10 at 1024x768 corresponds to roughly 1-6 at 256x192.
     unsigned max_wt =
@@ -97,7 +96,7 @@ runScenario(int argc, char **argv)
         return meanCyclesAtWt(
             harness.builderFor(std::string(scenes::workloadName(id)) +
                                ".search.wt" + std::to_string(wt)),
-            id, wt, fbw, fbh, 2);
+            id, wt, fbw, fbh, 2).cycles;
     };
     std::vector<double> wt1_cycles;
     for (scenes::WorkloadId id : workloads)
@@ -126,11 +125,11 @@ runScenario(int argc, char **argv)
     for (scenes::WorkloadId id : workloads) {
         std::string wl = scenes::workloadName(id);
         double mlb = meanCyclesAtWt(harness.builderFor(wl + ".mlb"), id,
-                                    1, fbw, fbh, frames);
+                                    1, fbw, fbh, frames).cycles;
         double mlc = meanCyclesAtWt(harness.builderFor(wl + ".mlc"), id,
-                                    10, fbw, fbh, frames);
+                                    10, fbw, fbh, frames).cycles;
         double sopt_c = meanCyclesAtWt(harness.builderFor(wl + ".sopt"),
-                                       id, sopt, fbw, fbh, frames);
+                                       id, sopt, fbw, fbh, frames).cycles;
         DfslResult dfsl_c = dfslRun(harness.builderFor(wl + ".dfsl"), id,
                                     fbw, fbh, run_frames, max_wt);
         double s_mlc = mlb / mlc;

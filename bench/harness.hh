@@ -9,8 +9,10 @@
 #ifndef EMERALD_BENCH_HARNESS_HH
 #define EMERALD_BENCH_HARNESS_HH
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -84,6 +86,15 @@ class BenchHarness
     record(const std::string &key, double value)
     {
         _sink->recordScalar(key, value);
+    }
+
+    /** Count option --@p key (default @p dflt); 0 is fatal. */
+    unsigned
+    count(const std::string &key, unsigned dflt) const
+    {
+        auto n = static_cast<unsigned>(cfg.getU64(key, dflt));
+        fatal_if(n == 0, "--%s must be at least 1", key.c_str());
+        return n;
     }
 
     /**
@@ -171,12 +182,23 @@ renderFrame(soc::StandaloneGpu &rig, scenes::SceneRenderer &scene,
     return stats;
 }
 
+/** Per-frame means over the measured frames of one WT rig. */
+struct WtMeans
+{
+    double cycles = 0.0;
+    /** @{ L1 misses by access kind. */
+    double color = 0.0;
+    double texture = 0.0;
+    double depth = 0.0;
+    /** @} */
+};
+
 /**
- * Mean frame cycles for @p workload at WT size @p wt: one warm-up
- * frame plus @p frames measured frames on a fresh rig built from
- * @p builder (a builderFor() recipe, so one call per label).
+ * Frame cycles and L1 misses for @p workload at WT size @p wt: one
+ * warm-up frame plus @p frames measured frames on a fresh rig built
+ * from @p builder (a builderFor() recipe, so one call per label).
  */
-inline double
+inline WtMeans
 meanCyclesAtWt(const SimulationBuilder &builder,
                scenes::WorkloadId workload, unsigned wt, unsigned fb_w,
                unsigned fb_h, unsigned frames = 3)
@@ -188,11 +210,59 @@ meanCyclesAtWt(const SimulationBuilder &builder,
                                 rig.functionalMemory());
     rig.pipeline().setWtSize(wt);
     renderFrame(rig, scene, 0); // Warm-up.
-    double sum = 0.0;
+    auto misses = [&](AccessKind kind) {
+        return static_cast<double>(rig.gpu().l1Misses(kind));
+    };
+    double color0 = misses(AccessKind::Color);
+    double texture0 = misses(AccessKind::Texture);
+    double depth0 = misses(AccessKind::Depth);
+    WtMeans out;
     for (unsigned f = 1; f <= frames; ++f)
-        sum += static_cast<double>(
+        out.cycles += static_cast<double>(
             renderFrame(rig, scene, f).cycles);
-    return sum / frames;
+    out.cycles /= frames;
+    out.color = (misses(AccessKind::Color) - color0) / frames;
+    out.texture = (misses(AccessKind::Texture) - texture0) / frames;
+    out.depth = (misses(AccessKind::Depth) - depth0) / frames;
+    return out;
+}
+
+/**
+ * Print @p memory's DRAM bandwidth per source over time, in GB/s per
+ * @p bucket, merging the channels' series: one row per bucket up to
+ * the longest CPU or GPU series, at most @p max_rows rows. Returns
+ * the bucket count before the cap.
+ */
+inline std::size_t
+printBandwidthTimeline(const mem::MemorySystem &memory, Tick bucket,
+                       std::size_t max_rows = SIZE_MAX)
+{
+    std::size_t buckets = 0;
+    for (unsigned ch = 0; ch < memory.numChannels(); ++ch) {
+        const auto &mc = memory.channel(ch);
+        buckets = std::max({buckets, mc.statBwCpu.buckets().size(),
+                            mc.statBwGpu.buckets().size()});
+    }
+    std::printf("%10s %12s %12s %12s   (GB/s per %.0f us bucket)\n",
+                "t(ms)", "cpu", "gpu", "display",
+                static_cast<double>(bucket) / 1e6);
+    double scale = 1e9 * secondsFromTicks(bucket); // bytes -> GB/s.
+    auto at = [](const TimeSeries &series, std::size_t i) {
+        return i < series.buckets().size() ? series.buckets()[i] : 0.0;
+    };
+    for (std::size_t i = 0; i < std::min(buckets, max_rows); ++i) {
+        double cpu = 0, gpu = 0, disp = 0;
+        for (unsigned ch = 0; ch < memory.numChannels(); ++ch) {
+            const auto &mc = memory.channel(ch);
+            cpu += at(mc.statBwCpu, i);
+            gpu += at(mc.statBwGpu, i);
+            disp += at(mc.statBwDisplay, i);
+        }
+        std::printf("%10.2f %12.3f %12.3f %12.3f\n",
+                    msFromTicks(Tick(i) * bucket), cpu / scale,
+                    gpu / scale, disp / scale);
+    }
+    return buckets;
 }
 
 /** Pearson correlation coefficient. */

@@ -6,14 +6,19 @@ object must hold exactly one stats tree per label. The labels are the
 ones given, or else the document's own: one per `<label>.event_hash`
 result, which every simulation of a bench records when it exits (a
 bare `event_hash` is the unlabelled simulation, filed as `sim`).
+With --finite, each named result must also be present and a finite
+number (the stats sink writes a non-finite value as null).
 
-Usage: check_stats_trees.py out.json [LABEL...]
-Exit status: 0 when both hold, 1 otherwise.
+Usage: check_stats_trees.py out.json [LABEL...] [--finite=KEY,KEY...]
+Exit status: 0 when all of it holds, 1 otherwise.
 """
 
 import collections
 import json
+import math
 import sys
+
+FINITE = "--finite="
 
 
 def unique_keys(pairs):
@@ -36,12 +41,15 @@ def simulated_labels(doc):
 
 
 def main():
-    if len(sys.argv) < 2:
+    args = [a for a in sys.argv[1:] if not a.startswith(FINITE)]
+    finite = [key for a in sys.argv[1:] if a.startswith(FINITE)
+              for key in a[len(FINITE):].split(",") if key]
+    if not args:
         sys.exit(__doc__)
-    path = sys.argv[1]
+    path = args[0]
     with open(path, encoding="utf-8") as f:
         doc = json.load(f, object_pairs_hook=unique_keys)
-    labels = sorted(sys.argv[2:] or simulated_labels(doc))
+    labels = sorted(args[1:] or simulated_labels(doc))
     if not labels:
         sys.exit(f"check_stats_trees: '{path}' records no simulation")
     trees = sorted(doc.get("sim", {}))
@@ -49,6 +57,14 @@ def main():
         sys.exit(f"check_stats_trees: '{path}' holds stats trees "
                  f"{trees}, expected {labels}")
     print(f"OK   {path}: one stats tree per label {trees}")
+    results = doc.get("results", {})
+    for key in finite:
+        value = results.get(key)
+        if not isinstance(value, (int, float)) or not math.isfinite(value):
+            found = json.dumps(value) if key in results else "missing"
+            sys.exit(f"check_stats_trees: '{path}' result {key} is "
+                     f"{found}, expected a finite number")
+        print(f"OK   {key} = {value}")
 
 
 if __name__ == "__main__":
